@@ -25,7 +25,7 @@ from .datamodel import OmissionReport, Summary
 from .dataset import load_corpus
 from .gateway import GatewayError, GatewayMode
 from .jsonutil import pretty_dumps, read_json
-from .pipeline.runner import ENCOUNTERS_SUBDIR, MANIFEST_NAME, run_corpus
+from .pipeline.runner import ENCOUNTERS_SUBDIR, MANIFEST_NAME, in_flight_cap, run_corpus
 
 EXIT_OK = 0
 EXIT_SKIPS = 1
@@ -49,7 +49,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.mode:
         config = config.with_mode(GatewayMode(args.mode))
     corpus = load_corpus(args.corpus)
-    gateway = build_gateway(config, max_in_flight=max(args.workers, 1))
+    gateway = build_gateway(config, max_in_flight=in_flight_cap(max(args.workers, 1)))
     manifest, results = run_corpus(
         config,
         gateway,
@@ -350,7 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[m.value for m in GatewayMode],
         help="override the configured gateway mode",
     )
-    run.add_argument("--workers", type=int, default=1, help="parallel encounters (default 1)")
+    run.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="parallel encounters, each with its independent model calls in flight; "
+        "1 makes one call at a time (default 1)",
+    )
     run.add_argument("--only", nargs="+", help="restrict to these encounter ids")
     run.add_argument(
         "--force", action="store_true", help="overwrite artifacts from a previous run"

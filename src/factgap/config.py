@@ -211,7 +211,7 @@ def load_config(path: Path | str) -> RunConfig:
     )
 
 
-def build_backend(config: RunConfig) -> Any:
+def build_backend(config: RunConfig, max_in_flight: int = 4) -> Any:
     if config.backend.kind == "mock":
         return MockFileBackend(config.backend.path)
     api_key = ""
@@ -222,14 +222,17 @@ def build_backend(config: RunConfig) -> Any:
                 f"environment variable {config.backend.api_key_env} is not set"
             )
     return HttpBackend(
-        base_url=config.backend.base_url, api_key=api_key, timeout=config.backend.timeout
+        base_url=config.backend.base_url,
+        api_key=api_key,
+        timeout=config.backend.timeout,
+        pool_maxsize=max_in_flight,
     )
 
 
 def build_gateway(config: RunConfig, max_in_flight: int = 4) -> LlmGateway:
     backend = None
     if config.mode is not GatewayMode.REPLAY:
-        backend = build_backend(config)
+        backend = build_backend(config, max_in_flight)
     return LlmGateway(
         backend=backend,
         mode=config.mode,

@@ -4,7 +4,8 @@ Every request is identified by a sha256 fingerprint over its canonical
 JSON payload. In ``record`` mode a cassette hit short-circuits the
 backend, so re-running a partially recorded corpus only issues the
 missing calls; in ``replay`` mode a miss is an error. Cassettes are
-append-only JSONL and safe to share between worker threads.
+append-only JSONL and safe to share between worker threads. Concurrent
+requests with the same fingerprint share one backend call.
 
 Transport failures retry with exponential backoff; contract failures
 (truncated output, missing logprobs, malformed payloads) never retry.
@@ -17,6 +18,7 @@ import logging
 import statistics
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -327,14 +329,23 @@ class HttpBackend:
         api_key: str = "",
         timeout: float = 120.0,
         session: Any = None,
+        pool_maxsize: int = 10,
     ):
+        """``pool_maxsize`` caps the kept-alive connections per host; size
+        it to the calls in flight, or every call beyond it opens a new
+        connection."""
         if not base_url:
             raise ValueError("base_url must be non-empty")
         import requests
+        from requests.adapters import HTTPAdapter
 
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        self._session = session if session is not None else requests.Session()
+        if session is None:
+            session = requests.Session()
+            for prefix in ("http://", "https://"):
+                session.mount(prefix, HTTPAdapter(pool_maxsize=pool_maxsize))
+        self._session = session
         self._headers = {"Content-Type": "application/json"}
         if api_key:
             self._headers["Authorization"] = f"Bearer {api_key}"
@@ -355,7 +366,10 @@ class HttpBackend:
             raise GatewayError(
                 f"POST {url} returned {response.status_code}: {response.text[:500]}"
             )
-        return response.json()
+        try:
+            return response.json()
+        except ValueError as exc:
+            raise GatewayError(f"POST {url} returned a body that is not JSON: {exc}") from exc
 
     def complete(self, request: GenerationRequest) -> str:
         body = {
@@ -445,6 +459,8 @@ class LlmGateway:
         self.retry = retry
         self._sleeper = sleeper
         self._semaphore = threading.Semaphore(max_in_flight)
+        self._flights: dict[str, Future] = {}
+        self._flights_lock = threading.Lock()
         self.cassette = Cassette(cassette_path) if cassette_path is not None else None
         if self.mode is not GatewayMode.LIVE and self.cassette is None:
             raise ValueError(f"{self.mode.value} mode requires a cassette path")
@@ -473,26 +489,64 @@ class LlmGateway:
         assert last is not None
         raise last
 
-    def generate(self, request: GenerationRequest) -> str:
+    def _respond(
+        self,
+        request: GenerationRequest | ScoreRequest,
+        kind: str,
+        call: Callable[[], Any],
+        encode: Callable[[Any], dict[str, Any]],
+    ) -> dict[str, Any]:
+        """The cassette response to ``request``, or ``encode`` of one
+        backend call. Concurrent requests with the same fingerprint share
+        that call, so record mode also appends it once."""
+        fingerprint = request.fingerprint
         if self.cassette is not None:
-            record = self.cassette.get(request.fingerprint)
+            record = self.cassette.get(fingerprint)
             if record is not None:
-                return record["response"]["text"]
+                return record["response"]
             if self.mode is GatewayMode.REPLAY:
-                raise CassetteMiss(request.fingerprint)
-        text = self._call_with_retry(
-            lambda: self.backend.complete(request), f"generate {request.fingerprint[:12]}"
+                raise CassetteMiss(fingerprint)
+        with self._flights_lock:
+            flight = self._flights.get(fingerprint)
+            leader = flight is None
+            if leader:
+                # In record mode, a flight that ended after the lookup
+                # above has appended its response by now.
+                record = self.cassette.get(fingerprint) if self.cassette is not None else None
+                if record is not None:
+                    return record["response"]
+                flight = self._flights[fingerprint] = Future()
+        if not leader:
+            return flight.result()
+        try:
+            response = encode(self._call_with_retry(call, f"{kind} {fingerprint[:12]}"))
+            if self.mode is GatewayMode.RECORD:
+                self.cassette.append(
+                    {
+                        "fingerprint": fingerprint,
+                        "kind": kind,
+                        "request": request.payload(),
+                        "response": response,
+                    }
+                )
+        except BaseException as exc:
+            flight.set_exception(exc)
+            raise
+        else:
+            flight.set_result(response)
+            return response
+        finally:
+            with self._flights_lock:
+                del self._flights[fingerprint]
+
+    def generate(self, request: GenerationRequest) -> str:
+        response = self._respond(
+            request,
+            "generate",
+            lambda: self.backend.complete(request),
+            lambda text: {"text": text},
         )
-        if self.mode is GatewayMode.RECORD:
-            self.cassette.append(
-                {
-                    "fingerprint": request.fingerprint,
-                    "kind": "generate",
-                    "request": request.payload(),
-                    "response": {"text": text},
-                }
-            )
-        return text
+        return response["text"]
 
     def score_continuation(
         self,
@@ -503,26 +557,13 @@ class LlmGateway:
     ) -> ScoredContinuation:
         request = ScoreRequest(model_id=model_id, prefix=prefix, continuation=continuation)
         aggregation = Aggregation(aggregation)
-        logprobs: Optional[tuple[float, ...]] = None
-        if self.cassette is not None:
-            record = self.cassette.get(request.fingerprint)
-            if record is not None:
-                logprobs = tuple(float(x) for x in record["response"]["logprobs"])
-            elif self.mode is GatewayMode.REPLAY:
-                raise CassetteMiss(request.fingerprint)
-        if logprobs is None:
-            logprobs = self._call_with_retry(
-                lambda: self.backend.score(request), f"score {request.fingerprint[:12]}"
-            )
-            if self.mode is GatewayMode.RECORD:
-                self.cassette.append(
-                    {
-                        "fingerprint": request.fingerprint,
-                        "kind": "score",
-                        "request": request.payload(),
-                        "response": {"logprobs": list(logprobs)},
-                    }
-                )
+        response = self._respond(
+            request,
+            "score",
+            lambda: self.backend.score(request),
+            lambda logprobs: {"logprobs": list(logprobs)},
+        )
+        logprobs = tuple(float(x) for x in response["logprobs"])
         return ScoredContinuation(
             model_id=model_id,
             prefix=prefix,

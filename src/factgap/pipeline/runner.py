@@ -1,57 +1,54 @@
 """Encounter orchestration and artifact persistence.
 
-Stages run in a fixed order per encounter; encounters can run in
-parallel. Every artifact is written as canonical JSON the moment its
-stage completes, so two replay runs over the same cassette produce
-byte-identical ``encounters/`` subtrees and a failed encounter leaves
-behind everything that succeeded plus a failure marker.
+Each encounter runs the stage table of ``stages.STAGES``. With one
+worker the rows run inline, one after another in table order. With
+more, each encounter submits every row whose needs are met to a stage
+pool shared by the run, so independent model calls overlap. Either way
+a row's artifact and stage-log entry are committed only after every
+earlier row's, and the earliest failing row decides the failure marker,
+so two replay runs over the same cassette produce byte-identical
+``encounters/`` subtrees at any worker count, and a failed encounter
+leaves behind everything before the failing stage plus a failure marker.
 """
 
 from __future__ import annotations
 
 import logging
+import queue
 import shutil
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from ..config import RunConfig
-from ..datamodel import (
-    DdxSource,
-    Dialogue,
-    OmissionReport,
-    Polarity,
-    bundle_warnings,
-    validate_encounter_bundle,
-)
+from ..datamodel import Dialogue, OmissionReport, bundle_warnings, validate_encounter_bundle
 from ..dataset import Corpus, Encounter, RunManifest
 from ..gateway import GatewayError, LlmGateway
 from ..jsonutil import write_json
-from ..scoring import (
-    build_report,
-    completion_continuation,
-    completion_margin,
-    completion_prompt,
-    margin_plan,
-)
+from ..scoring import build_report, completion_margin
 from .stages import (
+    MARGIN_SCORES,
+    STAGES,
+    DialogueTooShort,
+    Stage,
     StageContext,
     StageError,
+    StageInputs,
     StageOutput,
-    stage_categorize,
-    stage_cluster,
-    stage_ddx,
-    stage_detect_omissions,
-    stage_extract_facts,
-    stage_summarize,
-    stage_truncate,
+    encounter_stages,
 )
 
 log = logging.getLogger(__name__)
 
 ENCOUNTERS_SUBDIR = "encounters"
 MANIFEST_NAME = "manifest.json"
+
+
+def in_flight_cap(workers: int) -> int:
+    """Most model calls a run with this many workers has in flight: each
+    encounter has at most one call per row of the stage table."""
+    return workers * len(STAGES)
 
 
 @dataclass(frozen=True)
@@ -87,23 +84,177 @@ class _ArtifactDir:
             path.write_text(text, encoding="utf-8")
 
 
-def _stages_payload(outputs: Sequence[StageOutput]) -> dict:
-    return {
-        "stages": [
-            {
-                "stage": out.stage,
-                "attempts": out.attempts,
-                "fingerprint": out.fingerprint,
-                "raw_text": out.raw_text,
-            }
-            for out in outputs
-        ]
-    }
-
-
 def _check_encounter_id(encounter_id: str) -> None:
     if encounter_id in (".", "..") or any(c in encounter_id for c in "/\\\0"):
         raise ValueError(f"encounter id {encounter_id!r} is not filesystem-safe")
+
+
+class _Job:
+    """One encounter's stage values, stage log and artifacts."""
+
+    def __init__(self, ctx: StageContext, dialogue: Dialogue, art: _ArtifactDir):
+        self.encounter_id = dialogue.encounter_id
+        self.inputs = StageInputs(ctx, dialogue)
+        self.art = art
+        self.outputs: list[StageOutput] = []
+
+    def commit(self, stage: Stage, result: Any) -> None:
+        value = result
+        if isinstance(result, StageOutput):
+            self.outputs.append(result)
+            value = result.value
+        if stage.artifact:
+            self.art.write(stage.artifact, stage.payload(self.encounter_id, value))
+
+    def write_stages(self) -> None:
+        self.art.write(
+            "stages.json",
+            {
+                "stages": [
+                    {
+                        "stage": out.stage,
+                        "attempts": out.attempts,
+                        "fingerprint": out.fingerprint,
+                        "raw_text": out.raw_text,
+                    }
+                    for out in self.outputs
+                ]
+            },
+        )
+
+    def run_inline(self, stages: Sequence[Stage]) -> Optional[tuple[Stage, Exception]]:
+        for stage in stages:
+            try:
+                result = stage.run(self.inputs)
+                self.inputs.accept(stage.name, result)
+                self.commit(stage, result)
+            except Exception as exc:
+                return stage, exc
+        return None
+
+    def run_pooled(
+        self, stages: Sequence[Stage], pool: Executor
+    ) -> Optional[tuple[Stage, Exception]]:
+        """Submits each row once its needs have values and commits rows in
+        table order. After a failure only earlier rows still start; later
+        rows' results are dropped. Returns once nothing is in flight."""
+        finished: queue.SimpleQueue[tuple[int, Future]] = queue.SimpleQueue()
+        results: dict[int, Any] = {}
+        started = [False] * len(stages)
+        values = self.inputs.values
+        failed_at, failure = len(stages), None
+        committed = in_flight = 0
+
+        while True:
+            for i in range(committed, failed_at):
+                if not started[i] and all(need in values for need in stages[i].needs):
+                    started[i] = True
+                    in_flight += 1
+                    future = pool.submit(stages[i].run, self.inputs)
+                    future.add_done_callback(lambda f, i=i: finished.put((i, f)))
+            # Artifacts are written after the dependents are on their way.
+            while committed < failed_at and committed in results:
+                try:
+                    self.commit(stages[committed], results[committed])
+                except Exception as exc:
+                    failed_at, failure = committed, exc
+                    break
+                committed += 1
+            if not in_flight:
+                break
+            i, future = finished.get()
+            in_flight -= 1
+            if i >= failed_at:
+                continue
+            try:
+                results[i] = future.result()
+            except Exception as exc:
+                failed_at, failure = i, exc
+                continue
+            self.inputs.accept(stages[i].name, results[i])
+        return None if failure is None else (stages[failed_at], failure)
+
+    def skip(self, stage: Stage, exc: DialogueTooShort) -> EncounterResult:
+        self.commit(stage, exc.output)
+        self.write_stages()
+        truncated = exc.output.value
+        reason = str(exc)
+        self.art.write(
+            "skip.json",
+            {
+                "encounter_id": self.encounter_id,
+                "reason": reason,
+                "cut_turn_index": len(truncated.turns) - 1,
+                "truncated_turns": len(truncated.turns),
+            },
+        )
+        log.info("skipping %s: %s", self.encounter_id, reason)
+        return EncounterResult(encounter_id=self.encounter_id, status="skipped", reason=reason)
+
+    def fail_on(self, stage: str, exc: Exception) -> EncounterResult:
+        """The failure of an encounter that ``exc`` stopped in ``stage``."""
+        if isinstance(exc, StageError):
+            return self.fail(exc.stage, exc.message, exc.fingerprint, exc.attempts)
+        if isinstance(exc, GatewayError):
+            return self.fail(stage, str(exc))
+        log.error("%s: unexpected error in %s", self.encounter_id, stage, exc_info=exc)
+        return self.fail(stage, f"{type(exc).__name__}: {exc}")
+
+    def fail(
+        self, stage: str, message: str, fingerprint: str = "", attempts: int = 0
+    ) -> EncounterResult:
+        """The one writer of failure markers."""
+        self.write_stages()
+        self.art.write(
+            "failure.json",
+            {
+                "encounter_id": self.encounter_id,
+                "stage": stage,
+                "message": message,
+                "fingerprint": fingerprint,
+                "attempts": attempts,
+            },
+        )
+        log.error("%s failed at %s: %s", self.encounter_id, stage, message)
+        return EncounterResult(
+            encounter_id=self.encounter_id, status="failed", reason=message, stage=stage
+        )
+
+    def report(self) -> EncounterResult:
+        config = self.inputs.ctx.config
+        values = self.inputs.values
+        facts = values["categorize"]
+        omissions = values["detect_omissions"]
+        clusters = [*values["cluster_supporting"], *values["cluster_refuting"]]
+        margin = None
+        if values.get("margin_plan") is not None:
+            margin = completion_margin(
+                *(values[name] for name in MARGIN_SCORES),
+                epsilon=config.thresholds.margin_epsilon,
+            )
+
+        violations = validate_encounter_bundle(values["truncate"], facts, clusters, omissions)
+        warnings = bundle_warnings(clusters)
+        self.art.write(
+            "validation.json",
+            {"encounter_id": self.encounter_id, "violations": violations, "warnings": warnings},
+        )
+        for warning in warnings:
+            log.warning("%s: %s", self.encounter_id, warning)
+        if violations:
+            return self.fail("validation", "; ".join(violations))
+
+        report = build_report(
+            self.encounter_id,
+            facts,
+            omissions,
+            clusters,
+            margin=margin,
+            polarity_mode=config.uniqueness_polarity,
+        )
+        self.art.write("report.json", report.to_json_dict())
+        self.write_stages()
+        return EncounterResult(encounter_id=self.encounter_id, status="ok", report=report)
 
 
 def run_encounter(
@@ -111,207 +262,35 @@ def run_encounter(
     gateway: LlmGateway,
     encounter: Encounter,
     out_dir: Optional[Path] = None,
+    stage_pool: Optional[Executor] = None,
 ) -> EncounterResult:
+    """Runs one encounter's stage table: inline in table order, or with
+    every ready row submitted to ``stage_pool``."""
     dialogue = encounter.dialogue
     encounter_id = dialogue.encounter_id
     _check_encounter_id(encounter_id)
-    ctx = StageContext(gateway=gateway, config=config)
     art = _ArtifactDir(
         (out_dir / ENCOUNTERS_SUBDIR / encounter_id) if out_dir is not None else None
     )
-    outputs: list[StageOutput] = []
-    current_stage = "truncate"
+    art.write("dialogue.json", dialogue.to_json_dict())
+    if encounter.reference_note:
+        art.write_text("reference.txt", encounter.reference_note)
 
-    def flush_stages() -> None:
-        art.write("stages.json", _stages_payload(outputs))
-
+    job = _Job(StageContext(gateway=gateway, config=config), dialogue, art)
+    stages = encounter_stages(config)
+    if stage_pool is None:
+        stopped = job.run_inline(stages)
+    else:
+        stopped = job.run_pooled(stages, stage_pool)
+    if stopped is not None:
+        stage, exc = stopped
+        if isinstance(exc, DialogueTooShort):
+            return job.skip(stage, exc)
+        return job.fail_on(stage.label, exc)
     try:
-        art.write("dialogue.json", dialogue.to_json_dict())
-        if encounter.reference_note:
-            art.write_text("reference.txt", encounter.reference_note)
-
-        truncate_out = stage_truncate(ctx, dialogue)
-        outputs.append(truncate_out)
-        cut = truncate_out.value
-        truncated = dialogue.prefix(cut)
-        art.write("truncated.json", truncated.to_json_dict())
-
-        minimum = config.thresholds.min_truncated_turns
-        if len(truncated.turns) < minimum:
-            reason = (
-                f"truncated dialogue has {len(truncated.turns)} turns, "
-                f"below the minimum of {minimum}"
-            )
-            flush_stages()
-            art.write(
-                "skip.json",
-                {
-                    "encounter_id": encounter_id,
-                    "reason": reason,
-                    "cut_turn_index": cut,
-                    "truncated_turns": len(truncated.turns),
-                },
-            )
-            log.info("skipping %s: %s", encounter_id, reason)
-            return EncounterResult(encounter_id=encounter_id, status="skipped", reason=reason)
-
-        current_stage = "summarize"
-        summary_out = stage_summarize(ctx, truncated)
-        outputs.append(summary_out)
-        summary = summary_out.value
-        art.write("summary.json", summary.to_json_dict())
-
-        current_stage = "extract_facts"
-        facts_out = stage_extract_facts(ctx, truncated)
-        outputs.append(facts_out)
-        facts = facts_out.value
-
-        current_stage = "ddx_chat"
-        ddx_chat_out = stage_ddx(ctx, encounter_id, truncated.text(), DdxSource.FROM_CHAT)
-        outputs.append(ddx_chat_out)
-        ddx_chat = ddx_chat_out.value
-        art.write("ddx_chat.json", ddx_chat.to_json_dict())
-
-        current_stage = "detect_omissions"
-        omissions_out = stage_detect_omissions(ctx, facts, summary)
-        outputs.append(omissions_out)
-        omissions = omissions_out.value
-        art.write(
-            "omissions.json",
-            {"encounter_id": encounter_id, "omissions": [o.to_json_dict() for o in omissions]},
-        )
-
-        current_stage = "categorize"
-        categorize_out = stage_categorize(ctx, facts)
-        outputs.append(categorize_out)
-        facts = categorize_out.value
-        art.write(
-            "facts.json",
-            {"encounter_id": encounter_id, "facts": [f.to_json_dict() for f in facts]},
-        )
-
-        clusters = []
-        for polarity, artifact in (
-            (Polarity.SUPPORTING, "clusters_supporting.json"),
-            (Polarity.REFUTING, "clusters_refuting.json"),
-        ):
-            current_stage = (
-                "cluster_supporting" if polarity is Polarity.SUPPORTING else "cluster_refuting"
-            )
-            cluster_out = stage_cluster(ctx, ddx_chat, facts, polarity)
-            outputs.append(cluster_out)
-            art.write(
-                artifact,
-                {
-                    "encounter_id": encounter_id,
-                    "polarity": polarity.value,
-                    "clusters": [c.to_json_dict() for c in cluster_out.value],
-                },
-            )
-            clusters.extend(cluster_out.value)
-
-        margin = None
-        if config.models.margin:
-            current_stage = "ddx_summary"
-            ddx_summary_out = stage_ddx(
-                ctx, encounter_id, summary.text(), DdxSource.FROM_SUMMARY
-            )
-            outputs.append(ddx_summary_out)
-            ddx_summary = ddx_summary_out.value
-            art.write("ddx_summary.json", ddx_summary.to_json_dict())
-
-            plan = margin_plan(ddx_chat, ddx_summary)
-            if plan is not None:
-                current_stage = "margin_scores"
-                chat_prefix = completion_prompt(truncated.text())
-                summary_prefix = completion_prompt(summary.text())
-                aggregation = config.aggregation
-
-                def score(prefix: str, diagnosis: str) -> float:
-                    return gateway.score_continuation(
-                        config.models.margin,
-                        prefix,
-                        completion_continuation(diagnosis),
-                        aggregation,
-                    ).score
-
-                margin = completion_margin(
-                    l_c0=score(chat_prefix, plan.target),
-                    l_c1=score(chat_prefix, plan.chat_alternative),
-                    l_s0=score(summary_prefix, plan.target),
-                    l_s1=score(summary_prefix, plan.summary_alternative),
-                    epsilon=config.thresholds.margin_epsilon,
-                )
-
-        violations = validate_encounter_bundle(truncated, facts, clusters, omissions)
-        warnings = bundle_warnings(clusters)
-        art.write(
-            "validation.json",
-            {"encounter_id": encounter_id, "violations": violations, "warnings": warnings},
-        )
-        for warning in warnings:
-            log.warning("%s: %s", encounter_id, warning)
-        if violations:
-            flush_stages()
-            reason = "; ".join(violations)
-            art.write(
-                "failure.json",
-                {
-                    "encounter_id": encounter_id,
-                    "stage": "validation",
-                    "message": reason,
-                    "fingerprint": "",
-                    "attempts": 0,
-                },
-            )
-            return EncounterResult(
-                encounter_id=encounter_id, status="failed", reason=reason, stage="validation"
-            )
-
-        report = build_report(
-            encounter_id,
-            facts,
-            omissions,
-            clusters,
-            margin=margin,
-            polarity_mode=config.uniqueness_polarity,
-        )
-        art.write("report.json", report.to_json_dict())
-        flush_stages()
-        return EncounterResult(encounter_id=encounter_id, status="ok", report=report)
-
-    except StageError as exc:
-        flush_stages()
-        art.write(
-            "failure.json",
-            {
-                "encounter_id": encounter_id,
-                "stage": exc.stage,
-                "message": exc.message,
-                "fingerprint": exc.fingerprint,
-                "attempts": exc.attempts,
-            },
-        )
-        log.error("%s failed at %s: %s", encounter_id, exc.stage, exc.message)
-        return EncounterResult(
-            encounter_id=encounter_id, status="failed", reason=exc.message, stage=exc.stage
-        )
-    except GatewayError as exc:
-        flush_stages()
-        art.write(
-            "failure.json",
-            {
-                "encounter_id": encounter_id,
-                "stage": current_stage,
-                "message": str(exc),
-                "fingerprint": "",
-                "attempts": 0,
-            },
-        )
-        log.error("%s failed at %s: %s", encounter_id, current_stage, exc)
-        return EncounterResult(
-            encounter_id=encounter_id, status="failed", reason=str(exc), stage=current_stage
-        )
+        return job.report()
+    except Exception as exc:
+        return job.fail_on("report", exc)
 
 
 def run_corpus(
@@ -349,14 +328,25 @@ def run_corpus(
         },
     )
 
-    def run_one(encounter: Encounter) -> EncounterResult:
-        return run_encounter(config, gateway, encounter, out_dir)
-
     if workers == 1:
-        results = [run_one(encounter) for encounter in corpus.encounters]
+        results = [
+            run_encounter(config, gateway, encounter, out_dir)
+            for encounter in corpus.encounters
+        ]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            results = list(executor.map(run_one, corpus.encounters))
+        # Encounter threads only submit rows to the stage pool and wait on
+        # them; rows never wait on the pool, so neither pool can starve.
+        with ThreadPoolExecutor(max_workers=in_flight_cap(workers)) as stage_pool, (
+            ThreadPoolExecutor(max_workers=workers)
+        ) as encounter_pool:
+            results = list(
+                encounter_pool.map(
+                    lambda encounter: run_encounter(
+                        config, gateway, encounter, out_dir, stage_pool
+                    ),
+                    corpus.encounters,
+                )
+            )
 
     for result in results:
         manifest.record(result.encounter_id, result.status, result.reason, result.stage)

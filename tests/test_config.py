@@ -140,6 +140,9 @@ def test_build_backend_mock_and_http(tmp_path, monkeypatch):
     monkeypatch.setenv("TEST_API_KEY", "secret")
     backend = build_backend(config)
     assert isinstance(backend, HttpBackend)
+    gateway = build_gateway(config.with_mode("live"), max_in_flight=28)
+    adapter = gateway.backend._session.get_adapter("http://api.test/v1")
+    assert adapter.poolmanager.connection_pool_kw["maxsize"] == 28
 
 
 def test_build_gateway_replay_needs_no_backend(tmp_path):

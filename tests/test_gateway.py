@@ -1,4 +1,8 @@
 import json
+import random
+import sys
+import threading
+import time
 
 import pytest
 import requests
@@ -144,6 +148,102 @@ def test_record_mode_appends_then_short_circuits(tmp_path):
     assert gateway.generate(req) == "only"
     record = Cassette(path).get(req.fingerprint)
     assert record["request"]["model_id"] == "m1"
+
+
+class BlockingBackend:
+    """Holds each call at a two-party barrier. A call that meets a second
+    concurrent call proves the gateway let both through; a call left
+    alone returns once the barrier times out."""
+
+    def __init__(self):
+        self.calls = 0
+        self._lock = threading.Lock()
+        self._barrier = threading.Barrier(2, timeout=0.5)
+
+    def _block(self):
+        with self._lock:
+            self.calls += 1
+        try:
+            self._barrier.wait()
+        except threading.BrokenBarrierError:
+            pass
+
+    def complete(self, request):
+        self._block()
+        return "shared"
+
+    def score(self, request):
+        self._block()
+        return (-1.0,)
+
+
+def run_threads(targets, timeout=10):
+    threads = [threading.Thread(target=target) for target in targets]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+@pytest.mark.parametrize("kind", ["generate", "score"])
+def test_record_mode_single_flight(tmp_path, kind):
+    path = tmp_path / "c.jsonl"
+    backend = BlockingBackend()
+    gateway = LlmGateway(backend=backend, mode=GatewayMode.RECORD, cassette_path=path)
+    start = threading.Barrier(2, timeout=5)
+    replies = []
+
+    def call():
+        start.wait()
+        if kind == "generate":
+            replies.append(gateway.generate(make_request()))
+        else:
+            replies.append(gateway.score_continuation("m1", "prefix ", "tail").score)
+
+    run_threads([call, call])
+    assert backend.calls == 1
+    assert len(replies) == 2 and replies[0] == replies[1]
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 1
+
+
+class CountingBackend:
+    def __init__(self):
+        self.calls = {}
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        with self._lock:
+            self.calls[request.fingerprint] = self.calls.get(request.fingerprint, 0) + 1
+        time.sleep(0.001)  # widens the window in which a second caller could slip through
+        return request.messages[0].content
+
+
+def test_record_mode_single_flight_under_thread_churn(tmp_path):
+    path = tmp_path / "c.jsonl"
+    backend = CountingBackend()
+    gateway = LlmGateway(
+        backend=backend, mode=GatewayMode.RECORD, cassette_path=path, max_in_flight=8
+    )
+    requests_ = [make_request(f"q{i}") for i in range(20)]
+
+    def caller(seed):
+        def call():
+            order = list(requests_)
+            random.Random(seed).shuffle(order)
+            for request in order:
+                assert gateway.generate(request) == request.messages[0].content
+
+        return call
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run_threads([caller(seed) for seed in range(8)])
+    finally:
+        sys.setswitchinterval(interval)
+    assert backend.calls == {request.fingerprint: 1 for request in requests_}
+    assert len(path.read_text(encoding="utf-8").splitlines()) == len(requests_)
 
 
 def test_mode_configuration_errors(tmp_path):
@@ -302,6 +402,17 @@ def test_http_backend_truncation_and_statuses():
         session=FakeSession([requests.ConnectionError("refused")]),
     )
     with pytest.raises(TransportError):
+        backend.complete(make_request())
+
+
+class NotJsonResponse(FakeResponse):
+    def json(self):
+        raise requests.exceptions.JSONDecodeError("Expecting value", "<html>", 0)
+
+
+def test_http_backend_non_json_body_is_a_gateway_error():
+    backend = HttpBackend("http://api.test", session=FakeSession([NotJsonResponse()]))
+    with pytest.raises(GatewayError, match="not JSON"):
         backend.complete(make_request())
 
 

@@ -2,13 +2,22 @@
 overlap, and how it contains failures."""
 
 import hashlib
+import threading
 from pathlib import Path
 
 import pytest
 
 from factgap.config import build_gateway, load_config
 from factgap.dataset import load_corpus
-from factgap.pipeline.runner import ENCOUNTERS_SUBDIR, run_corpus
+from factgap.gateway import Cassette, GatewayMode, LlmGateway
+from factgap.jsonutil import read_json
+from factgap.pipeline.runner import (
+    ENCOUNTERS_SUBDIR,
+    MANIFEST_NAME,
+    in_flight_cap,
+    run_corpus,
+)
+from factgap.pipeline.stages import MARGIN_SCORES, STAGE_ORDER, STAGES
 
 from corpus_fixtures import MALFORMED_SCENARIOS
 from test_acceptance import _replay_run_config
@@ -62,3 +71,146 @@ def test_malformed_cassettes_fail_identically_at_any_worker_count(tmp_path, name
         trees.append(subtree_bytes(out_dir / ENCOUNTERS_SUBDIR))
     assert trees[0] == trees[1]
     assert {"failure.json", "stages.json"} <= {Path(p).name for p in trees[0]}
+
+
+def test_stage_table_is_in_dependency_order():
+    seen = set()
+    for stage in STAGES:
+        assert set(stage.needs) <= seen, stage.name
+        assert stage.name not in seen
+        seen.add(stage.name)
+    assert STAGE_ORDER == tuple(stage.name for stage in STAGES)
+
+
+def fixture_stage_fingerprints(tmp_path):
+    """Maps every generate fingerprint of the fixture replay to its
+    (encounter id, stage)."""
+    config = load_config(FIXTURES / "replay_config.json")
+    corpus = load_corpus(FIXTURES / "corpus.json")
+    run_corpus(config, build_gateway(config), corpus, "corpus.json", tmp_path)
+    stages = {}
+    for encounter in corpus.encounters:
+        log = read_json(tmp_path / ENCOUNTERS_SUBDIR / encounter.encounter_id / "stages.json")
+        for entry in log["stages"]:
+            stages[entry["fingerprint"]] = (encounter.encounter_id, entry["stage"])
+    return stages
+
+
+class FixtureBackend:
+    """Serves the fixture cassette by fingerprint, in any call order, and
+    logs each call as (encounter id, stage); score calls as (None, "score")."""
+
+    def __init__(self, stages):
+        self.cassette = Cassette(FIXTURES / "cassettes" / "corpus.jsonl")
+        self.stages = stages
+        self.calls = []
+
+    def complete(self, request):
+        self.calls.append(self.stages[request.fingerprint])
+        return self.cassette.get(request.fingerprint)["response"]["text"]
+
+    def score(self, request):
+        self.calls.append((None, "score"))
+        return tuple(self.cassette.get(request.fingerprint)["response"]["logprobs"])
+
+
+def live_run(out_dir, backend, workers, corpus=None):
+    config = load_config(FIXTURES / "replay_config.json").with_mode(GatewayMode.LIVE)
+    corpus = corpus or load_corpus(FIXTURES / "corpus.json")
+    gateway = LlmGateway(
+        backend=backend, mode=GatewayMode.LIVE, max_in_flight=in_flight_cap(workers)
+    )
+    return run_corpus(config, gateway, corpus, "corpus.json", out_dir, workers=workers)
+
+
+def test_one_worker_calls_the_model_in_stage_order(tmp_path):
+    backend = FixtureBackend(fixture_stage_fingerprints(tmp_path / "replay"))
+    _, results = live_run(tmp_path / "live", backend, workers=1)
+    assert [r.status for r in results] == ["ok", "ok", "ok"]
+
+    expected = []
+    for result in results:
+        for name in STAGE_ORDER:
+            if name in MARGIN_SCORES:
+                expected.append((None, "score"))
+            elif name != "margin_plan":
+                expected.append((result.encounter_id, name))
+    assert backend.calls == expected
+
+
+class BarrierBackend(FixtureBackend):
+    """Holds each call at its stage's barrier until all the barrier's
+    parties are in flight."""
+
+    def __init__(self, stages, barriers):
+        super().__init__(stages)
+        self.barriers = barriers
+
+    def complete(self, request):
+        barrier = self.barriers.get(self.stages[request.fingerprint][1])
+        if barrier is not None:
+            barrier.wait()
+        return super().complete(request)
+
+    def score(self, request):
+        self.barriers["score"].wait()
+        return super().score(request)
+
+
+def test_independent_calls_of_an_encounter_are_in_flight_together(tmp_path):
+    stages = fixture_stage_fingerprints(tmp_path / "replay")
+    after_truncate = threading.Barrier(3, timeout=10)
+    backend = BarrierBackend(
+        stages,
+        {
+            "summarize": after_truncate,
+            "extract_facts": after_truncate,
+            "ddx_chat": after_truncate,
+            "score": threading.Barrier(len(MARGIN_SCORES), timeout=10),
+        },
+    )
+    corpus = load_corpus(FIXTURES / "corpus.json").subset(["enc-edward"])
+    _, results = live_run(tmp_path / "live", backend, workers=2, corpus=corpus)
+
+    assert results[0].status == "ok", results[0].reason
+    assert not any(barrier.broken for barrier in backend.barriers.values())
+    assert len(backend.calls) == 9 + len(MARGIN_SCORES)
+    replayed = subtree_bytes(tmp_path / "replay" / ENCOUNTERS_SUBDIR / "enc-edward")
+    assert subtree_bytes(tmp_path / "live" / ENCOUNTERS_SUBDIR / "enc-edward") == replayed
+
+
+class RaisingClusterBackend(FixtureBackend):
+    """Answers one encounter's supporting-cluster call with a subcluster
+    line whose mechanism is blank, which the data model rejects with a
+    plain ValueError rather than a ParseError."""
+
+    def __init__(self, stages, encounter_id):
+        super().__init__(stages)
+        self.target = (encounter_id, "cluster_supporting")
+
+    def complete(self, request):
+        text = super().complete(request)
+        if self.stages[request.fingerprint] != self.target:
+            return text
+        lines = text.splitlines()
+        first = next(i for i, line in enumerate(lines) if line.startswith("- "))
+        lines[first] = "-  :F0"
+        return "\n".join(lines)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_unexpected_stage_exception_fails_only_its_encounter(tmp_path, workers):
+    backend = RaisingClusterBackend(fixture_stage_fingerprints(tmp_path / "replay"), "enc-martha")
+    out_dir = tmp_path / "live"
+    manifest, results = live_run(out_dir, backend, workers=workers)
+
+    outcomes = {r.encounter_id: (r.status, r.stage) for r in results}
+    assert outcomes == {
+        "enc-martha": ("failed", "cluster_supporting"),
+        "enc-stephanie": ("ok", ""),
+        "enc-edward": ("ok", ""),
+    }
+    failure = read_json(out_dir / ENCOUNTERS_SUBDIR / "enc-martha" / "failure.json")
+    assert failure["stage"] == "cluster_supporting"
+    assert failure["message"].startswith("ValueError: ")
+    assert read_json(out_dir / MANIFEST_NAME)["counts"] == {"ok": 2, "skipped": 0, "failed": 1}
