@@ -9,7 +9,7 @@ import pytest
 
 from factgap.config import build_gateway, load_config
 from factgap.dataset import load_corpus
-from factgap.gateway import Cassette, GatewayMode, LlmGateway
+from factgap.gateway import Cassette, GatewayError, GatewayMode, LlmGateway
 from factgap.jsonutil import read_json
 from factgap.pipeline.runner import (
     ENCOUNTERS_SUBDIR,
@@ -71,6 +71,26 @@ def test_malformed_cassettes_fail_identically_at_any_worker_count(tmp_path, name
         trees.append(subtree_bytes(out_dir / ENCOUNTERS_SUBDIR))
     assert trees[0] == trees[1]
     assert {"failure.json", "stages.json"} <= {Path(p).name for p in trees[0]}
+
+
+def test_skips_and_cassette_misses_are_identical_at_any_worker_count(tmp_path):
+    # The truncation cassette holds only truncation replies: the short
+    # dialogue is skipped and every other encounter misses the cassette
+    # in the three stages after truncation at once.
+    corpus = load_corpus(FIXTURES / "truncation_corpus.json")
+    config = _replay_run_config(FIXTURES / "cassettes" / "truncation.jsonl")
+    outcomes, trees = [], []
+    for workers in (1, 2):
+        out_dir = tmp_path / f"workers-{workers}"
+        _, results = run_corpus(
+            config, build_gateway(config), corpus, "corpus.json", out_dir, workers=workers
+        )
+        outcomes.append([(r.encounter_id, r.status, r.stage) for r in results])
+        trees.append(subtree_bytes(out_dir / ENCOUNTERS_SUBDIR))
+    assert outcomes[0] == outcomes[1]
+    assert {status for _, status, _ in outcomes[0]} == {"skipped", "failed"}
+    assert {stage for _, status, stage in outcomes[0] if status == "failed"} == {"summarize"}
+    assert trees[0] == trees[1]
 
 
 def test_stage_table_is_in_dependency_order():
@@ -177,6 +197,39 @@ def test_independent_calls_of_an_encounter_are_in_flight_together(tmp_path):
     assert len(backend.calls) == 9 + len(MARGIN_SCORES)
     replayed = subtree_bytes(tmp_path / "replay" / ENCOUNTERS_SUBDIR / "enc-edward")
     assert subtree_bytes(tmp_path / "live" / ENCOUNTERS_SUBDIR / "enc-edward") == replayed
+
+
+class LateEarlyFailureBackend(FixtureBackend):
+    """ddx_chat fails at once; summarize, an earlier row, fails only after
+    ddx_chat has."""
+
+    def __init__(self, stages):
+        super().__init__(stages)
+        self.ddx_failed = threading.Event()
+
+    def complete(self, request):
+        stage = self.stages[request.fingerprint][1]
+        if stage == "ddx_chat":
+            self.ddx_failed.set()
+            raise GatewayError("ddx backend broke")
+        if stage == "summarize":
+            self.ddx_failed.wait(10)
+            raise GatewayError("summary backend broke")
+        return super().complete(request)
+
+
+def test_earliest_failing_stage_decides_the_failure(tmp_path):
+    backend = LateEarlyFailureBackend(fixture_stage_fingerprints(tmp_path / "replay"))
+    corpus = load_corpus(FIXTURES / "corpus.json").subset(["enc-edward"])
+    out_dir = tmp_path / "live"
+    _, results = live_run(out_dir, backend, workers=2, corpus=corpus)
+
+    assert backend.ddx_failed.is_set()
+    assert (results[0].status, results[0].stage) == ("failed", "summarize")
+    enc_dir = out_dir / ENCOUNTERS_SUBDIR / "enc-edward"
+    assert read_json(enc_dir / "failure.json")["message"] == "summary backend broke"
+    assert [s["stage"] for s in read_json(enc_dir / "stages.json")["stages"]] == ["truncate"]
+    assert not (enc_dir / "ddx_chat.json").exists()
 
 
 class RaisingClusterBackend(FixtureBackend):
