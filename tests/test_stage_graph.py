@@ -2,6 +2,7 @@
 overlap, and how it contains failures."""
 
 import hashlib
+import sys
 import threading
 from pathlib import Path
 
@@ -49,9 +50,15 @@ def tree_digest(root: Path) -> str:
 def test_fixture_replay_tree_digest_is_pinned(tmp_path, workers):
     config = load_config(FIXTURES / "replay_config.json")
     corpus = load_corpus(FIXTURES / "corpus.json")
-    _, results = run_corpus(
-        config, build_gateway(config), corpus, "corpus.json", tmp_path, workers=workers
-    )
+    # Frequent thread switches shake out ordering that depends on timing.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _, results = run_corpus(
+            config, build_gateway(config), corpus, "corpus.json", tmp_path, workers=workers
+        )
+    finally:
+        sys.setswitchinterval(interval)
     assert [r.status for r in results] == ["ok"] * len(corpus.encounters)
     assert tree_digest(tmp_path / ENCOUNTERS_SUBDIR) == FIXTURE_TREE_SHA256
 
