@@ -2,7 +2,10 @@
 
 ROUGE here is self-contained: lowercase tokenization on alphanumeric
 runs, optional Porter stemming, and the summary-level union-LCS variant
-with double-count prevention. Correlations (Spearman, Pearson) ship with
+with double-count prevention. ROUGE-L and ROUGE-Lsum compute the LCS
+bit-parallel over Python ints (Allison & Dix 1986; Hyyro 2004), one
+column of the LCS table per int, and ``rouge_all`` tokenizes each text
+once for all four variants. Correlations (Spearman, Pearson) ship with
 two-sided p-values computed from the t distribution through a native
 regularized incomplete beta, so the package has no runtime dependency on
 a stats library.
@@ -16,7 +19,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _SENTENCE_SPLIT_RE = re.compile(r"[.!?]+")
@@ -199,6 +202,52 @@ def split_sentences(text: str) -> list[str]:
 
 
 @dataclass(frozen=True)
+class TokenizedText:
+    """A text tokenized once, sentence by sentence, for every ROUGE
+    variant. ``tokens`` is exactly ``tokenize(text)``: sentences are cut
+    only at line breaks, ``.!?`` and whitespace, none of which is part
+    of a token, and lowercasing and stemming never join characters
+    across a cut."""
+
+    sentences: tuple[tuple[str, ...], ...]
+    tokens: tuple[str, ...]
+    use_stemmer: bool
+
+    @classmethod
+    def of(cls, text: str, use_stemmer: bool = False) -> "TokenizedText":
+        sentences = tuple(
+            tokens
+            for tokens in (tuple(tokenize(s, use_stemmer)) for s in split_sentences(text))
+            if tokens
+        )
+        return cls(sentences, tuple(t for s in sentences for t in s), use_stemmer)
+
+
+Text = Union[str, TokenizedText]
+
+
+def _same_stemming(text: TokenizedText, use_stemmer: bool) -> TokenizedText:
+    if text.use_stemmer != use_stemmer:
+        raise ValueError(
+            f"text was tokenized with use_stemmer={text.use_stemmer}, "
+            f"scored with use_stemmer={use_stemmer}"
+        )
+    return text
+
+
+def _tokens(text: Text, use_stemmer: bool) -> Sequence[str]:
+    if isinstance(text, str):
+        return tokenize(text, use_stemmer)
+    return _same_stemming(text, use_stemmer).tokens
+
+
+def _sentences(text: Text, use_stemmer: bool) -> tuple[tuple[str, ...], ...]:
+    if isinstance(text, str):
+        return TokenizedText.of(text, use_stemmer).sentences
+    return _same_stemming(text, use_stemmer).sentences
+
+
+@dataclass(frozen=True)
 class RougeScore:
     precision: float
     recall: float
@@ -232,35 +281,46 @@ def _ngrams(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def rouge_n(candidate: str, reference: str, n: int, use_stemmer: bool = False) -> RougeScore:
+def rouge_n(candidate: Text, reference: Text, n: int, use_stemmer: bool = False) -> RougeScore:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    cand = _ngrams(tokenize(candidate, use_stemmer), n)
-    ref = _ngrams(tokenize(reference, use_stemmer), n)
+    cand = _ngrams(_tokens(candidate, use_stemmer), n)
+    ref = _ngrams(_tokens(reference, use_stemmer), n)
     overlap = sum(min(count, ref[gram]) for gram, count in cand.items())
     return _score(overlap, sum(cand.values()), sum(ref.values()))
 
 
-def _lcs_table(a: Sequence[str], b: Sequence[str]) -> list[list[int]]:
-    rows = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
-    for i in range(1, len(a) + 1):
-        for j in range(1, len(b) + 1):
-            if a[i - 1] == b[j - 1]:
-                rows[i][j] = rows[i - 1][j - 1] + 1
-            else:
-                rows[i][j] = max(rows[i - 1][j], rows[i][j - 1])
-    return rows
+def _lcs_columns(a: Sequence[str], b: Sequence[str]) -> list[int]:
+    """Bit-parallel LCS (Allison & Dix 1986; Hyyro 2004), one int per
+    column of the LCS table T of a against b.
+
+    Bit i of column j is 0 exactly where T[i+1][j] = T[i][j] + 1, so
+    T[i][j] is i minus the number of ones below bit i of column j, and
+    the LCS length is len(a) minus the ones in the last column.
+    """
+    # Bit i of masks[t] is set where a[i] is t.
+    masks: dict[str, int] = {}
+    for i, token in enumerate(a):
+        masks[token] = masks.get(token, 0) | 1 << i
+    full = (1 << len(a)) - 1
+    v = full
+    columns = [v]
+    for token in b:
+        u = v & masks.get(token, 0)
+        v = ((v + u) | (v - u)) & full
+        columns.append(v)
+    return columns
 
 
 def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     if not a or not b:
         return 0
-    return _lcs_table(a, b)[len(a)][len(b)]
+    return len(a) - _lcs_columns(a, b)[-1].bit_count()
 
 
-def rouge_l(candidate: str, reference: str, use_stemmer: bool = False) -> RougeScore:
-    cand = tokenize(candidate, use_stemmer)
-    ref = tokenize(reference, use_stemmer)
+def rouge_l(candidate: Text, reference: Text, use_stemmer: bool = False) -> RougeScore:
+    cand = _tokens(candidate, use_stemmer)
+    ref = _tokens(reference, use_stemmer)
     return _score(lcs_length(cand, ref), len(cand), len(ref))
 
 
@@ -268,7 +328,10 @@ def _lcs_indices(ref: Sequence[str], cand: Sequence[str]) -> set[int]:
     """Positions in ref participating in one LCS with cand."""
     if not ref or not cand:
         return set()
-    table = _lcs_table(ref, cand)
+    columns = _lcs_columns(ref, cand)
+    if columns[-1] == columns[0]:
+        # All ones: no token is shared.
+        return set()
     indices = set()
     i, j = len(ref), len(cand)
     while i > 0 and j > 0:
@@ -276,21 +339,22 @@ def _lcs_indices(ref: Sequence[str], cand: Sequence[str]) -> set[int]:
             indices.add(i - 1)
             i -= 1
             j -= 1
-        elif table[i - 1][j] >= table[i][j - 1]:
+        # Off a match T[i][j] = max(T[i-1][j], T[i][j-1]), so the tie
+        # rule T[i-1][j] >= T[i][j-1] (step up) holds exactly when
+        # T[i-1][j] = T[i][j], that is when bit i-1 of column j is 1.
+        elif columns[j] >> (i - 1) & 1:
             i -= 1
         else:
             j -= 1
     return indices
 
 
-def rouge_lsum(candidate: str, reference: str, use_stemmer: bool = False) -> RougeScore:
+def rouge_lsum(candidate: Text, reference: Text, use_stemmer: bool = False) -> RougeScore:
     """Summary-level LCS: per reference sentence, union the LCS hits
     against every candidate sentence, then cap each token's credit by
     its count on both sides so nothing is matched twice."""
-    cand_sents = [tokenize(s, use_stemmer) for s in split_sentences(candidate)]
-    ref_sents = [tokenize(s, use_stemmer) for s in split_sentences(reference)]
-    cand_sents = [s for s in cand_sents if s]
-    ref_sents = [s for s in ref_sents if s]
+    cand_sents = _sentences(candidate, use_stemmer)
+    ref_sents = _sentences(reference, use_stemmer)
     cand_total = sum(len(s) for s in cand_sents)
     ref_total = sum(len(s) for s in ref_sents)
     if cand_total == 0 or ref_total == 0:
@@ -301,8 +365,10 @@ def rouge_lsum(candidate: str, reference: str, use_stemmer: bool = False) -> Rou
     hits = 0
     for ref_sent in ref_sents:
         union: set[int] = set()
+        vocabulary = set(ref_sent)
         for cand_sent in cand_sents:
-            union |= _lcs_indices(ref_sent, cand_sent)
+            if not vocabulary.isdisjoint(cand_sent):
+                union |= _lcs_indices(ref_sent, cand_sent)
         for index in union:
             token = ref_sent[index]
             if cand_counts[token] > 0 and ref_counts[token] > 0:
@@ -316,11 +382,13 @@ ROUGE_VARIANTS = ("rouge1", "rouge2", "rougeL", "rougeLsum")
 
 
 def rouge_all(candidate: str, reference: str, use_stemmer: bool = False) -> dict[str, RougeScore]:
+    cand = TokenizedText.of(candidate, use_stemmer)
+    ref = TokenizedText.of(reference, use_stemmer)
     return {
-        "rouge1": rouge_n(candidate, reference, 1, use_stemmer),
-        "rouge2": rouge_n(candidate, reference, 2, use_stemmer),
-        "rougeL": rouge_l(candidate, reference, use_stemmer),
-        "rougeLsum": rouge_lsum(candidate, reference, use_stemmer),
+        "rouge1": rouge_n(cand, ref, 1, use_stemmer),
+        "rouge2": rouge_n(cand, ref, 2, use_stemmer),
+        "rougeL": rouge_l(cand, ref, use_stemmer),
+        "rougeLsum": rouge_lsum(cand, ref, use_stemmer),
     }
 
 

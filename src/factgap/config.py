@@ -129,7 +129,6 @@ class RunConfig:
     thresholds: ThresholdsConfig = field(default_factory=ThresholdsConfig)
     uniqueness_polarity: PolarityMode = PolarityMode.BOTH
     aggregation: Aggregation = Aggregation.MEAN
-    use_stemmer: bool = False
     max_gen_tokens: int = 1024
 
     def __post_init__(self) -> None:
@@ -153,7 +152,6 @@ class RunConfig:
             thresholds=self.thresholds,
             uniqueness_polarity=self.uniqueness_polarity,
             aggregation=self.aggregation,
-            use_stemmer=self.use_stemmer,
             max_gen_tokens=self.max_gen_tokens,
         )
 
@@ -188,7 +186,6 @@ def load_config(path: Path | str) -> RunConfig:
             "thresholds",
             "uniqueness_polarity",
             "aggregation",
-            "use_stemmer",
             "max_gen_tokens",
         },
         str(path),
@@ -206,7 +203,6 @@ def load_config(path: Path | str) -> RunConfig:
         thresholds=ThresholdsConfig.from_dict(data.get("thresholds", {})),
         uniqueness_polarity=data.get("uniqueness_polarity", "both"),
         aggregation=data.get("aggregation", "mean"),
-        use_stemmer=bool(data.get("use_stemmer", False)),
         max_gen_tokens=int(data.get("max_gen_tokens", 1024)),
     )
 

@@ -389,6 +389,11 @@ def _parse_cluster_section(
                     "does not match - <mechanism>: <fact ids>"
                 )
             mechanism = match.group(1).strip()
+            if not mechanism:
+                raise ParseError(
+                    f"diagnosis {diagnosis_name!r}, group {header}: line {line!r} "
+                    "has no mechanism before the colon"
+                )
             context = f"diagnosis {diagnosis_name!r}, subcluster {mechanism!r}"
             ids = _parse_id_csv(match.group(2), context)
             if not ids:
@@ -399,9 +404,11 @@ def _parse_cluster_section(
             unknown = sorted(set(ids) - known)
             if unknown:
                 raise ParseError(f"{context}: unknown fact ids {unknown}")
-            subclusters.append(
-                SubCluster(group=group, mechanism_label=mechanism, fact_ids=tuple(ids))
-            )
+            try:
+                subcluster = SubCluster(group=group, mechanism_label=mechanism, fact_ids=tuple(ids))
+            except ValueError as exc:
+                raise ParseError(f"{context}: {exc}") from exc
+            subclusters.append(subcluster)
     return EvidenceClustering(
         diagnosis_name=diagnosis_name, polarity=polarity, subclusters=tuple(subclusters)
     )

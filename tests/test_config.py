@@ -74,6 +74,13 @@ def test_unknown_keys_rejected_everywhere(tmp_path):
     with pytest.raises(ValueError, match="repair"):
         load_config(write_config(tmp_path, data))
 
+    # Stemming is chosen by `compare --use-stemmer`; a run config that
+    # sets it would be silently ignored, so it is refused.
+    data = minimal_config_dict()
+    data["use_stemmer"] = True
+    with pytest.raises(ValueError, match="use_stemmer"):
+        load_config(write_config(tmp_path, data))
+
 
 def test_required_sections(tmp_path):
     with pytest.raises(ValueError, match="models"):

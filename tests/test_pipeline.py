@@ -262,6 +262,9 @@ def test_parse_clusters_errors():
     junk = "thinking...\n" + CLUSTER_BLOCK
     with pytest.raises(ParseError, match="before the first DIAGNOSIS"):
         parsers.parse_clusters(junk, names, known, Polarity.SUPPORTING)
+    no_mechanism = CLUSTER_BLOCK.replace("- Low hemoglobin: F0", "-  :F0")
+    with pytest.raises(ParseError, match="no mechanism"):
+        parsers.parse_clusters(no_mechanism, names, known, Polarity.SUPPORTING)
 
 
 def make_context(backend, repair_budget=1):

@@ -137,6 +137,21 @@ def test_run_encounter_ok(tmp_path):
     assert all(s["attempts"] == 1 for s in stages["stages"])
 
 
+def test_run_encounter_repairs_cluster_line_without_mechanism(tmp_path):
+    responses = edward_generate_responses()
+    valid = responses[6]
+    first_line = next(line for line in valid.splitlines() if line.startswith("- "))
+    responses.insert(6, valid.replace(first_line, "-  :F0"))
+    gateway = live_gateway(responses)
+    result = run_encounter(make_config(), gateway, edward_encounter(), tmp_path)
+
+    assert result.status == "ok"
+    stages = read_artifact(tmp_path, "enc-edward", "stages.json")
+    attempts = {s["stage"]: s["attempts"] for s in stages["stages"]}
+    assert attempts["cluster_supporting"] == 2
+    assert all(n == 1 for stage, n in attempts.items() if stage != "cluster_supporting")
+
+
 class ScoreRecordingBackend(ScriptedBackend):
     def __init__(self, generate_responses, score_responses):
         super().__init__(generate_responses=generate_responses, score_responses=score_responses)

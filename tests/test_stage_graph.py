@@ -12,6 +12,7 @@ from factgap.config import build_gateway, load_config
 from factgap.dataset import load_corpus
 from factgap.gateway import Cassette, GatewayError, GatewayMode, LlmGateway
 from factgap.jsonutil import read_json
+from factgap.pipeline import parsers
 from factgap.pipeline.runner import (
     ENCOUNTERS_SUBDIR,
     MANIFEST_NAME,
@@ -239,10 +240,12 @@ def test_earliest_failing_stage_decides_the_failure(tmp_path):
     assert not (enc_dir / "ddx_chat.json").exists()
 
 
+BROKEN_CLUSTER_LINE = "-  :F0"
+
+
 class RaisingClusterBackend(FixtureBackend):
     """Answers one encounter's supporting-cluster call with a subcluster
-    line whose mechanism is blank, which the data model rejects with a
-    plain ValueError rather than a ParseError."""
+    line whose mechanism is blank."""
 
     def __init__(self, stages, encounter_id):
         super().__init__(stages)
@@ -254,12 +257,23 @@ class RaisingClusterBackend(FixtureBackend):
             return text
         lines = text.splitlines()
         first = next(i for i, line in enumerate(lines) if line.startswith("- "))
-        lines[first] = "-  :F0"
+        lines[first] = BROKEN_CLUSTER_LINE
         return "\n".join(lines)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_unexpected_stage_exception_fails_only_its_encounter(tmp_path, workers):
+def test_unexpected_stage_exception_fails_only_its_encounter(tmp_path, workers, monkeypatch):
+    # The parser turns a blank mechanism into a ParseError, which earns a
+    # repair round; a parser defect that lets a plain ValueError escape
+    # must still fail only its own encounter.
+    parse_clusters = parsers.parse_clusters
+
+    def defective_parse_clusters(block, *args):
+        if BROKEN_CLUSTER_LINE in block.splitlines():
+            raise ValueError("subcluster mechanism_label must be non-empty")
+        return parse_clusters(block, *args)
+
+    monkeypatch.setattr(parsers, "parse_clusters", defective_parse_clusters)
     backend = RaisingClusterBackend(fixture_stage_fingerprints(tmp_path / "replay"), "enc-martha")
     out_dir = tmp_path / "live"
     manifest, results = live_run(out_dir, backend, workers=workers)
