@@ -7,12 +7,14 @@ missing calls; in ``replay`` mode a miss is an error. Cassettes are
 append-only JSONL and safe to share between worker threads. Concurrent
 requests with the same fingerprint share one backend call.
 
-Transport failures retry with exponential backoff; contract failures
+Transport failures retry with exponential backoff, waiting at least as
+long as a server's numeric ``Retry-After`` asks; contract failures
 (truncated output, missing logprobs, malformed payloads) never retry.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import statistics
@@ -22,11 +24,14 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
 import json
 
 from .jsonutil import canonical_dumps
+
+if TYPE_CHECKING:
+    import http.client
 
 log = logging.getLogger(__name__)
 
@@ -36,7 +41,14 @@ class GatewayError(Exception):
 
 
 class TransportError(GatewayError):
-    """Network-level failure or retryable HTTP status; safe to retry."""
+    """Network-level failure or retryable HTTP status; safe to retry.
+
+    ``retry_after`` is the wait in seconds the server asked for, if any.
+    """
+
+    def __init__(self, message: str, retry_after: Optional[float] = None):
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 class ResponseTruncated(GatewayError):
@@ -315,12 +327,26 @@ class MockFileBackend:
         return tuple(float(x) for x in logprobs)
 
 
+def _retry_after_seconds(value: Optional[str]) -> Optional[float]:
+    """A ``Retry-After`` header in its delay-seconds form, or None (absent,
+    or the HTTP-date form, which is not honoured)."""
+    if value is None:
+        return None
+    value = value.strip()
+    return float(value) if value.isascii() and value.isdigit() else None
+
+
 class HttpBackend:
     """OpenAI-compatible HTTP API.
 
     Chat completions serve generation; the legacy completions endpoint
     with echo and zero new tokens serves continuation scoring, because
     chat endpoints do not expose prompt token logprobs.
+
+    Calls go over standard-library keep-alive connections, straight to
+    ``base_url``: proxy variables and ``.netrc`` are not read, and HTTPS
+    is verified against the system CA store. Each call takes its own
+    connection, so calls from many threads may run at once.
     """
 
     def __init__(
@@ -328,46 +354,101 @@ class HttpBackend:
         base_url: str,
         api_key: str = "",
         timeout: float = 120.0,
-        session: Any = None,
         pool_maxsize: int = 10,
     ):
-        """``pool_maxsize`` caps the kept-alive connections per host; size
+        """``pool_maxsize`` caps the idle connections kept for reuse; size
         it to the calls in flight, or every call beyond it opens a new
         connection."""
-        if not base_url:
-            raise ValueError("base_url must be non-empty")
-        import requests
-        from requests.adapters import HTTPAdapter
+        # Imported here: replay and compare runs never build a backend.
+        import http.client
+        from urllib.parse import urlsplit
 
         self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-        if session is None:
-            session = requests.Session()
-            for prefix in ("http://", "https://"):
-                session.mount(prefix, HTTPAdapter(pool_maxsize=pool_maxsize))
-        self._session = session
+        parts = urlsplit(self.base_url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"base_url must be an http or https URL, got {base_url!r}")
+        if parts.scheme == "https":
+            import ssl
+
+            self._connect = functools.partial(
+                http.client.HTTPSConnection,
+                parts.hostname,
+                parts.port,
+                timeout=timeout,
+                context=ssl.create_default_context(),
+            )
+        else:
+            self._connect = functools.partial(
+                http.client.HTTPConnection, parts.hostname, parts.port, timeout=timeout
+            )
+        self._path_prefix = parts.path
+        self._pool_maxsize = pool_maxsize
+        self._idle: list[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
         self._headers = {"Content-Type": "application/json"}
         if api_key:
             self._headers["Authorization"] = f"Bearer {api_key}"
 
+    def close(self) -> None:
+        """Close the idle connections; calls made later open new ones."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
+
+    def _exchange(self, path: str, data: bytes) -> tuple[int, Optional[str], bytes]:
+        """POST ``data`` and return the status, ``Retry-After`` header and
+        body. A reused connection that the server has closed while idle
+        fails before any response arrives; the call then goes once more
+        on a new connection."""
+        with self._idle_lock:
+            connection = self._idle.pop() if self._idle else None
+        reused = connection is not None
+        if connection is None:
+            connection = self._connect()
+        try:
+            try:
+                connection.request("POST", path, data, self._headers)
+                response = connection.getresponse()
+            except (ConnectionResetError, BrokenPipeError):
+                # http.client.RemoteDisconnected is a ConnectionResetError.
+                if not reused:
+                    raise
+                connection.close()
+                connection = self._connect()
+                connection.request("POST", path, data, self._headers)
+                response = connection.getresponse()
+            body = response.read()
+        except BaseException:
+            connection.close()
+            raise
+        with self._idle_lock:
+            keep = not response.will_close and len(self._idle) < self._pool_maxsize
+            if keep:
+                self._idle.append(connection)
+        if not keep:
+            connection.close()
+        return response.status, response.getheader("Retry-After"), body
+
     def _post(self, path: str, body: Mapping[str, Any]) -> dict[str, Any]:
-        import requests
+        import http.client
 
         url = f"{self.base_url}{path}"
+        data = json.dumps(body).encode("utf-8")
         try:
-            response = self._session.post(
-                url, json=body, headers=self._headers, timeout=self.timeout
-            )
-        except requests.RequestException as exc:
+            status, retry_after, raw = self._exchange(self._path_prefix + path, data)
+        except (OSError, http.client.HTTPException) as exc:
             raise TransportError(f"POST {url} failed: {exc}") from exc
-        if response.status_code == 429 or response.status_code >= 500:
-            raise TransportError(f"POST {url} returned {response.status_code}")
-        if response.status_code != 200:
-            raise GatewayError(
-                f"POST {url} returned {response.status_code}: {response.text[:500]}"
+        if status == 429 or status >= 500:
+            raise TransportError(
+                f"POST {url} returned {status}",
+                retry_after=_retry_after_seconds(retry_after) if status in (429, 503) else None,
             )
+        if status != 200:
+            excerpt = raw.decode("utf-8", errors="replace")[:500]
+            raise GatewayError(f"POST {url} returned {status}: {excerpt}")
         try:
-            return response.json()
+            return json.loads(raw)
         except ValueError as exc:
             raise GatewayError(f"POST {url} returned a body that is not JSON: {exc}") from exc
 
@@ -476,7 +557,7 @@ class LlmGateway:
             except TransportError as exc:
                 last = exc
                 if attempt + 1 < self.retry.attempts:
-                    delay = self.retry.delay(attempt)
+                    delay = max(self.retry.delay(attempt), exc.retry_after or 0.0)
                     log.warning(
                         "%s failed (%s); retrying in %.2fs (%d/%d)",
                         label,

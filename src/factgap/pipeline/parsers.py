@@ -12,6 +12,9 @@ import re
 from typing import Sequence
 
 from ..datamodel import (
+    MAX_DDX_ENTRIES,
+    SECTION_TITLES,
+    SUMMARY_SECTIONS,
     ContentCategory,
     DdxSource,
     Diagnosis,
@@ -25,8 +28,6 @@ from ..datamodel import (
     Summary,
     parse_fact_id,
 )
-
-MAX_DDX_ENTRIES = 10
 
 
 class ParseError(ValueError):
@@ -70,11 +71,7 @@ def parse_truncation(block: str, n_turns: int) -> int:
     return index
 
 
-_SUMMARY_HEADERS = (
-    ("chief_complaint", "CHIEF COMPLAINT"),
-    ("history_of_present_illness", "HISTORY OF PRESENT ILLNESS"),
-    ("past_social_history", "PAST SOCIAL HISTORY"),
-)
+_SUMMARY_HEADERS = tuple((name, SECTION_TITLES[name]) for name in SUMMARY_SECTIONS)
 
 
 def parse_summary(block: str, encounter_id: str) -> Summary:

@@ -11,7 +11,15 @@ from factgap.config import (
     build_gateway,
     load_config,
 )
-from factgap.gateway import GatewayMode, HttpBackend, MockFileBackend
+from factgap.gateway import (
+    ChatMessage,
+    GatewayMode,
+    GenerationRequest,
+    HttpBackend,
+    MockFileBackend,
+)
+
+from loopback_server import Reply, open_after_concurrent_calls
 
 
 def minimal_config_dict(cassette="cassette.jsonl"):
@@ -127,7 +135,7 @@ def test_with_mode_override(tmp_path):
     assert config.mode is GatewayMode.REPLAY
 
 
-def test_build_backend_mock_and_http(tmp_path, monkeypatch):
+def test_build_backend_mock_and_http(tmp_path, monkeypatch, loopback):
     cassette = tmp_path / "responses.jsonl"
     cassette.write_text("")
     config = load_config(write_config(tmp_path, minimal_config_dict()))
@@ -137,7 +145,7 @@ def test_build_backend_mock_and_http(tmp_path, monkeypatch):
     data = minimal_config_dict()
     data["backend"] = {
         "kind": "http",
-        "base_url": "http://api.test/v1",
+        "base_url": loopback.url + "/v1",
         "api_key_env": "TEST_API_KEY",
     }
     config = load_config(write_config(tmp_path, data, name="http.json"))
@@ -147,9 +155,18 @@ def test_build_backend_mock_and_http(tmp_path, monkeypatch):
     monkeypatch.setenv("TEST_API_KEY", "secret")
     backend = build_backend(config)
     assert isinstance(backend, HttpBackend)
-    gateway = build_gateway(config.with_mode("live"), max_in_flight=28)
-    adapter = gateway.backend._session.get_adapter("http://api.test/v1")
-    assert adapter.poolmanager.connection_pool_kw["maxsize"] == 28
+    # The pool keeps as many idle connections as calls may be in flight.
+    cap = 3
+    gateway = build_gateway(config.with_mode("live"), max_in_flight=cap)
+    request = GenerationRequest(model_id="m", messages=(ChatMessage(role="user", content="x"),))
+    loopback.script(*[Reply(payload={"choices": [{"message": {"content": "ok"}}]})] * (cap + 2))
+    try:
+        still_open = open_after_concurrent_calls(
+            loopback, lambda: gateway.backend.complete(request), cap + 2, at_most=cap
+        )
+    finally:
+        gateway.backend.close()
+    assert still_open == cap
 
 
 def test_build_gateway_replay_needs_no_backend(tmp_path):

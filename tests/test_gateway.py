@@ -1,11 +1,13 @@
 import json
+import os
 import random
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
-import requests
 
 from factgap.gateway import (
     Aggregation,
@@ -28,6 +30,8 @@ from factgap.gateway import (
     TransportError,
     aggregate_logprobs,
 )
+
+from loopback_server import Reply, open_after_concurrent_calls, unused_port_url
 
 
 def make_request(content="hello", model="m1"):
@@ -346,74 +350,51 @@ def test_score_continuation_records_and_replays(tmp_path):
     assert replayed.score == -4.0
 
 
-class FakeResponse:
-    def __init__(self, status_code=200, payload=None, text=""):
-        self.status_code = status_code
-        self._payload = payload or {}
-        self.text = text
-
-    def json(self):
-        return self._payload
-
-
-class FakeSession:
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.calls = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "body": json})
-        item = self.responses.pop(0)
-        if isinstance(item, Exception):
-            raise item
-        return item
-
-
 def chat_payload(text, finish="stop"):
     return {"choices": [{"message": {"content": text}, "finish_reason": finish}]}
 
 
-def test_http_backend_complete():
-    session = FakeSession([FakeResponse(payload=chat_payload("out"))])
-    backend = HttpBackend("http://api.test/v1", api_key="k", session=session)
+def test_http_backend_complete(loopback, http_backend):
+    loopback.script(Reply(payload=chat_payload("out")))
+    backend = http_backend("/v1", api_key="k")
     assert backend.complete(make_request()) == "out"
-    call = session.calls[0]
-    assert call["url"] == "http://api.test/v1/chat/completions"
-    assert call["body"]["temperature"] == 0.0
+    (call,) = loopback.requests
+    assert call.path == "/v1/chat/completions"
+    assert call.body["temperature"] == 0.0
+    assert call.body["model"] == "m1"
+    assert call.body["messages"] == [{"role": "user", "content": "hello"}]
+    assert call.headers["Authorization"] == "Bearer k"
 
 
-def test_http_backend_truncation_and_statuses():
-    backend = HttpBackend(
-        "http://api.test",
-        session=FakeSession([FakeResponse(payload=chat_payload("x", finish="length"))]),
-    )
+def test_http_backend_truncation_and_statuses(loopback, http_backend):
+    backend = http_backend()
+    loopback.script(Reply(payload=chat_payload("x", finish="length")))
     with pytest.raises(ResponseTruncated):
         backend.complete(make_request())
 
     for status, expected in ((500, TransportError), (429, TransportError), (400, GatewayError)):
-        backend = HttpBackend(
-            "http://api.test", session=FakeSession([FakeResponse(status_code=status)])
-        )
-        with pytest.raises(expected):
+        loopback.script(Reply(status=status, body=b"bad request body"))
+        with pytest.raises(expected) as caught:
             backend.complete(make_request())
+        assert type(caught.value) is expected
+    assert str(caught.value).endswith("returned 400: bad request body")
 
-    backend = HttpBackend(
-        "http://api.test",
-        session=FakeSession([requests.ConnectionError("refused")]),
-    )
-    with pytest.raises(TransportError):
-        backend.complete(make_request())
-
-
-class NotJsonResponse(FakeResponse):
-    def json(self):
-        raise requests.exceptions.JSONDecodeError("Expecting value", "<html>", 0)
+    refused = unused_port_url()
+    for url in (refused, refused.replace("http://", "https://")):
+        with pytest.raises(TransportError, match="failed"):
+            HttpBackend(url).complete(make_request())
 
 
-def test_http_backend_non_json_body_is_a_gateway_error():
-    backend = HttpBackend("http://api.test", session=FakeSession([NotJsonResponse()]))
+@pytest.mark.parametrize("url", ["", "api.test/v1", "ftp://api.test/v1", "http:///v1"])
+def test_http_backend_rejects_a_base_url_that_is_not_http(url):
+    with pytest.raises(ValueError, match="http or https URL"):
+        HttpBackend(url)
+
+
+def test_http_backend_non_json_body_is_a_gateway_error(loopback, http_backend):
+    loopback.script(Reply(body=b"<html>"))
     with pytest.raises(GatewayError, match="not JSON"):
-        backend.complete(make_request())
+        http_backend().complete(make_request())
 
 
 def score_payload(token_logprobs, offsets):
@@ -424,36 +405,138 @@ def score_payload(token_logprobs, offsets):
     }
 
 
-def test_http_backend_score_selects_continuation_tokens():
+def test_http_backend_score_selects_continuation_tokens(loopback, http_backend):
     # prefix is 7 chars; tokens at offsets 0 and 3 belong to it.
-    session = FakeSession(
-        [FakeResponse(payload=score_payload([None, -0.5, -1.0, -2.0], [0, 3, 7, 10]))]
-    )
-    backend = HttpBackend("http://api.test", session=session)
+    loopback.script(Reply(payload=score_payload([None, -0.5, -1.0, -2.0], [0, 3, 7, 10])))
+    backend = http_backend()
     req = ScoreRequest(model_id="m", prefix="abc def", continuation=" tail")
     assert backend.score(req) == (-1.0, -2.0)
-    assert session.calls[0]["body"]["echo"] is True
-    assert session.calls[0]["body"]["max_tokens"] == 0
+    (call,) = loopback.requests
+    assert call.path == "/completions"
+    assert call.body["echo"] is True
+    assert call.body["max_tokens"] == 0
+    assert call.body["prompt"] == "abc def tail"
 
 
-def test_http_backend_score_failures():
+def test_http_backend_score_failures(loopback, http_backend):
     req = ScoreRequest(model_id="m", prefix="abc def", continuation=" tail")
-    backend = HttpBackend(
-        "http://api.test",
-        session=FakeSession([FakeResponse(payload={"choices": [{}]})]),
-    )
+    backend = http_backend()
+    loopback.script(Reply(payload={"choices": [{}]}))
     with pytest.raises(LogprobsUnsupported):
         backend.score(req)
 
-    backend = HttpBackend(
-        "http://api.test",
-        session=FakeSession([FakeResponse(payload=score_payload([None, -1.0], [0, 7]))]),
-    )
+    loopback.script(Reply(payload=score_payload([None, -1.0], [0, 7])))
     assert backend.score(req) == (-1.0,)
 
-    backend = HttpBackend(
-        "http://api.test",
-        session=FakeSession([FakeResponse(payload=score_payload([None, None], [0, 7]))]),
-    )
+    loopback.script(Reply(payload=score_payload([None, None], [0, 7])))
     with pytest.raises(LogprobsUnsupported, match="null logprobs"):
         backend.score(req)
+
+
+def test_http_backend_keeps_at_most_pool_maxsize_connections(loopback, http_backend):
+    cap, extra = 2, 3
+    backend = http_backend(pool_maxsize=cap)
+    loopback.script(*[Reply(payload=chat_payload("ok"))] * (cap + extra))
+    still_open = open_after_concurrent_calls(
+        loopback, lambda: backend.complete(make_request()), cap + extra, at_most=cap
+    )
+    assert still_open == cap
+    assert loopback.connections_opened == cap + extra
+
+    # The kept connections serve the next calls.
+    loopback.script(*[Reply(payload=chat_payload("ok"))] * cap)
+    for _ in range(cap):
+        assert backend.complete(make_request()) == "ok"
+    assert loopback.connections_opened == cap + extra
+
+
+def test_http_backend_retries_a_stale_keep_alive_connection(loopback, http_backend):
+    loopback.script(
+        Reply(payload=chat_payload("one"), close=True), Reply(payload=chat_payload("two"))
+    )
+    delays = []
+    gateway = LlmGateway(backend=http_backend(), mode="live", sleeper=delays.append)
+    assert gateway.generate(make_request("a")) == "one"
+    # The server has dropped the connection the client keeps as idle.
+    assert loopback.open_connections(at_most=0) == 0
+    assert gateway.generate(make_request("b")) == "two"
+    assert delays == []
+    assert loopback.connections_opened == 2
+    assert [call.body["messages"][0]["content"] for call in loopback.requests] == ["a", "b"]
+
+
+def test_http_backend_does_not_keep_a_connection_the_server_will_close(
+    loopback, http_backend
+):
+    loopback.script(
+        Reply(payload=chat_payload("one"), headers={"Connection": "close"}),
+        Reply(payload=chat_payload("two")),
+    )
+    backend = http_backend()
+    assert backend.complete(make_request()) == "one"
+    assert backend._idle == []
+    assert backend.complete(make_request()) == "two"
+    assert loopback.connections_opened == 2
+
+
+def test_retry_after_extends_the_backoff(loopback, http_backend):
+    loopback.script(
+        Reply(status=429, headers={"Retry-After": "3"}),
+        Reply(status=503, headers={"Retry-After": "0"}),
+        Reply(payload=chat_payload("out")),
+    )
+    delays = []
+    gateway = LlmGateway(backend=http_backend(), mode="live", sleeper=delays.append)
+    assert gateway.generate(make_request()) == "out"
+    assert delays == [3.0, 1.0]
+
+    backend = http_backend()
+    for reply, expected in (
+        (Reply(status=429, headers={"Retry-After": "7"}), 7.0),
+        (Reply(status=503), None),
+        (Reply(status=500, headers={"Retry-After": "7"}), None),
+        (Reply(status=429, headers={"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}), None),
+        (Reply(status=429, headers={"Retry-After": "-1"}), None),
+    ):
+        loopback.script(reply)
+        with pytest.raises(TransportError) as caught:
+            backend.complete(make_request())
+        assert caught.value.retry_after == expected
+
+
+def test_live_gateway_runs_without_requests(loopback, tmp_path):
+    loopback.script(Reply(payload=chat_payload("out")))
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "models": {"summary": "s", "metric": "m"},
+                "backend": {"kind": "http", "base_url": loopback.url + "/v1"},
+                "mode": "live",
+            }
+        )
+    )
+    script = (
+        "import sys\n"
+        "sys.modules['requests'] = None\n"
+        "from factgap.config import build_gateway, load_config\n"
+        "from factgap.gateway import ChatMessage, GenerationRequest\n"
+        "gateway = build_gateway(load_config(sys.argv[1]))\n"
+        "request = GenerationRequest(\n"
+        "    model_id='m', messages=(ChatMessage(role='user', content='hi'),)\n"
+        ")\n"
+        "print(gateway.backend.complete(request))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(config)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "out\n"
+    assert [call.path for call in loopback.requests] == ["/v1/chat/completions"]
