@@ -4,8 +4,15 @@ ROUGE here is self-contained: lowercase tokenization on alphanumeric
 runs, optional Porter stemming, and the summary-level union-LCS variant
 with double-count prevention. ROUGE-L and ROUGE-Lsum compute the LCS
 bit-parallel over Python ints (Allison & Dix 1986; Hyyro 2004), one
-column of the LCS table per int, and ``rouge_all`` tokenizes each text
-once for all four variants. Correlations (Spearman, Pearson) ship with
+column of the LCS table per int. ROUGE-Lsum lays all reference
+sentences side by side in one int, each followed by a zero guard bit
+that absorbs the carry out of it, so one pass per candidate sentence
+gives every reference sentence its own columns. Only sentences with an
+LCS of at least 1 are backtracked, jumping per column to the highest
+match or zero bit; an LCS of 1 needs one such jump. N-grams are counted
+in C (``Counter`` over the tokens or over zipped offset iterators), and
+``rouge_all`` tokenizes each text once for all four variants.
+Correlations (Spearman, Pearson) ship with
 two-sided p-values computed from the t distribution through a native
 regularized incomplete beta, so the package has no runtime dependency on
 a stats library.
@@ -16,10 +23,12 @@ from __future__ import annotations
 import csv
 import math
 import re
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice, repeat
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Container, Iterable, Mapping, Optional, Sequence, Union
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _SENTENCE_SPLIT_RE = re.compile(r"[.!?]+")
@@ -241,10 +250,10 @@ def _tokens(text: Text, use_stemmer: bool) -> Sequence[str]:
     return _same_stemming(text, use_stemmer).tokens
 
 
-def _sentences(text: Text, use_stemmer: bool) -> tuple[tuple[str, ...], ...]:
+def _tokenized(text: Text, use_stemmer: bool) -> TokenizedText:
     if isinstance(text, str):
-        return TokenizedText.of(text, use_stemmer).sentences
-    return _same_stemming(text, use_stemmer).sentences
+        return TokenizedText.of(text, use_stemmer)
+    return _same_stemming(text, use_stemmer)
 
 
 @dataclass(frozen=True)
@@ -278,36 +287,63 @@ def _score(overlap: int, candidate_total: int, reference_total: int) -> RougeSco
 
 
 def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    if n == 1:
+        return Counter(tokens)
+    return Counter(zip(*(islice(tokens, i, None) for i in range(n))))
 
 
 def rouge_n(candidate: Text, reference: Text, n: int, use_stemmer: bool = False) -> RougeScore:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    cand = _ngrams(_tokens(candidate, use_stemmer), n)
-    ref = _ngrams(_tokens(reference, use_stemmer), n)
-    overlap = sum(min(count, ref[gram]) for gram, count in cand.items())
-    return _score(overlap, sum(cand.values()), sum(ref.values()))
+    cand_tokens = _tokens(candidate, use_stemmer)
+    ref_tokens = _tokens(reference, use_stemmer)
+    cand = _ngrams(cand_tokens, n)
+    ref = _ngrams(ref_tokens, n)
+    overlap = sum(map(min, cand.values(), map(ref.get, cand, repeat(0))))
+    return _score(overlap, max(len(cand_tokens) - n + 1, 0), max(len(ref_tokens) - n + 1, 0))
 
 
-def _lcs_columns(a: Sequence[str], b: Sequence[str]) -> list[int]:
-    """Bit-parallel LCS (Allison & Dix 1986; Hyyro 2004), one int per
-    column of the LCS table T of a against b.
+def _side_by_side(
+    sentences: Iterable[Sequence[str]], vocabulary: Container[str]
+) -> tuple[dict[str, int], list[int], int]:
+    """Lay ``sentences`` side by side in one int, each followed by a zero
+    guard bit that absorbs the carry out of it.
 
-    Bit i of column j is 0 exactly where T[i+1][j] = T[i][j] + 1, so
-    T[i][j] is i minus the number of ones below bit i of column j, and
-    the LCS length is len(a) minus the ones in the last column.
+    Returns the match masks (bit p of masks[t] is set where the token at
+    bit p is t), the first bit of every sentence followed by one past the
+    last guard, and the int whose ones are exactly the sentence bits.
     """
-    # Bit i of masks[t] is set where a[i] is t.
     masks: dict[str, int] = {}
-    for i, token in enumerate(a):
-        masks[token] = masks.get(token, 0) | 1 << i
-    full = (1 << len(a)) - 1
+    starts = [0]
+    full = 0
+    for sentence in sentences:
+        start = starts[-1]
+        for bit, token in enumerate(sentence, start):
+            if token in vocabulary:
+                masks[token] = masks.get(token, 0) | 1 << bit
+        full |= ((1 << len(sentence)) - 1) << start
+        starts.append(start + len(sentence) + 1)
+    return masks, starts, full
+
+
+def _lcs_columns(masks: Mapping[str, int], full: int, b: Sequence[str]) -> list[int]:
+    """Bit-parallel LCS (Allison & Dix 1986; Hyyro 2004) of every
+    sentence laid out by ``_side_by_side`` against b, one int per
+    column: the bits of each sentence are its own LCS table's column.
+
+    Bit i of a sentence's column j is 0 exactly where T[i+1][j] =
+    T[i][j] + 1 in that sentence's table T, so its LCS length with b is
+    its length minus its ones in the last column. ``v - u`` never
+    borrows (u is a subset of v), and a carry out of ``v + u`` stops in
+    the sentence's zero guard bit, so no sentence sees another.
+    """
     v = full
     columns = [v]
     for token in b:
-        u = v & masks.get(token, 0)
-        v = ((v + u) | (v - u)) & full
+        mask = masks.get(token)
+        if mask is not None:
+            u = v & mask
+            v = ((v + u) | (v - u)) & full
         columns.append(v)
     return columns
 
@@ -315,7 +351,8 @@ def _lcs_columns(a: Sequence[str], b: Sequence[str]) -> list[int]:
 def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     if not a or not b:
         return 0
-    return len(a) - _lcs_columns(a, b)[-1].bit_count()
+    masks, _, full = _side_by_side((a,), set(b))
+    return len(a) - _lcs_columns(masks, full, b)[-1].bit_count()
 
 
 def rouge_l(candidate: Text, reference: Text, use_stemmer: bool = False) -> RougeScore:
@@ -324,58 +361,82 @@ def rouge_l(candidate: Text, reference: Text, use_stemmer: bool = False) -> Roug
     return _score(lcs_length(cand, ref), len(cand), len(ref))
 
 
+def _lcs_hits(masks: Mapping[str, int], starts: Sequence[int], full: int, cand: Sequence[str]) -> int:
+    """Bits of the reference positions on one LCS of each sentence laid
+    out by ``_side_by_side`` with cand, backtracked by the table's rule:
+    from (i, j) take a match, else step up where T[i-1][j] >= T[i][j-1],
+    else step left.
+
+    Off a match T[i][j] = max(T[i-1][j], T[i][j-1]), so the rule steps
+    up exactly where bit i-1 of column j is 1. The walk in column j thus
+    jumps to the highest bit below row i that is a match of cand[j-1] or
+    a zero, and only sentences with a zero in the last column (an LCS of
+    at least 1) are walked. Once one hit is left (T[i][j] = 1), that bit
+    is the hit even when it is a zero and no match: the walk turns left
+    there and stays on its row, a zero in every column further left,
+    until a match takes it. So a sentence whose LCS is 1 takes one step:
+    the highest match of the last candidate token if it lies at or above
+    the zero, else the zero's row.
+    """
+    columns = _lcs_columns(masks, full, cand)
+    zeros = full ^ columns[-1]
+    if not zeros:
+        return 0
+    matches = [masks.get(token, 0) for token in cand]
+    stops = [m | (full ^ c) for m, c in zip(matches, columns[1:])]
+    hits = 0
+    while zeros:
+        top = zeros.bit_length() - 1
+        sentence = bisect_right(starts, top) - 1
+        start = starts[sentence]
+        length = (zeros >> start).bit_count()
+        zeros &= (1 << start) - 1
+        row, j = starts[sentence + 1] - 1, len(cand)
+        while length:
+            j -= 1
+            bit = (stops[j] & ((1 << row) - 1)).bit_length() - 1
+            if length == 1 or matches[j] >> bit & 1:
+                hits |= 1 << bit
+                length -= 1
+                row = bit
+            else:
+                row = bit + 1
+    return hits
+
+
 def _lcs_indices(ref: Sequence[str], cand: Sequence[str]) -> set[int]:
     """Positions in ref participating in one LCS with cand."""
     if not ref or not cand:
         return set()
-    columns = _lcs_columns(ref, cand)
-    if columns[-1] == columns[0]:
-        # All ones: no token is shared.
-        return set()
-    indices = set()
-    i, j = len(ref), len(cand)
-    while i > 0 and j > 0:
-        if ref[i - 1] == cand[j - 1]:
-            indices.add(i - 1)
-            i -= 1
-            j -= 1
-        # Off a match T[i][j] = max(T[i-1][j], T[i][j-1]), so the tie
-        # rule T[i-1][j] >= T[i][j-1] (step up) holds exactly when
-        # T[i-1][j] = T[i][j], that is when bit i-1 of column j is 1.
-        elif columns[j] >> (i - 1) & 1:
-            i -= 1
-        else:
-            j -= 1
-    return indices
+    masks, starts, full = _side_by_side((ref,), set(cand))
+    hits = _lcs_hits(masks, starts, full, cand)
+    return {i for i in range(len(ref)) if hits >> i & 1}
 
 
 def rouge_lsum(candidate: Text, reference: Text, use_stemmer: bool = False) -> RougeScore:
     """Summary-level LCS: per reference sentence, union the LCS hits
     against every candidate sentence, then cap each token's credit by
-    its count on both sides so nothing is matched twice."""
-    cand_sents = _sentences(candidate, use_stemmer)
-    ref_sents = _sentences(reference, use_stemmer)
-    cand_total = sum(len(s) for s in cand_sents)
-    ref_total = sum(len(s) for s in ref_sents)
-    if cand_total == 0 or ref_total == 0:
+    its count on both sides so nothing is matched twice.
+
+    The reference sentences share one bit layout, so one bit-parallel
+    pass per candidate sentence covers all of them, and the union is
+    one int. A token's union hits never exceed its reference count, so
+    its credit is min(union hits, candidate count).
+    """
+    cand = _tokenized(candidate, use_stemmer)
+    ref = _tokenized(reference, use_stemmer)
+    if not cand.tokens or not ref.tokens:
         return RougeScore(0.0, 0.0, 0.0)
 
-    cand_counts = Counter(t for s in cand_sents for t in s)
-    ref_counts = Counter(t for s in ref_sents for t in s)
-    hits = 0
-    for ref_sent in ref_sents:
-        union: set[int] = set()
-        vocabulary = set(ref_sent)
-        for cand_sent in cand_sents:
-            if not vocabulary.isdisjoint(cand_sent):
-                union |= _lcs_indices(ref_sent, cand_sent)
-        for index in union:
-            token = ref_sent[index]
-            if cand_counts[token] > 0 and ref_counts[token] > 0:
-                hits += 1
-                cand_counts[token] -= 1
-                ref_counts[token] -= 1
-    return _score(hits, cand_total, ref_total)
+    cand_counts = Counter(cand.tokens)
+    masks, starts, full = _side_by_side(ref.sentences, cand_counts)
+    union = 0
+    for cand_sent in cand.sentences:
+        union |= _lcs_hits(masks, starts, full, cand_sent)
+    hits = sum(
+        min((union & mask).bit_count(), cand_counts[token]) for token, mask in masks.items()
+    )
+    return _score(hits, len(cand.tokens), len(ref.tokens))
 
 
 ROUGE_VARIANTS = ("rouge1", "rouge2", "rougeL", "rougeLsum")

@@ -111,12 +111,14 @@ class Corpus:
 
     def subset(self, encounter_ids: Sequence[str]) -> "Corpus":
         wanted = list(encounter_ids)
-        missing = [i for i in wanted if i not in {e.encounter_id for e in self.encounters}]
+        known = {e.encounter_id for e in self.encounters}
+        missing = [i for i in wanted if i not in known]
         if missing:
             raise KeyError(f"corpus {self.name} has no encounters {missing}")
+        selected = set(wanted)
         return Corpus(
             name=self.name,
-            encounters=tuple(e for e in self.encounters if e.encounter_id in set(wanted)),
+            encounters=tuple(e for e in self.encounters if e.encounter_id in selected),
         )
 
     def to_json_dict(self) -> dict[str, Any]:

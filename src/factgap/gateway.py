@@ -220,31 +220,55 @@ class Cassette:
     """Append-only JSONL store keyed by request fingerprint.
 
     Later records for the same fingerprint win, so re-recording a
-    request replaces its response without rewriting history.
+    request replaces its response without rewriting history. A final
+    line that is not JSON and has no newline is what a process killed
+    mid-append leaves: it is dropped with a warning, and the next append
+    cuts it off first. A bad line anywhere else is an error.
     """
 
     def __init__(self, path: Path | str):
         self.path = Path(path)
         self._lock = threading.Lock()
         self._records: dict[str, dict[str, Any]] = {}
+        # Tail repairs made once, by the next append: the byte offset of a
+        # torn final line to cut off, or a whole last record that lost its
+        # newline.
+        self._torn_at: Optional[int] = None
+        self._newline_missing = False
         if self.path.exists():
-            with open(self.path, encoding="utf-8") as handle:
-                for line_no, line in enumerate(handle, start=1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise ValueError(
-                            f"{self.path}:{line_no}: cassette line is not JSON: {exc}"
-                        ) from exc
-                    if "fingerprint" not in record or "response" not in record:
-                        raise ValueError(
-                            f"{self.path}:{line_no}: cassette record missing "
-                            "fingerprint/response"
+            self._load()
+
+    def _load(self) -> None:
+        with open(self.path, "rb") as handle:
+            offset = 0
+            for line_no, line in enumerate(handle, start=1):
+                start = offset
+                offset += len(line)
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line.decode("utf-8"))
+                except ValueError as exc:
+                    # Only the last line can lack its newline.
+                    if not line.endswith(b"\n"):
+                        log.warning(
+                            "%s:%d: dropping a torn final cassette line (%d bytes, no newline)",
+                            self.path,
+                            line_no,
+                            len(line),
                         )
-                    self._records[record["fingerprint"]] = record
+                        self._torn_at = start
+                        return
+                    raise ValueError(
+                        f"{self.path}:{line_no}: cassette line is not JSON: {exc}"
+                    ) from exc
+                if "fingerprint" not in record or "response" not in record:
+                    raise ValueError(
+                        f"{self.path}:{line_no}: cassette record missing "
+                        "fingerprint/response"
+                    )
+                self._records[record["fingerprint"]] = record
+                self._newline_missing = not line.endswith(b"\n")
 
     def __len__(self) -> int:
         return len(self._records)
@@ -258,8 +282,14 @@ class Cassette:
         with self._lock:
             self._records[record["fingerprint"]] = record
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(canonical_dumps(record) + "\n")
+            with open(self.path, "a+b") as handle:
+                if self._torn_at is not None:
+                    handle.truncate(self._torn_at)
+                    self._torn_at = None
+                if self._newline_missing:
+                    handle.write(b"\n")
+                    self._newline_missing = False
+                handle.write((canonical_dumps(record) + "\n").encode("utf-8"))
                 handle.flush()
 
 

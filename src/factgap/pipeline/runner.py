@@ -307,6 +307,9 @@ def run_corpus(
         raise ValueError(f"workers must be at least 1, got {workers}")
     if only:
         corpus = corpus.subset(only)
+        # The selected ids name directories that force deletes below.
+        for encounter in corpus.encounters:
+            _check_encounter_id(encounter.encounter_id)
 
     encounters_dir = out_dir / ENCOUNTERS_SUBDIR
     if encounters_dir.exists() and any(encounters_dir.iterdir()):
@@ -314,7 +317,14 @@ def run_corpus(
             raise FileExistsError(
                 f"{encounters_dir} already has artifacts; pass force to overwrite"
             )
-        shutil.rmtree(encounters_dir)
+        if only:
+            # Only the selected encounters rerun; the others' artifacts stay.
+            for encounter in corpus.encounters:
+                target = encounters_dir / encounter.encounter_id
+                if target.exists():
+                    shutil.rmtree(target)
+        else:
+            shutil.rmtree(encounters_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     manifest = RunManifest(

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import random
 import subprocess
@@ -116,6 +117,66 @@ def test_cassette_rejects_malformed_lines(tmp_path):
     path.write_text(json.dumps({"fingerprint": "f"}) + "\n")
     with pytest.raises(ValueError, match="missing"):
         Cassette(path)
+
+
+def cassette_line(fingerprint, text):
+    record = {"fingerprint": fingerprint, "kind": "generate", "response": {"text": text}}
+    return json.dumps(record, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
+
+
+def test_cassette_drops_a_torn_final_line_with_a_warning(tmp_path, caplog):
+    path = tmp_path / "torn.jsonl"
+    whole = cassette_line("f1", "a") + cassette_line("f2", "é")
+    # The cut lands inside the two bytes of "é", so the tail is not UTF-8 either.
+    torn = cassette_line("f3", "é")[:-4].encode("utf-8")[:-1]
+    path.write_bytes(whole.encode("utf-8") + torn)
+    with caplog.at_level(logging.WARNING, logger="factgap.gateway"):
+        cassette = Cassette(path)
+    assert len(cassette) == 2
+    assert cassette.get("f2")["response"]["text"] == "é"
+    assert cassette.get("f3") is None
+    assert "torn.jsonl:3: dropping a torn final cassette line" in caplog.text
+
+
+def test_cassette_torn_line_in_the_middle_still_raises(tmp_path):
+    path = tmp_path / "middle.jsonl"
+    path.write_text(
+        cassette_line("f1", "a") + cassette_line("f2", "b")[:-9] + "\n" + cassette_line("f3", "c"),
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match=r"middle\.jsonl:2: cassette line is not JSON"):
+        Cassette(path)
+    # A torn final line followed by blank lines has its newline: not torn.
+    path.write_text(cassette_line("f1", "a") + cassette_line("f2", "b")[:-9] + "\n\n")
+    with pytest.raises(ValueError, match=r"middle\.jsonl:2: cassette line is not JSON"):
+        Cassette(path)
+
+
+def test_cassette_append_after_a_torn_tail_keeps_every_whole_record(tmp_path):
+    path = tmp_path / "torn.jsonl"
+    path.write_text(cassette_line("f1", "a") + cassette_line("f2", "b")[:-7], encoding="utf-8")
+    cassette = Cassette(path)
+    cassette.append({"fingerprint": "f3", "kind": "generate", "response": {"text": "c"}})
+    cassette.append({"fingerprint": "f4", "kind": "generate", "response": {"text": "d"}})
+    assert path.read_text(encoding="utf-8") == (
+        cassette_line("f1", "a") + cassette_line("f3", "c") + cassette_line("f4", "d")
+    )
+    reloaded = Cassette(path)
+    assert [reloaded.get(f)["response"]["text"] for f in ("f1", "f3", "f4")] == ["a", "c", "d"]
+    assert reloaded.get("f2") is None
+
+    # A torn fragment that is the whole file, and a whole last record
+    # that lost only its newline.
+    for content, kept in (
+        (cassette_line("f1", "a")[:-3], []),
+        (cassette_line("f1", "a")[:-1], ["f1"]),
+    ):
+        path.write_text(content, encoding="utf-8")
+        Cassette(path).append(
+            {"fingerprint": "f5", "kind": "generate", "response": {"text": "e"}}
+        )
+        reloaded = Cassette(path)
+        assert [f for f in ("f1", "f5") if reloaded.get(f)] == kept + ["f5"]
 
 
 def test_scripted_backend_order_and_exhaustion():

@@ -101,3 +101,52 @@ def test_tokenized_text_must_match_the_scoring_stemmer():
     assert rouge_l(text, text, use_stemmer=True).f1 == 1.0
     with pytest.raises(ValueError, match="use_stemmer"):
         rouge_l(text, "running fevers", use_stemmer=False)
+
+
+@st.composite
+def sentence_texts(draw, sentences, max_words, vocabularies):
+    vocabulary = WORDS[: draw(st.integers(*vocabularies))]
+    chosen = draw(
+        st.lists(
+            st.lists(st.sampled_from(vocabulary), min_size=1, max_size=max_words),
+            min_size=sentences[0],
+            max_size=sentences[1],
+        )
+    )
+    return "".join(" ".join(s) + draw(st.sampled_from(SEPARATORS)) for s in chosen)
+
+
+def assert_rouge_lsum_matches_oracle(candidate, reference):
+    score = rouge_lsum(candidate, reference)
+    assert (score.precision, score.recall, score.f1) == rouge_oracle.summary_lcs_prf(
+        candidate, reference
+    )
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(sentence_texts((1, 6), 12, (1, 4)), sentence_texts((20, 60), 12, (1, 4)))
+def test_rouge_lsum_matches_oracle_across_many_reference_sentences(candidate, reference):
+    # The reference sentences share one int, so every walk and hit count
+    # crosses 20-60 guard bits.
+    assert_rouge_lsum_matches_oracle(candidate, reference)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(sentence_texts((1, 8), 2, (1, 2)), sentence_texts((1, 30), 4, (1, 2)))
+def test_rouge_lsum_matches_oracle_when_most_sentence_lcs_is_one(candidate, reference):
+    # Candidate sentences of 1-2 words from 1-2-word vocabularies: most
+    # sentence pairs that share a word have an LCS of exactly 1.
+    assert_rouge_lsum_matches_oracle(candidate, reference)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.text(_TEXT_ALPHABET, max_size=80),
+    st.text(_TEXT_ALPHABET, max_size=80),
+    st.integers(1, 3),
+)
+def test_rouge_n_matches_oracle_on_arbitrary_text(candidate, reference, n):
+    score = rouge_n(candidate, reference, n)
+    assert (score.precision, score.recall, score.f1) == rouge_oracle.ngram_prf(
+        candidate, reference, n
+    )

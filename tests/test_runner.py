@@ -279,6 +279,72 @@ def test_run_corpus_manifest_and_force(tmp_path):
     assert [r.encounter_id for r in results] == ["enc-edward"]
 
 
+def test_run_corpus_only_force_keeps_other_encounters(tmp_path):
+    corpus = Corpus(name="mini", encounters=(edward_encounter(), short_encounter()))
+    out_dir = tmp_path / "out"
+    encounters_dir = out_dir / ENCOUNTERS_SUBDIR
+    run_corpus(
+        make_config(),
+        live_gateway(edward_generate_responses() + [truncate_response(1)]),
+        corpus,
+        "corpus.json",
+        out_dir,
+    )
+    other = subtree_bytes(encounters_dir / "enc-short")
+    assert other
+    (encounters_dir / "enc-edward" / "stale.json").write_text("{}", encoding="utf-8")
+
+    with pytest.raises(FileExistsError, match="force"):
+        run_corpus(
+            make_config(),
+            live_gateway(edward_generate_responses()),
+            corpus,
+            "corpus.json",
+            out_dir,
+            only=["enc-edward"],
+        )
+    assert (encounters_dir / "enc-edward" / "stale.json").exists()
+
+    _, results = run_corpus(
+        make_config(),
+        live_gateway(edward_generate_responses()),
+        corpus,
+        "corpus.json",
+        out_dir,
+        only=["enc-edward"],
+        force=True,
+    )
+    assert [(r.encounter_id, r.status) for r in results] == [("enc-edward", "ok")]
+    assert subtree_bytes(encounters_dir / "enc-short") == other
+    assert not (encounters_dir / "enc-edward" / "stale.json").exists()
+    assert (encounters_dir / "enc-edward" / "report.json").exists()
+
+
+@pytest.mark.parametrize("bad_id", ["..", ".", "../../sibling"])
+def test_run_corpus_only_force_rejects_unsafe_ids_before_deleting(tmp_path, bad_id):
+    corpus = Corpus(name="mini", encounters=(edward_encounter(), short_encounter(bad_id)))
+    out_dir = tmp_path / "out"
+    kept = out_dir / ENCOUNTERS_SUBDIR / "enc-edward" / "report.json"
+    kept.parent.mkdir(parents=True)
+    kept.write_text("{}", encoding="utf-8")
+    sibling = tmp_path / "sibling" / "data.json"
+    sibling.parent.mkdir()
+    sibling.write_text("{}", encoding="utf-8")
+
+    with pytest.raises(ValueError, match="not filesystem-safe"):
+        run_corpus(
+            make_config(),
+            live_gateway([]),
+            corpus,
+            "corpus.json",
+            out_dir,
+            only=[bad_id],
+            force=True,
+        )
+    assert kept.read_text(encoding="utf-8") == "{}"
+    assert sibling.read_text(encoding="utf-8") == "{}"
+
+
 def subtree_bytes(root: Path) -> dict[str, bytes]:
     return {
         str(path.relative_to(root)): path.read_bytes()
