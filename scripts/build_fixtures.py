@@ -89,7 +89,7 @@ def record_corpus_cassette(fixtures: Path, corpus) -> None:
             )
         if report.margin is None or report.margin.ratio != expected_ratio:
             raise SystemExit(f"{result.encounter_id}: margin ratio mismatch")
-    print(f"recorded {cassette.relative_to(REPO_ROOT)} ({len(results)} encounters verified)")
+    print(f"recorded {cassette} ({len(results)} encounters verified)")
 
 
 def record_truncation_cassette(fixtures: Path, corpus) -> None:
@@ -111,7 +111,7 @@ def record_truncation_cassette(fixtures: Path, corpus) -> None:
         expected = content.TRUNCATION_RECORDED_CUTS[encounter.encounter_id]
         if cut != expected:
             raise SystemExit(f"{encounter.encounter_id}: replayed cut {cut} != {expected}")
-    print(f"recorded {cassette.relative_to(REPO_ROOT)} ({len(corpus.encounters)} cuts verified)")
+    print(f"recorded {cassette} ({len(corpus.encounters)} cuts verified)")
 
 
 def record_malformed_cassettes(fixtures: Path, corpus) -> None:
@@ -128,7 +128,7 @@ def record_malformed_cassettes(fixtures: Path, corpus) -> None:
         result = run_encounter(replay_config, replay_gateway(cassette), edward)
         if result.status != "failed" or result.stage != stage or fragment not in result.reason:
             raise SystemExit(f"{name}: unexpected replay outcome {result}")
-        print(f"recorded {cassette.relative_to(REPO_ROOT)} (fails at {stage})")
+        print(f"recorded {cassette} (fails at {stage})")
 
 
 def write_replay_config(fixtures: Path) -> None:
@@ -146,7 +146,7 @@ def write_replay_config(fixtures: Path) -> None:
             "mode": "replay",
         },
     )
-    print(f"wrote {path.relative_to(REPO_ROOT)}")
+    print(f"wrote {path}")
 
 
 def write_external_metric(fixtures: Path) -> None:
@@ -156,7 +156,7 @@ def write_external_metric(fixtures: Path) -> None:
         writer.writerow(["encounter_id", "bertscore"])
         for encounter_id in sorted(content.EXTERNAL_METRIC_ROWS):
             writer.writerow([encounter_id, content.EXTERNAL_METRIC_ROWS[encounter_id]])
-    print(f"wrote {path.relative_to(REPO_ROOT)}")
+    print(f"wrote {path}")
 
 
 def main() -> int:
@@ -174,13 +174,13 @@ def main() -> int:
 
     corpus = content.build_fixture_corpus()
     save_corpus(corpus, fixtures / "corpus.json", force=True)
-    print(f"wrote {(fixtures / 'corpus.json').relative_to(REPO_ROOT)}")
+    print(f"wrote {fixtures / 'corpus.json'}")
 
     truncation_corpus = content.build_truncation_corpus()
     save_corpus(truncation_corpus, fixtures / "truncation_corpus.json", force=True)
     write_json(fixtures / "truncation_annotations.json", content.TRUNCATION_ANNOTATIONS)
-    print(f"wrote {(fixtures / 'truncation_corpus.json').relative_to(REPO_ROOT)}")
-    print(f"wrote {(fixtures / 'truncation_annotations.json').relative_to(REPO_ROOT)}")
+    print(f"wrote {fixtures / 'truncation_corpus.json'}")
+    print(f"wrote {fixtures / 'truncation_annotations.json'}")
 
     record_corpus_cassette(fixtures, corpus)
     record_truncation_cassette(fixtures, truncation_corpus)

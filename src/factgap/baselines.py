@@ -21,6 +21,7 @@ a stats library.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import re
 from bisect import bisect_right
@@ -110,8 +111,11 @@ _STEP4_SUFFIXES = (
 )
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def porter_stem(word: str) -> str:
-    """The 1980 Porter algorithm over a lowercase alphabetic word."""
+    """The 1980 Porter algorithm over a lowercase alphabetic word.
+
+    Memoized: a text repeats few distinct words many times."""
     if len(word) <= 2:
         return word
 

@@ -20,7 +20,6 @@ from .gateway import (
     GatewayMode,
     HttpBackend,
     LlmGateway,
-    MockFileBackend,
     RetryPolicy,
 )
 from .scoring import PolarityMode
@@ -209,7 +208,9 @@ def load_config(path: Path | str) -> RunConfig:
 
 def build_backend(config: RunConfig, max_in_flight: int = 4) -> Any:
     if config.backend.kind == "mock":
-        return MockFileBackend(config.backend.path)
+        raise ValueError(
+            "backend.kind mock has no backend to build; use replay mode, which serves the cassette"
+        )
     api_key = ""
     if config.backend.api_key_env:
         api_key = os.environ.get(config.backend.api_key_env, "")

@@ -7,15 +7,24 @@ duplicated subcluster members) is checked by
 :func:`validate_encounter_bundle`, which reports violations as data
 rather than raising.
 
-Every type serializes to a canonical JSON dict carrying
-``schema_version: "1"`` and round-trips through ``from_json_dict``.
+Every record type derives from :class:`JsonRecord`, one codec driven by
+the dataclass fields, and round-trips through ``to_json_dict`` and
+``from_json_dict``. A record carries ``schema_version: "1"`` unless its
+type sets ``versioned = False``. Five types do, all parts of a larger
+record that have never carried a version: ``Turn``, ``Diagnosis``,
+``SubCluster`` and, in ``dataset``, ``Provenance`` and ``Encounter``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from collections.abc import Mapping
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
-from typing import Any, Mapping, Optional, Sequence
+from operator import attrgetter, methodcaller
+from types import UnionType
+from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
+from typing import get_args, get_origin, get_type_hints
 
 SCHEMA_VERSION = "1"
 
@@ -86,12 +95,103 @@ class ClusterGroup(str, Enum):
 MAX_DDX_ENTRIES = 10
 
 
-def _check_schema_version(data: Mapping[str, Any], type_name: str) -> None:
-    version = data.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"{type_name}: unsupported schema_version {version!r} (expected {SCHEMA_VERSION!r})"
+class JsonRecord:
+    """Base of every record that persists as a JSON object.
+
+    The codec follows the dataclass fields: enums encode by value, tuples
+    as lists, nested records and NamedTuples as objects, and every other
+    value passes through. A versioned type also writes ``schema_version``
+    and checks it on decode. On decode a missing key takes the field's
+    default, and a missing required key is a ValueError.
+    """
+
+    versioned = True
+
+    def to_json_dict(self) -> dict[str, Any]:
+        return _encode(self, _plan(type(self)))
+
+    @classmethod
+    def from_json_dict(cls, data: Mapping[str, Any]) -> Any:
+        return _decode(cls, _plan(cls), data)
+
+
+_Coder = Optional[Callable[[Any], Any]]
+# Per type: whether it is versioned, and one (name, encoder, decoder,
+# required) row per field. A None coder passes the value through.
+_Plan = tuple[bool, tuple[tuple[str, _Coder, _Coder, bool], ...]]
+
+
+@functools.cache
+def _plan(cls: type) -> _Plan:
+    hints = get_type_hints(cls)
+    if hasattr(cls, "_fields"):  # a NamedTuple
+        names = [(name, name not in cls._field_defaults) for name in cls._fields]
+    else:
+        names = [
+            (f.name, f.default is MISSING and f.default_factory is MISSING) for f in fields(cls)
+        ]
+    rows = tuple((name, *_coders(hints[name]), required) for name, required in names)
+    return getattr(cls, "versioned", False), rows
+
+
+def _coders(hint: Any) -> tuple[_Coder, _Coder]:
+    """The encoder and the decoder for values of one field type."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union or origin is UnionType:
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        encode, decode = _coders(inner)
+        return (
+            encode and (lambda value: None if value is None else encode(value)),
+            decode and (lambda value: None if value is None else decode(value)),
         )
+    if origin is tuple:
+        encode, decode = _coders(args[0])
+        return (
+            list if encode is None else lambda value: [encode(item) for item in value],
+            tuple if decode is None else lambda value: tuple([decode(item) for item in value]),
+        )
+    if origin is Mapping or origin is dict:
+        return dict, dict
+    if hint in (str, int, float, bool):
+        return None, None
+    if issubclass(hint, Enum):
+        return attrgetter("value"), hint
+    if issubclass(hint, JsonRecord):
+        return methodcaller("to_json_dict"), lambda value: hint.from_json_dict(value)
+    if issubclass(hint, tuple) and hasattr(hint, "_fields"):
+        return (
+            lambda value: _encode(value, _plan(hint)),
+            lambda value: _decode(hint, _plan(hint), value),
+        )
+    raise TypeError(f"no JSON codec for field type {hint!r}")
+
+
+def _encode(obj: Any, plan: _Plan) -> dict[str, Any]:
+    versioned, rows = plan
+    out: dict[str, Any] = {"schema_version": SCHEMA_VERSION} if versioned else {}
+    for name, encode, _, _ in rows:
+        value = getattr(obj, name)
+        out[name] = value if encode is None else encode(value)
+    return out
+
+
+def _decode(cls: type, plan: _Plan, data: Mapping[str, Any]) -> Any:
+    versioned, rows = plan
+    if not isinstance(data, dict):
+        raise ValueError(f"{cls.__name__}: expected a JSON object, got {type(data).__name__}")
+    if versioned and data.get("schema_version") != SCHEMA_VERSION:
+        raise ValueError(
+            f"{cls.__name__}: unsupported schema_version {data.get('schema_version')!r} "
+            f"(expected {SCHEMA_VERSION!r})"
+        )
+    values = {}
+    for name, _, decode, required in rows:
+        if name in data:
+            value = data[name]
+            values[name] = value if decode is None else decode(value)
+        elif required:
+            raise ValueError(f"{cls.__name__}: missing required key {name!r}")
+    return cls(**values)
 
 
 def parse_fact_id(raw: str) -> str:
@@ -113,7 +213,9 @@ def fact_id_index(fact_id: str) -> int:
 
 
 @dataclass(frozen=True)
-class Turn:
+class Turn(JsonRecord):
+    versioned = False
+
     index: int
     speaker: Speaker
     text: str
@@ -126,16 +228,9 @@ class Turn:
         if not self.text.strip():
             raise ValueError(f"turn {self.index} has empty text")
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {"index": self.index, "speaker": self.speaker.value, "text": self.text}
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "Turn":
-        return cls(index=data["index"], speaker=Speaker(data["speaker"]), text=data["text"])
-
 
 @dataclass(frozen=True)
-class Dialogue:
+class Dialogue(JsonRecord):
     """A speaker-tagged patient-provider conversation.
 
     Invariants: turns non-empty, indices contiguous from 0, every turn
@@ -182,26 +277,9 @@ class Dialogue:
             source_tag=source_tag,
         )
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "encounter_id": self.encounter_id,
-            "source_tag": self.source_tag.value,
-            "turns": [t.to_json_dict() for t in self.turns],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "Dialogue":
-        _check_schema_version(data, "Dialogue")
-        return cls(
-            encounter_id=data["encounter_id"],
-            turns=tuple(Turn.from_json_dict(t) for t in data["turns"]),
-            source_tag=SourceTag(data["source_tag"]),
-        )
-
 
 @dataclass(frozen=True)
-class Summary:
+class Summary(JsonRecord):
     """A subjective note split into its three sections.
 
     At least one section must be non-empty; empty sections are legal and
@@ -237,26 +315,9 @@ class Summary:
                 parts.append(f"{SECTION_TITLES[name]}:\n{body}")
         return "\n\n".join(parts)
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "encounter_id": self.encounter_id,
-            "generator_tag": self.generator_tag,
-            "sections": {name: self.sections[name] for name in SUMMARY_SECTIONS},
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "Summary":
-        _check_schema_version(data, "Summary")
-        return cls(
-            encounter_id=data["encounter_id"],
-            sections=dict(data["sections"]),
-            generator_tag=data.get("generator_tag", ""),
-        )
-
 
 @dataclass(frozen=True)
-class Fact:
+class Fact(JsonRecord):
     """An atomic statement extracted from the dialogue.
 
     ``importance`` stays unset until the categorization stage has run;
@@ -285,26 +346,6 @@ class Fact:
             importance=importance,
         )
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "fact_id": self.fact_id,
-            "text": self.text,
-            "content_category": self.content_category.value,
-            "importance": self.importance.value if self.importance else None,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "Fact":
-        _check_schema_version(data, "Fact")
-        importance = data.get("importance")
-        return cls(
-            fact_id=data["fact_id"],
-            text=data["text"],
-            content_category=ContentCategory(data["content_category"]),
-            importance=Importance(importance) if importance else None,
-        )
-
 
 def check_fact_id_contiguity(facts: Sequence[Fact]) -> list[str]:
     """Return violations of the F0..F(n-1) identifier discipline."""
@@ -327,7 +368,9 @@ def check_fact_id_contiguity(facts: Sequence[Fact]) -> list[str]:
 
 
 @dataclass(frozen=True)
-class Diagnosis:
+class Diagnosis(JsonRecord):
+    versioned = False
+
     rank: int
     name: str
     likelihood: Likelihood
@@ -341,26 +384,9 @@ class Diagnosis:
         if not isinstance(self.likelihood, Likelihood):
             object.__setattr__(self, "likelihood", Likelihood(self.likelihood))
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "rank": self.rank,
-            "name": self.name,
-            "likelihood": self.likelihood.value,
-            "explanation": self.explanation,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "Diagnosis":
-        return cls(
-            rank=data["rank"],
-            name=data["name"],
-            likelihood=Likelihood(data["likelihood"]),
-            explanation=data.get("explanation", ""),
-        )
-
 
 @dataclass(frozen=True)
-class DifferentialDiagnosis:
+class DifferentialDiagnosis(JsonRecord):
     """Ranked candidate conditions, at most 10, rank 1 first."""
 
     encounter_id: str
@@ -400,32 +426,17 @@ class DifferentialDiagnosis:
             for d in self.entries
         )
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "encounter_id": self.encounter_id,
-            "source": self.source.value,
-            "entries": [d.to_json_dict() for d in self.entries],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "DifferentialDiagnosis":
-        _check_schema_version(data, "DifferentialDiagnosis")
-        return cls(
-            encounter_id=data["encounter_id"],
-            source=DdxSource(data["source"]),
-            entries=tuple(Diagnosis.from_json_dict(d) for d in data["entries"]),
-        )
-
 
 @dataclass(frozen=True)
-class SubCluster:
+class SubCluster(JsonRecord):
     """Facts that point at the same pathophysiological mechanism.
 
     Duplicate members are representable here so that
     validate_encounter_bundle can report them; the stage parsers reject
     them before an object ever reaches a report.
     """
+
+    versioned = False
 
     group: ClusterGroup
     mechanism_label: str
@@ -446,24 +457,9 @@ class SubCluster:
     def size(self) -> int:
         return len(self.fact_ids)
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "group": self.group.value,
-            "mechanism_label": self.mechanism_label,
-            "fact_ids": list(self.fact_ids),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "SubCluster":
-        return cls(
-            group=ClusterGroup(data["group"]),
-            mechanism_label=data["mechanism_label"],
-            fact_ids=tuple(data["fact_ids"]),
-        )
-
 
 @dataclass(frozen=True)
-class EvidenceClustering:
+class EvidenceClustering(JsonRecord):
     """All subclusters of one polarity for one diagnosis."""
 
     diagnosis_name: str
@@ -477,26 +473,9 @@ class EvidenceClustering:
             object.__setattr__(self, "polarity", Polarity(self.polarity))
         object.__setattr__(self, "subclusters", tuple(self.subclusters))
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "diagnosis_name": self.diagnosis_name,
-            "polarity": self.polarity.value,
-            "subclusters": [s.to_json_dict() for s in self.subclusters],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "EvidenceClustering":
-        _check_schema_version(data, "EvidenceClustering")
-        return cls(
-            diagnosis_name=data["diagnosis_name"],
-            polarity=Polarity(data["polarity"]),
-            subclusters=tuple(SubCluster.from_json_dict(s) for s in data["subclusters"]),
-        )
-
 
 @dataclass(frozen=True)
-class Omission:
+class Omission(JsonRecord):
     """A fact wholly or partially missing from the summary."""
 
     fact_id: str
@@ -506,18 +485,6 @@ class Omission:
         object.__setattr__(self, "fact_id", parse_fact_id(self.fact_id))
         if not self.explanation.strip():
             raise ValueError(f"omission {self.fact_id}: empty explanation")
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "fact_id": self.fact_id,
-            "explanation": self.explanation,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "Omission":
-        _check_schema_version(data, "Omission")
-        return cls(fact_id=data["fact_id"], explanation=data["explanation"])
 
 
 IMPORTANCE_WEIGHTS = {
@@ -530,7 +497,7 @@ _VALID_IMPORTANCE_WEIGHTS = frozenset(IMPORTANCE_WEIGHTS.values())
 
 
 @dataclass(frozen=True)
-class FactScore:
+class FactScore(JsonRecord):
     """Per-fact penalty: max of the importance weight and every 1/|S|."""
 
     fact_id: str
@@ -558,28 +525,9 @@ class FactScore:
         if not 0.0 < self.combined <= 1.0:
             raise ValueError(f"fact {self.fact_id}: combined score {self.combined} outside (0, 1]")
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "fact_id": self.fact_id,
-            "importance_weight": self.importance_weight,
-            "uniqueness_weights": list(self.uniqueness_weights),
-            "combined": self.combined,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "FactScore":
-        _check_schema_version(data, "FactScore")
-        return cls(
-            fact_id=data["fact_id"],
-            importance_weight=data["importance_weight"],
-            uniqueness_weights=tuple(data["uniqueness_weights"]),
-            combined=data["combined"],
-        )
-
 
 @dataclass(frozen=True)
-class CompletionMargin:
+class CompletionMargin(JsonRecord):
     """Top-vs-alternative completion score gaps, chat vs summary.
 
     ``ratio`` is None (undefined) when the summary-side gap is smaller
@@ -614,29 +562,6 @@ class CompletionMargin:
                     f"margin ratio {self.ratio} does not equal (l_c0-l_c1)/(l_s0-l_s1) = {expected}"
                 )
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "l_c0": self.l_c0,
-            "l_c1": self.l_c1,
-            "l_s0": self.l_s0,
-            "l_s1": self.l_s1,
-            "ratio": self.ratio,
-            "epsilon": self.epsilon,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "CompletionMargin":
-        _check_schema_version(data, "CompletionMargin")
-        return cls(
-            l_c0=data["l_c0"],
-            l_c1=data["l_c1"],
-            l_s0=data["l_s0"],
-            l_s1=data["l_s1"],
-            ratio=data["ratio"],
-            epsilon=data.get("epsilon", MARGIN_EPSILON),
-        )
-
 
 def _exact_sum(values: Sequence[float]) -> float:
     # fsum is exactly rounded, so the total is independent of ordering.
@@ -645,12 +570,17 @@ def _exact_sum(values: Sequence[float]) -> float:
     return math.fsum(values)
 
 
+class ScoredOmission(NamedTuple):
+    omission: Omission
+    score: FactScore
+
+
 @dataclass(frozen=True)
-class OmissionReport:
+class OmissionReport(JsonRecord):
     """Everything the metric says about one encounter's summary."""
 
     encounter_id: str
-    omissions: tuple[tuple[Omission, FactScore], ...]
+    omissions: tuple[ScoredOmission, ...]
     omission_count: int
     cumulative_weight: float
     margin: Optional[CompletionMargin] = None
@@ -658,7 +588,9 @@ class OmissionReport:
     def __post_init__(self) -> None:
         if not self.encounter_id:
             raise ValueError("encounter_id must be non-empty")
-        object.__setattr__(self, "omissions", tuple(tuple(pair) for pair in self.omissions))
+        object.__setattr__(
+            self, "omissions", tuple(ScoredOmission(*pair) for pair in self.omissions)
+        )
         for omission, score in self.omissions:
             if omission.fact_id != score.fact_id:
                 raise ValueError(
@@ -681,37 +613,6 @@ class OmissionReport:
                 f"report {self.encounter_id}: cumulative_weight must be 0 exactly when "
                 "there are no omissions"
             )
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "encounter_id": self.encounter_id,
-            "omissions": [
-                {"omission": o.to_json_dict(), "score": s.to_json_dict()}
-                for o, s in self.omissions
-            ],
-            "omission_count": self.omission_count,
-            "cumulative_weight": self.cumulative_weight,
-            "margin": self.margin.to_json_dict() if self.margin else None,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "OmissionReport":
-        _check_schema_version(data, "OmissionReport")
-        margin = data.get("margin")
-        return cls(
-            encounter_id=data["encounter_id"],
-            omissions=tuple(
-                (
-                    Omission.from_json_dict(entry["omission"]),
-                    FactScore.from_json_dict(entry["score"]),
-                )
-                for entry in data["omissions"]
-            ),
-            omission_count=data["omission_count"],
-            cumulative_weight=data["cumulative_weight"],
-            margin=CompletionMargin.from_json_dict(margin) if margin else None,
-        )
 
 
 def validate_encounter_bundle(

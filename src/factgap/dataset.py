@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
 
-from .datamodel import SCHEMA_VERSION, Dialogue, SourceTag, Speaker, Turn
+from .datamodel import SCHEMA_VERSION, Dialogue, JsonRecord, SourceTag, Speaker, Turn
 from .jsonutil import read_json, write_json
 
 _SPEAKER_BY_TAG = {
@@ -27,8 +27,10 @@ _SPEAKER_BY_TAG = {
 
 
 @dataclass(frozen=True)
-class Provenance:
+class Provenance(JsonRecord):
     """Where a derived dialogue came from."""
+
+    versioned = False
 
     original_encounter_id: str
     cut_turn_index: int
@@ -39,22 +41,11 @@ class Provenance:
         if self.cut_turn_index < 0:
             raise ValueError("cut_turn_index must be non-negative")
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "original_encounter_id": self.original_encounter_id,
-            "cut_turn_index": self.cut_turn_index,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "Provenance":
-        return cls(
-            original_encounter_id=data["original_encounter_id"],
-            cut_turn_index=data["cut_turn_index"],
-        )
-
 
 @dataclass(frozen=True)
-class Encounter:
+class Encounter(JsonRecord):
+    versioned = False
+
     dialogue: Dialogue
     reference_note: Optional[str] = None
     provenance: Optional[Provenance] = None
@@ -64,25 +55,11 @@ class Encounter:
         return self.dialogue.encounter_id
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "encounter_id": self.encounter_id,
-            "dialogue": self.dialogue.to_json_dict(),
-            "reference_note": self.reference_note,
-            "provenance": self.provenance.to_json_dict() if self.provenance else None,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "Encounter":
-        provenance = data.get("provenance")
-        return cls(
-            dialogue=Dialogue.from_json_dict(data["dialogue"]),
-            reference_note=data.get("reference_note"),
-            provenance=Provenance.from_json_dict(provenance) if provenance else None,
-        )
+        return {"encounter_id": self.encounter_id, **super().to_json_dict()}
 
 
 @dataclass(frozen=True)
-class Corpus:
+class Corpus(JsonRecord):
     name: str
     encounters: tuple[Encounter, ...]
 
@@ -119,23 +96,6 @@ class Corpus:
         return Corpus(
             name=self.name,
             encounters=tuple(e for e in self.encounters if e.encounter_id in selected),
-        )
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "name": self.name,
-            "encounters": [e.to_json_dict() for e in self.encounters],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "Corpus":
-        version = data.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise ValueError(f"corpus: unsupported schema_version {version!r}")
-        return cls(
-            name=data["name"],
-            encounters=tuple(Encounter.from_json_dict(e) for e in data["encounters"]),
         )
 
 

@@ -8,8 +8,10 @@ append-only JSONL and safe to share between worker threads. Concurrent
 requests with the same fingerprint share one backend call.
 
 Transport failures retry with exponential backoff, waiting at least as
-long as a server's numeric ``Retry-After`` asks; contract failures
-(truncated output, missing logprobs, malformed payloads) never retry.
+long as a server's numeric ``Retry-After`` asks; a call whose server asks
+for more than ``MAX_RETRY_AFTER_S`` fails at once instead. Contract
+failures (truncated output, missing logprobs, malformed payloads) never
+retry.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ if TYPE_CHECKING:
     import http.client
 
 log = logging.getLogger(__name__)
+
+# The longest ``Retry-After`` wait, in seconds, a retry honours.
+MAX_RETRY_AFTER_S = 120.0
 
 
 class GatewayError(Exception):
@@ -195,16 +200,6 @@ class ScoredContinuation:
         if self.score != expected:
             raise ValueError(f"score {self.score} != {self.aggregation.value} of token logprobs")
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "model_id": self.model_id,
-            "prefix": self.prefix,
-            "continuation": self.continuation,
-            "token_logprobs": list(self.token_logprobs),
-            "aggregation": self.aggregation.value,
-            "score": self.score,
-        }
-
 
 def aggregate_logprobs(logprobs: Sequence[float], aggregation: Aggregation) -> float:
     if not logprobs:
@@ -329,32 +324,6 @@ class ScriptedBackend:
         if isinstance(item, dict):
             item = item["logprobs"]
         return tuple(float(x) for x in item)
-
-
-class MockFileBackend:
-    """Serves responses from a cassette-format file, keyed by
-    fingerprint. Lets the CLI run fully offline."""
-
-    def __init__(self, path: Path | str):
-        self._cassette = Cassette(path)
-        self.path = Path(path)
-
-    def _lookup(self, fingerprint: str) -> dict[str, Any]:
-        record = self._cassette.get(fingerprint)
-        if record is None:
-            raise CassetteMiss(fingerprint)
-        return record
-
-    def complete(self, request: GenerationRequest) -> str:
-        return self._lookup(request.fingerprint)["response"]["text"]
-
-    def score(self, request: ScoreRequest) -> tuple[float, ...]:
-        logprobs = self._lookup(request.fingerprint)["response"].get("logprobs")
-        if logprobs is None:
-            raise LogprobsUnsupported(
-                f"record {request.fingerprint} in {self.path} has no logprobs"
-            )
-        return tuple(float(x) for x in logprobs)
 
 
 def _retry_after_seconds(value: Optional[str]) -> Optional[float]:
@@ -586,6 +555,11 @@ class LlmGateway:
                     return fn()
             except TransportError as exc:
                 last = exc
+                if (exc.retry_after or 0.0) > MAX_RETRY_AFTER_S:
+                    raise TransportError(
+                        f"{label}: the server asked to retry after {exc.retry_after:g}s, "
+                        f"longer than the {MAX_RETRY_AFTER_S:g}s limit ({exc})"
+                    ) from exc
                 if attempt + 1 < self.retry.attempts:
                     delay = max(self.retry.delay(attempt), exc.retry_after or 0.0)
                     log.warning(

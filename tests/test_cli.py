@@ -1,10 +1,21 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
 from factgap.cli import main
-from factgap.jsonutil import write_json
+from factgap.datamodel import (
+    Dialogue,
+    DifferentialDiagnosis,
+    EvidenceClustering,
+    Fact,
+    Omission,
+    OmissionReport,
+    Summary,
+)
+from factgap.dataset import Corpus
+from factgap.jsonutil import pretty_dumps, read_json, write_json
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPLAY_CONFIG = FIXTURES / "replay_config.json"
@@ -233,3 +244,55 @@ def test_report_on_missing_run(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "error:" in captured.err
+
+
+def _reencoded(cls, data):
+    return cls.from_json_dict(data).to_json_dict()
+
+
+def _reencoded_list(key, cls):
+    return lambda data: {**data, key: [_reencoded(cls, item) for item in data[key]]}
+
+
+# Artifact name -> re-encoding of its JSON through the record codec.
+ARTIFACT_CODECS = {
+    "dialogue.json": lambda data: _reencoded(Dialogue, data),
+    "truncated.json": lambda data: _reencoded(Dialogue, data),
+    "summary.json": lambda data: _reencoded(Summary, data),
+    "ddx_chat.json": lambda data: _reencoded(DifferentialDiagnosis, data),
+    "ddx_summary.json": lambda data: _reencoded(DifferentialDiagnosis, data),
+    "report.json": lambda data: _reencoded(OmissionReport, data),
+    "facts.json": _reencoded_list("facts", Fact),
+    "omissions.json": _reencoded_list("omissions", Omission),
+    "clusters_supporting.json": _reencoded_list("clusters", EvidenceClustering),
+    "clusters_refuting.json": _reencoded_list("clusters", EvidenceClustering),
+}
+
+
+def test_every_artifact_round_trips_through_the_codec(finished_run):
+    checked = 0
+    for path in sorted((finished_run / "encounters").glob("*/*.json")):
+        if path.name in ("stages.json", "validation.json"):
+            continue
+        reencode = ARTIFACT_CODECS[path.name]
+        assert pretty_dumps(reencode(read_json(path))) == path.read_text(encoding="utf-8"), path
+        checked += 1
+    assert checked == 3 * len(ARTIFACT_CODECS)
+    for corpus in (CORPUS, TRUNCATION_CORPUS):
+        reencoded = _reencoded(Corpus, read_json(corpus))
+        assert pretty_dumps(reencoded) == corpus.read_text(encoding="utf-8")
+
+
+def test_report_on_a_report_missing_a_key_is_an_error_not_a_traceback(
+    finished_run, tmp_path, capsys
+):
+    run = tmp_path / "run"
+    shutil.copytree(finished_run, run)
+    report_path = run / "encounters" / "enc-edward" / "report.json"
+    report = read_json(report_path)
+    del report["omission_count"]
+    write_json(report_path, report)
+    code = main(["report", "--run", str(run)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: OmissionReport: missing required key 'omission_count'\n"

@@ -16,7 +16,6 @@ from factgap.gateway import (
     GatewayMode,
     GenerationRequest,
     HttpBackend,
-    MockFileBackend,
 )
 
 from loopback_server import Reply, open_after_concurrent_calls
@@ -139,8 +138,8 @@ def test_build_backend_mock_and_http(tmp_path, monkeypatch, loopback):
     cassette = tmp_path / "responses.jsonl"
     cassette.write_text("")
     config = load_config(write_config(tmp_path, minimal_config_dict()))
-    backend = build_backend(config)
-    assert isinstance(backend, MockFileBackend)
+    with pytest.raises(ValueError, match="replay"):
+        build_backend(config)
 
     data = minimal_config_dict()
     data["backend"] = {

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from factgap.datamodel import (
+    MARGIN_EPSILON,
     ClusterGroup,
     CompletionMargin,
     ContentCategory,
@@ -14,10 +15,13 @@ from factgap.datamodel import (
     Fact,
     FactScore,
     Importance,
+    JsonRecord,
     Likelihood,
     Omission,
     OmissionReport,
     Polarity,
+    ScoredOmission,
+    SourceTag,
     Speaker,
     SubCluster,
     Summary,
@@ -27,6 +31,7 @@ from factgap.datamodel import (
     parse_fact_id,
     validate_encounter_bundle,
 )
+from factgap.dataset import Corpus, Encounter, Provenance
 
 
 def make_dialogue(n_turns=4, encounter_id="enc-1"):
@@ -302,3 +307,168 @@ def test_bundle_warnings():
     warnings = bundle_warnings(clusters)
     assert any('mechanism label "NONE"' in w for w in warnings)
     assert any("both supports and refutes" in w for w in warnings)
+
+
+def sample_records():
+    """One instance of every record type, with no field at its default."""
+    dialogue = make_dialogue(3).prefix(1)
+    diagnosis = Diagnosis(
+        rank=1, name="migraine", likelihood=Likelihood.PROBABLE, explanation="aura"
+    )
+    subcluster = SubCluster(
+        group=ClusterGroup.SYMPTOMS, mechanism_label="vascular", fact_ids=("F0",)
+    )
+    omission = Omission(fact_id="F0", explanation="missing entirely")
+    score = FactScore(fact_id="F0", importance_weight=1.0, uniqueness_weights=(1.0,), combined=1.0)
+    margin = CompletionMargin(
+        l_c0=-1.0, l_c1=-3.0, l_s0=-2.0, l_s1=-3.0, ratio=2.0, epsilon=1e-6
+    )
+    provenance = Provenance(original_encounter_id="enc-0", cut_turn_index=1)
+    encounter = Encounter(dialogue=dialogue, reference_note="note", provenance=provenance)
+    return {
+        Turn: dialogue.turns[0],
+        Dialogue: dialogue,
+        Summary: Summary(
+            encounter_id="enc-1", sections={"chief_complaint": "a"}, generator_tag="m1"
+        ),
+        Fact: Fact(
+            fact_id="F0", text="x", content_category="medical", importance=Importance.CRITICAL
+        ),
+        Diagnosis: diagnosis,
+        DifferentialDiagnosis: DifferentialDiagnosis(
+            encounter_id="enc-1", source=DdxSource.FROM_CHAT, entries=(diagnosis,)
+        ),
+        SubCluster: subcluster,
+        EvidenceClustering: EvidenceClustering(
+            diagnosis_name="migraine", polarity=Polarity.SUPPORTING, subclusters=(subcluster,)
+        ),
+        Omission: omission,
+        FactScore: score,
+        CompletionMargin: margin,
+        OmissionReport: OmissionReport(
+            encounter_id="enc-1",
+            omissions=((omission, score),),
+            omission_count=1,
+            cumulative_weight=1.0,
+            margin=margin,
+        ),
+        Provenance: provenance,
+        Encounter: encounter,
+        Corpus: Corpus(name="c", encounters=(encounter,)),
+    }
+
+
+RECORD_KEYS = {
+    Turn: {"index", "speaker", "text"},
+    Dialogue: {"schema_version", "encounter_id", "source_tag", "turns"},
+    Summary: {"schema_version", "encounter_id", "generator_tag", "sections"},
+    Fact: {"schema_version", "fact_id", "text", "content_category", "importance"},
+    Diagnosis: {"rank", "name", "likelihood", "explanation"},
+    DifferentialDiagnosis: {"schema_version", "encounter_id", "source", "entries"},
+    SubCluster: {"group", "mechanism_label", "fact_ids"},
+    EvidenceClustering: {"schema_version", "diagnosis_name", "polarity", "subclusters"},
+    Omission: {"schema_version", "fact_id", "explanation"},
+    FactScore: {"schema_version", "fact_id", "importance_weight", "uniqueness_weights", "combined"},
+    CompletionMargin: {"schema_version", "l_c0", "l_c1", "l_s0", "l_s1", "ratio", "epsilon"},
+    OmissionReport: {
+        "schema_version",
+        "encounter_id",
+        "omissions",
+        "omission_count",
+        "cumulative_weight",
+        "margin",
+    },
+    Provenance: {"original_encounter_id", "cut_turn_index"},
+    Encounter: {"encounter_id", "dialogue", "reference_note", "provenance"},
+    Corpus: {"schema_version", "name", "encounters"},
+}
+
+# (type, key, default): keys that may be absent on decode.
+OPTIONAL_KEYS = [
+    (Dialogue, "source_tag", SourceTag.ORIGINAL),
+    (Summary, "generator_tag", ""),
+    (Diagnosis, "explanation", ""),
+    (CompletionMargin, "epsilon", MARGIN_EPSILON),
+    (Fact, "importance", None),
+    (OmissionReport, "margin", None),
+    (Encounter, "reference_note", None),
+    (Encounter, "provenance", None),
+]
+
+
+def test_every_record_type_has_pinned_json_keys():
+    assert set(JsonRecord.__subclasses__()) == set(RECORD_KEYS)
+    for cls, record in sample_records().items():
+        data = record.to_json_dict()
+        assert set(data) == RECORD_KEYS[cls], cls.__name__
+        assert cls.versioned == ("schema_version" in data), cls.__name__
+        if cls.versioned:
+            assert data["schema_version"] == "1"
+        assert cls.from_json_dict(json.loads(json.dumps(data))) == record, cls.__name__
+
+
+def test_codec_encodes_enums_tuples_and_nested_records_as_json():
+    records = sample_records()
+    assert records[Turn].to_json_dict() == {"index": 0, "speaker": "doctor", "text": "line 0"}
+    report = records[OmissionReport].to_json_dict()
+    assert report["omissions"] == [
+        {
+            "omission": records[Omission].to_json_dict(),
+            "score": records[FactScore].to_json_dict(),
+        }
+    ]
+    assert report["margin"]["ratio"] == 2.0
+    assert records[FactScore].to_json_dict()["uniqueness_weights"] == [1.0]
+    assert records[Encounter].to_json_dict()["encounter_id"] == "enc-1"
+    assert records[Encounter].to_json_dict()["provenance"] == {
+        "original_encounter_id": "enc-0",
+        "cut_turn_index": 1,
+    }
+    decoded = OmissionReport.from_json_dict(report)
+    ((omission, score),) = decoded.omissions
+    assert decoded.omissions[0] == ScoredOmission(omission=omission, score=score)
+    assert (omission, score) == (records[Omission], records[FactScore])
+    empty = Fact(fact_id="F1", text="y", content_category=ContentCategory.NON_MEDICAL)
+    assert empty.to_json_dict()["importance"] is None
+    assert Fact.from_json_dict(empty.to_json_dict()) == empty
+
+
+@pytest.mark.parametrize(("cls", "key", "default"), OPTIONAL_KEYS)
+def test_absent_optional_key_decodes_to_its_default(cls, key, default):
+    record = sample_records()[cls]
+    data = record.to_json_dict()
+    assert getattr(record, key) != default
+    del data[key]
+    assert getattr(cls.from_json_dict(data), key) == default
+
+
+def test_absent_required_key_is_a_value_error_naming_type_and_key():
+    optional = {(cls, key) for cls, key, _ in OPTIONAL_KEYS}
+    for cls, record in sample_records().items():
+        for key in RECORD_KEYS[cls] - {"schema_version"}:
+            if (cls, key) in optional or (cls, key) == (Encounter, "encounter_id"):
+                continue
+            data = record.to_json_dict()
+            del data[key]
+            with pytest.raises(ValueError, match=f"{cls.__name__}: missing required key '{key}'"):
+                cls.from_json_dict(data)
+
+
+def test_versioned_records_check_schema_version():
+    for cls, record in sample_records().items():
+        if not cls.versioned:
+            continue
+        data = record.to_json_dict()
+        data["schema_version"] = "99"
+        with pytest.raises(ValueError, match=f"{cls.__name__}: unsupported schema_version '99'"):
+            cls.from_json_dict(data)
+        del data["schema_version"]
+        with pytest.raises(ValueError, match="unsupported schema_version None"):
+            cls.from_json_dict(data)
+
+
+def test_decode_refuses_a_non_object():
+    with pytest.raises(ValueError, match="Turn: expected a JSON object, got list"):
+        Dialogue.from_json_dict(
+            {"schema_version": "1", "encounter_id": "e", "source_tag": "original", "turns": [[]]}
+        )

@@ -22,7 +22,7 @@ from factgap.gateway import (
     HttpBackend,
     LlmGateway,
     LogprobsUnsupported,
-    MockFileBackend,
+    MAX_RETRY_AFTER_S,
     ResponseTruncated,
     RetryPolicy,
     ScoredContinuation,
@@ -373,29 +373,6 @@ def test_contract_errors_never_retry(tmp_path):
     assert backend.calls == 1
 
 
-def test_mock_file_backend(tmp_path):
-    path = tmp_path / "mock.jsonl"
-    gen = make_request()
-    score = ScoreRequest(model_id="m1", prefix="p", continuation="c")
-    cassette = Cassette(path)
-    cassette.append(
-        {"fingerprint": gen.fingerprint, "kind": "generate", "response": {"text": "hi"}}
-    )
-    cassette.append(
-        {"fingerprint": score.fingerprint, "kind": "score", "response": {"logprobs": [-1.5]}}
-    )
-    backend = MockFileBackend(path)
-    assert backend.complete(gen) == "hi"
-    assert backend.score(score) == (-1.5,)
-    with pytest.raises(CassetteMiss):
-        backend.complete(make_request(content="unseen"))
-    cassette.append(
-        {"fingerprint": score.fingerprint, "kind": "score", "response": {}}
-    )
-    with pytest.raises(LogprobsUnsupported):
-        MockFileBackend(path).score(score)
-
-
 def test_score_continuation_records_and_replays(tmp_path):
     path = tmp_path / "c.jsonl"
     backend = ScriptedBackend(score_responses=[[-1.0, -3.0]])
@@ -563,6 +540,26 @@ def test_retry_after_extends_the_backoff(loopback, http_backend):
         with pytest.raises(TransportError) as caught:
             backend.complete(make_request())
         assert caught.value.retry_after == expected
+
+
+def test_retry_after_beyond_the_cap_fails_at_once(loopback, http_backend):
+    wait = int(MAX_RETRY_AFTER_S) + 1
+    loopback.script(Reply(status=429, headers={"Retry-After": str(wait)}))
+    delays = []
+    gateway = LlmGateway(backend=http_backend(), mode="live", sleeper=delays.append)
+    with pytest.raises(TransportError, match=f"retry after {wait}s") as caught:
+        gateway.generate(make_request())
+    assert caught.value.retry_after is None
+    assert delays == []
+    assert len(loopback.requests) == 1
+
+    # A wait at the cap is still honoured.
+    loopback.script(
+        Reply(status=503, headers={"Retry-After": str(int(MAX_RETRY_AFTER_S))}),
+        Reply(payload=chat_payload("out")),
+    )
+    assert gateway.generate(make_request("b")) == "out"
+    assert delays == [MAX_RETRY_AFTER_S]
 
 
 def test_live_gateway_runs_without_requests(loopback, tmp_path):
