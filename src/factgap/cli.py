@@ -84,6 +84,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _marker_fields(path: Path, *keys: str) -> list[str]:
+    """The string fields ``keys`` of an outcome marker file."""
+    data = read_json(path)
+    values = [data.get(key) if isinstance(data, dict) else None for key in keys]
+    if not all(isinstance(value, str) for value in values):
+        raise ValueError(f"{path}: an outcome marker needs string fields {list(keys)}")
+    return values
+
+
 def _load_run(run_dir: Path) -> list[dict[str, Any]]:
     """One entry per encounter directory, with its outcome marker."""
     encounters_dir = run_dir / ENCOUNTERS_SUBDIR
@@ -100,12 +109,10 @@ def _load_run(run_dir: Path) -> list[dict[str, Any]]:
             entry["report"] = OmissionReport.from_json_dict(read_json(report_path))
         elif skip_path.exists():
             entry["status"] = "skipped"
-            entry["reason"] = read_json(skip_path)["reason"]
+            (entry["reason"],) = _marker_fields(skip_path, "reason")
         elif failure_path.exists():
-            failure = read_json(failure_path)
             entry["status"] = "failed"
-            entry["reason"] = failure["message"]
-            entry["stage"] = failure["stage"]
+            entry["reason"], entry["stage"] = _marker_fields(failure_path, "message", "stage")
         else:
             entry["status"] = "failed"
             entry["reason"] = "no outcome marker in the encounter directory"

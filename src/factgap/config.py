@@ -1,20 +1,21 @@
 """Run configuration loaded from JSON or YAML.
 
-Keys are validated strictly: anything unrecognized is an error, so a
-typo cannot silently fall back to a default. Relative paths inside the
-file resolve against the file's own directory. Credentials never appear
-in the file; the http backend names an environment variable instead.
+The config types decode through the strict :class:`JsonRecord` codec:
+an unrecognized key is an error, so a typo cannot silently fall back to
+a default. Relative paths inside the file resolve against the file's own
+directory. Credentials never appear in the file; the http backend names
+an environment variable instead.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import Any, Optional
 
-from .datamodel import MARGIN_EPSILON
+from .datamodel import MARGIN_EPSILON, JsonRecord
 from .gateway import (
     Aggregation,
     GatewayMode,
@@ -27,14 +28,10 @@ from .scoring import PolarityMode
 BACKEND_KINDS = ("mock", "http")
 
 
-def _require_keys(data: Mapping[str, Any], allowed: set[str], where: str) -> None:
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(f"{where}: unknown keys {sorted(unknown)} (allowed: {sorted(allowed)})")
-
-
 @dataclass(frozen=True)
-class ModelsConfig:
+class ModelsConfig(JsonRecord):
+    versioned = False
+
     summary: str
     metric: str
     margin: Optional[str] = None
@@ -47,18 +44,11 @@ class ModelsConfig:
         if self.margin is not None and not self.margin:
             raise ValueError("models.margin must be non-empty when present")
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ModelsConfig":
-        _require_keys(data, {"summary", "metric", "margin"}, "models")
-        if "summary" not in data or "metric" not in data:
-            raise ValueError("models requires both summary and metric")
-        return cls(
-            summary=data["summary"], metric=data["metric"], margin=data.get("margin")
-        )
-
 
 @dataclass(frozen=True)
-class BackendConfig:
+class BackendConfig(JsonRecord):
+    versioned = False
+
     kind: str
     path: Optional[Path] = None
     base_url: str = ""
@@ -66,6 +56,7 @@ class BackendConfig:
     timeout: float = 120.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "timeout", float(self.timeout))  # YAML reads 1e2 as a str
         if self.kind not in BACKEND_KINDS:
             raise ValueError(f"backend.kind must be one of {BACKEND_KINDS}, got {self.kind!r}")
         if self.kind == "mock" and self.path is None:
@@ -75,28 +66,18 @@ class BackendConfig:
         if self.timeout <= 0:
             raise ValueError(f"backend.timeout must be positive, got {self.timeout}")
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any], base_dir: Path) -> "BackendConfig":
-        _require_keys(
-            data, {"kind", "path", "base_url", "api_key_env", "timeout"}, "backend"
-        )
-        path = data.get("path")
-        return cls(
-            kind=data.get("kind", ""),
-            path=_resolve(base_dir, path) if path else None,
-            base_url=data.get("base_url", ""),
-            api_key_env=data.get("api_key_env", ""),
-            timeout=float(data.get("timeout", 120.0)),
-        )
-
 
 @dataclass(frozen=True)
-class ThresholdsConfig:
+class ThresholdsConfig(JsonRecord):
+    versioned = False
+
     min_truncated_turns: int = 6
     repair_budget: int = 1
     margin_epsilon: float = MARGIN_EPSILON
 
     def __post_init__(self) -> None:
+        # YAML reads an exponent without a dot, such as 1e-9, as a string.
+        object.__setattr__(self, "margin_epsilon", float(self.margin_epsilon))
         if self.min_truncated_turns < 1:
             raise ValueError("thresholds.min_truncated_turns must be at least 1")
         if self.repair_budget < 0:
@@ -104,23 +85,11 @@ class ThresholdsConfig:
         if self.margin_epsilon <= 0:
             raise ValueError("thresholds.margin_epsilon must be positive")
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ThresholdsConfig":
-        _require_keys(
-            data, {"min_truncated_turns", "repair_budget", "margin_epsilon"}, "thresholds"
-        )
-        kwargs: dict[str, Any] = {}
-        if "min_truncated_turns" in data:
-            kwargs["min_truncated_turns"] = int(data["min_truncated_turns"])
-        if "repair_budget" in data:
-            kwargs["repair_budget"] = int(data["repair_budget"])
-        if "margin_epsilon" in data:
-            kwargs["margin_epsilon"] = float(data["margin_epsilon"])
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(JsonRecord):
+    versioned = False
+
     models: ModelsConfig
     backend: BackendConfig
     cassette: Optional[Path] = None
@@ -143,21 +112,7 @@ class RunConfig:
             raise ValueError(f"mode {self.mode.value} requires a cassette path")
 
     def with_mode(self, mode: GatewayMode | str) -> "RunConfig":
-        return RunConfig(
-            models=self.models,
-            backend=self.backend,
-            cassette=self.cassette,
-            mode=GatewayMode(mode),
-            thresholds=self.thresholds,
-            uniqueness_polarity=self.uniqueness_polarity,
-            aggregation=self.aggregation,
-            max_gen_tokens=self.max_gen_tokens,
-        )
-
-
-def _resolve(base_dir: Path, raw: str) -> Path:
-    path = Path(raw)
-    return path if path.is_absolute() else (base_dir / path).resolve()
+        return replace(self, mode=mode)
 
 
 def load_config(path: Path | str) -> RunConfig:
@@ -175,35 +130,13 @@ def load_config(path: Path | str) -> RunConfig:
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config root must be a mapping")
     base_dir = path.parent.resolve()
-    _require_keys(
-        data,
-        {
-            "models",
-            "backend",
-            "cassette",
-            "mode",
-            "thresholds",
-            "uniqueness_polarity",
-            "aggregation",
-            "max_gen_tokens",
-        },
-        str(path),
-    )
-    if "models" not in data:
-        raise ValueError(f"{path}: missing required key models")
-    if "backend" not in data:
-        raise ValueError(f"{path}: missing required key backend")
-    cassette = data.get("cassette")
-    return RunConfig(
-        models=ModelsConfig.from_dict(data["models"]),
-        backend=BackendConfig.from_dict(data["backend"], base_dir),
-        cassette=_resolve(base_dir, cassette) if cassette else None,
-        mode=data.get("mode", "replay"),
-        thresholds=ThresholdsConfig.from_dict(data.get("thresholds", {})),
-        uniqueness_polarity=data.get("uniqueness_polarity", "both"),
-        aggregation=data.get("aggregation", "mean"),
-        max_gen_tokens=int(data.get("max_gen_tokens", 1024)),
-    )
+    for section, key in ((data, "cassette"), (data.get("backend"), "path")):
+        if isinstance(section, dict) and isinstance(section.get(key), str):
+            section[key] = (base_dir / section[key]).resolve() if section[key] else None
+    try:
+        return RunConfig.from_json_dict(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def build_backend(config: RunConfig, max_in_flight: int = 4) -> Any:

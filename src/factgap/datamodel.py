@@ -9,10 +9,13 @@ rather than raising.
 
 Every record type derives from :class:`JsonRecord`, one codec driven by
 the dataclass fields, and round-trips through ``to_json_dict`` and
-``from_json_dict``. A record carries ``schema_version: "1"`` unless its
-type sets ``versioned = False``. Five types do, all parts of a larger
-record that have never carried a version: ``Turn``, ``Diagnosis``,
-``SubCluster`` and, in ``dataset``, ``Provenance`` and ``Encounter``.
+``from_json_dict``. The same codec loads the run configuration (the
+types in ``config``), and every decode refuses keys its type does not
+know. A record carries ``schema_version: "1"`` unless its type sets
+``versioned = False``. Three types here do, all parts of a larger record
+that have never carried a version: ``Turn``, ``Diagnosis`` and
+``SubCluster``; so do ``Provenance`` and ``Encounter`` in ``dataset``
+and the four types in ``config``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ import functools
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
-from operator import attrgetter, methodcaller
+from operator import attrgetter, index, methodcaller
+from pathlib import Path
 from types import UnionType
 from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 from typing import get_args, get_origin, get_type_hints
@@ -99,10 +103,12 @@ class JsonRecord:
     """Base of every record that persists as a JSON object.
 
     The codec follows the dataclass fields: enums encode by value, tuples
-    as lists, nested records and NamedTuples as objects, and every other
-    value passes through. A versioned type also writes ``schema_version``
-    and checks it on decode. On decode a missing key takes the field's
-    default, and a missing required key is a ValueError.
+    as lists, paths as strings, nested records and NamedTuples as objects,
+    and every other value passes through. A versioned type also writes
+    ``schema_version`` and checks it on decode. On decode a missing key
+    takes the field's default, an integer field takes only an integer,
+    and an unknown key, a missing required key or a value of the wrong
+    type is a ValueError that names the type.
     """
 
     versioned = True
@@ -116,9 +122,10 @@ class JsonRecord:
 
 
 _Coder = Optional[Callable[[Any], Any]]
-# Per type: whether it is versioned, and one (name, encoder, decoder,
-# required) row per field. A None coder passes the value through.
-_Plan = tuple[bool, tuple[tuple[str, _Coder, _Coder, bool], ...]]
+# Per type: whether it is versioned, one (name, encoder, decoder, required)
+# row per field, and the keys a decode accepts. A None coder passes the
+# value through.
+_Plan = tuple[bool, tuple[tuple[str, _Coder, _Coder, bool], ...], frozenset[str]]
 
 
 @functools.cache
@@ -131,7 +138,9 @@ def _plan(cls: type) -> _Plan:
             (f.name, f.default is MISSING and f.default_factory is MISSING) for f in fields(cls)
         ]
     rows = tuple((name, *_coders(hints[name]), required) for name, required in names)
-    return getattr(cls, "versioned", False), rows
+    versioned = getattr(cls, "versioned", False)
+    allowed = {name for name, _ in names} | ({"schema_version"} if versioned else set())
+    return versioned, rows, frozenset(allowed)
 
 
 def _coders(hint: Any) -> tuple[_Coder, _Coder]:
@@ -152,8 +161,12 @@ def _coders(hint: Any) -> tuple[_Coder, _Coder]:
         )
     if origin is Mapping or origin is dict:
         return dict, dict
-    if hint in (str, int, float, bool):
+    if hint is int:
+        return None, index
+    if hint in (str, float, bool):
         return None, None
+    if hint is Path:
+        return str, Path
     if issubclass(hint, Enum):
         return attrgetter("value"), hint
     if issubclass(hint, JsonRecord):
@@ -167,7 +180,7 @@ def _coders(hint: Any) -> tuple[_Coder, _Coder]:
 
 
 def _encode(obj: Any, plan: _Plan) -> dict[str, Any]:
-    versioned, rows = plan
+    versioned, rows, _ = plan
     out: dict[str, Any] = {"schema_version": SCHEMA_VERSION} if versioned else {}
     for name, encode, _, _ in rows:
         value = getattr(obj, name)
@@ -176,22 +189,29 @@ def _encode(obj: Any, plan: _Plan) -> dict[str, Any]:
 
 
 def _decode(cls: type, plan: _Plan, data: Mapping[str, Any]) -> Any:
-    versioned, rows = plan
+    versioned, rows, allowed = plan
     if not isinstance(data, dict):
         raise ValueError(f"{cls.__name__}: expected a JSON object, got {type(data).__name__}")
+    if not data.keys() <= allowed:
+        raise ValueError(f"{cls.__name__}: unknown keys {sorted(data.keys() - allowed)}")
     if versioned and data.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(
             f"{cls.__name__}: unsupported schema_version {data.get('schema_version')!r} "
             f"(expected {SCHEMA_VERSION!r})"
         )
     values = {}
-    for name, _, decode, required in rows:
-        if name in data:
-            value = data[name]
-            values[name] = value if decode is None else decode(value)
-        elif required:
-            raise ValueError(f"{cls.__name__}: missing required key {name!r}")
-    return cls(**values)
+    try:
+        for name, _, decode, required in rows:
+            if name in data:
+                value = data[name]
+                values[name] = value if decode is None else decode(value)
+            elif required:
+                raise ValueError(f"{cls.__name__}: missing required key {name!r}")
+        return cls(**values)
+    except (TypeError, AttributeError) as exc:
+        # A value of the wrong JSON type: a str where a list or int
+        # belongs, or a number where a validator calls a str method.
+        raise ValueError(f"{cls.__name__}: {exc}") from exc
 
 
 def parse_fact_id(raw: str) -> str:

@@ -3,8 +3,9 @@
 Two corpus formats load through the same door: the canonical JSON layout
 this package writes, and CSV exports whose dialogue cells carry
 ``[speaker]``-prefixed lines (one turn per line) alongside a reference
-note column. Truncated corpora persist with provenance pointing back at
-the original encounter and the cut turn.
+note column. A JSON corpus decodes through the strict record codec, so a
+misspelled key is an error that names the corpus file, not a silently
+dropped field.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
 
-from .datamodel import SCHEMA_VERSION, Dialogue, JsonRecord, SourceTag, Speaker, Turn
+from .datamodel import SCHEMA_VERSION, Dialogue, JsonRecord, Speaker, Turn
 from .jsonutil import read_json, write_json
 
 _SPEAKER_BY_TAG = {
@@ -56,6 +57,17 @@ class Encounter(JsonRecord):
 
     def to_json_dict(self) -> dict[str, Any]:
         return {"encounter_id": self.encounter_id, **super().to_json_dict()}
+
+    @classmethod
+    def from_json_dict(cls, data: Mapping[str, Any]) -> "Encounter":
+        # The derived encounter_id is optional on read, and must match the dialogue's.
+        outer_id = data.get("encounter_id") if isinstance(data, dict) else None
+        if outer_id is not None:
+            data = {key: value for key, value in data.items() if key != "encounter_id"}
+        encounter = super().from_json_dict(data)
+        if outer_id not in (None, encounter.encounter_id):
+            raise ValueError(f"Encounter: encounter_id {outer_id!r} is not the dialogue's")
+        return encounter
 
 
 @dataclass(frozen=True)
@@ -167,7 +179,10 @@ def load_csv_corpus(path: Path | str, name: Optional[str] = None) -> Corpus:
 
 
 def load_json_corpus(path: Path | str) -> Corpus:
-    return Corpus.from_json_dict(read_json(path))
+    try:
+        return Corpus.from_json_dict(read_json(path))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def load_corpus(path: Path | str) -> Corpus:
@@ -185,37 +200,6 @@ def save_corpus(corpus: Corpus, path: Path | str, force: bool = False) -> None:
     if path.exists() and not force:
         raise FileExistsError(f"{path} already exists; pass force to overwrite")
     write_json(path, corpus.to_json_dict())
-
-
-def persist_truncated(
-    corpus: Corpus,
-    cuts: Mapping[str, int],
-    path: Path | str,
-    force: bool = False,
-) -> Corpus:
-    """Write a corpus of prefixes, each annotated with its origin.
-
-    Every encounter needs a cut; a missing or out-of-range cut is an
-    error rather than a silently skipped encounter.
-    """
-    missing = [e.encounter_id for e in corpus.encounters if e.encounter_id not in cuts]
-    if missing:
-        raise ValueError(f"no cut provided for encounters {missing}")
-    truncated = []
-    for encounter in corpus.encounters:
-        cut = cuts[encounter.encounter_id]
-        truncated.append(
-            Encounter(
-                dialogue=encounter.dialogue.prefix(cut, SourceTag.TRUNCATED),
-                reference_note=encounter.reference_note,
-                provenance=Provenance(
-                    original_encounter_id=encounter.encounter_id, cut_turn_index=cut
-                ),
-            )
-        )
-    result = Corpus(name=f"{corpus.name}-truncated", encounters=tuple(truncated))
-    save_corpus(result, path, force=force)
-    return result
 
 
 def _utc_now_iso() -> str:

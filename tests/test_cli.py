@@ -296,3 +296,67 @@ def test_report_on_a_report_missing_a_key_is_an_error_not_a_traceback(
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == "error: OmissionReport: missing required key 'omission_count'\n"
+
+
+def _replace_report(name, marker):
+    def damage(enc_dir):
+        (enc_dir / "report.json").unlink()
+        write_json(enc_dir / name, marker)
+
+    return damage
+
+
+def _edit_report(**changes):
+    def damage(enc_dir):
+        path = enc_dir / "report.json"
+        write_json(path, {**read_json(path), **changes})
+
+    return damage
+
+
+# id -> (damage to one encounter directory, text the error must contain)
+RUN_DAMAGES = {
+    "report_omissions_not_a_list": (_edit_report(omissions=5), "OmissionReport: "),
+    "report_unknown_key": (_edit_report(surprise=1), "unknown keys ['surprise']"),
+    "skip_without_reason": (
+        _replace_report("skip.json", {"encounter_id": "enc-edward"}),
+        "skip.json",
+    ),
+    "failure_without_stage": (
+        _replace_report("failure.json", {"encounter_id": "enc-edward", "message": "boom"}),
+        "failure.json",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", RUN_DAMAGES)
+def test_report_on_a_damaged_run_file_is_an_error_not_a_traceback(
+    case, finished_run, tmp_path, capsys
+):
+    damage, expected = RUN_DAMAGES[case]
+    run = tmp_path / "run"
+    shutil.copytree(finished_run, run)
+    damage(run / "encounters" / "enc-edward")
+    code = main(["report", "--run", str(run)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
+    assert expected in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_run_refuses_a_corpus_with_a_misspelled_key(tmp_path, capsys):
+    data = read_json(CORPUS)
+    encounter = data["encounters"][0]
+    encounter["refrence_note"] = encounter.pop("reference_note")
+    corpus = tmp_path / "corpus.json"
+    write_json(corpus, data)
+    out = tmp_path / "out"
+    code = main(
+        ["run", "--config", str(REPLAY_CONFIG), "--corpus", str(corpus), "--out", str(out)]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {corpus}: ")
+    assert "refrence_note" in captured.err
+    assert not out.exists()

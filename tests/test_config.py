@@ -65,6 +65,34 @@ def test_load_yaml_config(tmp_path):
     assert config.aggregation.value == "sum"
 
 
+def test_yaml_exponent_without_a_dot_loads_as_a_float(tmp_path):
+    # YAML 1.1 reads 1e-9 as a string; the config coerces it.
+    path = tmp_path / "config.yaml"
+    path.write_text(
+        "models:\n  summary: s\n  metric: m\n"
+        "backend:\n  kind: mock\n  path: r.jsonl\n  timeout: 1e2\n"
+        "cassette: c.jsonl\n"
+        "thresholds:\n  margin_epsilon: 1e-9\n"
+    )
+    config = load_config(path)
+    assert config.thresholds.margin_epsilon == 1e-9
+    assert isinstance(config.thresholds.margin_epsilon, float)
+    assert config.backend.timeout == 100.0
+    assert isinstance(config.backend.timeout, float)
+
+
+def test_integer_keys_take_only_integers(tmp_path):
+    data = minimal_config_dict()
+    data["max_gen_tokens"] = 1024.0
+    with pytest.raises(ValueError, match="RunConfig: 'float' object cannot be interpreted"):
+        load_config(write_config(tmp_path, data))
+
+    data = minimal_config_dict()
+    data["thresholds"] = {"repair_budget": "2"}
+    with pytest.raises(ValueError, match="ThresholdsConfig: 'str' object cannot be interpreted"):
+        load_config(write_config(tmp_path, data))
+
+
 def test_unknown_keys_rejected_everywhere(tmp_path):
     data = minimal_config_dict()
     data["surprise"] = 1

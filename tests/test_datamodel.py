@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from factgap.config import BackendConfig, ModelsConfig, RunConfig, ThresholdsConfig
 from factgap.datamodel import (
     MARGIN_EPSILON,
     ClusterGroup,
@@ -32,6 +34,8 @@ from factgap.datamodel import (
     validate_encounter_bundle,
 )
 from factgap.dataset import Corpus, Encounter, Provenance
+from factgap.gateway import Aggregation, GatewayMode
+from factgap.scoring import PolarityMode
 
 
 def make_dialogue(n_turns=4, encounter_id="enc-1"):
@@ -358,6 +362,35 @@ def sample_records():
     }
 
 
+def config_records():
+    """One instance of every run config type, with no field at its default.
+
+    Kept apart from sample_records: a config key's absence can be an
+    error or not depending on other keys (backend.kind http needs
+    base_url, record mode needs a cassette).
+    """
+    models = ModelsConfig(summary="s", metric="m", margin="g")
+    backend = BackendConfig(
+        kind="http", path=Path("/c/r.jsonl"), base_url="u", api_key_env="K", timeout=5.0
+    )
+    thresholds = ThresholdsConfig(min_truncated_turns=2, repair_budget=3, margin_epsilon=1e-6)
+    return {
+        ModelsConfig: models,
+        BackendConfig: backend,
+        ThresholdsConfig: thresholds,
+        RunConfig: RunConfig(
+            models=models,
+            backend=backend,
+            cassette=Path("/c/cassette.jsonl"),
+            mode=GatewayMode.RECORD,
+            thresholds=thresholds,
+            uniqueness_polarity=PolarityMode.SUPPORTING_ONLY,
+            aggregation=Aggregation.SUM,
+            max_gen_tokens=7,
+        ),
+    }
+
+
 RECORD_KEYS = {
     Turn: {"index", "speaker", "text"},
     Dialogue: {"schema_version", "encounter_id", "source_tag", "turns"},
@@ -381,6 +414,19 @@ RECORD_KEYS = {
     Provenance: {"original_encounter_id", "cut_turn_index"},
     Encounter: {"encounter_id", "dialogue", "reference_note", "provenance"},
     Corpus: {"schema_version", "name", "encounters"},
+    ModelsConfig: {"summary", "metric", "margin"},
+    BackendConfig: {"kind", "path", "base_url", "api_key_env", "timeout"},
+    ThresholdsConfig: {"min_truncated_turns", "repair_budget", "margin_epsilon"},
+    RunConfig: {
+        "models",
+        "backend",
+        "cassette",
+        "mode",
+        "thresholds",
+        "uniqueness_polarity",
+        "aggregation",
+        "max_gen_tokens",
+    },
 }
 
 # (type, key, default): keys that may be absent on decode.
@@ -398,7 +444,7 @@ OPTIONAL_KEYS = [
 
 def test_every_record_type_has_pinned_json_keys():
     assert set(JsonRecord.__subclasses__()) == set(RECORD_KEYS)
-    for cls, record in sample_records().items():
+    for cls, record in {**sample_records(), **config_records()}.items():
         data = record.to_json_dict()
         assert set(data) == RECORD_KEYS[cls], cls.__name__
         assert cls.versioned == ("schema_version" in data), cls.__name__
@@ -472,3 +518,33 @@ def test_decode_refuses_a_non_object():
         Dialogue.from_json_dict(
             {"schema_version": "1", "encounter_id": "e", "source_tag": "original", "turns": [[]]}
         )
+
+
+def test_decode_refuses_unknown_keys():
+    for cls, record in {**sample_records(), **config_records()}.items():
+        data = record.to_json_dict()
+        data["surprise"] = 1
+        with pytest.raises(ValueError, match=rf"^{cls.__name__}: unknown keys \['surprise'\]$"):
+            cls.from_json_dict(data)
+
+
+def test_decode_turns_a_wrong_json_type_into_a_value_error_naming_the_type():
+    records = sample_records()
+    turn = records[Turn].to_json_dict()
+    for bad in (1.0, "1", None):
+        with pytest.raises(ValueError, match="^Turn: "):
+            Turn.from_json_dict({**turn, "index": bad})
+    with pytest.raises(ValueError, match="^Turn: "):
+        Turn.from_json_dict({**turn, "text": 5})
+    report = records[OmissionReport].to_json_dict()
+    with pytest.raises(ValueError, match="^OmissionReport: "):
+        OmissionReport.from_json_dict({**report, "omissions": 5})
+
+
+def test_encounter_refuses_an_outer_id_that_differs_from_the_dialogue():
+    encounter = sample_records()[Encounter]
+    data = encounter.to_json_dict()
+    assert Encounter.from_json_dict(data) == encounter
+    data["encounter_id"] = "enc-other"
+    with pytest.raises(ValueError, match="encounter_id 'enc-other' is not the dialogue's"):
+        Encounter.from_json_dict(data)

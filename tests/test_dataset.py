@@ -1,14 +1,12 @@
 import pytest
 
-from factgap.datamodel import SourceTag, Speaker
+from factgap.datamodel import Speaker
 from factgap.dataset import (
     Corpus,
     Encounter,
-    Provenance,
     RunManifest,
     load_corpus,
     parse_tagged_dialogue,
-    persist_truncated,
     save_corpus,
 )
 
@@ -124,22 +122,6 @@ def test_load_csv_corpus_errors(tmp_path):
         load_corpus(blank_id)
     with pytest.raises(ValueError, match="unsupported corpus extension"):
         load_corpus(tmp_path / "corpus.txt")
-
-
-def test_persist_truncated(tmp_path):
-    corpus = make_corpus()
-    path = tmp_path / "truncated.json"
-    result = persist_truncated(corpus, {"e1": 0, "e2": 1}, path)
-    assert result.name == "demo-truncated"
-    e1 = result.get("e1")
-    assert len(e1.dialogue.turns) == 1
-    assert e1.dialogue.source_tag is SourceTag.TRUNCATED
-    assert e1.provenance == Provenance(original_encounter_id="e1", cut_turn_index=0)
-    assert e1.reference_note == "note one"
-    reloaded = load_corpus(path)
-    assert reloaded == result
-    with pytest.raises(ValueError, match="no cut provided"):
-        persist_truncated(corpus, {"e1": 0}, tmp_path / "other.json")
 
 
 def test_run_manifest_roundtrip(tmp_path):
