@@ -2,14 +2,18 @@
 
 Builds the fixture corpora, records every cassette by driving the real
 pipeline against scripted replies, then replays each cassette and checks
-the outcome before declaring the fixtures good. Run from the repository
+the outcome before declaring the fixtures good. Last it replays the
+fixture corpus through the command line and keeps the text of ``report``
+and ``compare --external`` as golden outputs. Run from the repository
 root:
 
     python3 scripts/build_fixtures.py
 """
 
 import argparse
+import contextlib
 import csv
+import io
 import shutil
 import sys
 import tempfile
@@ -18,6 +22,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tests"))
 
+from factgap.cli import main as factgap_main
 from factgap.config import BackendConfig, ModelsConfig, RunConfig
 from factgap.datamodel import Dialogue
 from factgap.dataset import save_corpus
@@ -159,6 +164,42 @@ def write_external_metric(fixtures: Path) -> None:
     print(f"wrote {path}")
 
 
+def factgap_stdout(*argv: str) -> str:
+    """What ``factgap argv`` prints to stdout; its stderr is dropped."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = factgap_main(list(argv))
+    if code != 0:
+        raise SystemExit(f"factgap {' '.join(argv)} exited {code}")
+    return out.getvalue()
+
+
+def write_golden_outputs(fixtures: Path) -> None:
+    """The fixture replay's ``report`` and ``compare --external`` text."""
+    golden = fixtures / "golden"
+    golden.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        run = str(Path(tmp) / "out")
+        factgap_stdout(
+            "run",
+            "--config",
+            str(fixtures / "replay_config.json"),
+            "--corpus",
+            str(fixtures / "corpus.json"),
+            "--out",
+            run,
+        )
+        outputs = {
+            "report.txt": factgap_stdout("report", "--run", run),
+            "compare_external.txt": factgap_stdout(
+                "compare", "--run", run, "--external", str(fixtures / "external_metric.csv")
+            ),
+        }
+    for name, text in outputs.items():
+        (golden / name).write_text(text, encoding="utf-8")
+        print(f"wrote {golden / name}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -187,6 +228,7 @@ def main() -> int:
     record_malformed_cassettes(fixtures, corpus)
     write_replay_config(fixtures)
     write_external_metric(fixtures)
+    write_golden_outputs(fixtures)
     print("fixtures rebuilt")
     return 0
 

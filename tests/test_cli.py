@@ -22,6 +22,7 @@ REPLAY_CONFIG = FIXTURES / "replay_config.json"
 CORPUS = FIXTURES / "corpus.json"
 TRUNCATION_CORPUS = FIXTURES / "truncation_corpus.json"
 EXTERNAL_CSV = FIXTURES / "external_metric.csv"
+GOLDEN = FIXTURES / "golden"
 
 
 def write_config(tmp_path: Path, cassette: Path) -> Path:
@@ -164,6 +165,22 @@ def test_compare_json(finished_run, capsys):
     for row in count_rows.values():
         assert -1.0 <= row["spearman_r"] <= 1.0
         assert 0.0 <= row["spearman_p"] <= 1.0
+
+
+@pytest.mark.parametrize(
+    ("argv", "golden"),
+    [
+        (["report"], "report.txt"),
+        (["compare", "--external", str(EXTERNAL_CSV)], "compare_external.txt"),
+    ],
+)
+def test_fixture_replay_output_matches_its_golden_byte_for_byte(
+    finished_run, capsys, argv, golden
+):
+    code = main([*argv, "--run", str(finished_run)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
 def test_compare_external_must_cover_run(finished_run, tmp_path, capsys):
