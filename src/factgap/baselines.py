@@ -31,6 +31,8 @@ from itertools import islice, repeat
 from pathlib import Path
 from typing import Container, Iterable, Mapping, Optional, Sequence, Union
 
+from .datamodel import JsonRecord
+
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _SENTENCE_SPLIT_RE = re.compile(r"[.!?]+")
 
@@ -669,7 +671,11 @@ def import_external_metric(path: Path | str, metric_name: Optional[str] = None) 
 
 
 @dataclass(frozen=True)
-class CorrelationRow:
+class CorrelationRow(JsonRecord):
+    """One baseline's correlation with a target metric: a ``compare --json`` row."""
+
+    versioned = False
+
     metric_name: str
     n: int
     spearman_r: float

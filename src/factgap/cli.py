@@ -11,7 +11,7 @@ import argparse
 import statistics
 import sys
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 from .baselines import (
     MetricVector,
@@ -21,8 +21,8 @@ from .baselines import (
     rouge_vectors,
 )
 from .config import build_gateway, load_config
-from .datamodel import OmissionReport, Summary
-from .dataset import load_corpus
+from .datamodel import Summary
+from .dataset import EncounterResult, count_statuses, load_corpus, read_outcome
 from .gateway import GatewayError, GatewayMode
 from .jsonutil import pretty_dumps, read_json
 from .pipeline.runner import ENCOUNTERS_SUBDIR, MANIFEST_NAME, in_flight_cap, run_corpus
@@ -50,7 +50,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         config = config.with_mode(GatewayMode(args.mode))
     corpus = load_corpus(args.corpus)
     gateway = build_gateway(config, max_in_flight=in_flight_cap(max(args.workers, 1)))
-    manifest, results = run_corpus(
+    _, results = run_corpus(
         config,
         gateway,
         corpus,
@@ -72,7 +72,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         else:
             line = f"{result.encounter_id}: failed at {result.stage} ({result.reason})"
         _emit(line)
-    counts = manifest.counts()
+    # Only the encounters this invocation ran count here; the manifest
+    # lists the whole corpus.
+    counts = count_statuses(results)
     _emit(
         f"done: {counts['ok']} ok, {counts['skipped']} skipped, {counts['failed']} failed; "
         f"manifest at {Path(args.out) / MANIFEST_NAME}"
@@ -84,40 +86,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _marker_fields(path: Path, *keys: str) -> list[str]:
-    """The string fields ``keys`` of an outcome marker file."""
-    data = read_json(path)
-    values = [data.get(key) if isinstance(data, dict) else None for key in keys]
-    if not all(isinstance(value, str) for value in values):
-        raise ValueError(f"{path}: an outcome marker needs string fields {list(keys)}")
-    return values
-
-
-def _load_run(run_dir: Path) -> list[dict[str, Any]]:
-    """One entry per encounter directory, with its outcome marker."""
+def _load_run(run_dir: Path) -> list[tuple[Path, EncounterResult]]:
+    """Each encounter directory of a run, with its outcome."""
     encounters_dir = run_dir / ENCOUNTERS_SUBDIR
     if not encounters_dir.is_dir():
         raise ValueError(f"{run_dir} has no {ENCOUNTERS_SUBDIR}/ directory; not a run?")
-    entries = []
-    for enc_dir in sorted(p for p in encounters_dir.iterdir() if p.is_dir()):
-        entry: dict[str, Any] = {"encounter_id": enc_dir.name, "dir": enc_dir}
-        report_path = enc_dir / "report.json"
-        skip_path = enc_dir / "skip.json"
-        failure_path = enc_dir / "failure.json"
-        if report_path.exists():
-            entry["status"] = "ok"
-            entry["report"] = OmissionReport.from_json_dict(read_json(report_path))
-        elif skip_path.exists():
-            entry["status"] = "skipped"
-            (entry["reason"],) = _marker_fields(skip_path, "reason")
-        elif failure_path.exists():
-            entry["status"] = "failed"
-            entry["reason"], entry["stage"] = _marker_fields(failure_path, "message", "stage")
-        else:
-            entry["status"] = "failed"
-            entry["reason"] = "no outcome marker in the encounter directory"
-            entry["stage"] = ""
-        entries.append(entry)
+    entries = [
+        (enc_dir, read_outcome(enc_dir))
+        for enc_dir in sorted(p for p in encounters_dir.iterdir() if p.is_dir())
+    ]
     if not entries:
         raise ValueError(f"{encounters_dir} is empty; nothing to report on")
     return entries
@@ -131,62 +108,47 @@ def _mean_stdev(values: Sequence[float]) -> dict[str, float]:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    entries = _load_run(Path(args.run))
-    ok = [e for e in entries if e["status"] == "ok"]
-    skipped = [e for e in entries if e["status"] == "skipped"]
-    failed = [e for e in entries if e["status"] == "failed"]
-
-    counts = [float(e["report"].omission_count) for e in ok]
-    weights = [e["report"].cumulative_weight for e in ok]
-    margins = [
-        e["report"].margin.ratio
-        for e in ok
-        if e["report"].margin is not None and e["report"].margin.ratio is not None
-    ]
-
-    aggregate: dict[str, Any] = {
-        "ok": len(ok),
-        "skipped": len(skipped),
-        "failed": len(failed),
-        "omission_count": _mean_stdev(counts) if counts else None,
-        "omission_weight": _mean_stdev(weights) if weights else None,
-        "margin_ratio": (
-            dict(_mean_stdev(margins), defined=len(margins), ok_total=len(ok))
-            if margins
-            else None
-        ),
-    }
+    results = [result for _, result in _load_run(Path(args.run))]
+    ok = [result for result in results if result.status == "ok"]
+    counts = count_statuses(results)
+    stats = {}
+    for vector in _target_vectors(ok) if ok else ():
+        stats[vector.name] = _mean_stdev(list(vector.values.values()))
+        if vector.name == "margin_ratio":
+            stats[vector.name].update(defined=len(vector.values), ok_total=len(ok))
+    aggregate = {**counts, "omission_count": None, "omission_weight": None, "margin_ratio": None}
+    aggregate.update(stats)
 
     if args.json:
         payload = {
             "encounters": [
                 {
-                    "encounter_id": e["encounter_id"],
-                    "status": e["status"],
+                    "encounter_id": result.encounter_id,
+                    "status": result.status,
                     **(
                         {
-                            "omission_count": e["report"].omission_count,
-                            "cumulative_weight": e["report"].cumulative_weight,
+                            "omission_count": result.report.omission_count,
+                            "cumulative_weight": result.report.cumulative_weight,
                             "margin_ratio": (
-                                e["report"].margin.ratio if e["report"].margin else None
+                                result.report.margin.ratio if result.report.margin else None
                             ),
                         }
-                        if e["status"] == "ok"
-                        else {"reason": e["reason"]}
+                        if result.status == "ok"
+                        else {"reason": result.reason}
                     ),
                 }
-                for e in entries
+                for result in results
             ],
             "aggregate": aggregate,
         }
         sys.stdout.write(pretty_dumps(payload))
         return EXIT_OK
 
-    for entry in entries:
-        if entry["status"] == "ok":
-            report = entry["report"]
+    for result in results:
+        if result.status == "ok":
+            report = result.report
             line = (
-                f"{entry['encounter_id']}: {report.omission_count} omitted, "
+                f"{result.encounter_id}: {report.omission_count} omitted, "
                 f"weight {_fmt(report.cumulative_weight)}"
             )
             if report.margin is not None:
@@ -195,55 +157,49 @@ def cmd_report(args: argparse.Namespace) -> int:
             _emit(line)
             for omission, score in report.omissions:
                 _emit(f"  {omission.fact_id} (Score: {_fmt(score.combined)}): {omission.explanation}")
-        elif entry["status"] == "skipped":
-            _emit(f"{entry['encounter_id']}: skipped ({entry['reason']})")
+        elif result.status == "skipped":
+            _emit(f"{result.encounter_id}: skipped ({result.reason})")
         else:
-            _emit(f"{entry['encounter_id']}: failed ({entry['reason']})")
+            _emit(f"{result.encounter_id}: failed ({result.reason})")
 
     _emit("")
-    _emit(f"encounters: {len(ok)} ok, {len(skipped)} skipped, {len(failed)} failed")
-    if counts:
-        stats = aggregate["omission_count"]
-        _emit(f"omission count:  mean {_fmt(stats['mean'])}, stdev {_fmt(stats['stdev'])}")
-        stats = aggregate["omission_weight"]
-        _emit(f"omission weight: mean {_fmt(stats['mean'])}, stdev {_fmt(stats['stdev'])}")
-    if margins:
-        stats = aggregate["margin_ratio"]
-        _emit(
-            f"margin ratio:    mean {_fmt(stats['mean'])}, stdev {_fmt(stats['stdev'])} "
-            f"({stats['defined']} of {len(ok)} defined)"
-        )
+    _emit(f"encounters: {counts['ok']} ok, {counts['skipped']} skipped, {counts['failed']} failed")
+    for name, stat in stats.items():
+        label = name.replace("_", " ") + ":"
+        line = f"{label:<16} mean {_fmt(stat['mean'])}, stdev {_fmt(stat['stdev'])}"
+        if name == "margin_ratio":
+            line += f" ({stat['defined']} of {len(ok)} defined)"
+        _emit(line)
     return EXIT_OK
 
 
-def _baseline_pairs(ok_entries: Sequence[dict[str, Any]]) -> dict[str, tuple[str, str]]:
+def _baseline_pairs(ok: Sequence[tuple[Path, EncounterResult]]) -> dict[str, tuple[str, str]]:
     """(generated summary, reference note) pairs for encounters that
     have both; encounters without a reference are excluded loudly."""
     pairs = {}
-    for entry in ok_entries:
-        summary_path = entry["dir"] / "summary.json"
-        reference_path = entry["dir"] / "reference.txt"
+    for enc_dir, result in ok:
+        reference_path = enc_dir / "reference.txt"
         if not reference_path.exists():
             _warn(
-                f"{entry['encounter_id']} has no reference note; "
+                f"{result.encounter_id} has no reference note; "
                 "excluded from baseline correlation"
             )
             continue
-        summary = Summary.from_json_dict(read_json(summary_path))
-        pairs[entry["encounter_id"]] = (
+        summary = Summary.from_json_dict(read_json(enc_dir / "summary.json"))
+        pairs[result.encounter_id] = (
             summary.text(),
             reference_path.read_text(encoding="utf-8"),
         )
     return pairs
 
 
-def _target_vectors(ok_entries: Sequence[dict[str, Any]]) -> list[MetricVector]:
-    counts = {e["encounter_id"]: float(e["report"].omission_count) for e in ok_entries}
-    weights = {e["encounter_id"]: e["report"].cumulative_weight for e in ok_entries}
+def _target_vectors(ok: Sequence[EncounterResult]) -> list[MetricVector]:
+    counts = {r.encounter_id: float(r.report.omission_count) for r in ok}
+    weights = {r.encounter_id: r.report.cumulative_weight for r in ok}
     margins = {
-        e["encounter_id"]: e["report"].margin.ratio
-        for e in ok_entries
-        if e["report"].margin is not None and e["report"].margin.ratio is not None
+        r.encounter_id: r.report.margin.ratio
+        for r in ok
+        if r.report.margin is not None and r.report.margin.ratio is not None
     }
     vectors = [
         MetricVector(name="omission_count", values=counts),
@@ -255,15 +211,14 @@ def _target_vectors(ok_entries: Sequence[dict[str, Any]]) -> list[MetricVector]:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    entries = _load_run(Path(args.run))
-    ok = [e for e in entries if e["status"] == "ok"]
+    ok = [(d, r) for d, r in _load_run(Path(args.run)) if r.status == "ok"]
     if not ok:
         raise ValueError("the run has no successful encounters to correlate")
 
     pairs = _baseline_pairs(ok)
     baselines = rouge_vectors(pairs, use_stemmer=args.use_stemmer) if pairs else []
 
-    run_ids = {e["encounter_id"] for e in ok}
+    run_ids = {result.encounter_id for _, result in ok}
     for csv_path in args.external or []:
         vector = import_external_metric(csv_path)
         missing = sorted(run_ids - set(vector.values))
@@ -283,58 +238,37 @@ def cmd_compare(args: argparse.Namespace) -> int:
             "no --external metrics given"
         )
 
-    results = []
-    for target in _target_vectors(ok):
+    # One (target, rows, skipped reason) per target; rows is None when skipped.
+    tables = []
+    for target in _target_vectors([result for _, result in ok]):
         if len(target.values) < 3:
-            results.append(
-                {
-                    "target": target.name,
-                    "rows": None,
-                    "skipped_reason": (
-                        f"only {len(target.values)} encounters have a value; "
-                        "need at least 3"
-                    ),
-                }
-            )
-            continue
-        rows = correlation_table(target, baselines)
-        results.append({"target": target.name, "rows": rows, "skipped_reason": None})
+            reason = f"only {len(target.values)} encounters have a value; need at least 3"
+            tables.append((target.name, None, reason))
+        else:
+            tables.append((target.name, correlation_table(target, baselines), None))
 
     if args.json:
         payload = {
             "targets": [
                 {
-                    "target": r["target"],
-                    "skipped_reason": r["skipped_reason"],
-                    "rows": [
-                        {
-                            "metric_name": row.metric_name,
-                            "n": row.n,
-                            "spearman_r": row.spearman_r,
-                            "spearman_p": row.spearman_p,
-                            "pearson_r": row.pearson_r,
-                            "pearson_p": row.pearson_p,
-                        }
-                        for row in r["rows"]
-                    ]
-                    if r["rows"] is not None
-                    else None,
+                    "target": name,
+                    "skipped_reason": reason,
+                    "rows": None if rows is None else [row.to_json_dict() for row in rows],
                 }
-                for r in results
+                for name, rows, reason in tables
             ]
         }
         sys.stdout.write(pretty_dumps(payload))
         return EXIT_OK
 
-    first = True
-    for r in results:
-        if not first:
-            _emit("")
-        first = False
-        if r["rows"] is None:
-            _emit(f"correlations against {r['target']}: skipped ({r['skipped_reason']})")
-        else:
-            _emit(render_correlation_table(r["target"], r["rows"]))
+    _emit(
+        "\n\n".join(
+            f"correlations against {name}: skipped ({reason})"
+            if rows is None
+            else render_correlation_table(name, rows)
+            for name, rows, reason in tables
+        )
+    )
     return EXIT_OK
 
 

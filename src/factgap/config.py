@@ -16,13 +16,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from .datamodel import MARGIN_EPSILON, JsonRecord
-from .gateway import (
-    Aggregation,
-    GatewayMode,
-    HttpBackend,
-    LlmGateway,
-    RetryPolicy,
-)
+from .gateway import Aggregation, GatewayMode, HttpBackend, LlmGateway
 from .scoring import PolarityMode
 
 BACKEND_KINDS = ("mock", "http")
@@ -124,7 +118,10 @@ def load_config(path: Path | str) -> RunConfig:
     elif suffix in (".yaml", ".yml"):
         import yaml
 
-        data = yaml.safe_load(text)
+        try:
+            data = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     else:
         raise ValueError(f"{path}: unsupported config extension {suffix!r} (use .json or .yaml)")
     if not isinstance(data, dict):
@@ -167,6 +164,5 @@ def build_gateway(config: RunConfig, max_in_flight: int = 4) -> LlmGateway:
         backend=backend,
         mode=config.mode,
         cassette_path=config.cassette,
-        retry=RetryPolicy(),
         max_in_flight=max_in_flight,
     )

@@ -14,8 +14,9 @@ types in ``config``), and every decode refuses keys its type does not
 know. A record carries ``schema_version: "1"`` unless its type sets
 ``versioned = False``. Three types here do, all parts of a larger record
 that have never carried a version: ``Turn``, ``Diagnosis`` and
-``SubCluster``; so do ``Provenance`` and ``Encounter`` in ``dataset``
-and the four types in ``config``.
+``SubCluster``; so do ``Provenance``, ``Encounter``, the two outcome
+markers and ``ManifestEntry`` in ``dataset``, ``CorrelationRow`` in
+``baselines`` and the four types in ``config``.
 """
 
 from __future__ import annotations
@@ -106,9 +107,10 @@ class JsonRecord:
     as lists, paths as strings, nested records and NamedTuples as objects,
     and every other value passes through. A versioned type also writes
     ``schema_version`` and checks it on decode. On decode a missing key
-    takes the field's default, an integer field takes only an integer,
-    and an unknown key, a missing required key or a value of the wrong
-    type is a ValueError that names the type.
+    takes the field's default, an integer field takes only an integer and
+    a string field only a string, and an unknown key, a missing required
+    key or a value of the wrong type is a ValueError that names the type,
+    prefixed by the enclosing record types when it is nested.
     """
 
     versioned = True
@@ -163,7 +165,9 @@ def _coders(hint: Any) -> tuple[_Coder, _Coder]:
         return dict, dict
     if hint is int:
         return None, index
-    if hint in (str, float, bool):
+    if hint is str:
+        return None, _decode_str
+    if hint in (float, bool):
         return None, None
     if hint is Path:
         return str, Path
@@ -177,6 +181,12 @@ def _coders(hint: Any) -> tuple[_Coder, _Coder]:
             lambda value: _decode(hint, _plan(hint), value),
         )
     raise TypeError(f"no JSON codec for field type {hint!r}")
+
+
+def _decode_str(value: Any) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
 
 
 def _encode(obj: Any, plan: _Plan) -> dict[str, Any]:
@@ -200,17 +210,21 @@ def _decode(cls: type, plan: _Plan, data: Mapping[str, Any]) -> Any:
             f"(expected {SCHEMA_VERSION!r})"
         )
     values = {}
+    for name, _, decode, required in rows:
+        if name in data:
+            try:
+                values[name] = data[name] if decode is None else decode(data[name])
+            except (TypeError, ValueError) as exc:
+                # A value of the wrong JSON type, or a nested record's
+                # error, which then names each type on the way down.
+                raise ValueError(f"{cls.__name__}: {exc}") from exc
+        elif required:
+            raise ValueError(f"{cls.__name__}: missing required key {name!r}")
     try:
-        for name, _, decode, required in rows:
-            if name in data:
-                value = data[name]
-                values[name] = value if decode is None else decode(value)
-            elif required:
-                raise ValueError(f"{cls.__name__}: missing required key {name!r}")
         return cls(**values)
     except (TypeError, AttributeError) as exc:
-        # A value of the wrong JSON type: a str where a list or int
-        # belongs, or a number where a validator calls a str method.
+        # A number where a validator calls a str method, or a value the
+        # constructor cannot convert.
         raise ValueError(f"{cls.__name__}: {exc}") from exc
 
 

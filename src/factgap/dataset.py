@@ -6,17 +6,22 @@ this package writes, and CSV exports whose dialogue cells carry
 note column. A JSON corpus decodes through the strict record codec, so a
 misspelled key is an error that names the corpus file, not a silently
 dropped field.
+
+A run's bookkeeping is records too: every encounter directory ends in
+one outcome marker (``report.json``, ``skip.json`` or ``failure.json``),
+:func:`read_outcome` is the one reader of those markers, and the run
+manifest lists one :class:`ManifestEntry` per encounter.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as _dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Iterable, Mapping, Optional, Sequence
 
-from .datamodel import SCHEMA_VERSION, Dialogue, JsonRecord, Speaker, Turn
+from .datamodel import Dialogue, JsonRecord, OmissionReport, Speaker, Turn
 from .jsonutil import read_json, write_json
 
 _SPEAKER_BY_TAG = {
@@ -202,12 +207,98 @@ def save_corpus(corpus: Corpus, path: Path | str, force: bool = False) -> None:
     write_json(path, corpus.to_json_dict())
 
 
-def _utc_now_iso() -> str:
+def utc_now_iso() -> str:
     return _dt.datetime.now(tz=_dt.timezone.utc).isoformat(timespec="seconds")
 
 
-@dataclass
-class RunManifest:
+STATUSES = ("ok", "skipped", "failed")
+
+
+@dataclass(frozen=True)
+class ManifestEntry(JsonRecord):
+    """One encounter's outcome, as the run manifest lists it."""
+
+    versioned = False
+
+    encounter_id: str
+    status: str
+    reason: str = ""
+    stage: str = ""
+
+    def __post_init__(self) -> None:
+        if self.status not in STATUSES:
+            raise ValueError(f"unknown status {self.status!r}")
+
+
+@dataclass(frozen=True)
+class EncounterResult(ManifestEntry):
+    """One encounter's outcome, with the report of an ok one."""
+
+    report: Optional[OmissionReport] = None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if (self.status == "ok") != (self.report is not None):
+            raise ValueError("exactly the ok results carry a report")
+
+
+def count_statuses(outcomes: Iterable[ManifestEntry]) -> dict[str, int]:
+    counts = dict.fromkeys(STATUSES, 0)
+    for outcome in outcomes:
+        counts[outcome.status] += 1
+    return counts
+
+
+@dataclass(frozen=True)
+class SkipMarker(JsonRecord):
+    """``skip.json``: the truncation left too few turns to score."""
+
+    versioned = False
+
+    encounter_id: str
+    reason: str
+    cut_turn_index: int
+    truncated_turns: int
+
+
+@dataclass(frozen=True)
+class FailureMarker(JsonRecord):
+    """``failure.json``: the stage that stopped the encounter, and why."""
+
+    versioned = False
+
+    encounter_id: str
+    stage: str
+    message: str
+    fingerprint: str
+    attempts: int
+
+
+def _read_marker(path: Path, cls: type) -> Any:
+    try:
+        return cls.from_json_dict(read_json(path))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def read_outcome(enc_dir: Path) -> EncounterResult:
+    """The outcome of one encounter directory, from its first marker of
+    report, skip and failure. A directory with none failed before it
+    wrote one."""
+    encounter_id = enc_dir.name
+    if (path := enc_dir / "report.json").exists():
+        return EncounterResult(encounter_id, "ok", report=_read_marker(path, OmissionReport))
+    if (path := enc_dir / "skip.json").exists():
+        skip = _read_marker(path, SkipMarker)
+        return EncounterResult(encounter_id, "skipped", reason=skip.reason)
+    if (path := enc_dir / "failure.json").exists():
+        failure = _read_marker(path, FailureMarker)
+        return EncounterResult(encounter_id, "failed", failure.message, failure.stage)
+    return EncounterResult(encounter_id, "failed", "no outcome marker in the encounter directory")
+
+
+@dataclass(frozen=True)
+class RunManifest(JsonRecord):
     """What a run did: inputs, settings, per-encounter outcomes.
 
     Timestamps make manifests non-reproducible by design; determinism
@@ -217,56 +308,24 @@ class RunManifest:
     corpus_path: str
     out_dir: str
     mode: str
-    models: dict[str, Optional[str]]
-    started_at: str = field(default_factory=_utc_now_iso)
-    finished_at: str = ""
-    encounters: list[dict[str, str]] = field(default_factory=list)
-
-    def record(self, encounter_id: str, status: str, reason: str = "", stage: str = "") -> None:
-        if status not in ("ok", "skipped", "failed"):
-            raise ValueError(f"unknown status {status!r}")
-        self.encounters.append(
-            {"encounter_id": encounter_id, "status": status, "reason": reason, "stage": stage}
-        )
-
-    def finish(self) -> None:
-        self.finished_at = _utc_now_iso()
+    models: Mapping[str, Optional[str]]
+    started_at: str
+    finished_at: str
+    encounters: tuple[ManifestEntry, ...]
 
     def counts(self) -> dict[str, int]:
-        result = {"ok": 0, "skipped": 0, "failed": 0}
-        for entry in self.encounters:
-            result[entry["status"]] += 1
-        return result
+        return count_statuses(self.encounters)
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "corpus_path": self.corpus_path,
-            "out_dir": self.out_dir,
-            "mode": self.mode,
-            "models": self.models,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "encounters": self.encounters,
-            "counts": self.counts(),
-        }
-
-    def write(self, path: Path | str) -> None:
-        write_json(path, self.to_json_dict())
+        return {**super().to_json_dict(), "counts": self.counts()}
 
     @classmethod
-    def read(cls, path: Path | str) -> "RunManifest":
-        data = read_json(path)
-        manifest = cls(
-            corpus_path=data["corpus_path"],
-            out_dir=data["out_dir"],
-            mode=data["mode"],
-            models=data["models"],
-            started_at=data["started_at"],
-            finished_at=data["finished_at"],
-        )
-        for entry in data["encounters"]:
-            manifest.record(
-                entry["encounter_id"], entry["status"], entry.get("reason", ""), entry.get("stage", "")
-            )
+    def from_json_dict(cls, data: Mapping[str, Any]) -> "RunManifest":
+        # The derived counts are optional on read, and must match the entries'.
+        counts = data.get("counts") if isinstance(data, dict) else None
+        if counts is not None:
+            data = {key: value for key, value in data.items() if key != "counts"}
+        manifest = super().from_json_dict(data)
+        if counts not in (None, manifest.counts()):
+            raise ValueError(f"RunManifest: counts {counts!r} are not the entries'")
         return manifest

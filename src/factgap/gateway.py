@@ -39,6 +39,11 @@ log = logging.getLogger(__name__)
 
 # The longest ``Retry-After`` wait, in seconds, a retry honours.
 MAX_RETRY_AFTER_S = 120.0
+# Transport retries: at most this many attempts per call, the k-th retry
+# after RETRY_BASE_DELAY_S * RETRY_FACTOR**k seconds.
+RETRY_ATTEMPTS = 3
+RETRY_BASE_DELAY_S = 0.5
+RETRY_FACTOR = 2.0
 
 
 class GatewayError(Exception):
@@ -503,20 +508,6 @@ class HttpBackend:
         return tuple(float(lp) for lp in selected)
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    attempts: int = 3
-    base_delay: float = 0.5
-    factor: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.attempts < 1:
-            raise ValueError("retry attempts must be at least 1")
-
-    def delay(self, attempt: int) -> float:
-        return self.base_delay * (self.factor ** attempt)
-
-
 class LlmGateway:
     """Mode-aware front door for all model traffic.
 
@@ -530,13 +521,11 @@ class LlmGateway:
         backend: Any = None,
         mode: GatewayMode | str = GatewayMode.REPLAY,
         cassette_path: Optional[Path | str] = None,
-        retry: RetryPolicy = RetryPolicy(),
         max_in_flight: int = 4,
         sleeper: Callable[[float], None] = time.sleep,
     ):
         self.mode = GatewayMode(mode)
         self.backend = backend
-        self.retry = retry
         self._sleeper = sleeper
         self._semaphore = threading.Semaphore(max_in_flight)
         self._flights: dict[str, Future] = {}
@@ -549,7 +538,7 @@ class LlmGateway:
 
     def _call_with_retry(self, fn: Callable[[], Any], label: str) -> Any:
         last: Optional[TransportError] = None
-        for attempt in range(self.retry.attempts):
+        for attempt in range(RETRY_ATTEMPTS):
             try:
                 with self._semaphore:
                     return fn()
@@ -560,15 +549,15 @@ class LlmGateway:
                         f"{label}: the server asked to retry after {exc.retry_after:g}s, "
                         f"longer than the {MAX_RETRY_AFTER_S:g}s limit ({exc})"
                     ) from exc
-                if attempt + 1 < self.retry.attempts:
-                    delay = max(self.retry.delay(attempt), exc.retry_after or 0.0)
+                if attempt + 1 < RETRY_ATTEMPTS:
+                    delay = max(RETRY_BASE_DELAY_S * RETRY_FACTOR**attempt, exc.retry_after or 0.0)
                     log.warning(
                         "%s failed (%s); retrying in %.2fs (%d/%d)",
                         label,
                         exc,
                         delay,
                         attempt + 2,
-                        self.retry.attempts,
+                        RETRY_ATTEMPTS,
                     )
                     self._sleeper(delay)
         assert last is not None

@@ -17,13 +17,22 @@ import logging
 import queue
 import shutil
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
 from ..config import RunConfig
-from ..datamodel import Dialogue, OmissionReport, bundle_warnings, validate_encounter_bundle
-from ..dataset import Corpus, Encounter, RunManifest
+from ..datamodel import Dialogue, bundle_warnings, validate_encounter_bundle
+from ..dataset import (
+    Corpus,
+    Encounter,
+    EncounterResult,
+    FailureMarker,
+    ManifestEntry,
+    RunManifest,
+    SkipMarker,
+    read_outcome,
+    utc_now_iso,
+)
 from ..gateway import GatewayError, LlmGateway
 from ..jsonutil import write_json
 from ..scoring import build_report, completion_margin
@@ -49,21 +58,6 @@ def in_flight_cap(workers: int) -> int:
     """Most model calls a run with this many workers has in flight: each
     encounter has at most one call per row of the stage table."""
     return workers * len(STAGES)
-
-
-@dataclass(frozen=True)
-class EncounterResult:
-    encounter_id: str
-    status: str
-    report: Optional[OmissionReport] = None
-    reason: str = ""
-    stage: str = ""
-
-    def __post_init__(self) -> None:
-        if self.status not in ("ok", "skipped", "failed"):
-            raise ValueError(f"unknown status {self.status!r}")
-        if (self.status == "ok") != (self.report is not None):
-            raise ValueError("exactly the ok results carry a report")
 
 
 class _ArtifactDir:
@@ -177,17 +171,12 @@ class _Job:
     def skip(self, stage: Stage, exc: DialogueTooShort) -> EncounterResult:
         self.commit(stage, exc.output)
         self.write_stages()
-        truncated = exc.output.value
+        turns = len(exc.output.value.turns)
         reason = str(exc)
-        self.art.write(
-            "skip.json",
-            {
-                "encounter_id": self.encounter_id,
-                "reason": reason,
-                "cut_turn_index": len(truncated.turns) - 1,
-                "truncated_turns": len(truncated.turns),
-            },
+        marker = SkipMarker(
+            self.encounter_id, reason, cut_turn_index=turns - 1, truncated_turns=turns
         )
+        self.art.write("skip.json", marker.to_json_dict())
         log.info("skipping %s: %s", self.encounter_id, reason)
         return EncounterResult(encounter_id=self.encounter_id, status="skipped", reason=reason)
 
@@ -205,16 +194,8 @@ class _Job:
     ) -> EncounterResult:
         """The one writer of failure markers."""
         self.write_stages()
-        self.art.write(
-            "failure.json",
-            {
-                "encounter_id": self.encounter_id,
-                "stage": stage,
-                "message": message,
-                "fingerprint": fingerprint,
-                "attempts": attempts,
-            },
-        )
+        marker = FailureMarker(self.encounter_id, stage, message, fingerprint, attempts)
+        self.art.write("failure.json", marker.to_json_dict())
         log.error("%s failed at %s: %s", self.encounter_id, stage, message)
         return EncounterResult(
             encounter_id=self.encounter_id, status="failed", reason=message, stage=stage
@@ -303,45 +284,46 @@ def run_corpus(
     only: Optional[Sequence[str]] = None,
     force: bool = False,
 ) -> tuple[RunManifest, list[EncounterResult]]:
+    """Runs the corpus, or the ``only`` encounters of it, and writes a
+    manifest of the whole corpus: an encounter this call did not run is
+    listed with the outcome its directory holds, if it has one."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    if only:
-        corpus = corpus.subset(only)
-        # The selected ids name directories that force deletes below.
-        for encounter in corpus.encounters:
-            _check_encounter_id(encounter.encounter_id)
+    selected = corpus.subset(only) if only else corpus
+    # Each id names a directory that force may delete or the manifest reads.
+    for encounter in corpus.encounters:
+        _check_encounter_id(encounter.encounter_id)
 
     encounters_dir = out_dir / ENCOUNTERS_SUBDIR
+    kept: dict[str, EncounterResult] = {}
     if encounters_dir.exists() and any(encounters_dir.iterdir()):
         if not force:
             raise FileExistsError(
                 f"{encounters_dir} already has artifacts; pass force to overwrite"
             )
         if only:
-            # Only the selected encounters rerun; the others' artifacts stay.
-            for encounter in corpus.encounters:
+            # Only the selected encounters rerun; the others' artifacts stay,
+            # and the manifest lists the outcomes they hold.
+            rerun = set(only)
+            kept = {
+                encounter.encounter_id: read_outcome(enc_dir)
+                for encounter in corpus.encounters
+                if encounter.encounter_id not in rerun
+                and (enc_dir := encounters_dir / encounter.encounter_id).is_dir()
+            }
+            for encounter in selected.encounters:
                 target = encounters_dir / encounter.encounter_id
                 if target.exists():
                     shutil.rmtree(target)
         else:
             shutil.rmtree(encounters_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    manifest = RunManifest(
-        corpus_path=str(corpus_path),
-        out_dir=str(out_dir),
-        mode=config.mode.value,
-        models={
-            "summary": config.models.summary,
-            "metric": config.models.metric,
-            "margin": config.models.margin,
-        },
-    )
+    started_at = utc_now_iso()
 
     if workers == 1:
         results = [
             run_encounter(config, gateway, encounter, out_dir)
-            for encounter in corpus.encounters
+            for encounter in selected.encounters
         ]
     else:
         # Encounter threads only submit rows to the stage pool and wait on
@@ -354,12 +336,23 @@ def run_corpus(
                     lambda encounter: run_encounter(
                         config, gateway, encounter, out_dir, stage_pool
                     ),
-                    corpus.encounters,
+                    selected.encounters,
                 )
             )
 
-    for result in results:
-        manifest.record(result.encounter_id, result.status, result.reason, result.stage)
-    manifest.finish()
-    manifest.write(out_dir / MANIFEST_NAME)
+    outcomes = {**kept, **{result.encounter_id: result for result in results}}
+    manifest = RunManifest(
+        corpus_path=str(corpus_path),
+        out_dir=str(out_dir),
+        mode=config.mode.value,
+        models=config.models.to_json_dict(),
+        started_at=started_at,
+        finished_at=utc_now_iso(),
+        encounters=tuple(
+            ManifestEntry(outcome.encounter_id, outcome.status, outcome.reason, outcome.stage)
+            for encounter in corpus.encounters
+            if (outcome := outcomes.get(encounter.encounter_id)) is not None
+        ),
+    )
+    write_json(out_dir / MANIFEST_NAME, manifest.to_json_dict())
     return manifest, results

@@ -312,7 +312,9 @@ def test_report_on_a_report_missing_a_key_is_an_error_not_a_traceback(
     code = main(["report", "--run", str(run)])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err == "error: OmissionReport: missing required key 'omission_count'\n"
+    assert captured.err == (
+        f"error: {report_path}: OmissionReport: missing required key 'omission_count'\n"
+    )
 
 
 def _replace_report(name, marker):
@@ -377,3 +379,62 @@ def test_run_refuses_a_corpus_with_a_misspelled_key(tmp_path, capsys):
     assert captured.err.startswith(f"error: {corpus}: ")
     assert "refrence_note" in captured.err
     assert not out.exists()
+
+
+def test_run_refuses_a_corpus_with_a_number_in_a_string_field(tmp_path, capsys):
+    data = read_json(CORPUS)
+    data["encounters"][0]["reference_note"] = 5
+    corpus = tmp_path / "corpus.json"
+    write_json(corpus, data)
+    out = tmp_path / "out"
+    code = main(
+        ["run", "--config", str(REPLAY_CONFIG), "--corpus", str(corpus), "--out", str(out)]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (
+        f"error: {corpus}: Corpus: Encounter: expected a string, got int\n"
+    )
+    assert not out.exists()
+
+
+def test_run_on_an_unparsable_yaml_config_is_an_error_naming_the_file(tmp_path, capsys):
+    config = tmp_path / "config.yaml"
+    config.write_text("models: [unclosed\n", encoding="utf-8")
+    code = main(
+        ["run", "--config", str(config), "--corpus", str(CORPUS), "--out", str(tmp_path / "out")]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {config}: ")
+    assert "Traceback" not in captured.err
+
+
+def test_only_run_writes_a_manifest_of_the_whole_corpus(finished_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(finished_run, run)
+    full = read_json(run / "manifest.json")
+    code = main(
+        [
+            "run",
+            "--config",
+            str(REPLAY_CONFIG),
+            "--corpus",
+            str(CORPUS),
+            "--out",
+            str(run),
+            "--only",
+            "enc-edward",
+            "--force",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 0
+    # The run's own lines count only the encounter it ran.
+    assert "done: 1 ok, 0 skipped, 0 failed" in captured.out
+    manifest = read_json(run / "manifest.json")
+    assert manifest["encounters"] == full["encounters"]
+    assert main(["report", "--run", str(run), "--json"]) == 0
+    aggregate = json.loads(capsys.readouterr().out)["aggregate"]
+    assert manifest["counts"] == {key: aggregate[key] for key in ("ok", "skipped", "failed")}
+    assert manifest["counts"] == {"ok": 3, "skipped": 0, "failed": 0}

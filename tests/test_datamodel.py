@@ -1,5 +1,6 @@
 import json
 from pathlib import Path
+from typing import Optional, get_type_hints
 
 import pytest
 
@@ -33,7 +34,16 @@ from factgap.datamodel import (
     parse_fact_id,
     validate_encounter_bundle,
 )
-from factgap.dataset import Corpus, Encounter, Provenance
+from factgap.baselines import CorrelationRow
+from factgap.dataset import (
+    Corpus,
+    Encounter,
+    FailureMarker,
+    ManifestEntry,
+    Provenance,
+    RunManifest,
+    SkipMarker,
+)
 from factgap.gateway import Aggregation, GatewayMode
 from factgap.scoring import PolarityMode
 
@@ -329,6 +339,7 @@ def sample_records():
     )
     provenance = Provenance(original_encounter_id="enc-0", cut_turn_index=1)
     encounter = Encounter(dialogue=dialogue, reference_note="note", provenance=provenance)
+    entry = ManifestEntry(encounter_id="enc-1", status="failed", reason="boom", stage="summarize")
     return {
         Turn: dialogue.turns[0],
         Dialogue: dialogue,
@@ -359,6 +370,30 @@ def sample_records():
         Provenance: provenance,
         Encounter: encounter,
         Corpus: Corpus(name="c", encounters=(encounter,)),
+        SkipMarker: SkipMarker(
+            encounter_id="enc-1", reason="too short", cut_turn_index=3, truncated_turns=4
+        ),
+        FailureMarker: FailureMarker(
+            encounter_id="enc-1", stage="summarize", message="boom", fingerprint="ab", attempts=2
+        ),
+        ManifestEntry: entry,
+        RunManifest: RunManifest(
+            corpus_path="corpus.json",
+            out_dir="out",
+            mode="replay",
+            models={"summary": "s", "metric": "m", "margin": None},
+            started_at="2024-01-01T00:00:00+00:00",
+            finished_at="2024-01-01T00:01:00+00:00",
+            encounters=(entry,),
+        ),
+        CorrelationRow: CorrelationRow(
+            metric_name="rouge1",
+            n=3,
+            spearman_r=0.5,
+            spearman_p=0.6,
+            pearson_r=0.7,
+            pearson_p=0.8,
+        ),
     }
 
 
@@ -414,6 +449,28 @@ RECORD_KEYS = {
     Provenance: {"original_encounter_id", "cut_turn_index"},
     Encounter: {"encounter_id", "dialogue", "reference_note", "provenance"},
     Corpus: {"schema_version", "name", "encounters"},
+    SkipMarker: {"encounter_id", "reason", "cut_turn_index", "truncated_turns"},
+    FailureMarker: {"encounter_id", "stage", "message", "fingerprint", "attempts"},
+    ManifestEntry: {"encounter_id", "status", "reason", "stage"},
+    RunManifest: {
+        "schema_version",
+        "corpus_path",
+        "out_dir",
+        "mode",
+        "models",
+        "started_at",
+        "finished_at",
+        "encounters",
+        "counts",
+    },
+    CorrelationRow: {
+        "metric_name",
+        "n",
+        "spearman_r",
+        "spearman_p",
+        "pearson_r",
+        "pearson_p",
+    },
     ModelsConfig: {"summary", "metric", "margin"},
     BackendConfig: {"kind", "path", "base_url", "api_key_env", "timeout"},
     ThresholdsConfig: {"min_truncated_turns", "repair_budget", "margin_epsilon"},
@@ -439,7 +496,12 @@ OPTIONAL_KEYS = [
     (OmissionReport, "margin", None),
     (Encounter, "reference_note", None),
     (Encounter, "provenance", None),
+    (ManifestEntry, "reason", ""),
+    (ManifestEntry, "stage", ""),
 ]
+
+# (type, key): keys derived from the other fields, optional on decode.
+DERIVED_KEYS = {(Encounter, "encounter_id"), (RunManifest, "counts")}
 
 
 def test_every_record_type_has_pinned_json_keys():
@@ -492,7 +554,7 @@ def test_absent_required_key_is_a_value_error_naming_type_and_key():
     optional = {(cls, key) for cls, key, _ in OPTIONAL_KEYS}
     for cls, record in sample_records().items():
         for key in RECORD_KEYS[cls] - {"schema_version"}:
-            if (cls, key) in optional or (cls, key) == (Encounter, "encounter_id"):
+            if (cls, key) in optional or (cls, key) in DERIVED_KEYS:
                 continue
             data = record.to_json_dict()
             del data[key]
@@ -539,6 +601,25 @@ def test_decode_turns_a_wrong_json_type_into_a_value_error_naming_the_type():
     report = records[OmissionReport].to_json_dict()
     with pytest.raises(ValueError, match="^OmissionReport: "):
         OmissionReport.from_json_dict({**report, "omissions": 5})
+
+
+def test_every_str_field_refuses_a_number():
+    for cls, record in {**sample_records(), **config_records()}.items():
+        for name, hint in get_type_hints(cls).items():
+            if hint not in (str, Optional[str]):
+                continue
+            data = {**record.to_json_dict(), name: 5}
+            with pytest.raises(ValueError, match=f"^{cls.__name__}: expected a string, got int$"):
+                cls.from_json_dict(data)
+
+
+def test_a_nested_decode_error_names_each_enclosing_type():
+    corpus = sample_records()[Corpus].to_json_dict()
+    corpus["encounters"][0]["dialogue"]["turns"][0]["speaker"] = "nurse"
+    with pytest.raises(
+        ValueError, match="^Corpus: Encounter: Dialogue: Turn: 'nurse' is not a valid Speaker$"
+    ):
+        Corpus.from_json_dict(corpus)
 
 
 def test_encounter_refuses_an_outer_id_that_differs_from_the_dialogue():

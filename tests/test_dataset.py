@@ -1,14 +1,20 @@
 import pytest
 
-from factgap.datamodel import Speaker
+from factgap.datamodel import OmissionReport, Speaker
 from factgap.dataset import (
     Corpus,
     Encounter,
+    EncounterResult,
+    FailureMarker,
+    ManifestEntry,
     RunManifest,
+    SkipMarker,
     load_corpus,
     parse_tagged_dialogue,
+    read_outcome,
     save_corpus,
 )
+from factgap.jsonutil import read_json, write_json
 
 
 TAGGED = """[doctor] Hello, what brings you in?
@@ -124,22 +130,92 @@ def test_load_csv_corpus_errors(tmp_path):
         load_corpus(tmp_path / "corpus.txt")
 
 
-def test_run_manifest_roundtrip(tmp_path):
-    manifest = RunManifest(
+def make_manifest(*entries):
+    return RunManifest(
         corpus_path="corpus.json",
         out_dir="out",
         mode="replay",
         models={"summary": "s", "metric": "m", "margin": None},
+        started_at="2024-01-01T00:00:00+00:00",
+        finished_at="2024-01-01T00:01:00+00:00",
+        encounters=entries,
     )
-    manifest.record("e1", "ok")
-    manifest.record("e2", "skipped", reason="too short")
-    manifest.record("e3", "failed", reason="boom", stage="summarize")
+
+
+def test_run_manifest_roundtrip(tmp_path):
+    manifest = make_manifest(
+        ManifestEntry("e1", "ok"),
+        ManifestEntry("e2", "skipped", reason="too short"),
+        ManifestEntry("e3", "failed", reason="boom", stage="summarize"),
+    )
     with pytest.raises(ValueError, match="unknown status"):
-        manifest.record("e4", "exploded")
-    manifest.finish()
+        ManifestEntry("e4", "exploded")
     assert manifest.counts() == {"ok": 1, "skipped": 1, "failed": 1}
     path = tmp_path / "manifest.json"
-    manifest.write(path)
-    loaded = RunManifest.read(path)
+    write_json(path, manifest.to_json_dict())
+    assert read_json(path)["counts"] == {"ok": 1, "skipped": 1, "failed": 1}
+    loaded = RunManifest.from_json_dict(read_json(path))
     assert loaded.encounters == manifest.encounters
     assert loaded.finished_at == manifest.finished_at
+    assert loaded == manifest
+
+
+@pytest.mark.parametrize(
+    ("damage", "message"),
+    [
+        (lambda data: data.pop("mode"), "^RunManifest: missing required key 'mode'$"),
+        (
+            lambda data: data["encounters"][0].pop("status"),
+            "^RunManifest: ManifestEntry: missing required key 'status'$",
+        ),
+        (
+            lambda data: data["encounters"][0].update(status="exploded"),
+            "^RunManifest: unknown status 'exploded'$",
+        ),
+        (
+            lambda data: data["counts"].update(ok=2),
+            r"^RunManifest: counts \{.*\} are not the entries'$",
+        ),
+    ],
+)
+def test_run_manifest_read_errors_name_the_manifest(damage, message):
+    data = make_manifest(ManifestEntry("e1", "ok")).to_json_dict()
+    damage(data)
+    with pytest.raises(ValueError, match=message):
+        RunManifest.from_json_dict(data)
+
+
+def write_markers(enc_dir, *names):
+    markers = {
+        "report.json": OmissionReport(
+            encounter_id="e1", omissions=(), omission_count=0, cumulative_weight=0.0
+        ),
+        "skip.json": SkipMarker("e1", "too short", cut_turn_index=3, truncated_turns=4),
+        "failure.json": FailureMarker("e1", "summarize", "boom", "ab", 2),
+    }
+    enc_dir.mkdir(exist_ok=True)
+    for name in names:
+        write_json(enc_dir / name, markers[name].to_json_dict())
+
+
+def test_read_outcome_takes_report_then_skip_then_failure(tmp_path):
+    enc_dir = tmp_path / "e1"
+    write_markers(enc_dir, "report.json", "skip.json", "failure.json")
+    result = read_outcome(enc_dir)
+    assert (result.status, result.report.omission_count) == ("ok", 0)
+    (enc_dir / "report.json").unlink()
+    assert read_outcome(enc_dir) == EncounterResult("e1", "skipped", reason="too short")
+    (enc_dir / "skip.json").unlink()
+    assert read_outcome(enc_dir) == EncounterResult("e1", "failed", "boom", "summarize")
+    (enc_dir / "failure.json").unlink()
+    assert read_outcome(enc_dir) == EncounterResult(
+        "e1", "failed", "no outcome marker in the encounter directory"
+    )
+
+
+def test_read_outcome_prefixes_a_decode_error_with_the_marker_path(tmp_path):
+    enc_dir = tmp_path / "e1"
+    enc_dir.mkdir()
+    write_json(enc_dir / "skip.json", {"encounter_id": "e1", "reason": 5})
+    with pytest.raises(ValueError, match="skip.json: SkipMarker: expected a string, got int$"):
+        read_outcome(enc_dir)

@@ -24,7 +24,6 @@ from factgap.gateway import (
     LogprobsUnsupported,
     MAX_RETRY_AFTER_S,
     ResponseTruncated,
-    RetryPolicy,
     ScoredContinuation,
     ScoreRequest,
     ScriptedBackend,
@@ -336,7 +335,6 @@ def test_retry_only_on_transport_errors(tmp_path):
         backend=backend,
         mode="record",
         cassette_path=tmp_path / "c.jsonl",
-        retry=RetryPolicy(attempts=3, base_delay=0.5, factor=2.0),
         sleeper=delays.append,
     )
     assert gateway.generate(make_request()) == "ok"

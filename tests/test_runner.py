@@ -5,8 +5,9 @@ import pytest
 
 from factgap.config import BackendConfig, ModelsConfig, RunConfig, ThresholdsConfig
 from factgap.datamodel import Polarity
-from factgap.dataset import Corpus, Encounter, parse_tagged_dialogue
+from factgap.dataset import Corpus, Encounter, RunManifest, parse_tagged_dialogue
 from factgap.gateway import GatewayMode, LlmGateway, ScriptedBackend
+from factgap.jsonutil import read_json
 from factgap.pipeline.runner import ENCOUNTERS_SUBDIR, MANIFEST_NAME, run_corpus, run_encounter
 
 from corpus_fixtures import (
@@ -305,7 +306,7 @@ def test_run_corpus_only_force_keeps_other_encounters(tmp_path):
         )
     assert (encounters_dir / "enc-edward" / "stale.json").exists()
 
-    _, results = run_corpus(
+    manifest, results = run_corpus(
         make_config(),
         live_gateway(edward_generate_responses()),
         corpus,
@@ -315,6 +316,13 @@ def test_run_corpus_only_force_keeps_other_encounters(tmp_path):
         force=True,
     )
     assert [(r.encounter_id, r.status) for r in results] == [("enc-edward", "ok")]
+    # The manifest lists the kept encounter too, with the outcome on disk.
+    assert [(e.encounter_id, e.status) for e in manifest.encounters] == [
+        ("enc-edward", "ok"),
+        ("enc-short", "skipped"),
+    ]
+    assert "below the minimum" in manifest.encounters[1].reason
+    assert RunManifest.from_json_dict(read_json(out_dir / MANIFEST_NAME)) == manifest
     assert subtree_bytes(encounters_dir / "enc-short") == other
     assert not (encounters_dir / "enc-edward" / "stale.json").exists()
     assert (encounters_dir / "enc-edward" / "report.json").exists()
