@@ -8,6 +8,7 @@ least one encounter was skipped, 2 on any failure or fatal error.
 from __future__ import annotations
 
 import argparse
+import math
 import statistics
 import sys
 from pathlib import Path
@@ -103,7 +104,9 @@ def _load_run(run_dir: Path) -> list[tuple[Path, EncounterResult]]:
 def _mean_stdev(values: Sequence[float]) -> dict[str, float]:
     return {
         "mean": statistics.fmean(values),
-        "stdev": statistics.stdev(values) if len(values) > 1 else 0.0,
+        # statistics.stdev is correctly rounded from Python 3.11 on; the
+        # square root of the variance gives the same bits on every version.
+        "stdev": math.sqrt(statistics.variance(values)) if len(values) > 1 else 0.0,
     }
 
 

@@ -114,7 +114,10 @@ def load_config(path: Path | str) -> RunConfig:
     text = path.read_text(encoding="utf-8")
     suffix = path.suffix.lower()
     if suffix == ".json":
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     elif suffix in (".yaml", ".yml"):
         import yaml
 

@@ -212,6 +212,8 @@ def utc_now_iso() -> str:
 
 
 STATUSES = ("ok", "skipped", "failed")
+# The files that end an encounter directory, one per status.
+OUTCOME_MARKERS = ("report.json", "skip.json", "failure.json")
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,13 @@ earlier row's, and the earliest failing row decides the failure marker,
 so two replay runs over the same cassette produce byte-identical
 ``encounters/`` subtrees at any worker count, and a failed encounter
 leaves behind everything before the failing stage plus a failure marker.
+
+Nothing is written while an encounter runs. Its artifacts are collected
+in commit order and written as one batch when it ends: every file in
+place, then the outcome marker last and atomically, so the marker is the
+encounter's commit point and a directory without one is incomplete. A
+corpus run writes the batches on a small pool of writer threads, which
+create one encounter's files while the next one runs its stages.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from __future__ import annotations
 import logging
 import queue
 import shutil
+import threading
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Optional, Sequence
@@ -23,6 +31,7 @@ from typing import Any, Optional, Sequence
 from ..config import RunConfig
 from ..datamodel import Dialogue, bundle_warnings, validate_encounter_bundle
 from ..dataset import (
+    OUTCOME_MARKERS,
     Corpus,
     Encounter,
     EncounterResult,
@@ -34,7 +43,7 @@ from ..dataset import (
     utc_now_iso,
 )
 from ..gateway import GatewayError, LlmGateway
-from ..jsonutil import write_json
+from ..jsonutil import write_json, write_text
 from ..scoring import build_report, completion_margin
 from .stages import (
     MARGIN_SCORES,
@@ -53,6 +62,14 @@ log = logging.getLogger(__name__)
 ENCOUNTERS_SUBDIR = "encounters"
 MANIFEST_NAME = "manifest.json"
 
+# Threads that write a corpus run's batches. In replay measurements one
+# thread was no faster than writing inline (it waits for the GIL after
+# each file operation), and three were no faster than two.
+WRITER_THREADS = 2
+# Batches handed to the writers and not yet written; an encounter that
+# would exceed it waits, so a run holds a bounded number of batches.
+MAX_PENDING_BATCHES = 2 * WRITER_THREADS
+
 
 def in_flight_cap(workers: int) -> int:
     """Most model calls a run with this many workers has in flight: each
@@ -60,22 +77,73 @@ def in_flight_cap(workers: int) -> int:
     return workers * len(STAGES)
 
 
+def _write_batch(root: Path, batch: Sequence[tuple[str, Any]]) -> None:
+    """Writes one encounter's artifacts in batch order: a ``str`` payload
+    as text, any other as JSON. Every file but the outcome marker is
+    written in place; the marker, which comes last, is written atomically."""
+    root.mkdir(parents=True, exist_ok=True)
+    for name, payload in batch:
+        if isinstance(payload, str):
+            write_text(root / name, payload)
+        else:
+            write_json(root / name, payload, atomic=name in OUTCOME_MARKERS)
+
+
+class _BatchWriter:
+    """Writes a corpus run's batches on ``WRITER_THREADS`` threads. Leaving
+    the ``with`` block waits for every batch and raises the first write
+    error."""
+
+    def __init__(self) -> None:
+        self._pool = ThreadPoolExecutor(WRITER_THREADS, thread_name_prefix="factgap-writer")
+        self._slots = threading.BoundedSemaphore(MAX_PENDING_BATCHES)
+        self._errors: list[BaseException] = []
+
+    def submit(self, root: Path, batch: Sequence[tuple[str, Any]]) -> None:
+        """Hands one batch over, waiting while ``MAX_PENDING_BATCHES`` are
+        pending. Once a write has failed, raises its error instead."""
+        self._raise_first_error()
+        self._slots.acquire()
+        self._pool.submit(_write_batch, root, batch).add_done_callback(self._finished)
+
+    def _finished(self, future: Future) -> None:
+        if (exc := future.exception()) is not None:
+            self._errors.append(exc)
+        self._slots.release()
+
+    def _raise_first_error(self) -> None:
+        if self._errors:
+            raise self._errors[0]
+
+    def __enter__(self) -> "_BatchWriter":
+        return self
+
+    def __exit__(self, exc_type: Any, *_: Any) -> None:
+        self._pool.shutdown(wait=True)
+        if exc_type is None:
+            self._raise_first_error()
+
+
 class _ArtifactDir:
-    """Writes canonical JSON artifacts under one encounter directory."""
+    """Collects one encounter's artifacts, in commit order, as the batch
+    that ``flush`` writes under its directory."""
 
     def __init__(self, root: Optional[Path]):
         self.root = root
-        if root is not None:
-            root.mkdir(parents=True, exist_ok=True)
+        self.batch: list[tuple[str, Any]] = []
 
-    def write(self, name: str, payload: dict) -> None:
+    def write(self, name: str, payload: Any) -> None:
         if self.root is not None:
-            write_json(self.root / name, payload)
+            self.batch.append((name, payload))
 
-    def write_text(self, name: str, text: str) -> None:
-        if self.root is not None:
-            path = self.root / name
-            path.write_text(text, encoding="utf-8")
+    def flush(self, writer: Optional[_BatchWriter]) -> None:
+        """Hands the batch to ``writer``, or writes it inline without one."""
+        if self.root is None:
+            return
+        if writer is None:
+            _write_batch(self.root, self.batch)
+        else:
+            writer.submit(self.root, self.batch)
 
 
 def _check_encounter_id(encounter_id: str) -> None:
@@ -233,8 +301,9 @@ class _Job:
             margin=margin,
             polarity_mode=config.uniqueness_polarity,
         )
-        self.art.write("report.json", report.to_json_dict())
+        payload = report.to_json_dict()
         self.write_stages()
+        self.art.write("report.json", payload)
         return EncounterResult(encounter_id=self.encounter_id, status="ok", report=report)
 
 
@@ -244,34 +313,40 @@ def run_encounter(
     encounter: Encounter,
     out_dir: Optional[Path] = None,
     stage_pool: Optional[Executor] = None,
+    writer: Optional[_BatchWriter] = None,
 ) -> EncounterResult:
     """Runs one encounter's stage table: inline in table order, or with
-    every ready row submitted to ``stage_pool``."""
+    every ready row submitted to ``stage_pool``. However it ends, its
+    artifacts go to ``writer`` as one batch; without a writer they are on
+    disk when this returns."""
     dialogue = encounter.dialogue
     encounter_id = dialogue.encounter_id
     _check_encounter_id(encounter_id)
     art = _ArtifactDir(
         (out_dir / ENCOUNTERS_SUBDIR / encounter_id) if out_dir is not None else None
     )
-    art.write("dialogue.json", dialogue.to_json_dict())
-    if encounter.reference_note:
-        art.write_text("reference.txt", encounter.reference_note)
-
-    job = _Job(StageContext(gateway=gateway, config=config), dialogue, art)
-    stages = encounter_stages(config)
-    if stage_pool is None:
-        stopped = job.run_inline(stages)
-    else:
-        stopped = job.run_pooled(stages, stage_pool)
-    if stopped is not None:
-        stage, exc = stopped
-        if isinstance(exc, DialogueTooShort):
-            return job.skip(stage, exc)
-        return job.fail_on(stage.label, exc)
     try:
-        return job.report()
-    except Exception as exc:
-        return job.fail_on("report", exc)
+        art.write("dialogue.json", dialogue.to_json_dict())
+        if encounter.reference_note:
+            art.write("reference.txt", encounter.reference_note)
+
+        job = _Job(StageContext(gateway=gateway, config=config), dialogue, art)
+        stages = encounter_stages(config)
+        if stage_pool is None:
+            stopped = job.run_inline(stages)
+        else:
+            stopped = job.run_pooled(stages, stage_pool)
+        if stopped is not None:
+            stage, exc = stopped
+            if isinstance(exc, DialogueTooShort):
+                return job.skip(stage, exc)
+            return job.fail_on(stage.label, exc)
+        try:
+            return job.report()
+        except Exception as exc:
+            return job.fail_on("report", exc)
+    finally:
+        art.flush(writer)
 
 
 def run_corpus(
@@ -320,25 +395,28 @@ def run_corpus(
     out_dir.mkdir(parents=True, exist_ok=True)
     started_at = utc_now_iso()
 
-    if workers == 1:
-        results = [
-            run_encounter(config, gateway, encounter, out_dir)
-            for encounter in selected.encounters
-        ]
-    else:
-        # Encounter threads only submit rows to the stage pool and wait on
-        # them; rows never wait on the pool, so neither pool can starve.
-        with ThreadPoolExecutor(max_workers=in_flight_cap(workers)) as stage_pool, (
-            ThreadPoolExecutor(max_workers=workers)
-        ) as encounter_pool:
-            results = list(
-                encounter_pool.map(
-                    lambda encounter: run_encounter(
-                        config, gateway, encounter, out_dir, stage_pool
-                    ),
-                    selected.encounters,
+    # Every batch is written, or the first write error raised, before
+    # the manifest is.
+    with _BatchWriter() as writer:
+        if workers == 1:
+            results = [
+                run_encounter(config, gateway, encounter, out_dir, writer=writer)
+                for encounter in selected.encounters
+            ]
+        else:
+            # Encounter threads only submit rows to the stage pool and wait
+            # on them; rows never wait on the pool, so neither pool can starve.
+            with ThreadPoolExecutor(max_workers=in_flight_cap(workers)) as stage_pool, (
+                ThreadPoolExecutor(max_workers=workers)
+            ) as encounter_pool:
+                results = list(
+                    encounter_pool.map(
+                        lambda encounter: run_encounter(
+                            config, gateway, encounter, out_dir, stage_pool, writer
+                        ),
+                        selected.encounters,
+                    )
                 )
-            )
 
     outcomes = {**kept, **{result.encounter_id: result for result in results}}
     manifest = RunManifest(

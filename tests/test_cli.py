@@ -131,6 +131,8 @@ def test_report_json(finished_run, capsys):
     assert aggregate["ok"] == 3
     assert aggregate["omission_count"]["mean"] == pytest.approx(11 / 3)
     assert aggregate["omission_weight"]["mean"] == pytest.approx(1.5)
+    # The same bits on every Python version, not only to within rounding.
+    assert aggregate["omission_weight"]["stdev"] == 0.43588989435406733
     assert aggregate["margin_ratio"]["defined"] == 2
     assert aggregate["margin_ratio"]["mean"] == pytest.approx(1.5)
 
@@ -401,6 +403,18 @@ def test_run_refuses_a_corpus_with_a_number_in_a_string_field(tmp_path, capsys):
 def test_run_on_an_unparsable_yaml_config_is_an_error_naming_the_file(tmp_path, capsys):
     config = tmp_path / "config.yaml"
     config.write_text("models: [unclosed\n", encoding="utf-8")
+    code = main(
+        ["run", "--config", str(config), "--corpus", str(CORPUS), "--out", str(tmp_path / "out")]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {config}: ")
+    assert "Traceback" not in captured.err
+
+
+def test_run_on_an_unparsable_json_config_is_an_error_naming_the_file(tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text('{"models": ', encoding="utf-8")
     code = main(
         ["run", "--config", str(config), "--corpus", str(CORPUS), "--out", str(tmp_path / "out")]
     )

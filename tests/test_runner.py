@@ -1,4 +1,5 @@
 import json
+import threading
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ from factgap.datamodel import Polarity
 from factgap.dataset import Corpus, Encounter, RunManifest, parse_tagged_dialogue
 from factgap.gateway import GatewayMode, LlmGateway, ScriptedBackend
 from factgap.jsonutil import read_json
+from factgap.pipeline import runner
 from factgap.pipeline.runner import ENCOUNTERS_SUBDIR, MANIFEST_NAME, run_corpus, run_encounter
 
 from corpus_fixtures import (
@@ -136,6 +138,27 @@ def test_run_encounter_ok(tmp_path):
         "cluster_refuting",
     ]
     assert all(s["attempts"] == 1 for s in stages["stages"])
+
+
+def test_run_encounter_alone_leaves_every_file_on_disk_when_it_returns(tmp_path, monkeypatch):
+    written = []
+    write_json = runner.write_json
+
+    def recording(path, obj, atomic=True):
+        written.append((path.name, threading.current_thread()))
+        write_json(path, obj, atomic=atomic)
+
+    monkeypatch.setattr(runner, "write_json", recording)
+    gateway = live_gateway(edward_generate_responses())
+    result = run_encounter(make_config(), gateway, edward_encounter(), tmp_path)
+
+    assert result.status == "ok"
+    enc_dir = tmp_path / ENCOUNTERS_SUBDIR / "enc-edward"
+    assert sorted(p.name for p in enc_dir.iterdir()) == sorted(
+        [name for name, _ in written] + ["reference.txt"]
+    )
+    assert {thread for _, thread in written} == {threading.current_thread()}
+    assert written[-1][0] == "report.json"
 
 
 def test_run_encounter_repairs_cluster_line_without_mechanism(tmp_path):
