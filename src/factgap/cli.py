@@ -11,6 +11,7 @@ import argparse
 import math
 import statistics
 import sys
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -333,7 +334,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, GatewayError) as exc:
+    except (ValueError, OSError, GatewayError, BrokenExecutor) as exc:
+        # BrokenExecutor: an artifact writer process died.
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_FAILURES
 

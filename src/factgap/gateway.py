@@ -220,16 +220,18 @@ class Cassette:
     """Append-only JSONL store keyed by request fingerprint.
 
     Later records for the same fingerprint win, so re-recording a
-    request replaces its response without rewriting history. A final
-    line that is not JSON and has no newline is what a process killed
-    mid-append leaves: it is dropped with a warning, and the next append
-    cuts it off first. A bad line anywhere else is an error.
+    request replaces its response without rewriting history. The file
+    keeps whole records, but only each fingerprint's response is held in
+    memory, since replay reads nothing else. A final line that is not
+    JSON and has no newline is what a process killed mid-append leaves:
+    it is dropped with a warning, and the next append cuts it off first.
+    A bad line anywhere else is an error.
     """
 
     def __init__(self, path: Path | str):
         self.path = Path(path)
         self._lock = threading.Lock()
-        self._records: dict[str, dict[str, Any]] = {}
+        self._responses: dict[str, Any] = {}
         # Tail repairs made once, by the next append: the byte offset of a
         # torn final line to cut off, or a whole last record that lost its
         # newline.
@@ -267,20 +269,20 @@ class Cassette:
                         f"{self.path}:{line_no}: cassette record missing "
                         "fingerprint/response"
                     )
-                self._records[record["fingerprint"]] = record
+                self._responses[record["fingerprint"]] = record["response"]
                 self._newline_missing = not line.endswith(b"\n")
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._responses)
 
-    def get(self, fingerprint: str) -> Optional[dict[str, Any]]:
+    def get(self, fingerprint: str) -> Optional[Any]:
+        """The response recorded for ``fingerprint``, or None."""
         with self._lock:
-            return self._records.get(fingerprint)
+            return self._responses.get(fingerprint)
 
     def append(self, record: Mapping[str, Any]) -> None:
-        record = dict(record)
         with self._lock:
-            self._records[record["fingerprint"]] = record
+            self._responses[record["fingerprint"]] = record["response"]
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a+b") as handle:
                 if self._torn_at is not None:
@@ -575,9 +577,9 @@ class LlmGateway:
         that call, so record mode also appends it once."""
         fingerprint = request.fingerprint
         if self.cassette is not None:
-            record = self.cassette.get(fingerprint)
-            if record is not None:
-                return record["response"]
+            response = self.cassette.get(fingerprint)
+            if response is not None:
+                return response
             if self.mode is GatewayMode.REPLAY:
                 raise CassetteMiss(fingerprint)
         with self._flights_lock:
@@ -586,9 +588,9 @@ class LlmGateway:
             if leader:
                 # In record mode, a flight that ended after the lookup
                 # above has appended its response by now.
-                record = self.cassette.get(fingerprint) if self.cassette is not None else None
-                if record is not None:
-                    return record["response"]
+                response = self.cassette.get(fingerprint) if self.cassette is not None else None
+                if response is not None:
+                    return response
                 flight = self._flights[fingerprint] = Future()
         if not leader:
             return flight.result()

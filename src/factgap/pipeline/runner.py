@@ -14,15 +14,20 @@ Nothing is written while an encounter runs. Its artifacts are collected
 in commit order and written as one batch when it ends: every file in
 place, then the outcome marker last and atomically, so the marker is the
 encounter's commit point and a directory without one is incomplete. A
-corpus run writes the batches on a small pool of writer threads, which
-create one encounter's files while the next one runs its stages.
+corpus run writes the batches on two writer processes, forked before the
+run starts any thread, which create one encounter's files while the next
+one runs its stages. Processes rather than threads, because writer
+threads would share the GIL with the stages: the pretty encoding holds
+it, and every file operation has to take it back.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 import queue
 import shutil
+import signal
 import threading
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from pathlib import Path
@@ -62,13 +67,11 @@ log = logging.getLogger(__name__)
 ENCOUNTERS_SUBDIR = "encounters"
 MANIFEST_NAME = "manifest.json"
 
-# Threads that write a corpus run's batches. In replay measurements one
-# thread was no faster than writing inline (it waits for the GIL after
-# each file operation), and three were no faster than two.
-WRITER_THREADS = 2
+# Processes that write a corpus run's batches.
+WRITER_PROCESSES = 2
 # Batches handed to the writers and not yet written; an encounter that
 # would exceed it waits, so a run holds a bounded number of batches.
-MAX_PENDING_BATCHES = 2 * WRITER_THREADS
+MAX_PENDING_BATCHES = 2 * WRITER_PROCESSES
 
 
 def in_flight_cap(workers: int) -> int:
@@ -89,13 +92,45 @@ def _write_batch(root: Path, batch: Sequence[tuple[str, Any]]) -> None:
             write_json(root / name, payload, atomic=name in OUTCOME_MARKERS)
 
 
+def _start_writer() -> None:
+    """Runs first in each writer process. The writer ignores SIGINT, so an
+    interrupted run still waits for the batches it handed over, and it
+    exits once the run's process is gone: a killed run would otherwise
+    leave its writers blocked on their queue for good."""
+    import multiprocessing
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    run_process = multiprocessing.parent_process()
+
+    def exit_with_run() -> None:
+        # A writer forked later holds the pipe this one watches, so the
+        # last writer sees the end first and the others follow it.
+        run_process.join()
+        os._exit(1)
+
+    threading.Thread(target=exit_with_run, daemon=True).start()
+
+
 class _BatchWriter:
-    """Writes a corpus run's batches on ``WRITER_THREADS`` threads. Leaving
-    the ``with`` block waits for every batch and raises the first write
-    error."""
+    """Writes a corpus run's batches on ``WRITER_PROCESSES`` forked
+    processes, each batch pickled once on its way there. Leaving the
+    ``with`` block waits for every batch and raises the first write error;
+    a writer that died raises ``BrokenProcessPool``."""
 
     def __init__(self) -> None:
-        self._pool = ThreadPoolExecutor(WRITER_THREADS, thread_name_prefix="factgap-writer")
+        # Imported here, so that commands which write no run never load it.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        self._pool = ProcessPoolExecutor(
+            WRITER_PROCESSES,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_start_writer,
+        )
+        # The first submit forks every writer, before the run starts a
+        # thread: a fork copies only the calling thread, and any lock
+        # another thread holds stays held in the child.
+        self._pool.submit(int)
         self._slots = threading.BoundedSemaphore(MAX_PENDING_BATCHES)
         self._errors: list[BaseException] = []
 

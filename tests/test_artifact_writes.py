@@ -1,11 +1,22 @@
 """How a run writes its artifacts: one ordered batch per encounter with
-the outcome marker last, mode 0600 files, a bounded writer queue, and
-write errors that stop the run before its manifest."""
+the outcome marker last, mode 0600 files, a bounded writer queue, write
+errors and dead writers that stop the run before its manifest, writer
+processes forked before the run starts a thread, and writers that
+outlive neither an interrupt nor a killed run.
+
+The writers are forked processes, so what they do is observed through
+what crosses a fork: a log file, a ``multiprocessing`` event, and the
+writer's own callbacks in the test process."""
 
 import errno
+import multiprocessing
+import os
+import signal
+import subprocess
 import sys
 import threading
 import time
+import warnings
 from collections import defaultdict
 from dataclasses import replace
 from pathlib import Path
@@ -15,6 +26,7 @@ import pytest
 from factgap.cli import main
 from factgap.config import build_gateway, load_config
 from factgap.dataset import OUTCOME_MARKERS, Corpus, load_corpus
+from factgap.jsonutil import write_json
 from factgap.pipeline import runner
 from factgap.pipeline.runner import ENCOUNTERS_SUBDIR, MANIFEST_NAME, run_corpus
 
@@ -52,17 +64,24 @@ def fixture_run(out_dir, outcome, workers):
     )
 
 
-def record_writes(monkeypatch):
-    """Records (directory, name, atomic) for every ``write_json`` of the runner."""
-    writes = []
+def record_writes(monkeypatch, log_path):
+    """Appends (directory, name, atomic) to ``log_path`` for every
+    ``write_json`` of the runner, in whichever process makes it."""
     write_json = runner.write_json
 
     def recording(path, obj, atomic=True):
-        writes.append((path.parent.name, path.name, atomic))
+        # One short O_APPEND write per line, so lines from two writers
+        # never mix.
+        with open(log_path, "a", encoding="utf-8") as log:
+            log.write(f"{path.parent.name}\t{path.name}\t{int(atomic)}\n")
         write_json(path, obj, atomic=atomic)
 
     monkeypatch.setattr(runner, "write_json", recording)
-    return writes
+
+
+def recorded_writes(log_path):
+    lines = log_path.read_text(encoding="utf-8").splitlines()
+    return [(directory, name, atomic == "1") for directory, name, atomic in map(str.split, lines)]
 
 
 @pytest.mark.parametrize("outcome", sorted(RUNS))
@@ -71,9 +90,12 @@ def test_each_encounter_writes_its_marker_last_and_only_it_atomically(
 ):
     orders = {}
     for workers in (1, 3):
-        writes = record_writes(monkeypatch)
+        log_path = tmp_path / f"writes-w{workers}.log"
         out_dir = tmp_path / f"w{workers}"
-        _, results = fixture_run(out_dir, outcome, workers)
+        with monkeypatch.context() as patch:
+            record_writes(patch, log_path)
+            _, results = fixture_run(out_dir, outcome, workers)
+        writes = recorded_writes(log_path)
         assert {r.status for r in results} == {outcome}
         assert writes[-1] == (out_dir.name, MANIFEST_NAME, True)
 
@@ -119,9 +141,11 @@ def rekeyed_fixture_corpus(copies):
 @pytest.mark.parametrize("workers", [1, 3])
 def test_no_more_than_four_batches_wait_for_the_writers(tmp_path, monkeypatch, workers):
     corpus = rekeyed_fixture_corpus(3)
-    release = threading.Event()
+    # Created before the run, so the forked writers share it.
+    release = multiprocessing.get_context("fork").Event()
     returned, written = [], []
     pending = []
+    blocked = {}
 
     write_json = runner.write_json
 
@@ -129,11 +153,12 @@ def test_no_more_than_four_batches_wait_for_the_writers(tmp_path, monkeypatch, w
         assert release.wait(timeout=60)
         write_json(path, obj, atomic=atomic)
 
-    write_batch = runner._write_batch
+    finished = runner._BatchWriter._finished
 
-    def counting_write_batch(root, batch):
-        write_batch(root, batch)
-        written.append(root.name)
+    def counting_finished(writer, future):
+        if future.exception() is None:
+            written.append(future)
+        finished(writer, future)
 
     run_encounter = runner.run_encounter
 
@@ -144,39 +169,50 @@ def test_no_more_than_four_batches_wait_for_the_writers(tmp_path, monkeypatch, w
         pending.append(len(returned) - len(written))
         return result
 
-    monkeypatch.setattr(runner, "write_json", blocking_write_json)
-    monkeypatch.setattr(runner, "_write_batch", counting_write_batch)
-    monkeypatch.setattr(runner, "run_encounter", counting_run_encounter)
-
-    config = load_config(REPLAY_CONFIG)
-    outcome = {}
-
-    def run():
-        outcome["results"] = run_corpus(
-            config, build_gateway(config), corpus, "corpus.json", tmp_path, workers=workers
-        )[1]
-
-    thread = threading.Thread(target=run)
-    # Frequent thread switches shake out a lost update of the writer's count.
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    thread.start()
-    try:
+    def watch():
         deadline = time.monotonic() + 30
         while len(returned) < 4 and time.monotonic() < deadline:
             time.sleep(0.01)
         time.sleep(0.3)
-        # Writes are blocked: four batches wait, and the run waits with them.
-        assert len(returned) == 4
-        assert written == []
+        blocked.update(returned=len(returned), written=len(written))
+        release.set()
+
+    watcher = threading.Thread(target=watch)
+    enter = runner._BatchWriter.__enter__
+
+    def watching_enter(writer):
+        # The writers have forked by now; the watcher is no thread of theirs.
+        watcher.start()
+        return enter(writer)
+
+    monkeypatch.setattr(runner, "write_json", blocking_write_json)
+    monkeypatch.setattr(runner._BatchWriter, "_finished", counting_finished)
+    monkeypatch.setattr(runner._BatchWriter, "__enter__", watching_enter)
+    monkeypatch.setattr(runner, "run_encounter", counting_run_encounter)
+
+    config = load_config(REPLAY_CONFIG)
+    # Frequent thread switches shake out a lost update of the writer's count.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = run_corpus(
+            config, build_gateway(config), corpus, "corpus.json", tmp_path, workers=workers
+        )[1]
     finally:
         release.set()
-        thread.join(timeout=60)
+        if watcher.ident is not None:
+            watcher.join(timeout=60)
         sys.setswitchinterval(interval)
-    assert not thread.is_alive()
-    assert [r.status for r in outcome["results"]] == ["ok"] * len(corpus)
+    assert not watcher.is_alive()
+    # While writes were blocked, four batches waited, and the run with them.
+    assert blocked == {"returned": 4, "written": 0}
+    assert [r.status for r in results] == ["ok"] * len(corpus)
     assert max(pending) == 4
-    assert sorted(written) == sorted(e.encounter_id for e in corpus.encounters)
+    # Every batch was written in the end.
+    assert len(written) == len(corpus)
+    encounters_dir = tmp_path / ENCOUNTERS_SUBDIR
+    for encounter in corpus.encounters:
+        assert (encounters_dir / encounter.encounter_id / "report.json").is_file()
 
 
 @pytest.mark.parametrize("workers", ["1", "3"])
@@ -214,3 +250,155 @@ def test_a_failed_artifact_write_stops_the_run_before_its_manifest(
     enc_dir = failing.parent
     assert not any((enc_dir / name).exists() for name in OUTCOME_MARKERS)
     assert not failing.exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "3"])
+def test_a_killed_writer_stops_the_run_with_an_error_and_no_manifest(
+    tmp_path, monkeypatch, capsys, workers
+):
+    write_json = runner.write_json
+    killed_at = tmp_path / "out" / ENCOUNTERS_SUBDIR / "enc-stephanie" / "facts.json"
+    test_process = os.getpid()
+
+    def killing_write_json(path, obj, atomic=True):
+        if path == killed_at and os.getpid() != test_process:
+            os.kill(os.getpid(), signal.SIGKILL)
+        write_json(path, obj, atomic=atomic)
+
+    monkeypatch.setattr(runner, "write_json", killing_write_json)
+    code = main(
+        [
+            "run",
+            "--config",
+            str(REPLAY_CONFIG),
+            "--corpus",
+            str(CORPUS),
+            "--out",
+            str(tmp_path / "out"),
+            "--workers",
+            workers,
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "out" / MANIFEST_NAME).exists()
+    enc_dir = killed_at.parent
+    assert not any((enc_dir / name).exists() for name in OUTCOME_MARKERS)
+
+
+def running(pid):
+    """Whether process ``pid`` runs; one that exited unreaped is a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+def run_signalled(tmp_path, signal_call, corpus):
+    """Runs ``factgap run`` over ``corpus`` in a child process of its own
+    session. The writer that writes the first encounter's first file
+    evaluates ``signal_call``, with ``run_process`` the pid of the run's
+    process. Returns the run's exit code, its stderr, and the pids of
+    the writers it forked."""
+    script = (
+        "import os, signal, sys\n"
+        "from factgap.cli import main\n"
+        "from factgap.pipeline import runner\n"
+        "run_process, fork, write_json = os.getpid(), os.fork, runner.write_json\n"
+        "first = os.path.join(sys.argv[3], 'encounters', sys.argv[2], 'dialogue.json')\n"
+        "def recording_fork():\n"
+        "    pid = fork()\n"
+        "    if pid:\n"
+        "        with open(sys.argv[1], 'a') as pids:\n"
+        "            pids.write(f'{pid}\\n')\n"
+        "    return pid\n"
+        "def signalling_write_json(path, obj, atomic=True):\n"
+        "    if str(path) == first and os.getpid() != run_process:\n"
+        f"        {signal_call}\n"
+        "    write_json(path, obj, atomic=atomic)\n"
+        "os.fork, runner.write_json = recording_fork, signalling_write_json\n"
+        "main(['run', '--config', sys.argv[4], '--corpus', sys.argv[5], '--out', sys.argv[3]])\n"
+    )
+    corpus_path = tmp_path / "corpus.json"
+    write_json(corpus_path, corpus.to_json_dict())
+    pids_path = tmp_path / "writers.txt"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    argv = [str(pids_path), corpus.encounters[0].encounter_id, str(tmp_path / "out")]
+    argv += [str(REPLAY_CONFIG), str(corpus_path)]
+    # Output goes to a file: a pipe would stay open as long as any writer.
+    with open(tmp_path / "stderr.txt", "w") as stderr:
+        result = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            stdout=subprocess.DEVNULL,
+            stderr=stderr,
+            env=env,
+            timeout=60,
+            start_new_session=True,
+        )
+    writers = [int(pid) for pid in pids_path.read_text().split()]
+    assert len(writers) == runner.WRITER_PROCESSES
+    try:
+        deadline = time.monotonic() + 10
+        while any(map(running, writers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(running, writers))
+    finally:
+        for pid in filter(running, writers):
+            os.kill(pid, signal.SIGKILL)
+    return result.returncode, (tmp_path / "stderr.txt").read_text()
+
+
+def test_the_writers_exit_when_the_run_is_killed(tmp_path):
+    code, stderr = run_signalled(
+        tmp_path, "os.kill(run_process, signal.SIGKILL)", load_corpus(CORPUS)
+    )
+    assert code == -signal.SIGKILL, stderr
+    assert not (tmp_path / "out" / MANIFEST_NAME).exists()
+
+
+def test_an_interrupted_run_still_writes_every_batch_it_handed_over(tmp_path):
+    # SIGINT to the whole session, as Ctrl-C sends it to a terminal's
+    # foreground group. The writers ignore it and finish their batches.
+    corpus = rekeyed_fixture_corpus(10)
+    code, stderr = run_signalled(tmp_path, "os.killpg(0, signal.SIGINT)", corpus)
+    assert code == -signal.SIGINT, stderr
+    assert stderr.count("Traceback") == 1
+    first = tmp_path / "out" / ENCOUNTERS_SUBDIR / corpus.encounters[0].encounter_id
+    assert any((first / name).exists() for name in OUTCOME_MARKERS)
+    assert not (tmp_path / "out" / MANIFEST_NAME).exists()
+
+
+def test_the_writers_fork_before_the_run_starts_a_thread(tmp_path, monkeypatch):
+    fork = os.fork
+    threads_at_fork = []
+
+    def counting_fork():
+        threads_at_fork.append(threading.active_count())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    threads = threading.active_count()
+    with warnings.catch_warnings(record=True) as caught:
+        # Python 3.12 and later warn when a process with threads forks.
+        warnings.simplefilter("always", DeprecationWarning)
+        code = main(
+            [
+                "run",
+                "--config",
+                str(REPLAY_CONFIG),
+                "--corpus",
+                str(CORPUS),
+                "--out",
+                str(tmp_path / "out"),
+                "--workers",
+                "3",
+            ]
+        )
+    assert code == 0
+    assert threads_at_fork == [threads] * runner.WRITER_PROCESSES
+    assert [str(w.message) for w in caught if "use of fork()" in str(w.message)] == []

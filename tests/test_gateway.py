@@ -104,7 +104,7 @@ def test_cassette_round_trip_and_last_wins(tmp_path):
     cassette.append({"fingerprint": "f1", "kind": "generate", "response": {"text": "b"}})
     reloaded = Cassette(path)
     assert len(reloaded) == 1
-    assert reloaded.get("f1")["response"]["text"] == "b"
+    assert reloaded.get("f1")["text"] == "b"
     assert reloaded.get("missing") is None
 
 
@@ -132,7 +132,7 @@ def test_cassette_drops_a_torn_final_line_with_a_warning(tmp_path, caplog):
     with caplog.at_level(logging.WARNING, logger="factgap.gateway"):
         cassette = Cassette(path)
     assert len(cassette) == 2
-    assert cassette.get("f2")["response"]["text"] == "é"
+    assert cassette.get("f2")["text"] == "é"
     assert cassette.get("f3") is None
     assert "torn.jsonl:3: dropping a torn final cassette line" in caplog.text
 
@@ -161,7 +161,7 @@ def test_cassette_append_after_a_torn_tail_keeps_every_whole_record(tmp_path):
         cassette_line("f1", "a") + cassette_line("f3", "c") + cassette_line("f4", "d")
     )
     reloaded = Cassette(path)
-    assert [reloaded.get(f)["response"]["text"] for f in ("f1", "f3", "f4")] == ["a", "c", "d"]
+    assert [reloaded.get(f)["text"] for f in ("f1", "f3", "f4")] == ["a", "c", "d"]
     assert reloaded.get("f2") is None
 
     # A torn fragment that is the whole file, and a whole last record
@@ -210,8 +210,9 @@ def test_record_mode_appends_then_short_circuits(tmp_path):
     assert gateway.generate(req) == "only"
     # Second call must come from the cassette; the backend is exhausted.
     assert gateway.generate(req) == "only"
-    record = Cassette(path).get(req.fingerprint)
-    assert record["request"]["model_id"] == "m1"
+    # The cassette file keeps the whole record, request included.
+    (line,) = path.read_text(encoding="utf-8").splitlines()
+    assert json.loads(line)["request"]["model_id"] == "m1"
 
 
 class BlockingBackend:

@@ -135,11 +135,11 @@ class FixtureBackend:
 
     def complete(self, request):
         self.calls.append(self.stages[request.fingerprint])
-        return self.cassette.get(request.fingerprint)["response"]["text"]
+        return self.cassette.get(request.fingerprint)["text"]
 
     def score(self, request):
         self.calls.append((None, "score"))
-        return tuple(self.cassette.get(request.fingerprint)["response"]["logprobs"])
+        return tuple(self.cassette.get(request.fingerprint)["logprobs"])
 
 
 def live_run(out_dir, backend, workers, corpus=None):
