@@ -211,9 +211,11 @@ def utc_now_iso() -> str:
     return _dt.datetime.now(tz=_dt.timezone.utc).isoformat(timespec="seconds")
 
 
-STATUSES = ("ok", "skipped", "failed")
-# The files that end an encounter directory, one per status.
-OUTCOME_MARKERS = ("report.json", "skip.json", "failure.json")
+# Each status, and the file that ends an encounter directory with it, in
+# the order read_outcome looks for them.
+MARKERS = {"ok": "report.json", "skipped": "skip.json", "failed": "failure.json"}
+STATUSES = tuple(MARKERS)
+OUTCOME_MARKERS = tuple(MARKERS.values())
 
 
 @dataclass(frozen=True)
@@ -288,12 +290,12 @@ def read_outcome(enc_dir: Path) -> EncounterResult:
     report, skip and failure. A directory with none failed before it
     wrote one."""
     encounter_id = enc_dir.name
-    if (path := enc_dir / "report.json").exists():
+    if (path := enc_dir / MARKERS["ok"]).exists():
         return EncounterResult(encounter_id, "ok", report=_read_marker(path, OmissionReport))
-    if (path := enc_dir / "skip.json").exists():
+    if (path := enc_dir / MARKERS["skipped"]).exists():
         skip = _read_marker(path, SkipMarker)
         return EncounterResult(encounter_id, "skipped", reason=skip.reason)
-    if (path := enc_dir / "failure.json").exists():
+    if (path := enc_dir / MARKERS["failed"]).exists():
         failure = _read_marker(path, FailureMarker)
         return EncounterResult(encounter_id, "failed", failure.message, failure.stage)
     return EncounterResult(encounter_id, "failed", "no outcome marker in the encounter directory")

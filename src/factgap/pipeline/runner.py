@@ -29,13 +29,14 @@ import queue
 import shutil
 import signal
 import threading
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, Executor, Future, ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
 from ..config import RunConfig
 from ..datamodel import Dialogue, bundle_warnings, validate_encounter_bundle
 from ..dataset import (
+    MARKERS,
     OUTCOME_MARKERS,
     Corpus,
     Encounter,
@@ -111,11 +112,22 @@ def _start_writer() -> None:
     threading.Thread(target=exit_with_run, daemon=True).start()
 
 
+def _naming(root: Path, exc: BaseException) -> BaseException:
+    """``exc``, or for a dead writer an error of its type that names the
+    directory of the batch it stopped."""
+    if not isinstance(exc, BrokenExecutor):
+        return exc
+    named = type(exc)(f"writing {root}: {exc}")
+    named.__cause__ = exc
+    return named
+
+
 class _BatchWriter:
     """Writes a corpus run's batches on ``WRITER_PROCESSES`` forked
     processes, each batch pickled once on its way there. Leaving the
     ``with`` block waits for every batch and raises the first write error;
-    a writer that died raises ``BrokenProcessPool``."""
+    a writer that died raises a ``BrokenProcessPool`` that names a batch's
+    directory."""
 
     def __init__(self) -> None:
         # Imported here, so that commands which write no run never load it.
@@ -133,17 +145,25 @@ class _BatchWriter:
         self._pool.submit(int)
         self._slots = threading.BoundedSemaphore(MAX_PENDING_BATCHES)
         self._errors: list[BaseException] = []
+        # The directory of each batch not yet written.
+        self._roots: dict[Future, Path] = {}
 
     def submit(self, root: Path, batch: Sequence[tuple[str, Any]]) -> None:
         """Hands one batch over, waiting while ``MAX_PENDING_BATCHES`` are
         pending. Once a write has failed, raises its error instead."""
         self._raise_first_error()
         self._slots.acquire()
-        self._pool.submit(_write_batch, root, batch).add_done_callback(self._finished)
+        try:
+            future = self._pool.submit(_write_batch, root, batch)
+        except BrokenExecutor as exc:
+            raise _naming(root, exc)
+        self._roots[future] = root
+        future.add_done_callback(self._finished)
 
     def _finished(self, future: Future) -> None:
+        root = self._roots.pop(future)
         if (exc := future.exception()) is not None:
-            self._errors.append(exc)
+            self._errors.append(_naming(root, exc))
         self._slots.release()
 
     def _raise_first_error(self) -> None:
@@ -279,7 +299,7 @@ class _Job:
         marker = SkipMarker(
             self.encounter_id, reason, cut_turn_index=turns - 1, truncated_turns=turns
         )
-        self.art.write("skip.json", marker.to_json_dict())
+        self.art.write(MARKERS["skipped"], marker.to_json_dict())
         log.info("skipping %s: %s", self.encounter_id, reason)
         return EncounterResult(encounter_id=self.encounter_id, status="skipped", reason=reason)
 
@@ -298,7 +318,7 @@ class _Job:
         """The one writer of failure markers."""
         self.write_stages()
         marker = FailureMarker(self.encounter_id, stage, message, fingerprint, attempts)
-        self.art.write("failure.json", marker.to_json_dict())
+        self.art.write(MARKERS["failed"], marker.to_json_dict())
         log.error("%s failed at %s: %s", self.encounter_id, stage, message)
         return EncounterResult(
             encounter_id=self.encounter_id, status="failed", reason=message, stage=stage
@@ -323,8 +343,6 @@ class _Job:
             "validation.json",
             {"encounter_id": self.encounter_id, "violations": violations, "warnings": warnings},
         )
-        for warning in warnings:
-            log.warning("%s: %s", self.encounter_id, warning)
         if violations:
             return self.fail("validation", "; ".join(violations))
 
@@ -338,7 +356,7 @@ class _Job:
         )
         payload = report.to_json_dict()
         self.write_stages()
-        self.art.write("report.json", payload)
+        self.art.write(MARKERS["ok"], payload)
         return EncounterResult(encounter_id=self.encounter_id, status="ok", report=report)
 
 

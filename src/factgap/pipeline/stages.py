@@ -9,7 +9,10 @@ made.
 
 ``STAGES`` declares the stages of one encounter as a dependency table:
 each row names what it needs, how it runs and which artifact it writes.
-The runner schedules the table; ``STAGE_ORDER`` is its row order.
+A model stage's row declares its template, the model role it asks
+(``config.models.<role>``), the values its prompt renders and the parser
+of the reply. The runner schedules the table; ``STAGE_ORDER`` is its row
+order.
 """
 
 from __future__ import annotations
@@ -19,16 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional, Sequence
 
 from ..config import RunConfig
-from ..datamodel import (
-    DdxSource,
-    Dialogue,
-    DifferentialDiagnosis,
-    EvidenceClustering,
-    Fact,
-    Omission,
-    Polarity,
-    Summary,
-)
+from ..datamodel import DdxSource, Dialogue, Fact, Polarity
 from ..gateway import GenerationRequest, LlmGateway
 from ..scoring import completion_continuation, completion_prompt, margin_plan
 from . import parsers, templates
@@ -64,22 +58,6 @@ class StageContext:
     gateway: LlmGateway
     config: RunConfig
 
-    @property
-    def metric_model(self) -> str:
-        return self.config.models.metric
-
-    @property
-    def summary_model(self) -> str:
-        return self.config.models.summary
-
-    @property
-    def repair_budget(self) -> int:
-        return self.config.thresholds.repair_budget
-
-    @property
-    def max_tokens(self) -> int:
-        return self.config.max_gen_tokens
-
 
 def _repair_message(error: parsers.ParseError) -> str:
     return (
@@ -98,7 +76,8 @@ def run_stage(
     attempts = 0
     current = request
     last_error: Optional[parsers.ParseError] = None
-    while attempts <= ctx.repair_budget:
+    budget = ctx.config.thresholds.repair_budget
+    while attempts <= budget:
         text = ctx.gateway.generate(current)
         attempts += 1
         try:
@@ -106,7 +85,7 @@ def run_stage(
             value = parse(block)
         except parsers.ParseError as exc:
             last_error = exc
-            if attempts <= ctx.repair_budget:
+            if attempts <= budget:
                 log.info("stage %s attempt %d rejected: %s", stage, attempts, exc)
                 current = current.extended(text, _repair_message(exc))
             continue
@@ -123,118 +102,6 @@ def run_stage(
         message=str(last_error),
         fingerprint=current.fingerprint,
         attempts=attempts,
-    )
-
-
-def stage_truncate(ctx: StageContext, dialogue: Dialogue) -> StageOutput:
-    request = templates.build_request(
-        ctx.metric_model,
-        "truncate",
-        ctx.max_tokens,
-        dialogue_numbered=dialogue.numbered_text(),
-    )
-    return run_stage(
-        ctx,
-        "truncate",
-        request,
-        lambda block: parsers.parse_truncation(block, len(dialogue.turns)),
-    )
-
-
-def stage_summarize(ctx: StageContext, dialogue: Dialogue) -> StageOutput:
-    request = templates.build_request(
-        ctx.summary_model, "summary", ctx.max_tokens, dialogue=dialogue.text()
-    )
-    return run_stage(
-        ctx,
-        "summarize",
-        request,
-        lambda block: parsers.parse_summary(block, dialogue.encounter_id),
-    )
-
-
-def stage_extract_facts(ctx: StageContext, dialogue: Dialogue) -> StageOutput:
-    request = templates.build_request(
-        ctx.metric_model, "facts", ctx.max_tokens, dialogue=dialogue.text()
-    )
-    return run_stage(ctx, "extract_facts", request, parsers.parse_facts)
-
-
-def _facts_text(facts: Sequence[Fact]) -> str:
-    return "\n".join(f"{fact.fact_id}: {fact.text}" for fact in facts)
-
-
-def stage_ddx(
-    ctx: StageContext, encounter_id: str, context_text: str, source: DdxSource
-) -> StageOutput:
-    stage = "ddx_chat" if source is DdxSource.FROM_CHAT else "ddx_summary"
-    request = templates.build_request(
-        ctx.metric_model, "ddx", ctx.max_tokens, context=context_text
-    )
-    return run_stage(
-        ctx,
-        stage,
-        request,
-        lambda block: parsers.parse_ddx(block, encounter_id, source),
-    )
-
-
-def stage_detect_omissions(
-    ctx: StageContext, facts: Sequence[Fact], summary: Summary
-) -> StageOutput:
-    request = templates.build_request(
-        ctx.metric_model,
-        "omissions",
-        ctx.max_tokens,
-        facts=_facts_text(facts),
-        summary=summary.text(),
-    )
-    known = [fact.fact_id for fact in facts]
-    return run_stage(
-        ctx,
-        "detect_omissions",
-        request,
-        lambda block: parsers.parse_omissions(block, known),
-    )
-
-
-def stage_categorize(ctx: StageContext, facts: Sequence[Fact]) -> StageOutput:
-    request = templates.build_request(
-        ctx.metric_model, "categorize", ctx.max_tokens, facts=_facts_text(facts)
-    )
-    return run_stage(
-        ctx,
-        "categorize",
-        request,
-        lambda block: parsers.parse_categorization(block, facts),
-    )
-
-
-_POLARITY_WORDS = {Polarity.SUPPORTING: "supports", Polarity.REFUTING: "refutes"}
-
-
-def stage_cluster(
-    ctx: StageContext,
-    ddx: DifferentialDiagnosis,
-    facts: Sequence[Fact],
-    polarity: Polarity,
-) -> StageOutput:
-    stage = "cluster_supporting" if polarity is Polarity.SUPPORTING else "cluster_refuting"
-    names = [entry.name for entry in ddx.entries]
-    request = templates.build_request(
-        ctx.metric_model,
-        "cluster",
-        ctx.max_tokens,
-        polarity_word=_POLARITY_WORDS[polarity],
-        diagnoses="\n".join(f"- {name}" for name in names),
-        facts=_facts_text(facts),
-    )
-    known = [fact.fact_id for fact in facts]
-    return run_stage(
-        ctx,
-        stage,
-        request,
-        lambda block: parsers.parse_clusters(block, names, known, polarity),
     )
 
 
@@ -289,13 +156,56 @@ class Stage:
             object.__setattr__(self, "label", self.name)
 
 
+def _ask(
+    stage: str,
+    template: str,
+    role: str,
+    values: Callable[[StageInputs], dict[str, str]],
+    parse: Callable[[StageInputs, str], Any],
+) -> Callable[[StageInputs], StageOutput]:
+    """The run of a model stage: renders ``template`` with ``values`` for
+    the model ``config.models.<role>`` and parses the reply's last fenced
+    block with ``parse``, repairing through run_stage."""
+
+    def run(s: StageInputs) -> StageOutput:
+        config = s.ctx.config
+        request = templates.build_request(
+            getattr(config.models, role), template, config.max_gen_tokens, **values(s)
+        )
+        return run_stage(s.ctx, stage, request, lambda block: parse(s, block))
+
+    return run
+
+
+# Truncation's model call names the last turn to keep; its row cuts there.
+_ask_cut = _ask(
+    "truncate",
+    "truncate",
+    "metric",
+    lambda s: {"dialogue_numbered": s.dialogue.numbered_text()},
+    lambda s, block: parsers.parse_truncation(block, len(s.dialogue.turns)),
+)
+
+
+def stage_truncate(ctx: StageContext, dialogue: Dialogue) -> StageOutput:
+    return _ask_cut(StageInputs(ctx, dialogue))
+
+
 def _truncate(s: StageInputs) -> StageOutput:
-    out = stage_truncate(s.ctx, s.dialogue)
+    out = _ask_cut(s)
     out = replace(out, value=s.dialogue.prefix(out.value))
     minimum = s.ctx.config.thresholds.min_truncated_turns
     if len(out.value.turns) < minimum:
         raise DialogueTooShort(out, minimum)
     return out
+
+
+def _facts_text(facts: Sequence[Fact]) -> str:
+    return "\n".join(f"{fact.fact_id}: {fact.text}" for fact in facts)
+
+
+def _fact_ids(facts: Sequence[Fact]) -> list[str]:
+    return [fact.fact_id for fact in facts]
 
 
 def _margin_requests(s: StageInputs) -> Optional[tuple[tuple[str, str], ...]]:
@@ -339,13 +249,29 @@ def _listed(key: str) -> Callable[[str, Any], dict]:
     }
 
 
+def _diagnoses(s: StageInputs) -> list[str]:
+    return [entry.name for entry in s["ddx_chat"].entries]
+
+
 def _cluster_stage(polarity: Polarity) -> Stage:
     return Stage(
         f"cluster_{polarity.value}",
         # The cluster prompt renders only fact ids and text, so the raw
         # facts serve as well as the categorized ones.
         ("extract_facts", "ddx_chat"),
-        lambda s: stage_cluster(s.ctx, s["ddx_chat"], s["extract_facts"], polarity),
+        _ask(
+            f"cluster_{polarity.value}",
+            "cluster",
+            "metric",
+            lambda s: {
+                "polarity_word": "supports" if polarity is Polarity.SUPPORTING else "refutes",
+                "diagnoses": "\n".join(f"- {name}" for name in _diagnoses(s)),
+                "facts": _facts_text(s["extract_facts"]),
+            },
+            lambda s, block: parsers.parse_clusters(
+                block, _diagnoses(s), _fact_ids(s["extract_facts"]), polarity
+            ),
+        ),
         f"clusters_{polarity.value}.json",
         lambda encounter_id, clusters: {
             "encounter_id": encounter_id,
@@ -362,16 +288,38 @@ STAGES: tuple[Stage, ...] = (
     Stage(
         "summarize",
         ("truncate",),
-        lambda s: stage_summarize(s.ctx, s["truncate"]),
+        _ask(
+            "summarize",
+            "summary",
+            "summary",
+            lambda s: {"dialogue": s["truncate"].text()},
+            lambda s, block: parsers.parse_summary(block, s.dialogue.encounter_id),
+        ),
         "summary.json",
         _encoded,
     ),
-    Stage("extract_facts", ("truncate",), lambda s: stage_extract_facts(s.ctx, s["truncate"])),
+    Stage(
+        "extract_facts",
+        ("truncate",),
+        _ask(
+            "extract_facts",
+            "facts",
+            "metric",
+            lambda s: {"dialogue": s["truncate"].text()},
+            lambda s, block: parsers.parse_facts(block),
+        ),
+    ),
     Stage(
         "ddx_chat",
         ("truncate",),
-        lambda s: stage_ddx(
-            s.ctx, s.dialogue.encounter_id, s["truncate"].text(), DdxSource.FROM_CHAT
+        _ask(
+            "ddx_chat",
+            "ddx",
+            "metric",
+            lambda s: {"context": s["truncate"].text()},
+            lambda s, block: parsers.parse_ddx(
+                block, s.dialogue.encounter_id, DdxSource.FROM_CHAT
+            ),
         ),
         "ddx_chat.json",
         _encoded,
@@ -379,14 +327,26 @@ STAGES: tuple[Stage, ...] = (
     Stage(
         "detect_omissions",
         ("extract_facts", "summarize"),
-        lambda s: stage_detect_omissions(s.ctx, s["extract_facts"], s["summarize"]),
+        _ask(
+            "detect_omissions",
+            "omissions",
+            "metric",
+            lambda s: {"facts": _facts_text(s["extract_facts"]), "summary": s["summarize"].text()},
+            lambda s, block: parsers.parse_omissions(block, _fact_ids(s["extract_facts"])),
+        ),
         "omissions.json",
         _listed("omissions"),
     ),
     Stage(
         "categorize",
         ("extract_facts",),
-        lambda s: stage_categorize(s.ctx, s["extract_facts"]),
+        _ask(
+            "categorize",
+            "categorize",
+            "metric",
+            lambda s: {"facts": _facts_text(s["extract_facts"])},
+            lambda s, block: parsers.parse_categorization(block, s["extract_facts"]),
+        ),
         "facts.json",
         _listed("facts"),
     ),
@@ -396,8 +356,14 @@ STAGES: tuple[Stage, ...] = (
     Stage(
         "ddx_summary",
         ("summarize",),
-        lambda s: stage_ddx(
-            s.ctx, s.dialogue.encounter_id, s["summarize"].text(), DdxSource.FROM_SUMMARY
+        _ask(
+            "ddx_summary",
+            "ddx",
+            "metric",
+            lambda s: {"context": s["summarize"].text()},
+            lambda s, block: parsers.parse_ddx(
+                block, s.dialogue.encounter_id, DdxSource.FROM_SUMMARY
+            ),
         ),
         "ddx_summary.json",
         _encoded,

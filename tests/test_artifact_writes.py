@@ -283,6 +283,12 @@ def test_a_killed_writer_stops_the_run_with_an_error_and_no_manifest(
     assert code == 2
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+    # A dead writer fails every pending batch, so any of them may be named.
+    encounters_dir = tmp_path / "out" / ENCOUNTERS_SUBDIR
+    assert any(
+        f"writing {encounters_dir / encounter.encounter_id}:" in captured.err
+        for encounter in load_corpus(CORPUS).encounters
+    ), captured.err
     assert not (tmp_path / "out" / MANIFEST_NAME).exists()
     enc_dir = killed_at.parent
     assert not any((enc_dir / name).exists() for name in OUTCOME_MARKERS)

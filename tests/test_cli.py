@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -81,6 +84,34 @@ def test_run_replay_corpus(finished_run, capsys):
     assert "enc-edward: ok, 1 omitted, weight 1" in captured.out
     assert "done: 3 ok, 0 skipped, 0 failed" in captured.out
     assert (finished_run / "manifest.json").exists()
+
+
+def test_run_replay_writes_nothing_to_stderr(tmp_path):
+    # A child process: the test process's logging setup would catch what a
+    # run with no logging configured prints through the last-resort handler.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-m",
+            "factgap.cli",
+            "run",
+            "--config",
+            str(REPLAY_CONFIG),
+            "--corpus",
+            str(CORPUS),
+            "--out",
+            str(tmp_path / "out"),
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
 
 
 def test_run_refuses_to_overwrite(finished_run, capsys):

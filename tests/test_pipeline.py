@@ -13,11 +13,11 @@ from factgap.gateway import ChatMessage, GenerationRequest, GatewayMode, LlmGate
 from factgap.pipeline import parsers, templates
 from factgap.pipeline.parsers import ParseError
 from factgap.pipeline.stages import (
+    STAGES,
     StageContext,
     StageError,
+    StageInputs,
     run_stage,
-    stage_cluster,
-    stage_ddx,
     stage_truncate,
 )
 from factgap.datamodel import Dialogue, Speaker, Turn
@@ -367,9 +367,14 @@ def test_stage_ddx_and_cluster_roundtrip():
         "SOCIAL DETERMINANT OF HEALTH:\nNONE\nOTHER:\nNONE\n```"
     )
     ctx = make_context(ScriptedBackend(generate_responses=[ddx_reply, cluster_reply]))
-    ddx_out = stage_ddx(ctx, "e1", "context", DdxSource.FROM_CHAT)
+    rows = {stage.name: stage for stage in STAGES}
+    dialogue = make_dialogue(4)
+    inputs = StageInputs(ctx, dialogue)
+    inputs.accept("truncate", dialogue)
+    inputs.accept("extract_facts", make_facts(1))
+    ddx_out = rows["ddx_chat"].run(inputs)
     assert ddx_out.stage == "ddx_chat"
-    facts = make_facts(1)
-    cluster_out = stage_cluster(ctx, ddx_out.value, facts, Polarity.SUPPORTING)
+    inputs.accept("ddx_chat", ddx_out)
+    cluster_out = rows["cluster_supporting"].run(inputs)
     assert cluster_out.stage == "cluster_supporting"
     assert cluster_out.value[0].subclusters[0].fact_ids == ("F0",)
