@@ -637,34 +637,39 @@ def import_external_metric(path: Path | str, metric_name: Optional[str] = None) 
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: empty CSV")
-        fields = list(reader.fieldnames)
-        if "encounter_id" not in fields:
-            raise ValueError(f"{path}: no encounter_id column (found {fields})")
-        candidates = [f for f in fields if f != "encounter_id"]
-        if metric_name is None:
-            if len(candidates) != 1:
-                raise ValueError(
-                    f"{path}: ambiguous metric column, specify one of {candidates}"
-                )
-            metric_name = candidates[0]
-        elif metric_name not in candidates:
-            raise ValueError(f"{path}: no column {metric_name!r} (found {candidates})")
-        values: dict[str, float] = {}
-        for row_no, row in enumerate(reader, start=2):
-            encounter_id = (row.get("encounter_id") or "").strip()
-            if not encounter_id:
-                raise ValueError(f"{path}:{row_no}: blank encounter_id")
-            if encounter_id in values:
-                raise ValueError(f"{path}:{row_no}: duplicate encounter_id {encounter_id}")
-            raw = (row.get(metric_name) or "").strip()
-            try:
-                values[encounter_id] = float(raw)
-            except ValueError as exc:
-                raise ValueError(
-                    f"{path}:{row_no}: {metric_name} value {raw!r} is not a number"
-                ) from exc
+        try:
+            if reader.fieldnames is None:
+                raise ValueError(f"{path}: empty CSV")
+            fields = list(reader.fieldnames)
+            if "encounter_id" not in fields:
+                raise ValueError(f"{path}: no encounter_id column (found {fields})")
+            candidates = [f for f in fields if f != "encounter_id"]
+            if metric_name is None:
+                if len(candidates) != 1:
+                    raise ValueError(
+                        f"{path}: ambiguous metric column, specify one of {candidates}"
+                    )
+                metric_name = candidates[0]
+            elif metric_name not in candidates:
+                raise ValueError(f"{path}: no column {metric_name!r} (found {candidates})")
+            values: dict[str, float] = {}
+            for row_no, row in enumerate(reader, start=2):
+                encounter_id = (row.get("encounter_id") or "").strip()
+                if not encounter_id:
+                    raise ValueError(f"{path}:{row_no}: blank encounter_id")
+                if encounter_id in values:
+                    raise ValueError(f"{path}:{row_no}: duplicate encounter_id {encounter_id}")
+                raw = (row.get(metric_name) or "").strip()
+                try:
+                    values[encounter_id] = float(raw)
+                except ValueError as exc:
+                    raise ValueError(
+                        f"{path}:{row_no}: {metric_name} value {raw!r} is not a number"
+                    ) from exc
+        except csv.Error as exc:
+            # Such as a cell over csv.field_size_limit(). The DictReader's
+            # own line_num lags: it is set only once a row parses.
+            raise ValueError(f"{path}:{reader.reader.line_num}: {exc}") from exc
     if not values:
         raise ValueError(f"{path}: no data rows")
     return MetricVector(name=metric_name, values=values)

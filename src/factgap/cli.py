@@ -24,10 +24,11 @@ from .baselines import (
 )
 from .config import build_gateway, load_config
 from .datamodel import Summary
-from .dataset import EncounterResult, count_statuses, load_corpus, read_outcome
+from .dataset import EncounterResult, count_statuses, load_corpus, read_outcome, read_record
 from .gateway import GatewayError, GatewayMode
-from .jsonutil import pretty_dumps, read_json
-from .pipeline.runner import ENCOUNTERS_SUBDIR, MANIFEST_NAME, in_flight_cap, run_corpus
+# Unused here, but perfbench/tracing.py wraps factgap.cli.read_json by name.
+from .jsonutil import pretty_dumps, read_json  # noqa: F401
+from .pipeline.runner import ENCOUNTERS_SUBDIR, MANIFEST_NAME, run_corpus
 
 EXIT_OK = 0
 EXIT_SKIPS = 1
@@ -51,7 +52,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.mode:
         config = config.with_mode(GatewayMode(args.mode))
     corpus = load_corpus(args.corpus)
-    gateway = build_gateway(config, max_in_flight=in_flight_cap(max(args.workers, 1)))
+    gateway = build_gateway(config)
     _, results = run_corpus(
         config,
         gateway,
@@ -189,7 +190,7 @@ def _baseline_pairs(ok: Sequence[tuple[Path, EncounterResult]]) -> dict[str, tup
                 "excluded from baseline correlation"
             )
             continue
-        summary = Summary.from_json_dict(read_json(enc_dir / "summary.json"))
+        summary = read_record(enc_dir / "summary.json", Summary)
         pairs[result.encounter_id] = (
             summary.text(),
             reference_path.read_text(encoding="utf-8"),

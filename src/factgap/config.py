@@ -13,7 +13,7 @@ import json
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Optional
+from typing import Optional
 
 from .datamodel import MARGIN_EPSILON, JsonRecord
 from .gateway import Aggregation, GatewayMode, HttpBackend, LlmGateway
@@ -139,7 +139,7 @@ def load_config(path: Path | str) -> RunConfig:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def build_backend(config: RunConfig, max_in_flight: int = 4) -> Any:
+def build_backend(config: RunConfig) -> HttpBackend:
     if config.backend.kind == "mock":
         raise ValueError(
             "backend.kind mock has no backend to build; use replay mode, which serves the cassette"
@@ -155,17 +155,11 @@ def build_backend(config: RunConfig, max_in_flight: int = 4) -> Any:
         base_url=config.backend.base_url,
         api_key=api_key,
         timeout=config.backend.timeout,
-        pool_maxsize=max_in_flight,
     )
 
 
-def build_gateway(config: RunConfig, max_in_flight: int = 4) -> LlmGateway:
+def build_gateway(config: RunConfig) -> LlmGateway:
     backend = None
     if config.mode is not GatewayMode.REPLAY:
-        backend = build_backend(config, max_in_flight)
-    return LlmGateway(
-        backend=backend,
-        mode=config.mode,
-        cassette_path=config.cassette,
-        max_in_flight=max_in_flight,
-    )
+        backend = build_backend(config)
+    return LlmGateway(backend=backend, mode=config.mode, cassette_path=config.cassette)

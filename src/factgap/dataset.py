@@ -167,19 +167,24 @@ def load_csv_corpus(path: Path | str, name: Optional[str] = None) -> Corpus:
     encounters = []
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
-        required = {"encounter_id", "dialogue"}
-        fields = set(reader.fieldnames or ())
-        if not required <= fields:
-            raise ValueError(
-                f"{path}: CSV must have columns {sorted(required)}, found {sorted(fields)}"
-            )
-        for row_no, row in enumerate(reader, start=2):
-            encounter_id = (row.get("encounter_id") or "").strip()
-            if not encounter_id:
-                raise ValueError(f"{path}:{row_no}: blank encounter_id")
-            dialogue = parse_tagged_dialogue(encounter_id, row.get("dialogue") or "")
-            note = (row.get("note") or "").strip() or None
-            encounters.append(Encounter(dialogue=dialogue, reference_note=note))
+        try:
+            required = {"encounter_id", "dialogue"}
+            fields = set(reader.fieldnames or ())
+            if not required <= fields:
+                raise ValueError(
+                    f"{path}: CSV must have columns {sorted(required)}, found {sorted(fields)}"
+                )
+            for row_no, row in enumerate(reader, start=2):
+                encounter_id = (row.get("encounter_id") or "").strip()
+                if not encounter_id:
+                    raise ValueError(f"{path}:{row_no}: blank encounter_id")
+                dialogue = parse_tagged_dialogue(encounter_id, row.get("dialogue") or "")
+                note = (row.get("note") or "").strip() or None
+                encounters.append(Encounter(dialogue=dialogue, reference_note=note))
+        except csv.Error as exc:
+            # Such as a cell over csv.field_size_limit(). The DictReader's
+            # own line_num lags: it is set only once a row parses.
+            raise ValueError(f"{path}:{reader.reader.line_num}: {exc}") from exc
     return Corpus(name=name or path.stem, encounters=tuple(encounters))
 
 
@@ -278,7 +283,9 @@ class FailureMarker(JsonRecord):
     attempts: int
 
 
-def _read_marker(path: Path, cls: type) -> Any:
+def read_record(path: Path, cls: type) -> Any:
+    """The ``cls`` record decoded from the JSON file at ``path``; a decode
+    error names the file."""
     try:
         return cls.from_json_dict(read_json(path))
     except ValueError as exc:
@@ -291,12 +298,12 @@ def read_outcome(enc_dir: Path) -> EncounterResult:
     wrote one."""
     encounter_id = enc_dir.name
     if (path := enc_dir / MARKERS["ok"]).exists():
-        return EncounterResult(encounter_id, "ok", report=_read_marker(path, OmissionReport))
+        return EncounterResult(encounter_id, "ok", report=read_record(path, OmissionReport))
     if (path := enc_dir / MARKERS["skipped"]).exists():
-        skip = _read_marker(path, SkipMarker)
+        skip = read_record(path, SkipMarker)
         return EncounterResult(encounter_id, "skipped", reason=skip.reason)
     if (path := enc_dir / MARKERS["failed"]).exists():
-        failure = _read_marker(path, FailureMarker)
+        failure = read_record(path, FailureMarker)
         return EncounterResult(encounter_id, "failed", failure.message, failure.stage)
     return EncounterResult(encounter_id, "failed", "no outcome marker in the encounter directory")
 

@@ -44,6 +44,9 @@ MAX_RETRY_AFTER_S = 120.0
 RETRY_ATTEMPTS = 3
 RETRY_BASE_DELAY_S = 0.5
 RETRY_FACTOR = 2.0
+# Every request is greedy: cassette identity depends on the full payload,
+# so sampling is never exposed.
+TEMPERATURE = 0.0
 
 
 class GatewayError(Exception):
@@ -111,16 +114,11 @@ def _fingerprint(payload: Mapping[str, Any]) -> str:
 
 @dataclass(frozen=True)
 class GenerationRequest:
-    """A deterministic chat completion request.
-
-    Temperature is pinned to 0.0; sampling parameters are deliberately
-    not exposed because cassette identity depends on the full payload.
-    """
+    """A deterministic chat completion request, sent at ``TEMPERATURE``."""
 
     model_id: str
     messages: tuple[ChatMessage, ...]
     max_tokens: int = 1024
-    temperature: float = 0.0
     fingerprint: str = field(init=False)
 
     def __post_init__(self) -> None:
@@ -131,8 +129,6 @@ class GenerationRequest:
             raise ValueError("request has no messages")
         if self.max_tokens < 1:
             raise ValueError(f"max_tokens must be positive, got {self.max_tokens}")
-        if self.temperature != 0.0:
-            raise ValueError("temperature is fixed at 0.0 for reproducibility")
         object.__setattr__(self, "fingerprint", _fingerprint(self.payload()))
 
     def payload(self) -> dict[str, Any]:
@@ -141,7 +137,7 @@ class GenerationRequest:
             "model_id": self.model_id,
             "messages": [m.to_json_dict() for m in self.messages],
             "max_tokens": self.max_tokens,
-            "temperature": self.temperature,
+            "temperature": TEMPERATURE,
         }
 
     def extended(self, assistant_text: str, user_text: str) -> "GenerationRequest":
@@ -182,28 +178,6 @@ class ScoreRequest:
             "prefix": self.prefix,
             "continuation": self.continuation,
         }
-
-
-@dataclass(frozen=True)
-class ScoredContinuation:
-    """Aggregated continuation likelihood under a model."""
-
-    model_id: str
-    prefix: str
-    continuation: str
-    token_logprobs: tuple[float, ...]
-    aggregation: Aggregation
-    score: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "token_logprobs", tuple(self.token_logprobs))
-        if not isinstance(self.aggregation, Aggregation):
-            object.__setattr__(self, "aggregation", Aggregation(self.aggregation))
-        if not self.token_logprobs:
-            raise ValueError("cannot score an empty continuation")
-        expected = aggregate_logprobs(self.token_logprobs, self.aggregation)
-        if self.score != expected:
-            raise ValueError(f"score {self.score} != {self.aggregation.value} of token logprobs")
 
 
 def aggregate_logprobs(logprobs: Sequence[float], aggregation: Aggregation) -> float:
@@ -264,6 +238,10 @@ class Cassette:
                     raise ValueError(
                         f"{self.path}:{line_no}: cassette line is not JSON: {exc}"
                     ) from exc
+                if not isinstance(record, dict):
+                    raise ValueError(
+                        f"{self.path}:{line_no}: cassette record is not a JSON object"
+                    )
                 if "fingerprint" not in record or "response" not in record:
                     raise ValueError(
                         f"{self.path}:{line_no}: cassette record missing "
@@ -352,19 +330,12 @@ class HttpBackend:
     Calls go over standard-library keep-alive connections, straight to
     ``base_url``: proxy variables and ``.netrc`` are not read, and HTTPS
     is verified against the system CA store. Each call takes its own
-    connection, so calls from many threads may run at once.
+    connection, so calls from many threads may run at once. A finished
+    call returns its connection to the idle list, so the list never holds
+    more connections than were ever in flight at once.
     """
 
-    def __init__(
-        self,
-        base_url: str,
-        api_key: str = "",
-        timeout: float = 120.0,
-        pool_maxsize: int = 10,
-    ):
-        """``pool_maxsize`` caps the idle connections kept for reuse; size
-        it to the calls in flight, or every call beyond it opens a new
-        connection."""
+    def __init__(self, base_url: str, api_key: str = "", timeout: float = 120.0):
         # Imported here: replay and compare runs never build a backend.
         import http.client
         from urllib.parse import urlsplit
@@ -388,7 +359,6 @@ class HttpBackend:
                 http.client.HTTPConnection, parts.hostname, parts.port, timeout=timeout
             )
         self._path_prefix = parts.path
-        self._pool_maxsize = pool_maxsize
         self._idle: list[http.client.HTTPConnection] = []
         self._idle_lock = threading.Lock()
         self._headers = {"Content-Type": "application/json"}
@@ -428,12 +398,11 @@ class HttpBackend:
         except BaseException:
             connection.close()
             raise
-        with self._idle_lock:
-            keep = not response.will_close and len(self._idle) < self._pool_maxsize
-            if keep:
-                self._idle.append(connection)
-        if not keep:
+        if response.will_close:
             connection.close()
+        else:
+            with self._idle_lock:
+                self._idle.append(connection)
         return response.status, response.getheader("Retry-After"), body
 
     def _post(self, path: str, body: Mapping[str, Any]) -> dict[str, Any]:
@@ -462,7 +431,7 @@ class HttpBackend:
         body = {
             "model": request.model_id,
             "messages": [m.to_json_dict() for m in request.messages],
-            "temperature": request.temperature,
+            "temperature": TEMPERATURE,
             "max_tokens": request.max_tokens,
         }
         data = self._post("/chat/completions", body)
@@ -484,7 +453,7 @@ class HttpBackend:
             "max_tokens": 0,
             "echo": True,
             "logprobs": 0,
-            "temperature": 0.0,
+            "temperature": TEMPERATURE,
         }
         data = self._post("/completions", body)
         try:
@@ -514,8 +483,8 @@ class LlmGateway:
     """Mode-aware front door for all model traffic.
 
     Only TransportError retries; every other failure surfaces
-    immediately. A semaphore caps in-flight backend calls so corpus-level
-    parallelism cannot stampede the API.
+    immediately. The gateway does not bound how many calls are in flight:
+    its caller's threads do.
     """
 
     def __init__(
@@ -523,13 +492,11 @@ class LlmGateway:
         backend: Any = None,
         mode: GatewayMode | str = GatewayMode.REPLAY,
         cassette_path: Optional[Path | str] = None,
-        max_in_flight: int = 4,
         sleeper: Callable[[float], None] = time.sleep,
     ):
         self.mode = GatewayMode(mode)
         self.backend = backend
         self._sleeper = sleeper
-        self._semaphore = threading.Semaphore(max_in_flight)
         self._flights: dict[str, Future] = {}
         self._flights_lock = threading.Lock()
         self.cassette = Cassette(cassette_path) if cassette_path is not None else None
@@ -542,8 +509,7 @@ class LlmGateway:
         last: Optional[TransportError] = None
         for attempt in range(RETRY_ATTEMPTS):
             try:
-                with self._semaphore:
-                    return fn()
+                return fn()
             except TransportError as exc:
                 last = exc
                 if (exc.retry_after or 0.0) > MAX_RETRY_AFTER_S:
@@ -630,21 +596,14 @@ class LlmGateway:
         prefix: str,
         continuation: str,
         aggregation: Aggregation | str = Aggregation.MEAN,
-    ) -> ScoredContinuation:
+    ) -> float:
+        """The log-probability of ``continuation`` after ``prefix``, pooled
+        over its tokens by ``aggregation``."""
         request = ScoreRequest(model_id=model_id, prefix=prefix, continuation=continuation)
-        aggregation = Aggregation(aggregation)
         response = self._respond(
             request,
             "score",
             lambda: self.backend.score(request),
             lambda logprobs: {"logprobs": list(logprobs)},
         )
-        logprobs = tuple(float(x) for x in response["logprobs"])
-        return ScoredContinuation(
-            model_id=model_id,
-            prefix=prefix,
-            continuation=continuation,
-            token_logprobs=logprobs,
-            aggregation=aggregation,
-            score=aggregate_logprobs(logprobs, aggregation),
-        )
+        return aggregate_logprobs([float(x) for x in response["logprobs"]], aggregation)

@@ -75,12 +75,6 @@ WRITER_PROCESSES = 2
 MAX_PENDING_BATCHES = 2 * WRITER_PROCESSES
 
 
-def in_flight_cap(workers: int) -> int:
-    """Most model calls a run with this many workers has in flight: each
-    encounter has at most one call per row of the stage table."""
-    return workers * len(STAGES)
-
-
 def _write_batch(root: Path, batch: Sequence[tuple[str, Any]]) -> None:
     """Writes one encounter's artifacts in batch order: a ``str`` payload
     as text, any other as JSON. Every file but the outcome marker is
@@ -459,7 +453,10 @@ def run_corpus(
         else:
             # Encounter threads only submit rows to the stage pool and wait
             # on them; rows never wait on the pool, so neither pool can starve.
-            with ThreadPoolExecutor(max_workers=in_flight_cap(workers)) as stage_pool, (
+            # A row makes its model calls one at a time, so the stage pool,
+            # a thread per row of each running encounter, is the one bound
+            # on calls in flight.
+            with ThreadPoolExecutor(max_workers=workers * len(STAGES)) as stage_pool, (
                 ThreadPoolExecutor(max_workers=workers)
             ) as encounter_pool:
                 results = list(

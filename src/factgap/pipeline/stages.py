@@ -233,7 +233,7 @@ def _margin_score(index: int) -> Callable[[StageInputs], Optional[float]]:
         config = s.ctx.config
         return s.ctx.gateway.score_continuation(
             config.models.margin, prefix, completion_continuation(diagnosis), config.aggregation
-        ).score
+        )
 
     return run
 

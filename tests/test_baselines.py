@@ -1,3 +1,4 @@
+import csv
 import math
 import random
 
@@ -219,6 +220,11 @@ def test_import_external_metric(tmp_path):
     no_id.write_text("enc,m\ne1,1\n")
     with pytest.raises(ValueError, match="encounter_id"):
         import_external_metric(no_id)
+
+    long_cell = tmp_path / "long.csv"
+    long_cell.write_text(f"encounter_id,m\ne1,1\ne2,{'9' * (csv.field_size_limit() + 1)}\n")
+    with pytest.raises(ValueError, match=r"long\.csv:3: field larger than field limit"):
+        import_external_metric(long_cell)
 
 
 def test_correlation_table_and_rendering():

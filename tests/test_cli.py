@@ -350,6 +350,21 @@ def test_report_on_a_report_missing_a_key_is_an_error_not_a_traceback(
     )
 
 
+def test_compare_on_a_summary_of_the_wrong_shape_names_the_file(
+    finished_run, tmp_path, capsys
+):
+    run = tmp_path / "run"
+    shutil.copytree(finished_run, run)
+    summary_path = run / "encounters" / "enc-edward" / "summary.json"
+    summary = read_json(summary_path)
+    summary["sections"] = 5
+    write_json(summary_path, summary)
+    code = main(["compare", "--run", str(run)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {summary_path}: Summary: ")
+
+
 def _replace_report(name, marker):
     def damage(enc_dir):
         (enc_dir / "report.json").unlink()

@@ -182,18 +182,25 @@ def test_build_backend_mock_and_http(tmp_path, monkeypatch, loopback):
     monkeypatch.setenv("TEST_API_KEY", "secret")
     backend = build_backend(config)
     assert isinstance(backend, HttpBackend)
-    # The pool keeps as many idle connections as calls may be in flight.
-    cap = 3
-    gateway = build_gateway(config.with_mode("live"), max_in_flight=cap)
+    # The pool keeps every connection a finished call returns, and the next
+    # calls reuse them.
+    n = 5
+    gateway = build_gateway(config.with_mode("live"))
     request = GenerationRequest(model_id="m", messages=(ChatMessage(role="user", content="x"),))
-    loopback.script(*[Reply(payload={"choices": [{"message": {"content": "ok"}}]})] * (cap + 2))
+    reply = Reply(payload={"choices": [{"message": {"content": "ok"}}]})
     try:
+        loopback.script(*[reply] * n)
         still_open = open_after_concurrent_calls(
-            loopback, lambda: gateway.backend.complete(request), cap + 2, at_most=cap
+            loopback, lambda: gateway.backend.complete(request), n, at_most=n
+        )
+        loopback.script(*[reply] * n)
+        open_after_concurrent_calls(
+            loopback, lambda: gateway.backend.complete(request), n, at_most=n
         )
     finally:
         gateway.backend.close()
-    assert still_open == cap
+    assert still_open == n
+    assert loopback.connections_opened == n
 
 
 def test_build_gateway_replay_needs_no_backend(tmp_path):

@@ -1,3 +1,5 @@
+import csv
+
 import pytest
 
 from factgap.datamodel import OmissionReport, Speaker
@@ -126,6 +128,13 @@ def test_load_csv_corpus_errors(tmp_path):
     blank_id.write_text('encounter_id,dialogue\n,"[doctor] hi"\n', encoding="utf-8")
     with pytest.raises(ValueError, match="blank encounter_id"):
         load_corpus(blank_id)
+    long_cell = tmp_path / "long.csv"
+    cell = "[doctor] " + "x" * csv.field_size_limit()
+    long_cell.write_text(
+        f'encounter_id,dialogue\ne1,"[doctor] hi"\ne2,"{cell}"\n', encoding="utf-8"
+    )
+    with pytest.raises(ValueError, match=r"long\.csv:3: field larger than field limit"):
+        load_corpus(long_cell)
     with pytest.raises(ValueError, match="unsupported corpus extension"):
         load_corpus(tmp_path / "corpus.txt")
 

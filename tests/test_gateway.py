@@ -24,9 +24,9 @@ from factgap.gateway import (
     LogprobsUnsupported,
     MAX_RETRY_AFTER_S,
     ResponseTruncated,
-    ScoredContinuation,
     ScoreRequest,
     ScriptedBackend,
+    TEMPERATURE,
     TransportError,
     aggregate_logprobs,
 )
@@ -50,12 +50,14 @@ def test_fingerprint_is_stable_and_payload_sensitive():
 
 
 def test_temperature_is_pinned():
-    with pytest.raises(ValueError, match="temperature"):
+    with pytest.raises(TypeError, match="temperature"):
         GenerationRequest(
             model_id="m",
             messages=(ChatMessage(role="user", content="x"),),
             temperature=0.7,
         )
+    assert TEMPERATURE == 0.0
+    assert make_request().payload()["temperature"] == 0.0
 
 
 def test_extended_appends_repair_round():
@@ -77,24 +79,9 @@ def test_score_request_validation():
 def test_aggregation_mean_and_sum():
     assert aggregate_logprobs([-1.0, -3.0], Aggregation.MEAN) == -2.0
     assert aggregate_logprobs([-1.0, -3.0], Aggregation.SUM) == -4.0
-    sc = ScoredContinuation(
-        model_id="m",
-        prefix="p",
-        continuation="c",
-        token_logprobs=(-1.0, -3.0),
-        aggregation="sum",
-        score=-4.0,
-    )
-    assert sc.score == -4.0
-    with pytest.raises(ValueError):
-        ScoredContinuation(
-            model_id="m",
-            prefix="p",
-            continuation="c",
-            token_logprobs=(-1.0, -3.0),
-            aggregation=Aggregation.MEAN,
-            score=-4.0,
-        )
+    assert aggregate_logprobs((-1.0, -3.0), "sum") == -4.0
+    with pytest.raises(ValueError, match="no token logprobs"):
+        aggregate_logprobs([], Aggregation.MEAN)
 
 
 def test_cassette_round_trip_and_last_wins(tmp_path):
@@ -115,6 +102,10 @@ def test_cassette_rejects_malformed_lines(tmp_path):
         Cassette(path)
     path.write_text(json.dumps({"fingerprint": "f"}) + "\n")
     with pytest.raises(ValueError, match="missing"):
+        Cassette(path)
+    # JSON, but not an object: the error names the line.
+    path.write_text(cassette_line("f1", "a") + "5\n")
+    with pytest.raises(ValueError, match=r"bad\.jsonl:2: .*not a JSON object"):
         Cassette(path)
 
 
@@ -264,7 +255,7 @@ def test_record_mode_single_flight(tmp_path, kind):
         if kind == "generate":
             replies.append(gateway.generate(make_request()))
         else:
-            replies.append(gateway.score_continuation("m1", "prefix ", "tail").score)
+            replies.append(gateway.score_continuation("m1", "prefix ", "tail"))
 
     run_threads([call, call])
     assert backend.calls == 1
@@ -287,9 +278,7 @@ class CountingBackend:
 def test_record_mode_single_flight_under_thread_churn(tmp_path):
     path = tmp_path / "c.jsonl"
     backend = CountingBackend()
-    gateway = LlmGateway(
-        backend=backend, mode=GatewayMode.RECORD, cassette_path=path, max_in_flight=8
-    )
+    gateway = LlmGateway(backend=backend, mode=GatewayMode.RECORD, cassette_path=path)
     requests_ = [make_request(f"q{i}") for i in range(20)]
 
     def caller(seed):
@@ -376,15 +365,15 @@ def test_score_continuation_records_and_replays(tmp_path):
     path = tmp_path / "c.jsonl"
     backend = ScriptedBackend(score_responses=[[-1.0, -3.0]])
     gateway = LlmGateway(backend=backend, mode="record", cassette_path=path)
-    scored = gateway.score_continuation("m1", "prefix ", "tail")
-    assert scored.score == -2.0
-    assert scored.aggregation is Aggregation.MEAN
+    assert gateway.score_continuation("m1", "prefix ", "tail") == -2.0
+    assert gateway.cassette.get(ScoreRequest("m1", "prefix ", "tail").fingerprint) == {
+        "logprobs": [-1.0, -3.0]
+    }
 
     replayed = LlmGateway(mode="replay", cassette_path=path).score_continuation(
         "m1", "prefix ", "tail", aggregation="sum"
     )
-    assert replayed.token_logprobs == (-1.0, -3.0)
-    assert replayed.score == -4.0
+    assert replayed == -4.0
 
 
 def chat_payload(text, finish="stop"):
@@ -470,21 +459,23 @@ def test_http_backend_score_failures(loopback, http_backend):
         backend.score(req)
 
 
-def test_http_backend_keeps_at_most_pool_maxsize_connections(loopback, http_backend):
-    cap, extra = 2, 3
-    backend = http_backend(pool_maxsize=cap)
-    loopback.script(*[Reply(payload=chat_payload("ok"))] * (cap + extra))
+def test_http_backend_keeps_every_returned_connection_idle(loopback, http_backend):
+    n = 5
+    backend = http_backend()
+    loopback.script(*[Reply(payload=chat_payload("ok"))] * n)
     still_open = open_after_concurrent_calls(
-        loopback, lambda: backend.complete(make_request()), cap + extra, at_most=cap
+        loopback, lambda: backend.complete(make_request()), n, at_most=n
     )
-    assert still_open == cap
-    assert loopback.connections_opened == cap + extra
+    assert still_open == n
+    assert len(backend._idle) == n
+    assert loopback.connections_opened == n
 
-    # The kept connections serve the next calls.
-    loopback.script(*[Reply(payload=chat_payload("ok"))] * cap)
-    for _ in range(cap):
-        assert backend.complete(make_request()) == "ok"
-    assert loopback.connections_opened == cap + extra
+    # The kept connections serve the next n concurrent calls.
+    loopback.script(*[Reply(payload=chat_payload("ok"))] * n)
+    open_after_concurrent_calls(
+        loopback, lambda: backend.complete(make_request()), n, at_most=n
+    )
+    assert loopback.connections_opened == n
 
 
 def test_http_backend_retries_a_stale_keep_alive_connection(loopback, http_backend):

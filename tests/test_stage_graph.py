@@ -13,12 +13,7 @@ from factgap.dataset import load_corpus
 from factgap.gateway import Cassette, GatewayError, GatewayMode, LlmGateway
 from factgap.jsonutil import read_json
 from factgap.pipeline import parsers
-from factgap.pipeline.runner import (
-    ENCOUNTERS_SUBDIR,
-    MANIFEST_NAME,
-    in_flight_cap,
-    run_corpus,
-)
+from factgap.pipeline.runner import ENCOUNTERS_SUBDIR, MANIFEST_NAME, run_corpus
 from factgap.pipeline.stages import MARGIN_SCORES, STAGE_ORDER, STAGES
 
 from corpus_fixtures import MALFORMED_SCENARIOS
@@ -145,9 +140,7 @@ class FixtureBackend:
 def live_run(out_dir, backend, workers, corpus=None):
     config = load_config(FIXTURES / "replay_config.json").with_mode(GatewayMode.LIVE)
     corpus = corpus or load_corpus(FIXTURES / "corpus.json")
-    gateway = LlmGateway(
-        backend=backend, mode=GatewayMode.LIVE, max_in_flight=in_flight_cap(workers)
-    )
+    gateway = LlmGateway(backend=backend, mode=GatewayMode.LIVE)
     return run_corpus(config, gateway, corpus, "corpus.json", out_dir, workers=workers)
 
 
@@ -187,24 +180,35 @@ class BarrierBackend(FixtureBackend):
 
 def test_independent_calls_of_an_encounter_are_in_flight_together(tmp_path):
     stages = fixture_stage_fingerprints(tmp_path / "replay")
+    replayed = subtree_bytes(tmp_path / "replay" / ENCOUNTERS_SUBDIR / "enc-edward")
+    corpus = load_corpus(FIXTURES / "corpus.json").subset(["enc-edward"])
     after_truncate = threading.Barrier(3, timeout=10)
-    backend = BarrierBackend(
-        stages,
-        {
+    # The eight calls that need only facts and both differentials, held
+    # together: the stage pool alone bounds the calls in flight.
+    last_calls = threading.Barrier(4 + len(MARGIN_SCORES), timeout=10)
+    layouts = {
+        "after_truncate": {
             "summarize": after_truncate,
             "extract_facts": after_truncate,
             "ddx_chat": after_truncate,
             "score": threading.Barrier(len(MARGIN_SCORES), timeout=10),
         },
-    )
-    corpus = load_corpus(FIXTURES / "corpus.json").subset(["enc-edward"])
-    _, results = live_run(tmp_path / "live", backend, workers=2, corpus=corpus)
+        "last_calls": {
+            "categorize": last_calls,
+            "detect_omissions": last_calls,
+            "cluster_supporting": last_calls,
+            "cluster_refuting": last_calls,
+            "score": last_calls,
+        },
+    }
+    for name, barriers in layouts.items():
+        backend = BarrierBackend(stages, barriers)
+        _, results = live_run(tmp_path / name, backend, workers=2, corpus=corpus)
 
-    assert results[0].status == "ok", results[0].reason
-    assert not any(barrier.broken for barrier in backend.barriers.values())
-    assert len(backend.calls) == 9 + len(MARGIN_SCORES)
-    replayed = subtree_bytes(tmp_path / "replay" / ENCOUNTERS_SUBDIR / "enc-edward")
-    assert subtree_bytes(tmp_path / "live" / ENCOUNTERS_SUBDIR / "enc-edward") == replayed
+        assert results[0].status == "ok", (name, results[0].reason)
+        assert not any(barrier.broken for barrier in backend.barriers.values())
+        assert len(backend.calls) == 9 + len(MARGIN_SCORES)
+        assert subtree_bytes(tmp_path / name / ENCOUNTERS_SUBDIR / "enc-edward") == replayed
 
 
 class LateEarlyFailureBackend(FixtureBackend):
