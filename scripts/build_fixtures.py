@@ -23,7 +23,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tests"))
 
 from factgap.cli import main as factgap_main
-from factgap.config import BackendConfig, ModelsConfig, RunConfig
+from factgap.config import ModelsConfig, RunConfig
 from factgap.datamodel import Dialogue
 from factgap.dataset import save_corpus
 from factgap.gateway import GatewayMode, LlmGateway, ScriptedBackend
@@ -42,7 +42,6 @@ def make_config(cassette: Path, mode: GatewayMode, margin: bool = True) -> RunCo
             metric=METRIC_MODEL,
             margin=MARGIN_MODEL if margin else None,
         ),
-        backend=BackendConfig(kind="mock", path=str(cassette)),
         cassette=str(cassette),
         mode=mode,
     )
@@ -51,11 +50,11 @@ def make_config(cassette: Path, mode: GatewayMode, margin: bool = True) -> RunCo
 def record_gateway(cassette: Path, generate, score=()) -> LlmGateway:
     cassette.unlink(missing_ok=True)
     backend = ScriptedBackend(generate_responses=generate, score_responses=score)
-    return LlmGateway(backend=backend, mode=GatewayMode.RECORD, cassette_path=cassette)
+    return LlmGateway(backend=backend, cassette_path=cassette)
 
 
 def replay_gateway(cassette: Path) -> LlmGateway:
-    return LlmGateway(mode=GatewayMode.REPLAY, cassette_path=cassette)
+    return LlmGateway(cassette_path=cassette)
 
 
 def record_corpus_cassette(fixtures: Path, corpus) -> None:
@@ -146,7 +145,6 @@ def write_replay_config(fixtures: Path) -> None:
                 "metric": METRIC_MODEL,
                 "margin": MARGIN_MODEL,
             },
-            "backend": {"kind": "mock", "path": "cassettes/corpus.jsonl"},
             "cassette": "cassettes/corpus.jsonl",
             "mode": "replay",
         },

@@ -635,7 +635,8 @@ def import_external_metric(path: Path | str, metric_name: Optional[str] = None) 
     column. With no explicit name the file must have exactly one other
     column."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as handle:
+    # utf-8-sig drops the byte-order mark of Excel's "CSV UTF-8" export.
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         try:
             if reader.fieldnames is None:

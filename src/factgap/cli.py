@@ -22,10 +22,10 @@ from .baselines import (
     render_correlation_table,
     rouge_vectors,
 )
-from .config import build_gateway, load_config
+from .config import GatewayMode, build_gateway, load_config
 from .datamodel import Summary
 from .dataset import EncounterResult, count_statuses, load_corpus, read_outcome, read_record
-from .gateway import GatewayError, GatewayMode
+from .gateway import GatewayError
 # Unused here, but perfbench/tracing.py wraps factgap.cli.read_json by name.
 from .jsonutil import pretty_dumps, read_json  # noqa: F401
 from .pipeline.runner import ENCOUNTERS_SUBDIR, MANIFEST_NAME, run_corpus

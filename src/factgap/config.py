@@ -4,7 +4,7 @@ The config types decode through the strict :class:`JsonRecord` codec:
 an unrecognized key is an error, so a typo cannot silently fall back to
 a default. Relative paths inside the file resolve against the file's own
 directory. Credentials never appear in the file; the http backend names
-an environment variable instead.
+an environment variable instead. Only live and record runs need a backend.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class RunConfig(JsonRecord):
     versioned = False
 
     models: ModelsConfig
-    backend: BackendConfig
+    backend: Optional[BackendConfig] = None
     cassette: Optional[Path] = None
     mode: GatewayMode = GatewayMode.REPLAY
     thresholds: ThresholdsConfig = field(default_factory=ThresholdsConfig)
@@ -140,6 +140,8 @@ def load_config(path: Path | str) -> RunConfig:
 
 
 def build_backend(config: RunConfig) -> HttpBackend:
+    if config.backend is None:
+        raise ValueError(f"mode {config.mode.value} requires a backend")
     if config.backend.kind == "mock":
         raise ValueError(
             "backend.kind mock has no backend to build; use replay mode, which serves the cassette"
@@ -159,7 +161,9 @@ def build_backend(config: RunConfig) -> HttpBackend:
 
 
 def build_gateway(config: RunConfig) -> LlmGateway:
-    backend = None
-    if config.mode is not GatewayMode.REPLAY:
-        backend = build_backend(config)
-    return LlmGateway(backend=backend, mode=config.mode, cassette_path=config.cassette)
+    """Live mode reads no cassette and replay mode builds no backend;
+    record mode has both, so the cassette records every backend reply."""
+    return LlmGateway(
+        backend=None if config.mode is GatewayMode.REPLAY else build_backend(config),
+        cassette_path=None if config.mode is GatewayMode.LIVE else config.cassette,
+    )

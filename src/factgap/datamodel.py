@@ -28,7 +28,7 @@ from enum import Enum
 from operator import attrgetter, index, methodcaller
 from pathlib import Path
 from types import UnionType
-from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, ClassVar, NamedTuple, Optional, Sequence, Union
 from typing import get_args, get_origin, get_type_hints
 
 SCHEMA_VERSION = "1"
@@ -110,10 +110,12 @@ class JsonRecord:
     takes the field's default, an integer field takes only an integer and
     a string field only a string, and an unknown key, a missing required
     key or a value of the wrong type is a ValueError that names the type,
-    prefixed by the enclosing record types when it is nested.
+    prefixed by the enclosing record types when it is nested. A ``derived``
+    key is computed on encode; on decode it is optional, but must match.
     """
 
     versioned = True
+    derived: ClassVar[Mapping[str, Callable[[Any], Any]]] = {}
 
     def to_json_dict(self) -> dict[str, Any]:
         return _encode(self, _plan(type(self)))
@@ -125,9 +127,10 @@ class JsonRecord:
 
 _Coder = Optional[Callable[[Any], Any]]
 # Per type: whether it is versioned, one (name, encoder, decoder, required)
-# row per field, and the keys a decode accepts. A None coder passes the
-# value through.
-_Plan = tuple[bool, tuple[tuple[str, _Coder, _Coder, bool], ...], frozenset[str]]
+# row per field, the derived keys and the keys a decode accepts. A None
+# coder passes the value through.
+_Derived = Mapping[str, Callable[[Any], Any]]
+_Plan = tuple[bool, tuple[tuple[str, _Coder, _Coder, bool], ...], _Derived, frozenset[str]]
 
 
 @functools.cache
@@ -141,8 +144,9 @@ def _plan(cls: type) -> _Plan:
         ]
     rows = tuple((name, *_coders(hints[name]), required) for name, required in names)
     versioned = getattr(cls, "versioned", False)
+    derived = getattr(cls, "derived", {})
     allowed = {name for name, _ in names} | ({"schema_version"} if versioned else set())
-    return versioned, rows, frozenset(allowed)
+    return versioned, rows, derived, frozenset(allowed | derived.keys())
 
 
 def _coders(hint: Any) -> tuple[_Coder, _Coder]:
@@ -190,16 +194,18 @@ def _decode_str(value: Any) -> str:
 
 
 def _encode(obj: Any, plan: _Plan) -> dict[str, Any]:
-    versioned, rows, _ = plan
+    versioned, rows, derived, _ = plan
     out: dict[str, Any] = {"schema_version": SCHEMA_VERSION} if versioned else {}
     for name, encode, _, _ in rows:
         value = getattr(obj, name)
         out[name] = value if encode is None else encode(value)
+    for name, compute in derived.items():
+        out[name] = compute(obj)
     return out
 
 
 def _decode(cls: type, plan: _Plan, data: Mapping[str, Any]) -> Any:
-    versioned, rows, allowed = plan
+    versioned, rows, derived, allowed = plan
     if not isinstance(data, dict):
         raise ValueError(f"{cls.__name__}: expected a JSON object, got {type(data).__name__}")
     if not data.keys() <= allowed:
@@ -221,11 +227,18 @@ def _decode(cls: type, plan: _Plan, data: Mapping[str, Any]) -> Any:
         elif required:
             raise ValueError(f"{cls.__name__}: missing required key {name!r}")
     try:
-        return cls(**values)
+        record = cls(**values)
     except (TypeError, AttributeError) as exc:
         # A number where a validator calls a str method, or a value the
         # constructor cannot convert.
         raise ValueError(f"{cls.__name__}: {exc}") from exc
+    for name, compute in derived.items():
+        if name in data and data[name] != (expected := compute(record)):
+            raise ValueError(
+                f"{cls.__name__}: {name} {data[name]!r} is not the {expected!r} "
+                "derived from the record"
+            )
+    return record
 
 
 def parse_fact_id(raw: str) -> str:

@@ -60,19 +60,7 @@ class Encounter(JsonRecord):
     def encounter_id(self) -> str:
         return self.dialogue.encounter_id
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {"encounter_id": self.encounter_id, **super().to_json_dict()}
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "Encounter":
-        # The derived encounter_id is optional on read, and must match the dialogue's.
-        outer_id = data.get("encounter_id") if isinstance(data, dict) else None
-        if outer_id is not None:
-            data = {key: value for key, value in data.items() if key != "encounter_id"}
-        encounter = super().from_json_dict(data)
-        if outer_id not in (None, encounter.encounter_id):
-            raise ValueError(f"Encounter: encounter_id {outer_id!r} is not the dialogue's")
-        return encounter
+    derived = {"encounter_id": lambda encounter: encounter.encounter_id}
 
 
 @dataclass(frozen=True)
@@ -165,7 +153,8 @@ def parse_tagged_dialogue(encounter_id: str, text: str) -> Dialogue:
 def load_csv_corpus(path: Path | str, name: Optional[str] = None) -> Corpus:
     path = Path(path)
     encounters = []
-    with open(path, newline="", encoding="utf-8") as handle:
+    # utf-8-sig drops the byte-order mark of Excel's "CSV UTF-8" export.
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         try:
             required = {"encounter_id", "dialogue"}
@@ -327,16 +316,4 @@ class RunManifest(JsonRecord):
     def counts(self) -> dict[str, int]:
         return count_statuses(self.encounters)
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {**super().to_json_dict(), "counts": self.counts()}
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "RunManifest":
-        # The derived counts are optional on read, and must match the entries'.
-        counts = data.get("counts") if isinstance(data, dict) else None
-        if counts is not None:
-            data = {key: value for key, value in data.items() if key != "counts"}
-        manifest = super().from_json_dict(data)
-        if counts not in (None, manifest.counts()):
-            raise ValueError(f"RunManifest: counts {counts!r} are not the entries'")
-        return manifest
+    derived = {"counts": counts}

@@ -1,11 +1,11 @@
 """Language-model access with record/replay cassettes.
 
 Every request is identified by a sha256 fingerprint over its canonical
-JSON payload. In ``record`` mode a cassette hit short-circuits the
-backend, so re-running a partially recorded corpus only issues the
-missing calls; in ``replay`` mode a miss is an error. Cassettes are
-append-only JSONL and safe to share between worker threads. Concurrent
-requests with the same fingerprint share one backend call.
+JSON payload. A gateway's cassette answers first; a miss goes to its
+backend, whose reply the cassette records, or with no backend raises
+``CassetteMiss``. Cassettes are append-only JSONL and safe to share
+between worker threads. Concurrent requests with the same fingerprint
+share one backend call.
 
 Transport failures retry with exponential backoff, waiting at least as
 long as a server's numeric ``Retry-After`` asks; a call whose server asks
@@ -73,7 +73,7 @@ class LogprobsUnsupported(GatewayError):
 
 
 class CassetteMiss(GatewayError):
-    """Replay mode was asked for a request the cassette has never seen."""
+    """A gateway with no backend was asked for a request its cassette lacks."""
 
     def __init__(self, fingerprint: str):
         super().__init__(f"no cassette record for fingerprint {fingerprint}")
@@ -84,6 +84,7 @@ class BackendExhausted(GatewayError):
     """A scripted backend ran out of queued responses."""
 
 
+# A run's mode; config.build_gateway turns it into what a gateway is given.
 class GatewayMode(str, Enum):
     LIVE = "live"
     RECORD = "record"
@@ -480,30 +481,27 @@ class HttpBackend:
 
 
 class LlmGateway:
-    """Mode-aware front door for all model traffic.
-
-    Only TransportError retries; every other failure surfaces
-    immediately. The gateway does not bound how many calls are in flight:
-    its caller's threads do.
+    """Front door for all model traffic: the cassette, if any, answers
+    first, and a miss goes to the backend, whose reply the cassette
+    records, or with no backend raises ``CassetteMiss``. Only
+    TransportError retries; every other failure surfaces immediately. The
+    gateway does not bound how many calls are in flight: its caller's
+    threads do.
     """
 
     def __init__(
         self,
         backend: Any = None,
-        mode: GatewayMode | str = GatewayMode.REPLAY,
         cassette_path: Optional[Path | str] = None,
         sleeper: Callable[[float], None] = time.sleep,
     ):
-        self.mode = GatewayMode(mode)
+        if backend is None and cassette_path is None:
+            raise ValueError("a gateway needs a backend, a cassette path or both")
         self.backend = backend
         self._sleeper = sleeper
         self._flights: dict[str, Future] = {}
         self._flights_lock = threading.Lock()
         self.cassette = Cassette(cassette_path) if cassette_path is not None else None
-        if self.mode is not GatewayMode.LIVE and self.cassette is None:
-            raise ValueError(f"{self.mode.value} mode requires a cassette path")
-        if self.mode is not GatewayMode.REPLAY and self.backend is None:
-            raise ValueError(f"{self.mode.value} mode requires a backend")
 
     def _call_with_retry(self, fn: Callable[[], Any], label: str) -> Any:
         last: Optional[TransportError] = None
@@ -540,19 +538,19 @@ class LlmGateway:
     ) -> dict[str, Any]:
         """The cassette response to ``request``, or ``encode`` of one
         backend call. Concurrent requests with the same fingerprint share
-        that call, so record mode also appends it once."""
+        that call, so the cassette also records it once."""
         fingerprint = request.fingerprint
         if self.cassette is not None:
             response = self.cassette.get(fingerprint)
             if response is not None:
                 return response
-            if self.mode is GatewayMode.REPLAY:
-                raise CassetteMiss(fingerprint)
+        if self.backend is None:
+            raise CassetteMiss(fingerprint)
         with self._flights_lock:
             flight = self._flights.get(fingerprint)
             leader = flight is None
             if leader:
-                # In record mode, a flight that ended after the lookup
+                # With a cassette, a flight that ended after the lookup
                 # above has appended its response by now.
                 response = self.cassette.get(fingerprint) if self.cassette is not None else None
                 if response is not None:
@@ -562,7 +560,7 @@ class LlmGateway:
             return flight.result()
         try:
             response = encode(self._call_with_retry(call, f"{kind} {fingerprint[:12]}"))
-            if self.mode is GatewayMode.RECORD:
+            if self.cassette is not None:
                 self.cassette.append(
                     {
                         "fingerprint": fingerprint,

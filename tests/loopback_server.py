@@ -85,6 +85,8 @@ class LoopbackServer:
         self.requests: list[Received] = []
         self.connections_opened = 0
         self.barrier: Optional[threading.Barrier] = None
+        # When set, answers every request in place of the script.
+        self.answer: Optional[Callable[[Received], Reply]] = None
         self._replies: list[Reply] = []
         self._open: set[socket.socket] = set()
         self._cond = threading.Condition()
@@ -103,6 +105,8 @@ class LoopbackServer:
     def _take(self, received: Received) -> Reply:
         with self._cond:
             self.requests.append(received)
+            if self.answer is not None:
+                return self.answer(received)
             if not self._replies:
                 return Reply(status=418, payload={"error": "no scripted reply left"})
             return self._replies.pop(0)

@@ -191,6 +191,15 @@ def test_metric_vector_alignment():
         MetricVector(name="a", values={"e1": float("inf")})
 
 
+def test_import_external_metric_reads_a_file_with_a_byte_order_mark(tmp_path):
+    # As Excel's "CSV UTF-8" export writes it: a BOM and CRLF line ends.
+    path = tmp_path / "excel.csv"
+    path.write_bytes("\ufeffencounter_id,bertscore\r\ne1,0.85\r\n".encode())
+    metric = import_external_metric(path)
+    assert metric.name == "bertscore"
+    assert metric.values == {"e1": 0.85}
+
+
 def test_import_external_metric(tmp_path):
     path = tmp_path / "scores.csv"
     path.write_text("encounter_id,bertscore\ne1,0.85\ne2,0.91\n")

@@ -18,7 +18,10 @@ from factgap.datamodel import (
     Summary,
 )
 from factgap.dataset import Corpus
+from factgap.gateway import Cassette, ChatMessage, GenerationRequest
 from factgap.jsonutil import pretty_dumps, read_json, write_json
+
+from loopback_server import Reply
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPLAY_CONFIG = FIXTURES / "replay_config.json"
@@ -38,7 +41,6 @@ def write_config(tmp_path: Path, cassette: Path) -> Path:
                 "metric": "metric-v1",
                 "margin": "margin-v1",
             },
-            "backend": {"kind": "mock", "path": str(cassette)},
             "cassette": str(cassette),
             "mode": "replay",
         },
@@ -112,6 +114,52 @@ def test_run_replay_writes_nothing_to_stderr(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
+
+
+def test_live_run_sends_the_backend_every_request_the_cassette_holds(
+    tmp_path, loopback, capsys
+):
+    cassette = tmp_path / "corpus.jsonl"
+    shutil.copyfile(FIXTURES / "cassettes" / "corpus.jsonl", cassette)
+    recorded = Cassette(cassette)
+    # No margin model, so every call is a chat completion: 8 per encounter.
+    config = tmp_path / "config.json"
+    write_json(
+        config,
+        {
+            "models": {"summary": "summarizer-v1", "metric": "metric-v1"},
+            "backend": {"kind": "http", "base_url": loopback.url},
+            "cassette": str(cassette),
+            "mode": "record",
+        },
+    )
+
+    sent = []
+
+    def answer(received):
+        request = GenerationRequest(
+            model_id=received.body["model"],
+            messages=tuple(ChatMessage(**message) for message in received.body["messages"]),
+            max_tokens=received.body["max_tokens"],
+        )
+        sent.append(request.fingerprint)
+        text = recorded.get(request.fingerprint)["text"]
+        return Reply(payload={"choices": [{"message": {"content": text}}]})
+
+    loopback.answer = answer
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(config), "--corpus", str(CORPUS), "--out", str(out)]
+    assert main([*argv, "--mode", "live"]) == 0
+    assert "done: 3 ok, 0 skipped, 0 failed" in capsys.readouterr().out
+    called = [
+        entry["fingerprint"]
+        for enc_dir in sorted((out / "encounters").iterdir())
+        for entry in read_json(enc_dir / "stages.json")["stages"]
+    ]
+    assert len(called) == 24
+    assert sorted(sent) == sorted(called)
+    # Live mode neither reads nor appends to the cassette.
+    assert cassette.read_bytes() == (FIXTURES / "cassettes" / "corpus.jsonl").read_bytes()
 
 
 def test_run_refuses_to_overwrite(finished_run, capsys):

@@ -120,8 +120,13 @@ def test_unknown_keys_rejected_everywhere(tmp_path):
 def test_required_sections(tmp_path):
     with pytest.raises(ValueError, match="models"):
         load_config(write_config(tmp_path, {"backend": {"kind": "mock", "path": "x"}}))
-    with pytest.raises(ValueError, match="backend"):
-        load_config(write_config(tmp_path, {"models": {"summary": "s", "metric": "m"}}))
+    # A backend is needed only where one is built: in live and record mode.
+    data = minimal_config_dict()
+    del data["backend"]
+    config = load_config(write_config(tmp_path, data))
+    for mode in ("live", "record"):
+        with pytest.raises(ValueError, match=f"^mode {mode} requires a backend$"):
+            build_gateway(config.with_mode(mode))
     with pytest.raises(ValueError, match="unsupported config extension"):
         load_config(write_config(tmp_path, {}, name="config.toml"))
 
@@ -208,4 +213,17 @@ def test_build_gateway_replay_needs_no_backend(tmp_path):
     config = load_config(write_config(tmp_path, minimal_config_dict()))
     gateway = build_gateway(config)
     assert gateway.backend is None
-    assert gateway.mode is GatewayMode.REPLAY
+    assert gateway.cassette.path == (tmp_path / "cassette.jsonl").resolve()
+
+
+def test_live_gateway_reads_no_cassette_the_config_names(tmp_path, loopback):
+    data = minimal_config_dict()
+    data["backend"] = {"kind": "http", "base_url": loopback.url}
+    config = load_config(write_config(tmp_path, data)).with_mode("live")
+    assert config.cassette == (tmp_path / "cassette.jsonl").resolve()
+    gateway = build_gateway(config)
+    assert gateway.cassette is None
+    assert isinstance(gateway.backend, HttpBackend)
+    record = build_gateway(config.with_mode("record"))
+    assert record.cassette.path == config.cassette
+    assert record.backend is not None

@@ -627,5 +627,8 @@ def test_encounter_refuses_an_outer_id_that_differs_from_the_dialogue():
     data = encounter.to_json_dict()
     assert Encounter.from_json_dict(data) == encounter
     data["encounter_id"] = "enc-other"
-    with pytest.raises(ValueError, match="encounter_id 'enc-other' is not the dialogue's"):
+    with pytest.raises(
+        ValueError,
+        match="^Encounter: encounter_id 'enc-other' is not the 'enc-1' derived from the record$",
+    ):
         Encounter.from_json_dict(data)

@@ -119,6 +119,17 @@ def test_load_csv_corpus(tmp_path):
     assert corpus.get("v1").dialogue.turns[1].text == "my head hurts"
 
 
+def test_load_csv_corpus_reads_a_file_with_a_byte_order_mark(tmp_path):
+    # As Excel's "CSV UTF-8" export writes it: a BOM and CRLF line ends.
+    path = tmp_path / "excel.csv"
+    path.write_bytes(
+        "\ufeffencounter_id,dialogue,note\r\nv1,\"[doctor] hi\n[patient] ok\",Fine.\r\n".encode()
+    )
+    corpus = load_corpus(path)
+    assert [encounter.encounter_id for encounter in corpus.encounters] == ["v1"]
+    assert corpus.get("v1").reference_note == "Fine."
+
+
 def test_load_csv_corpus_errors(tmp_path):
     bad_cols = tmp_path / "bad.csv"
     bad_cols.write_text("id,text\na,b\n", encoding="utf-8")
@@ -183,7 +194,7 @@ def test_run_manifest_roundtrip(tmp_path):
         ),
         (
             lambda data: data["counts"].update(ok=2),
-            r"^RunManifest: counts \{.*\} are not the entries'$",
+            r"^RunManifest: counts \{.*\} is not the \{.*\} derived from the record$",
         ),
     ],
 )

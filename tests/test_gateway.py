@@ -17,7 +17,6 @@ from factgap.gateway import (
     CassetteMiss,
     ChatMessage,
     GatewayError,
-    GatewayMode,
     GenerationRequest,
     HttpBackend,
     LlmGateway,
@@ -187,7 +186,7 @@ def test_replay_mode_hits_and_misses(tmp_path):
     Cassette(path).append(
         {"fingerprint": req.fingerprint, "kind": "generate", "response": {"text": "hi"}}
     )
-    gateway = LlmGateway(mode="replay", cassette_path=path)
+    gateway = LlmGateway(cassette_path=path)
     assert gateway.generate(req) == "hi"
     with pytest.raises(CassetteMiss):
         gateway.generate(make_request(content="unseen"))
@@ -196,7 +195,7 @@ def test_replay_mode_hits_and_misses(tmp_path):
 def test_record_mode_appends_then_short_circuits(tmp_path):
     path = tmp_path / "c.jsonl"
     backend = ScriptedBackend(generate_responses=["only"])
-    gateway = LlmGateway(backend=backend, mode=GatewayMode.RECORD, cassette_path=path)
+    gateway = LlmGateway(backend=backend, cassette_path=path)
     req = make_request()
     assert gateway.generate(req) == "only"
     # Second call must come from the cassette; the backend is exhausted.
@@ -246,7 +245,7 @@ def run_threads(targets, timeout=10):
 def test_record_mode_single_flight(tmp_path, kind):
     path = tmp_path / "c.jsonl"
     backend = BlockingBackend()
-    gateway = LlmGateway(backend=backend, mode=GatewayMode.RECORD, cassette_path=path)
+    gateway = LlmGateway(backend=backend, cassette_path=path)
     start = threading.Barrier(2, timeout=5)
     replies = []
 
@@ -278,7 +277,7 @@ class CountingBackend:
 def test_record_mode_single_flight_under_thread_churn(tmp_path):
     path = tmp_path / "c.jsonl"
     backend = CountingBackend()
-    gateway = LlmGateway(backend=backend, mode=GatewayMode.RECORD, cassette_path=path)
+    gateway = LlmGateway(backend=backend, cassette_path=path)
     requests_ = [make_request(f"q{i}") for i in range(20)]
 
     def caller(seed):
@@ -300,11 +299,10 @@ def test_record_mode_single_flight_under_thread_churn(tmp_path):
     assert len(path.read_text(encoding="utf-8").splitlines()) == len(requests_)
 
 
-def test_mode_configuration_errors(tmp_path):
-    with pytest.raises(ValueError, match="requires a cassette"):
-        LlmGateway(mode="replay")
-    with pytest.raises(ValueError, match="requires a backend"):
-        LlmGateway(mode="record", cassette_path=tmp_path / "c.jsonl")
+def test_mode_configuration_errors():
+    # With neither, no request could ever be answered.
+    with pytest.raises(ValueError, match="needs a backend, a cassette path or both"):
+        LlmGateway()
 
 
 def test_retry_only_on_transport_errors(tmp_path):
@@ -323,7 +321,6 @@ def test_retry_only_on_transport_errors(tmp_path):
     backend = FlakyBackend(failures=2)
     gateway = LlmGateway(
         backend=backend,
-        mode="record",
         cassette_path=tmp_path / "c.jsonl",
         sleeper=delays.append,
     )
@@ -334,7 +331,6 @@ def test_retry_only_on_transport_errors(tmp_path):
     backend = FlakyBackend(failures=99)
     gateway = LlmGateway(
         backend=backend,
-        mode="record",
         cassette_path=tmp_path / "c2.jsonl",
         sleeper=lambda _: None,
     )
@@ -354,7 +350,7 @@ def test_contract_errors_never_retry(tmp_path):
 
     backend = BrokenBackend()
     gateway = LlmGateway(
-        backend=backend, mode="record", cassette_path=tmp_path / "c.jsonl"
+        backend=backend, cassette_path=tmp_path / "c.jsonl"
     )
     with pytest.raises(ResponseTruncated):
         gateway.generate(make_request())
@@ -364,13 +360,13 @@ def test_contract_errors_never_retry(tmp_path):
 def test_score_continuation_records_and_replays(tmp_path):
     path = tmp_path / "c.jsonl"
     backend = ScriptedBackend(score_responses=[[-1.0, -3.0]])
-    gateway = LlmGateway(backend=backend, mode="record", cassette_path=path)
+    gateway = LlmGateway(backend=backend, cassette_path=path)
     assert gateway.score_continuation("m1", "prefix ", "tail") == -2.0
     assert gateway.cassette.get(ScoreRequest("m1", "prefix ", "tail").fingerprint) == {
         "logprobs": [-1.0, -3.0]
     }
 
-    replayed = LlmGateway(mode="replay", cassette_path=path).score_continuation(
+    replayed = LlmGateway(cassette_path=path).score_continuation(
         "m1", "prefix ", "tail", aggregation="sum"
     )
     assert replayed == -4.0
@@ -483,7 +479,7 @@ def test_http_backend_retries_a_stale_keep_alive_connection(loopback, http_backe
         Reply(payload=chat_payload("one"), close=True), Reply(payload=chat_payload("two"))
     )
     delays = []
-    gateway = LlmGateway(backend=http_backend(), mode="live", sleeper=delays.append)
+    gateway = LlmGateway(backend=http_backend(), sleeper=delays.append)
     assert gateway.generate(make_request("a")) == "one"
     # The server has dropped the connection the client keeps as idle.
     assert loopback.open_connections(at_most=0) == 0
@@ -514,7 +510,7 @@ def test_retry_after_extends_the_backoff(loopback, http_backend):
         Reply(payload=chat_payload("out")),
     )
     delays = []
-    gateway = LlmGateway(backend=http_backend(), mode="live", sleeper=delays.append)
+    gateway = LlmGateway(backend=http_backend(), sleeper=delays.append)
     assert gateway.generate(make_request()) == "out"
     assert delays == [3.0, 1.0]
 
@@ -536,7 +532,7 @@ def test_retry_after_beyond_the_cap_fails_at_once(loopback, http_backend):
     wait = int(MAX_RETRY_AFTER_S) + 1
     loopback.script(Reply(status=429, headers={"Retry-After": str(wait)}))
     delays = []
-    gateway = LlmGateway(backend=http_backend(), mode="live", sleeper=delays.append)
+    gateway = LlmGateway(backend=http_backend(), sleeper=delays.append)
     with pytest.raises(TransportError, match=f"retry after {wait}s") as caught:
         gateway.generate(make_request())
     assert caught.value.retry_after is None

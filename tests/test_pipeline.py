@@ -1,6 +1,6 @@
 import pytest
 
-from factgap.config import BackendConfig, ModelsConfig, RunConfig, ThresholdsConfig
+from factgap.config import ModelsConfig, RunConfig, ThresholdsConfig
 from factgap.datamodel import (
     ContentCategory,
     DdxSource,
@@ -270,11 +270,10 @@ def test_parse_clusters_errors():
 def make_context(backend, repair_budget=1):
     config = RunConfig(
         models=ModelsConfig(summary=SUMMARY_MODEL, metric=METRIC_MODEL),
-        backend=BackendConfig(kind="mock", path="unused.jsonl"),
         mode=GatewayMode.LIVE,
         thresholds=ThresholdsConfig(repair_budget=repair_budget),
     )
-    gateway = LlmGateway(backend=backend, mode=GatewayMode.LIVE)
+    gateway = LlmGateway(backend=backend)
     return StageContext(gateway=gateway, config=config)
 
 

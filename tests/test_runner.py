@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from factgap.config import BackendConfig, ModelsConfig, RunConfig, ThresholdsConfig
+from factgap.config import ModelsConfig, RunConfig, ThresholdsConfig
 from factgap.datamodel import Polarity
 from factgap.dataset import Corpus, Encounter, RunManifest, parse_tagged_dialogue
 from factgap.gateway import GatewayMode, LlmGateway, ScriptedBackend
@@ -66,7 +66,6 @@ def make_config(margin=False, mode=GatewayMode.LIVE, cassette=None):
             metric=METRIC_MODEL,
             margin=MARGIN_MODEL if margin else None,
         ),
-        backend=BackendConfig(kind="mock", path="unused.jsonl"),
         mode=mode,
         cassette=cassette,
         thresholds=ThresholdsConfig(),
@@ -77,7 +76,7 @@ def live_gateway(generate_responses, score_responses=()):
     backend = ScriptedBackend(
         generate_responses=generate_responses, score_responses=score_responses
     )
-    return LlmGateway(backend=backend, mode=GatewayMode.LIVE)
+    return LlmGateway(backend=backend)
 
 
 def read_artifact(out_dir, encounter_id, name):
@@ -191,7 +190,7 @@ def test_run_encounter_with_margin(tmp_path):
         edward_generate_responses(with_margin=True),
         [[-1.0], [-3.0], [-2.0], [-3.0]],
     )
-    gateway = LlmGateway(backend=backend, mode=GatewayMode.LIVE)
+    gateway = LlmGateway(backend=backend)
     result = run_encounter(make_config(margin=True), gateway, edward_encounter(), tmp_path)
 
     assert result.status == "ok"
@@ -396,7 +395,6 @@ def test_record_then_replay_is_deterministic(tmp_path):
             generate_responses=edward_generate_responses(with_margin=True),
             score_responses=[[-1.0], [-3.0], [-2.0], [-3.0]],
         ),
-        mode=GatewayMode.RECORD,
         cassette_path=cassette,
     )
     manifest, results = run_corpus(
@@ -409,7 +407,7 @@ def test_record_then_replay_is_deterministic(tmp_path):
     )
     replays = []
     for name in ("replay-a", "replay-b"):
-        gateway = LlmGateway(mode=GatewayMode.REPLAY, cassette_path=cassette)
+        gateway = LlmGateway(cassette_path=cassette)
         manifest, results = run_corpus(
             replay_config, gateway, corpus, "corpus.json", tmp_path / name, workers=2
         )

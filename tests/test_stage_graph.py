@@ -45,6 +45,8 @@ def tree_digest(root: Path) -> str:
 @pytest.mark.parametrize("workers", [1, 3])
 def test_fixture_replay_tree_digest_is_pinned(tmp_path, workers):
     config = load_config(FIXTURES / "replay_config.json")
+    # A replay config needs no backend: the cassette answers every call.
+    assert config.backend is None
     corpus = load_corpus(FIXTURES / "corpus.json")
     # Frequent thread switches shake out ordering that depends on timing.
     interval = sys.getswitchinterval()
@@ -140,7 +142,7 @@ class FixtureBackend:
 def live_run(out_dir, backend, workers, corpus=None):
     config = load_config(FIXTURES / "replay_config.json").with_mode(GatewayMode.LIVE)
     corpus = corpus or load_corpus(FIXTURES / "corpus.json")
-    gateway = LlmGateway(backend=backend, mode=GatewayMode.LIVE)
+    gateway = LlmGateway(backend=backend)
     return run_corpus(config, gateway, corpus, "corpus.json", out_dir, workers=workers)
 
 
