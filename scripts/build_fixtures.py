@@ -3,9 +3,9 @@
 Builds the fixture corpora, records every cassette by driving the real
 pipeline against scripted replies, then replays each cassette and checks
 the outcome before declaring the fixtures good. Last it replays the
-fixture corpus through the command line and keeps the text of ``report``
-and ``compare --external`` as golden outputs. Run from the repository
-root:
+fixture corpus through the command line and keeps the text of ``report``,
+``compare --external`` and ``compare --use-stemmer`` as golden outputs.
+Run from the repository root:
 
     python3 scripts/build_fixtures.py
 """
@@ -173,7 +173,8 @@ def factgap_stdout(*argv: str) -> str:
 
 
 def write_golden_outputs(fixtures: Path) -> None:
-    """The fixture replay's ``report`` and ``compare --external`` text."""
+    """The fixture replay's ``report``, ``compare --external`` and
+    ``compare --use-stemmer`` text."""
     golden = fixtures / "golden"
     golden.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
@@ -192,6 +193,7 @@ def write_golden_outputs(fixtures: Path) -> None:
             "compare_external.txt": factgap_stdout(
                 "compare", "--run", run, "--external", str(fixtures / "external_metric.csv")
             ),
+            "compare_stemmed.txt": factgap_stdout("compare", "--run", run, "--use-stemmer"),
         }
     for name, text in outputs.items():
         (golden / name).write_text(text, encoding="utf-8")

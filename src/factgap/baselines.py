@@ -10,12 +10,15 @@ that absorbs the carry out of it, so one pass per candidate sentence
 gives every reference sentence its own columns. Only sentences with an
 LCS of at least 1 are backtracked, jumping per column to the highest
 match or zero bit; an LCS of 1 needs one such jump. N-grams are counted
-in C (``Counter`` over the tokens or over zipped offset iterators), and
-``rouge_all`` tokenizes each text once for all four variants.
-Correlations (Spearman, Pearson) ship with
-two-sided p-values computed from the t distribution through a native
-regularized incomplete beta, so the package has no runtime dependency on
-a stats library.
+in C (``Counter`` over the tokens or over zipped offset iterators).
+
+``rouge_all`` is the one ROUGE function that takes strings: it tokenizes
+each text once, sentence by sentence, for the variants, which take token
+lists (``rouge_lsum`` one per sentence).
+
+Correlations (Spearman, Pearson) ship with two-sided p-values computed
+from the t distribution through a native regularized incomplete beta,
+so the package has no runtime dependency on a stats library.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ import re
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Container, Iterable, Mapping, Optional, Sequence, Union
+from typing import Container, Iterable, Mapping, Optional, Sequence
 
 from .datamodel import JsonRecord
 
@@ -216,50 +219,12 @@ def split_sentences(text: str) -> list[str]:
     return sentences
 
 
-@dataclass(frozen=True)
-class TokenizedText:
-    """A text tokenized once, sentence by sentence, for every ROUGE
-    variant. ``tokens`` is exactly ``tokenize(text)``: sentences are cut
-    only at line breaks, ``.!?`` and whitespace, none of which is part
-    of a token, and lowercasing and stemming never join characters
-    across a cut."""
-
-    sentences: tuple[tuple[str, ...], ...]
-    tokens: tuple[str, ...]
-    use_stemmer: bool
-
-    @classmethod
-    def of(cls, text: str, use_stemmer: bool = False) -> "TokenizedText":
-        sentences = tuple(
-            tokens
-            for tokens in (tuple(tokenize(s, use_stemmer)) for s in split_sentences(text))
-            if tokens
-        )
-        return cls(sentences, tuple(t for s in sentences for t in s), use_stemmer)
-
-
-Text = Union[str, TokenizedText]
-
-
-def _same_stemming(text: TokenizedText, use_stemmer: bool) -> TokenizedText:
-    if text.use_stemmer != use_stemmer:
-        raise ValueError(
-            f"text was tokenized with use_stemmer={text.use_stemmer}, "
-            f"scored with use_stemmer={use_stemmer}"
-        )
-    return text
-
-
-def _tokens(text: Text, use_stemmer: bool) -> Sequence[str]:
-    if isinstance(text, str):
-        return tokenize(text, use_stemmer)
-    return _same_stemming(text, use_stemmer).tokens
-
-
-def _tokenized(text: Text, use_stemmer: bool) -> TokenizedText:
-    if isinstance(text, str):
-        return TokenizedText.of(text, use_stemmer)
-    return _same_stemming(text, use_stemmer)
+def sentence_tokens(text: str, use_stemmer: bool = False) -> list[list[str]]:
+    """The tokens of each sentence that has any. Joined, they are exactly
+    ``tokenize(text, use_stemmer)``: sentences are cut only at line
+    breaks, ``.!?`` and whitespace, none of which is part of a token, and
+    lowercasing and stemming never join characters across a cut."""
+    return list(filter(None, map(tokenize, split_sentences(text), repeat(use_stemmer))))
 
 
 @dataclass(frozen=True)
@@ -298,11 +263,9 @@ def _ngrams(tokens: Sequence[str], n: int) -> Counter:
     return Counter(zip(*(islice(tokens, i, None) for i in range(n))))
 
 
-def rouge_n(candidate: Text, reference: Text, n: int, use_stemmer: bool = False) -> RougeScore:
+def rouge_n(cand_tokens: Sequence[str], ref_tokens: Sequence[str], n: int) -> RougeScore:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    cand_tokens = _tokens(candidate, use_stemmer)
-    ref_tokens = _tokens(reference, use_stemmer)
     cand = _ngrams(cand_tokens, n)
     ref = _ngrams(ref_tokens, n)
     overlap = sum(map(min, cand.values(), map(ref.get, cand, repeat(0))))
@@ -361,10 +324,8 @@ def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     return len(a) - _lcs_columns(masks, full, b)[-1].bit_count()
 
 
-def rouge_l(candidate: Text, reference: Text, use_stemmer: bool = False) -> RougeScore:
-    cand = _tokens(candidate, use_stemmer)
-    ref = _tokens(reference, use_stemmer)
-    return _score(lcs_length(cand, ref), len(cand), len(ref))
+def rouge_l(cand_tokens: Sequence[str], ref_tokens: Sequence[str]) -> RougeScore:
+    return _score(lcs_length(cand_tokens, ref_tokens), len(cand_tokens), len(ref_tokens))
 
 
 def _lcs_hits(masks: Mapping[str, int], starts: Sequence[int], full: int, cand: Sequence[str]) -> int:
@@ -410,52 +371,45 @@ def _lcs_hits(masks: Mapping[str, int], starts: Sequence[int], full: int, cand: 
     return hits
 
 
-def _lcs_indices(ref: Sequence[str], cand: Sequence[str]) -> set[int]:
-    """Positions in ref participating in one LCS with cand."""
-    if not ref or not cand:
-        return set()
-    masks, starts, full = _side_by_side((ref,), set(cand))
-    hits = _lcs_hits(masks, starts, full, cand)
-    return {i for i in range(len(ref)) if hits >> i & 1}
-
-
-def rouge_lsum(candidate: Text, reference: Text, use_stemmer: bool = False) -> RougeScore:
-    """Summary-level LCS: per reference sentence, union the LCS hits
-    against every candidate sentence, then cap each token's credit by
-    its count on both sides so nothing is matched twice.
+def rouge_lsum(
+    cand_sentences: Sequence[Sequence[str]], ref_sentences: Sequence[Sequence[str]]
+) -> RougeScore:
+    """Summary-level LCS over per-sentence token lists: per reference
+    sentence, union the LCS hits against every candidate sentence, then
+    cap each token's credit by its count on both sides so nothing is
+    matched twice.
 
     The reference sentences share one bit layout, so one bit-parallel
     pass per candidate sentence covers all of them, and the union is
     one int. A token's union hits never exceed its reference count, so
     its credit is min(union hits, candidate count).
     """
-    cand = _tokenized(candidate, use_stemmer)
-    ref = _tokenized(reference, use_stemmer)
-    if not cand.tokens or not ref.tokens:
-        return RougeScore(0.0, 0.0, 0.0)
-
-    cand_counts = Counter(cand.tokens)
-    masks, starts, full = _side_by_side(ref.sentences, cand_counts)
+    cand_counts = Counter(chain.from_iterable(cand_sentences))
+    masks, starts, full = _side_by_side(ref_sentences, cand_counts)
     union = 0
-    for cand_sent in cand.sentences:
+    for cand_sent in cand_sentences:
         union |= _lcs_hits(masks, starts, full, cand_sent)
     hits = sum(
         min((union & mask).bit_count(), cand_counts[token]) for token, mask in masks.items()
     )
-    return _score(hits, len(cand.tokens), len(ref.tokens))
+    return _score(hits, cand_counts.total(), sum(map(len, ref_sentences)))
 
 
 ROUGE_VARIANTS = ("rouge1", "rouge2", "rougeL", "rougeLsum")
 
 
 def rouge_all(candidate: str, reference: str, use_stemmer: bool = False) -> dict[str, RougeScore]:
-    cand = TokenizedText.of(candidate, use_stemmer)
-    ref = TokenizedText.of(reference, use_stemmer)
+    """Every ROUGE variant of one text pair, tokenizing each text once.
+    The one ROUGE function that takes strings."""
+    cand_sentences = sentence_tokens(candidate, use_stemmer)
+    ref_sentences = sentence_tokens(reference, use_stemmer)
+    cand = list(chain.from_iterable(cand_sentences))
+    ref = list(chain.from_iterable(ref_sentences))
     return {
-        "rouge1": rouge_n(cand, ref, 1, use_stemmer),
-        "rouge2": rouge_n(cand, ref, 2, use_stemmer),
-        "rougeL": rouge_l(cand, ref, use_stemmer),
-        "rougeLsum": rouge_lsum(cand, ref, use_stemmer),
+        "rouge1": rouge_n(cand, ref, 1),
+        "rouge2": rouge_n(cand, ref, 2),
+        "rougeL": rouge_l(cand, ref),
+        "rougeLsum": rouge_lsum(cand_sentences, ref_sentences),
     }
 
 

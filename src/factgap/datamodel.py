@@ -168,7 +168,7 @@ def _coders(hint: Any) -> tuple[_Coder, _Coder]:
     if origin is Mapping or origin is dict:
         return dict, dict
     if hint is int:
-        return None, index
+        return None, _decode_int
     if hint is str:
         return None, _decode_str
     if hint in (float, bool):
@@ -185,6 +185,12 @@ def _coders(hint: Any) -> tuple[_Coder, _Coder]:
             lambda value: _decode(hint, _plan(hint), value),
         )
     raise TypeError(f"no JSON codec for field type {hint!r}")
+
+
+def _decode_int(value: Any) -> int:
+    if isinstance(value, bool):  # an int subclass, so index() takes it
+        raise TypeError("expected an integer, got bool")
+    return index(value)
 
 
 def _decode_str(value: Any) -> str:

@@ -96,7 +96,7 @@ class Corpus(JsonRecord):
         known = {e.encounter_id for e in self.encounters}
         missing = [i for i in wanted if i not in known]
         if missing:
-            raise KeyError(f"corpus {self.name} has no encounters {missing}")
+            raise ValueError(f"corpus {self.name} has no encounters {missing}")
         selected = set(wanted)
         return Corpus(
             name=self.name,

@@ -4,17 +4,22 @@ Every stage demands one fenced code block; prose around it is tolerated
 and the last block wins. Inside the block the format is strict: any
 violation raises ParseError with a message precise enough to be quoted
 back to the model in a repair round.
+
+Summaries, importance categories and each diagnosis's evidence groups
+are sectioned replies, ``HEADER:`` lines each followed by its section;
+one scan, ``_headed_sections``, splits all three.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Sequence
+from typing import Sequence, TypeVar
 
 from ..datamodel import (
     MAX_DDX_ENTRIES,
     SECTION_TITLES,
     SUMMARY_SECTIONS,
+    ClusterGroup,
     ContentCategory,
     DdxSource,
     Diagnosis,
@@ -34,6 +39,8 @@ class ParseError(ValueError):
     """A format violation in a model reply; the message is shown to the
     model verbatim when asking for a repair."""
 
+
+_K = TypeVar("_K")
 
 _FENCE_RE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
 
@@ -71,35 +78,51 @@ def parse_truncation(block: str, n_turns: int) -> int:
     return index
 
 
+def _headed_sections(
+    lines: Sequence[str], headers: Sequence[tuple[_K, str]]
+) -> list[tuple[_K, str, str, list[str]]]:
+    """Each line that starts, after stripping and in any case, with one of
+    ``headers`` and a colon, the first such header winning: its key, the
+    header, the stripped line's text after the colon, and the lines up to
+    the next header line."""
+    sections: list[tuple[_K, str, str, list[str]]] = []
+    for line in lines:
+        stripped = line.strip()
+        upper = stripped.upper()
+        for key, header in headers:
+            if upper.startswith(header + ":"):
+                sections.append((key, header, stripped[len(header) + 1 :], []))
+                break
+        else:
+            if sections:
+                sections[-1][3].append(line)
+    return sections
+
+
+def _each_once_in_order(
+    block: str, headers: Sequence[tuple[_K, str]], noun: str, out_of_order: str
+) -> list[tuple[_K, str, str, list[str]]]:
+    sections = _headed_sections(block.splitlines(), headers)
+    found = [header for _, header, _, _ in sections]
+    for _, header in headers:
+        if found.count(header) != 1:
+            raise ParseError(
+                f"expected the {noun} {header}: exactly once, found it {found.count(header)} times"
+            )
+    if found != [header for _, header in headers]:
+        raise ParseError(out_of_order)
+    return sections
+
+
 _SUMMARY_HEADERS = tuple((name, SECTION_TITLES[name]) for name in SUMMARY_SECTIONS)
 
 
 def parse_summary(block: str, encounter_id: str) -> Summary:
-    upper_lines = [(line, line.strip().upper()) for line in block.splitlines()]
-    positions = []
-    for key, header in _SUMMARY_HEADERS:
-        found = [
-            i
-            for i, (_, upper) in enumerate(upper_lines)
-            if upper.startswith(header + ":")
-        ]
-        if len(found) != 1:
-            raise ParseError(
-                f"expected the header {header}: exactly once, found it {len(found)} times"
-            )
-        positions.append((found[0], key, header))
-    if [p[0] for p in positions] != sorted(p[0] for p in positions):
-        raise ParseError("summary section headers are out of order")
-
     sections = {}
-    lines = block.splitlines()
-    for rank, (start, key, header) in enumerate(positions):
-        end = positions[rank + 1][0] if rank + 1 < len(positions) else len(lines)
-        first = lines[start].strip()[len(header) + 1 :].strip()
-        body_lines = ([first] if first else []) + [
-            line.rstrip() for line in lines[start + 1 : end]
-        ]
-        body = "\n".join(body_lines).strip()
+    for key, _, inline, following in _each_once_in_order(
+        block, _SUMMARY_HEADERS, "header", "summary section headers are out of order"
+    ):
+        body = "\n".join([inline.strip(), *(line.rstrip() for line in following)]).strip()
         if body.upper() == "NONE":
             body = ""
         sections[key] = body
@@ -236,11 +259,7 @@ def parse_omissions(block: str, known_fact_ids: Sequence[str]) -> list[Omission]
     return omissions
 
 
-_CATEGORY_HEADERS = (
-    (Importance.CRITICAL, "CRITICAL"),
-    (Importance.IMPORTANT, "IMPORTANT"),
-    (Importance.OTHER, "OTHER"),
-)
+_CATEGORY_HEADERS = tuple((importance, importance.name) for importance in Importance)
 
 
 def _parse_id_csv(text: str, context: str) -> list[str]:
@@ -260,28 +279,11 @@ def _parse_id_csv(text: str, context: str) -> list[str]:
 
 
 def parse_categorization(block: str, facts: Sequence[Fact]) -> list[Fact]:
-    lines = block.splitlines()
-    positions = []
-    for importance, header in _CATEGORY_HEADERS:
-        found = [
-            i
-            for i, line in enumerate(lines)
-            if line.strip().upper().startswith(header + ":")
-        ]
-        if len(found) != 1:
-            raise ParseError(
-                f"expected the section {header}: exactly once, found it {len(found)} times"
-            )
-        positions.append((found[0], importance, header))
-    if [p[0] for p in positions] != sorted(p[0] for p in positions):
-        raise ParseError("importance sections are out of order")
-
     by_importance: dict[str, Importance] = {}
-    for rank, (start, importance, header) in enumerate(positions):
-        end = positions[rank + 1][0] if rank + 1 < len(positions) else len(lines)
-        chunks = [lines[start].strip()[len(header) + 1 :]]
-        chunks.extend(lines[start + 1 : end])
-        ids = _parse_id_csv(",".join(c for c in chunks if c.strip()), header)
+    for importance, header, inline, following in _each_once_in_order(
+        block, _CATEGORY_HEADERS, "section", "importance sections are out of order"
+    ):
+        ids = _parse_id_csv(",".join(c for c in (inline, *following) if c.strip()), header)
         for fact_id in ids:
             if fact_id in by_importance:
                 raise ParseError(f"fact {fact_id} appears in more than one section")
@@ -297,20 +299,14 @@ def parse_categorization(block: str, facts: Sequence[Fact]) -> list[Fact]:
     return [fact.with_importance(by_importance[fact.fact_id]) for fact in facts]
 
 
-_GROUP_HEADERS = {
-    "SYMPTOMS": "symptoms",
-    "TESTS": "tests",
-    "TREATMENTS": "treatments",
-    "SOCIAL DETERMINANT OF HEALTH": "social_determinant_of_health",
+_GROUP_HEADERS = (
+    *((group.value, group.name.replace("_", " ")) for group in ClusterGroup),
     # Common misspelling; accepted as the same group.
-    "SOCIAL DETERMINATE OF HEALTH": "social_determinant_of_health",
-    "OTHER": "other",
-}
+    ("social_determinant_of_health", "SOCIAL DETERMINATE OF HEALTH"),
+)
 
 _DIAGNOSIS_RE = re.compile(r"^DIAGNOSIS:\s*(.+)$", re.IGNORECASE)
 _SUBCLUSTER_RE = re.compile(r"^-\s*(.+?):\s*(.+)$")
-
-_REQUIRED_GROUPS = ("symptoms", "tests", "treatments", "social_determinant_of_health", "other")
 
 
 def parse_clusters(
@@ -349,16 +345,9 @@ def parse_clusters(
 def _parse_cluster_section(
     diagnosis_name: str, lines: list[str], known: set[str], polarity: Polarity
 ) -> EvidenceClustering:
-    positions = []
-    for i, line in enumerate(lines):
-        stripped = line.strip()
-        upper = stripped.upper()
-        for header, group in _GROUP_HEADERS.items():
-            if upper == header + ":" or upper.startswith(header + ":"):
-                positions.append((i, group, header, stripped[len(header) + 1 :].strip()))
-                break
-    found_groups = [g for _, g, _, _ in positions]
-    for group in _REQUIRED_GROUPS:
+    sections = _headed_sections(lines, _GROUP_HEADERS)
+    found_groups = [group for group, _, _, _ in sections]
+    for group in dict.fromkeys(group for group, _ in _GROUP_HEADERS):
         if found_groups.count(group) != 1:
             raise ParseError(
                 f"diagnosis {diagnosis_name!r}: expected the heading for group "
@@ -366,11 +355,8 @@ def _parse_cluster_section(
             )
 
     subclusters = []
-    for rank, (start, group, header, inline) in enumerate(positions):
-        end = positions[rank + 1][0] if rank + 1 < len(positions) else len(lines)
-        content = ([inline] if inline else []) + [
-            line.strip() for line in lines[start + 1 : end] if line.strip()
-        ]
+    for group, header, inline, following in sections:
+        content = [line.strip() for line in (inline, *following) if line.strip()]
         if len(content) == 1 and content[0].upper() == "NONE":
             continue
         if not content:

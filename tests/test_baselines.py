@@ -21,6 +21,7 @@ from factgap.baselines import (
     rouge_lsum,
     rouge_n,
     rouge_vectors,
+    sentence_tokens,
     spearman,
     split_sentences,
     tokenize,
@@ -74,27 +75,34 @@ def test_split_sentences():
     assert split_sentences("A... B") == ["A", "B"]
 
 
+def test_sentence_tokens_drop_sentences_without_tokens():
+    assert sentence_tokens("Running fevers. -- !\nNo rash", use_stemmer=True) == [
+        ["run", "fever"],
+        ["no", "rash"],
+    ]
+
+
 def test_rouge_n_hand_computed():
-    r1 = rouge_n("the cat sat", "the cat", 1)
+    r1 = rouge_n(["the", "cat", "sat"], ["the", "cat"], 1)
     assert r1.precision == pytest.approx(2 / 3)
     assert r1.recall == pytest.approx(1.0)
-    r2 = rouge_n("the cat sat", "the cat", 2)
+    r2 = rouge_n(["the", "cat", "sat"], ["the", "cat"], 2)
     assert r2.precision == pytest.approx(0.5)
     assert r2.recall == pytest.approx(1.0)
     assert r2.f1 == pytest.approx(2 / 3)
-    zero = rouge_n("", "anything", 1)
+    zero = rouge_n([], ["anything"], 1)
     assert (zero.precision, zero.recall, zero.f1) == (0.0, 0.0, 0.0)
 
 
 def test_rouge_n_counts_repeats_with_clipping():
-    score = rouge_n("a a a", "a a b", 1)
+    score = rouge_n(["a", "a", "a"], ["a", "a", "b"], 1)
     assert score.precision == pytest.approx(2 / 3)
     assert score.recall == pytest.approx(2 / 3)
 
 
 def test_rouge_l_hand_computed():
     # LCS of [a b c d] and [a c b d] is 3 (a b d or a c d).
-    score = rouge_l("a b c d", "a c b d")
+    score = rouge_l(["a", "b", "c", "d"], ["a", "c", "b", "d"])
     assert score.precision == pytest.approx(3 / 4)
     assert score.recall == pytest.approx(3 / 4)
 
@@ -102,13 +110,13 @@ def test_rouge_l_hand_computed():
 def test_rouge_lsum_prevents_double_counting():
     # Both reference sentences match the single candidate token, but the
     # candidate only has one "a" to give.
-    score = rouge_lsum("a", "a b. a c")
+    score = rouge_lsum([["a"]], [["a", "b"], ["a", "c"]])
     assert score.precision == pytest.approx(1.0)
     assert score.recall == pytest.approx(1 / 4)
 
 
 def test_rouge_lsum_unions_across_candidate_sentences():
-    score = rouge_lsum("x a. y b", "a b")
+    score = rouge_lsum([["x", "a"], ["y", "b"]], [["a", "b"]])
     assert score.recall == pytest.approx(1.0)
     assert score.precision == pytest.approx(2 / 4)
 

@@ -253,6 +253,7 @@ def test_compare_json(finished_run, capsys):
     [
         (["report"], "report.txt"),
         (["compare", "--external", str(EXTERNAL_CSV)], "compare_external.txt"),
+        (["compare", "--use-stemmer"], "compare_stemmed.txt"),
     ],
 )
 def test_fixture_replay_output_matches_its_golden_byte_for_byte(
@@ -546,3 +547,27 @@ def test_only_run_writes_a_manifest_of_the_whole_corpus(finished_run, tmp_path, 
     aggregate = json.loads(capsys.readouterr().out)["aggregate"]
     assert manifest["counts"] == {key: aggregate[key] for key in ("ok", "skipped", "failed")}
     assert manifest["counts"] == {"ok": 3, "skipped": 0, "failed": 0}
+
+
+def test_only_with_an_unknown_id_is_an_error_that_deletes_nothing(finished_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(finished_run, run)
+    before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+    code = main(
+        [
+            "run",
+            "--config",
+            str(REPLAY_CONFIG),
+            "--corpus",
+            str(CORPUS),
+            "--out",
+            str(run),
+            "--only",
+            "enc-nobody",
+            "--force",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: corpus fixture-clinic has no encounters ['enc-nobody']\n"
+    assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before

@@ -92,6 +92,11 @@ def test_integer_keys_take_only_integers(tmp_path):
     with pytest.raises(ValueError, match="ThresholdsConfig: 'str' object cannot be interpreted"):
         load_config(write_config(tmp_path, data))
 
+    data = minimal_config_dict()
+    data["max_gen_tokens"] = True
+    with pytest.raises(ValueError, match=": RunConfig: expected an integer, got bool$"):
+        load_config(write_config(tmp_path, data))
+
 
 def test_unknown_keys_rejected_everywhere(tmp_path):
     data = minimal_config_dict()

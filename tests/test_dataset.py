@@ -76,7 +76,7 @@ def test_corpus_accessors_and_validation():
         corpus.get("e9")
     sub = corpus.subset(["e2"])
     assert [e.encounter_id for e in sub.encounters] == ["e2"]
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match=r"^corpus demo has no encounters \['e9'\]$"):
         corpus.subset(["e1", "e9"])
     dup = corpus.encounters[0]
     with pytest.raises(ValueError, match="duplicate encounter id"):

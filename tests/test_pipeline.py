@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from factgap.config import ModelsConfig, RunConfig, ThresholdsConfig
@@ -23,6 +25,12 @@ from factgap.pipeline.stages import (
 from factgap.datamodel import Dialogue, Speaker, Turn
 
 from response_builders import METRIC_MODEL, SUMMARY_MODEL
+
+
+def exactly(message):
+    """A ``match=`` pattern for the whole message: a repair request quotes
+    it, so a changed word changes that request's fingerprint."""
+    return f"^{re.escape(message)}$"
 
 
 def test_templates_render_strictly():
@@ -92,12 +100,15 @@ def test_parse_summary_happy_and_none_sections():
 
 
 def test_parse_summary_errors():
-    with pytest.raises(ParseError, match="CHIEF COMPLAINT"):
+    with pytest.raises(
+        ParseError,
+        match=exactly("expected the header CHIEF COMPLAINT: exactly once, found it 0 times"),
+    ):
         parsers.parse_summary("HISTORY OF PRESENT ILLNESS:\nx\nPAST SOCIAL HISTORY:\ny", "e1")
     block_out_of_order = (
         "HISTORY OF PRESENT ILLNESS:\nx\nCHIEF COMPLAINT:\ny\nPAST SOCIAL HISTORY:\nz"
     )
-    with pytest.raises(ParseError, match="out of order"):
+    with pytest.raises(ParseError, match=exactly("summary section headers are out of order")):
         parsers.parse_summary(block_out_of_order, "e1")
     all_none = (
         "CHIEF COMPLAINT:\nNONE\nHISTORY OF PRESENT ILLNESS:\nNONE\nPAST SOCIAL HISTORY:\nNONE"
@@ -201,8 +212,12 @@ def test_parse_categorization_errors():
         parsers.parse_categorization("CRITICAL:\nF0\nIMPORTANT:\nF0, F1\nOTHER:\nNONE", facts)
     with pytest.raises(ParseError, match="unknown fact ids"):
         parsers.parse_categorization("CRITICAL:\nF0, F7\nIMPORTANT:\nF1\nOTHER:\nNONE", facts)
-    with pytest.raises(ParseError, match="exactly once"):
+    with pytest.raises(
+        ParseError, match=exactly("expected the section IMPORTANT: exactly once, found it 0 times")
+    ):
         parsers.parse_categorization("CRITICAL:\nF0\nOTHER:\nF1", facts)
+    with pytest.raises(ParseError, match=exactly("importance sections are out of order")):
+        parsers.parse_categorization("IMPORTANT:\nF1\nCRITICAL:\nF0\nOTHER:\nNONE", facts)
 
 
 CLUSTER_BLOCK = """DIAGNOSIS: Anemia
@@ -251,8 +266,20 @@ def test_parse_clusters_errors():
     with pytest.raises(ParseError, match="do not match the requested"):
         parsers.parse_clusters(CLUSTER_BLOCK, ["Anemia"], known, Polarity.SUPPORTING)
     missing_group = CLUSTER_BLOCK.replace("TREATMENTS:\nNONE\nSOCIAL DETERMINANT", "SOCIAL DETERMINANT", 1)
-    with pytest.raises(ParseError, match="treatments"):
+    with pytest.raises(
+        ParseError,
+        match=exactly(
+            "diagnosis 'Anemia': expected the heading for group treatments exactly once, "
+            "found it 0 times"
+        ),
+    ):
         parsers.parse_clusters(missing_group, names, known, Polarity.SUPPORTING)
+    empty_group = CLUSTER_BLOCK.replace("TREATMENTS:\nNONE\n", "TREATMENTS:\n", 1)
+    with pytest.raises(
+        ParseError,
+        match=exactly("diagnosis 'Anemia', group TREATMENTS: write NONE or subcluster lines"),
+    ):
+        parsers.parse_clusters(empty_group, names, known, Polarity.SUPPORTING)
     dup = CLUSTER_BLOCK.replace("F1, F2", "F1, F1")
     with pytest.raises(ParseError, match="more than once"):
         parsers.parse_clusters(dup, names, known, Polarity.SUPPORTING)

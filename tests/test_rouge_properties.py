@@ -7,23 +7,31 @@ and ties between LCS paths are the common case, not the rare one.
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rouge_oracle
 from factgap.baselines import (
-    TokenizedText,
-    _lcs_indices,
+    _lcs_hits,
+    _side_by_side,
     lcs_length,
-    rouge_all,
-    rouge_l,
     rouge_lsum,
     rouge_n,
+    sentence_tokens,
+    tokenize,
 )
 
 WORDS = ("fever", "cough", "rash", "pain")
 SEPARATORS = (". ", "\n", "! ", "? ", "... ", " .\n")
+
+
+def _lcs_indices(ref, cand):
+    """Positions in ref on the one LCS with cand that rouge_lsum credits."""
+    if not ref or not cand:
+        return set()
+    masks, starts, full = _side_by_side((ref,), set(cand))
+    hits = _lcs_hits(masks, starts, full, cand)
+    return {i for i in range(len(ref)) if hits >> i & 1}
 
 
 @st.composite
@@ -59,7 +67,7 @@ def test_lcs_indices_follow_the_oracle_backtrack(a, b):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(multi_sentence_texts(), multi_sentence_texts())
 def test_rouge_lsum_matches_oracle_exactly(candidate, reference):
-    score = rouge_lsum(candidate, reference)
+    score = rouge_lsum(sentence_tokens(candidate), sentence_tokens(reference))
     assert (score.precision, score.recall, score.f1) == rouge_oracle.summary_lcs_prf(
         candidate, reference
     )
@@ -74,14 +82,12 @@ _TEXT_ALPHABET = st.one_of(
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(st.text(_TEXT_ALPHABET, max_size=80), st.text(_TEXT_ALPHABET, max_size=80), st.booleans())
-def test_rouge_all_tokenizing_once_changes_no_score(candidate, reference, use_stemmer):
-    assert rouge_all(candidate, reference, use_stemmer) == {
-        "rouge1": rouge_n(candidate, reference, 1, use_stemmer),
-        "rouge2": rouge_n(candidate, reference, 2, use_stemmer),
-        "rougeL": rouge_l(candidate, reference, use_stemmer),
-        "rougeLsum": rouge_lsum(candidate, reference, use_stemmer),
-    }
+@given(st.text(_TEXT_ALPHABET, max_size=80), st.booleans())
+def test_sentence_tokens_joined_are_the_text_tokens(text, use_stemmer):
+    # rouge_all splits each text once and joins the sentences for
+    # ROUGE-N and ROUGE-L, so every cut must fall between tokens.
+    joined = [token for sentence in sentence_tokens(text, use_stemmer) for token in sentence]
+    assert joined == tokenize(text, use_stemmer)
 
 
 def test_lcs_spanning_many_machine_words():
@@ -94,13 +100,6 @@ def test_lcs_spanning_many_machine_words():
     positions = rouge_oracle._lcs_hit_positions(a, b)
     assert lcs_length(a, b) == len(positions)
     assert _lcs_indices(a, b) == positions
-
-
-def test_tokenized_text_must_match_the_scoring_stemmer():
-    text = TokenizedText.of("Running fevers.", use_stemmer=True)
-    assert rouge_l(text, text, use_stemmer=True).f1 == 1.0
-    with pytest.raises(ValueError, match="use_stemmer"):
-        rouge_l(text, "running fevers", use_stemmer=False)
 
 
 @st.composite
@@ -117,7 +116,7 @@ def sentence_texts(draw, sentences, max_words, vocabularies):
 
 
 def assert_rouge_lsum_matches_oracle(candidate, reference):
-    score = rouge_lsum(candidate, reference)
+    score = rouge_lsum(sentence_tokens(candidate), sentence_tokens(reference))
     assert (score.precision, score.recall, score.f1) == rouge_oracle.summary_lcs_prf(
         candidate, reference
     )
@@ -146,7 +145,7 @@ def test_rouge_lsum_matches_oracle_when_most_sentence_lcs_is_one(candidate, refe
     st.integers(1, 3),
 )
 def test_rouge_n_matches_oracle_on_arbitrary_text(candidate, reference, n):
-    score = rouge_n(candidate, reference, n)
+    score = rouge_n(tokenize(candidate), tokenize(reference), n)
     assert (score.precision, score.recall, score.f1) == rouge_oracle.ngram_prf(
         candidate, reference, n
     )
