@@ -30,7 +30,7 @@ class ModelsConfig(JsonRecord):
     metric: str
     margin: Optional[str] = None
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         if not self.summary:
             raise ValueError("models.summary must be non-empty")
         if not self.metric:
@@ -49,7 +49,7 @@ class BackendConfig(JsonRecord):
     api_key_env: str = ""
     timeout: float = 120.0
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         object.__setattr__(self, "timeout", float(self.timeout))  # YAML reads 1e2 as a str
         if self.kind not in BACKEND_KINDS:
             raise ValueError(f"backend.kind must be one of {BACKEND_KINDS}, got {self.kind!r}")
@@ -69,7 +69,7 @@ class ThresholdsConfig(JsonRecord):
     repair_budget: int = 1
     margin_epsilon: float = MARGIN_EPSILON
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         # YAML reads an exponent without a dot, such as 1e-9, as a string.
         object.__setattr__(self, "margin_epsilon", float(self.margin_epsilon))
         if self.min_truncated_turns < 1:
@@ -93,13 +93,7 @@ class RunConfig(JsonRecord):
     aggregation: Aggregation = Aggregation.MEAN
     max_gen_tokens: int = 1024
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.mode, GatewayMode):
-            object.__setattr__(self, "mode", GatewayMode(self.mode))
-        if not isinstance(self.uniqueness_polarity, PolarityMode):
-            object.__setattr__(self, "uniqueness_polarity", PolarityMode(self.uniqueness_polarity))
-        if not isinstance(self.aggregation, Aggregation):
-            object.__setattr__(self, "aggregation", Aggregation(self.aggregation))
+    def check(self) -> None:
         if self.max_gen_tokens < 1:
             raise ValueError("max_gen_tokens must be positive")
         if self.mode is not GatewayMode.LIVE and self.cassette is None:

@@ -17,11 +17,18 @@ that have never carried a version: ``Turn``, ``Diagnosis`` and
 ``SubCluster``; so do ``Provenance``, ``Encounter``, the two outcome
 markers and ``ManifestEntry`` in ``dataset``, ``CorrelationRow`` in
 ``baselines`` and the four types in ``config``.
+
+Construction follows the same field types: an enum field converts its
+argument by value and a ``tuple[...]`` field converts any iterable to a
+tuple (an ``Optional`` one keeps ``None``), before the record's
+:meth:`JsonRecord.check` tests its invariants. On decode a ``float`` field
+refuses ``true`` and ``false``, as an ``int`` field does.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
@@ -107,15 +114,31 @@ class JsonRecord:
     as lists, paths as strings, nested records and NamedTuples as objects,
     and every other value passes through. A versioned type also writes
     ``schema_version`` and checks it on decode. On decode a missing key
-    takes the field's default, an integer field takes only an integer and
-    a string field only a string, and an unknown key, a missing required
-    key or a value of the wrong type is a ValueError that names the type,
-    prefixed by the enclosing record types when it is nested. A ``derived``
-    key is computed on encode; on decode it is optional, but must match.
+    takes the field's default, an integer field takes only an integer, a
+    float field anything but a bool and a string field only a string, and
+    an unknown key, a missing required key or a value of the wrong type is
+    a ValueError that names the type, prefixed by the enclosing record
+    types when it is nested. A ``derived`` key is computed on encode; on
+    decode it is optional, but must match.
+
+    The constructor converts each enum field's argument to the enum and
+    each ``tuple[...]`` field's to a tuple, leaving ``None`` in an
+    ``Optional`` one, and then calls :meth:`check`.
     """
 
     versioned = True
     derived: ClassVar[Mapping[str, Callable[[Any], Any]]] = {}
+
+    def __post_init__(self) -> None:
+        for name, kept in _plan(type(self))[4]:
+            value = getattr(self, name)
+            if value.__class__ not in kept:
+                object.__setattr__(self, name, kept[0](value))
+        self.check()
+
+    def check(self) -> None:
+        """Refuse, with a ValueError, a record that breaks an invariant of
+        its type; a type may also normalize its fields here."""
 
     def to_json_dict(self) -> dict[str, Any]:
         return _encode(self, _plan(type(self)))
@@ -126,11 +149,15 @@ class JsonRecord:
 
 
 _Coder = Optional[Callable[[Any], Any]]
-# Per type: whether it is versioned, one (name, encoder, decoder, required)
-# row per field, the derived keys and the keys a decode accepts. A None
+# The classes a constructor argument may already have, the first of which
+# converts any other value. None: the constructor converts nothing.
+_Coercion = Optional[tuple[type, ...]]
+_Row = tuple[str, _Coder, _Coder, _Coercion, bool]
+# Per type: whether it is versioned, one (name, encoder, decoder, coercion,
+# required) row per field, the derived keys, the keys a decode accepts and
+# the (name, coercion) pairs of the fields the constructor converts. A None
 # coder passes the value through.
-_Derived = Mapping[str, Callable[[Any], Any]]
-_Plan = tuple[bool, tuple[tuple[str, _Coder, _Coder, bool], ...], _Derived, frozenset[str]]
+_Plan = tuple[bool, tuple[_Row, ...], Mapping[str, Callable], frozenset[str], tuple]
 
 
 @functools.cache
@@ -143,46 +170,51 @@ def _plan(cls: type) -> _Plan:
             (f.name, f.default is MISSING and f.default_factory is MISSING) for f in fields(cls)
         ]
     rows = tuple((name, *_coders(hints[name]), required) for name, required in names)
+    coercions = tuple((name, kept) for name, _, _, kept, _ in rows if kept)
     versioned = getattr(cls, "versioned", False)
     derived = getattr(cls, "derived", {})
     allowed = {name for name, _ in names} | ({"schema_version"} if versioned else set())
-    return versioned, rows, derived, frozenset(allowed | derived.keys())
+    return versioned, rows, derived, frozenset(allowed | derived.keys()), coercions
 
 
-def _coders(hint: Any) -> tuple[_Coder, _Coder]:
-    """The encoder and the decoder for values of one field type."""
+def _coders(hint: Any) -> tuple[_Coder, _Coder, _Coercion]:
+    """The encoder, the decoder and the constructor's coercion for values
+    of one field type."""
     origin, args = get_origin(hint), get_args(hint)
     if origin is Union or origin is UnionType:
         (inner,) = [arg for arg in args if arg is not type(None)]
-        encode, decode = _coders(inner)
+        encode, decode, kept = _coders(inner)
         return (
             encode and (lambda value: None if value is None else encode(value)),
             decode and (lambda value: None if value is None else decode(value)),
+            kept and (*kept, type(None)),
         )
     if origin is tuple:
-        encode, decode = _coders(args[0])
+        encode, decode, _ = _coders(args[0])
         return (
             list if encode is None else lambda value: [encode(item) for item in value],
             tuple if decode is None else lambda value: tuple([decode(item) for item in value]),
+            (tuple,),
         )
     if origin is Mapping or origin is dict:
-        return dict, dict
+        return dict, dict, None
     if hint is int:
-        return None, _decode_int
+        return None, _decode_int, None
+    if hint is float:
+        return None, _decode_float, None
     if hint is str:
-        return None, _decode_str
-    if hint in (float, bool):
-        return None, None
+        return None, _decode_str, None
     if hint is Path:
-        return str, Path
+        return str, Path, None
     if issubclass(hint, Enum):
-        return attrgetter("value"), hint
+        return attrgetter("value"), hint, (hint,)
     if issubclass(hint, JsonRecord):
-        return methodcaller("to_json_dict"), lambda value: hint.from_json_dict(value)
+        return methodcaller("to_json_dict"), lambda value: hint.from_json_dict(value), None
     if issubclass(hint, tuple) and hasattr(hint, "_fields"):
         return (
             lambda value: _encode(value, _plan(hint)),
             lambda value: _decode(hint, _plan(hint), value),
+            None,
         )
     raise TypeError(f"no JSON codec for field type {hint!r}")
 
@@ -193,6 +225,13 @@ def _decode_int(value: Any) -> int:
     return index(value)
 
 
+def _decode_float(value: Any) -> Any:
+    # Other values pass: the config converts YAML's 1e-9, read as a str.
+    if isinstance(value, bool):
+        raise TypeError("expected a number, got bool")
+    return value
+
+
 def _decode_str(value: Any) -> str:
     if not isinstance(value, str):
         raise TypeError(f"expected a string, got {type(value).__name__}")
@@ -200,9 +239,9 @@ def _decode_str(value: Any) -> str:
 
 
 def _encode(obj: Any, plan: _Plan) -> dict[str, Any]:
-    versioned, rows, derived, _ = plan
+    versioned, rows, derived, *_ = plan
     out: dict[str, Any] = {"schema_version": SCHEMA_VERSION} if versioned else {}
-    for name, encode, _, _ in rows:
+    for name, encode, *_ in rows:
         value = getattr(obj, name)
         out[name] = value if encode is None else encode(value)
     for name, compute in derived.items():
@@ -211,7 +250,7 @@ def _encode(obj: Any, plan: _Plan) -> dict[str, Any]:
 
 
 def _decode(cls: type, plan: _Plan, data: Mapping[str, Any]) -> Any:
-    versioned, rows, derived, allowed = plan
+    versioned, rows, derived, allowed, _ = plan
     if not isinstance(data, dict):
         raise ValueError(f"{cls.__name__}: expected a JSON object, got {type(data).__name__}")
     if not data.keys() <= allowed:
@@ -222,7 +261,7 @@ def _decode(cls: type, plan: _Plan, data: Mapping[str, Any]) -> Any:
             f"(expected {SCHEMA_VERSION!r})"
         )
     values = {}
-    for name, _, decode, required in rows:
+    for name, _, decode, _, required in rows:
         if name in data:
             try:
                 values[name] = data[name] if decode is None else decode(data[name])
@@ -273,11 +312,9 @@ class Turn(JsonRecord):
     speaker: Speaker
     text: str
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         if self.index < 0:
             raise ValueError(f"turn index must be non-negative, got {self.index}")
-        if not isinstance(self.speaker, Speaker):
-            object.__setattr__(self, "speaker", Speaker(self.speaker))
         if not self.text.strip():
             raise ValueError(f"turn {self.index} has empty text")
 
@@ -294,12 +331,9 @@ class Dialogue(JsonRecord):
     turns: tuple[Turn, ...]
     source_tag: SourceTag = SourceTag.ORIGINAL
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         if not self.encounter_id:
             raise ValueError("encounter_id must be non-empty")
-        object.__setattr__(self, "turns", tuple(self.turns))
-        if not isinstance(self.source_tag, SourceTag):
-            object.__setattr__(self, "source_tag", SourceTag(self.source_tag))
         if not self.turns:
             raise ValueError(f"dialogue {self.encounter_id}: no turns")
         for position, turn in enumerate(self.turns):
@@ -317,7 +351,7 @@ class Dialogue(JsonRecord):
         """Render with leading turn numbers, for prompts that cite turns."""
         return "\n".join(f"{t.index} [{t.speaker.value}] {t.text}" for t in self.turns)
 
-    def prefix(self, last_turn_index: int, source_tag: SourceTag = SourceTag.TRUNCATED) -> "Dialogue":
+    def prefix(self, last_turn_index: int) -> "Dialogue":
         """New dialogue keeping turns 0..last_turn_index inclusive."""
         if not 0 <= last_turn_index < len(self.turns):
             raise ValueError(
@@ -327,7 +361,7 @@ class Dialogue(JsonRecord):
         return Dialogue(
             encounter_id=self.encounter_id,
             turns=self.turns[: last_turn_index + 1],
-            source_tag=source_tag,
+            source_tag=SourceTag.TRUNCATED,
         )
 
 
@@ -343,7 +377,7 @@ class Summary(JsonRecord):
     sections: Mapping[str, str]
     generator_tag: str = ""
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         if not self.encounter_id:
             raise ValueError("encounter_id must be non-empty")
         normalized = dict(self.sections)
@@ -382,14 +416,10 @@ class Fact(JsonRecord):
     content_category: ContentCategory
     importance: Optional[Importance] = None
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         object.__setattr__(self, "fact_id", parse_fact_id(self.fact_id))
         if not self.text.strip():
             raise ValueError(f"fact {self.fact_id}: empty text")
-        if not isinstance(self.content_category, ContentCategory):
-            object.__setattr__(self, "content_category", ContentCategory(self.content_category))
-        if self.importance is not None and not isinstance(self.importance, Importance):
-            object.__setattr__(self, "importance", Importance(self.importance))
 
     def with_importance(self, importance: Importance) -> "Fact":
         return Fact(
@@ -429,13 +459,11 @@ class Diagnosis(JsonRecord):
     likelihood: Likelihood
     explanation: str = ""
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         if self.rank < 1:
             raise ValueError(f"diagnosis rank must be positive, got {self.rank}")
         if not self.name.strip():
             raise ValueError("diagnosis name must be non-empty")
-        if not isinstance(self.likelihood, Likelihood):
-            object.__setattr__(self, "likelihood", Likelihood(self.likelihood))
 
 
 @dataclass(frozen=True)
@@ -446,12 +474,9 @@ class DifferentialDiagnosis(JsonRecord):
     source: DdxSource
     entries: tuple[Diagnosis, ...]
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         if not self.encounter_id:
             raise ValueError("encounter_id must be non-empty")
-        if not isinstance(self.source, DdxSource):
-            object.__setattr__(self, "source", DdxSource(self.source))
-        object.__setattr__(self, "entries", tuple(self.entries))
         if not self.entries:
             raise ValueError(f"ddx {self.encounter_id}: no entries")
         if len(self.entries) > MAX_DDX_ENTRIES:
@@ -495,9 +520,7 @@ class SubCluster(JsonRecord):
     mechanism_label: str
     fact_ids: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.group, ClusterGroup):
-            object.__setattr__(self, "group", ClusterGroup(self.group))
+    def check(self) -> None:
         if not self.mechanism_label.strip():
             raise ValueError("subcluster mechanism_label must be non-empty")
         object.__setattr__(
@@ -519,12 +542,9 @@ class EvidenceClustering(JsonRecord):
     polarity: Polarity
     subclusters: tuple[SubCluster, ...]
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         if not self.diagnosis_name.strip():
             raise ValueError("clustering diagnosis_name must be non-empty")
-        if not isinstance(self.polarity, Polarity):
-            object.__setattr__(self, "polarity", Polarity(self.polarity))
-        object.__setattr__(self, "subclusters", tuple(self.subclusters))
 
 
 @dataclass(frozen=True)
@@ -534,7 +554,7 @@ class Omission(JsonRecord):
     fact_id: str
     explanation: str
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         object.__setattr__(self, "fact_id", parse_fact_id(self.fact_id))
         if not self.explanation.strip():
             raise ValueError(f"omission {self.fact_id}: empty explanation")
@@ -558,9 +578,8 @@ class FactScore(JsonRecord):
     uniqueness_weights: tuple[float, ...]
     combined: float
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         object.__setattr__(self, "fact_id", parse_fact_id(self.fact_id))
-        object.__setattr__(self, "uniqueness_weights", tuple(self.uniqueness_weights))
         if self.importance_weight not in _VALID_IMPORTANCE_WEIGHTS:
             raise ValueError(
                 f"fact {self.fact_id}: importance weight {self.importance_weight} is not one of "
@@ -594,7 +613,7 @@ class CompletionMargin(JsonRecord):
     ratio: Optional[float]
     epsilon: float = MARGIN_EPSILON
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         if self.epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         denominator = self.l_s0 - self.l_s1
@@ -616,13 +635,6 @@ class CompletionMargin(JsonRecord):
                 )
 
 
-def _exact_sum(values: Sequence[float]) -> float:
-    # fsum is exactly rounded, so the total is independent of ordering.
-    import math
-
-    return math.fsum(values)
-
-
 class ScoredOmission(NamedTuple):
     omission: Omission
     score: FactScore
@@ -638,7 +650,7 @@ class OmissionReport(JsonRecord):
     cumulative_weight: float
     margin: Optional[CompletionMargin] = None
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         if not self.encounter_id:
             raise ValueError("encounter_id must be non-empty")
         object.__setattr__(
@@ -655,16 +667,12 @@ class OmissionReport(JsonRecord):
                 f"report {self.encounter_id}: omission_count {self.omission_count} "
                 f"!= {len(self.omissions)} omissions"
             )
-        expected = _exact_sum([score.combined for _, score in self.omissions])
+        # fsum is exactly rounded, so the total is independent of ordering.
+        expected = math.fsum([score.combined for _, score in self.omissions])
         if self.cumulative_weight != expected:
             raise ValueError(
                 f"report {self.encounter_id}: cumulative_weight {self.cumulative_weight} "
                 f"!= sum of combined scores {expected}"
-            )
-        if (self.cumulative_weight == 0.0) != (not self.omissions):
-            raise ValueError(
-                f"report {self.encounter_id}: cumulative_weight must be 0 exactly when "
-                "there are no omissions"
             )
 
 

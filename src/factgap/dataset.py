@@ -41,7 +41,7 @@ class Provenance(JsonRecord):
     original_encounter_id: str
     cut_turn_index: int
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         if not self.original_encounter_id:
             raise ValueError("original_encounter_id must be non-empty")
         if self.cut_turn_index < 0:
@@ -68,10 +68,9 @@ class Corpus(JsonRecord):
     name: str
     encounters: tuple[Encounter, ...]
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         if not self.name:
             raise ValueError("corpus name must be non-empty")
-        object.__setattr__(self, "encounters", tuple(self.encounters))
         if not self.encounters:
             raise ValueError(f"corpus {self.name}: no encounters")
         seen = set()
@@ -177,18 +176,11 @@ def load_csv_corpus(path: Path | str, name: Optional[str] = None) -> Corpus:
     return Corpus(name=name or path.stem, encounters=tuple(encounters))
 
 
-def load_json_corpus(path: Path | str) -> Corpus:
-    try:
-        return Corpus.from_json_dict(read_json(path))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-
-
 def load_corpus(path: Path | str) -> Corpus:
     path = Path(path)
     suffix = path.suffix.lower()
     if suffix == ".json":
-        return load_json_corpus(path)
+        return read_record(path, Corpus)
     if suffix == ".csv":
         return load_csv_corpus(path)
     raise ValueError(f"{path}: unsupported corpus extension {suffix!r} (use .json or .csv)")
@@ -223,7 +215,7 @@ class ManifestEntry(JsonRecord):
     reason: str = ""
     stage: str = ""
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         if self.status not in STATUSES:
             raise ValueError(f"unknown status {self.status!r}")
 
@@ -234,8 +226,8 @@ class EncounterResult(ManifestEntry):
 
     report: Optional[OmissionReport] = None
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def check(self) -> None:
+        super().check()
         if (self.status == "ok") != (self.report is not None):
             raise ValueError("exactly the ok results carry a report")
 

@@ -98,6 +98,22 @@ def test_integer_keys_take_only_integers(tmp_path):
         load_config(write_config(tmp_path, data))
 
 
+def test_float_keys_refuse_booleans(tmp_path):
+    data = minimal_config_dict()
+    data["thresholds"] = {"margin_epsilon": True}
+    with pytest.raises(
+        ValueError, match=": RunConfig: ThresholdsConfig: expected a number, got bool$"
+    ):
+        load_config(write_config(tmp_path, data))
+
+    data = minimal_config_dict()
+    data["backend"]["timeout"] = True
+    with pytest.raises(
+        ValueError, match=": RunConfig: BackendConfig: expected a number, got bool$"
+    ):
+        load_config(write_config(tmp_path, data))
+
+
 def test_unknown_keys_rejected_everywhere(tmp_path):
     data = minimal_config_dict()
     data["surprise"] = 1

@@ -1,4 +1,6 @@
 import json
+from dataclasses import fields
+from enum import Enum
 from pathlib import Path
 from typing import Optional, get_type_hints
 
@@ -243,6 +245,12 @@ def test_omission_report_consistency():
             omission_count=1,
             cumulative_weight=1.0,
         )
+    with pytest.raises(ValueError, match="cumulative_weight"):
+        OmissionReport(
+            encounter_id="enc-1", omissions=((o, s),), omission_count=1, cumulative_weight=0.0
+        )
+    with pytest.raises(ValueError, match="cumulative_weight"):
+        OmissionReport(encounter_id="enc-1", omissions=(), omission_count=0, cumulative_weight=0.5)
 
 
 def test_empty_report_is_zero():
@@ -601,6 +609,10 @@ def test_decode_turns_a_wrong_json_type_into_a_value_error_naming_the_type():
     report = records[OmissionReport].to_json_dict()
     with pytest.raises(ValueError, match="^OmissionReport: "):
         OmissionReport.from_json_dict({**report, "omissions": 5})
+    score = records[FactScore].to_json_dict()
+    for key in ("importance_weight", "combined"):
+        with pytest.raises(ValueError, match="^FactScore: expected a number, got bool$"):
+            FactScore.from_json_dict({**score, key: True})
 
 
 def test_every_str_field_refuses_a_number():
@@ -611,6 +623,22 @@ def test_every_str_field_refuses_a_number():
             data = {**record.to_json_dict(), name: 5}
             with pytest.raises(ValueError, match=f"^{cls.__name__}: expected a string, got int$"):
                 cls.from_json_dict(data)
+
+
+def test_construction_converts_enum_values_and_lists_to_the_declared_types():
+    for cls, record in {**sample_records(), **config_records()}.items():
+        loose = {}
+        for field in fields(cls):
+            value = getattr(record, field.name)
+            if isinstance(value, Enum):
+                value = value.value
+            elif type(value) is tuple:
+                value = list(value)
+            loose[field.name] = value
+        rebuilt = cls(**loose)
+        assert rebuilt == record, cls.__name__
+        for name in loose:
+            assert type(getattr(rebuilt, name)) is type(getattr(record, name)), (cls, name)
 
 
 def test_a_nested_decode_error_names_each_enclosing_type():
