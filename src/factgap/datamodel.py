@@ -23,6 +23,10 @@ argument by value and a ``tuple[...]`` field converts any iterable to a
 tuple (an ``Optional`` one keeps ``None``), before the record's
 :meth:`JsonRecord.check` tests its invariants. On decode a ``float`` field
 refuses ``true`` and ``false``, as an ``int`` field does.
+
+A value computed from the fields, such as a fact's ``combined`` penalty
+or a margin's ``ratio``, is a property in its type's ``derived`` table,
+never a field, so no check repeats its formula; the codec still writes it.
 """
 
 from __future__ import annotations
@@ -118,8 +122,12 @@ class JsonRecord:
     float field anything but a bool and a string field only a string, and
     an unknown key, a missing required key or a value of the wrong type is
     a ValueError that names the type, prefixed by the enclosing record
-    types when it is nested. A ``derived`` key is computed on encode; on
-    decode it is optional, but must match.
+    types when it is nested. So is a value the constructor refuses.
+
+    Each name in ``derived`` is a property computed from the fields. The
+    codec writes it as a key, typed by the property's return annotation;
+    on decode the key is required and must equal the value computed from
+    the decoded record.
 
     The constructor converts each enum field's argument to the enum and
     each ``tuple[...]`` field's to a tuple, leaving ``None`` in an
@@ -127,7 +135,7 @@ class JsonRecord:
     """
 
     versioned = True
-    derived: ClassVar[Mapping[str, Callable[[Any], Any]]] = {}
+    derived: ClassVar[tuple[str, ...]] = ()
 
     def __post_init__(self) -> None:
         for name, kept in _plan(type(self))[4]:
@@ -154,10 +162,10 @@ _Coder = Optional[Callable[[Any], Any]]
 _Coercion = Optional[tuple[type, ...]]
 _Row = tuple[str, _Coder, _Coder, _Coercion, bool]
 # Per type: whether it is versioned, one (name, encoder, decoder, coercion,
-# required) row per field, the derived keys, the keys a decode accepts and
-# the (name, coercion) pairs of the fields the constructor converts. A None
-# coder passes the value through.
-_Plan = tuple[bool, tuple[_Row, ...], Mapping[str, Callable], frozenset[str], tuple]
+# required) row per field, one such row per derived key, the keys a decode
+# accepts and the (name, coercion) pairs of the fields the constructor
+# converts. A None coder passes the value through.
+_Plan = tuple[bool, tuple[_Row, ...], tuple[_Row, ...], frozenset[str], tuple]
 
 
 @functools.cache
@@ -171,10 +179,13 @@ def _plan(cls: type) -> _Plan:
         ]
     rows = tuple((name, *_coders(hints[name]), required) for name, required in names)
     coercions = tuple((name, kept) for name, _, _, kept, _ in rows if kept)
+    derived = tuple(
+        (name, *_coders(get_type_hints(getattr(cls, name).fget)["return"]), True)
+        for name in getattr(cls, "derived", ())
+    )
     versioned = getattr(cls, "versioned", False)
-    derived = getattr(cls, "derived", {})
-    allowed = {name for name, _ in names} | ({"schema_version"} if versioned else set())
-    return versioned, rows, derived, frozenset(allowed | derived.keys()), coercions
+    allowed = {name for name, *_ in rows + derived} | ({"schema_version"} if versioned else set())
+    return versioned, rows, derived, frozenset(allowed), coercions
 
 
 def _coders(hint: Any) -> tuple[_Coder, _Coder, _Coercion]:
@@ -241,11 +252,9 @@ def _decode_str(value: Any) -> str:
 def _encode(obj: Any, plan: _Plan) -> dict[str, Any]:
     versioned, rows, derived, *_ = plan
     out: dict[str, Any] = {"schema_version": SCHEMA_VERSION} if versioned else {}
-    for name, encode, *_ in rows:
+    for name, encode, *_ in rows + derived:
         value = getattr(obj, name)
         out[name] = value if encode is None else encode(value)
-    for name, compute in derived.items():
-        out[name] = compute(obj)
     return out
 
 
@@ -260,30 +269,36 @@ def _decode(cls: type, plan: _Plan, data: Mapping[str, Any]) -> Any:
             f"{cls.__name__}: unsupported schema_version {data.get('schema_version')!r} "
             f"(expected {SCHEMA_VERSION!r})"
         )
-    values = {}
-    for name, _, decode, _, required in rows:
-        if name in data:
-            try:
-                values[name] = data[name] if decode is None else decode(data[name])
-            except (TypeError, ValueError) as exc:
-                # A value of the wrong JSON type, or a nested record's
-                # error, which then names each type on the way down.
-                raise ValueError(f"{cls.__name__}: {exc}") from exc
-        elif required:
-            raise ValueError(f"{cls.__name__}: missing required key {name!r}")
+    values = {
+        name: _decode_key(cls, data, name, decode)
+        for name, _, decode, _, required in rows
+        if required or name in data
+    }
     try:
         record = cls(**values)
-    except (TypeError, AttributeError) as exc:
-        # A number where a validator calls a str method, or a value the
-        # constructor cannot convert.
+    except (TypeError, ValueError, AttributeError) as exc:
+        # A value that the record's check refuses, a number where it calls
+        # a str method, or a value the constructor cannot convert.
         raise ValueError(f"{cls.__name__}: {exc}") from exc
-    for name, compute in derived.items():
-        if name in data and data[name] != (expected := compute(record)):
+    for name, _, decode, *_ in derived:
+        stored = _decode_key(cls, data, name, decode)
+        if stored != (expected := getattr(record, name)):
             raise ValueError(
-                f"{cls.__name__}: {name} {data[name]!r} is not the {expected!r} "
+                f"{cls.__name__}: {name} {stored!r} is not the {expected!r} "
                 "derived from the record"
             )
     return record
+
+
+def _decode_key(cls: type, data: Mapping[str, Any], name: str, decode: _Coder) -> Any:
+    if name not in data:
+        raise ValueError(f"{cls.__name__}: missing required key {name!r}")
+    try:
+        return data[name] if decode is None else decode(data[name])
+    except (TypeError, ValueError) as exc:
+        # A value of the wrong JSON type, or a nested record's error,
+        # which then names each type on the way down.
+        raise ValueError(f"{cls.__name__}: {exc}") from exc
 
 
 def parse_fact_id(raw: str) -> str:
@@ -369,8 +384,8 @@ class Dialogue(JsonRecord):
 class Summary(JsonRecord):
     """A subjective note split into its three sections.
 
-    At least one section must be non-empty; empty sections are legal and
-    are flagged by the pipeline rather than rejected here.
+    Every section key is present, filled with "" when absent. Empty
+    sections are legal, but at least one section must be non-empty.
     """
 
     encounter_id: str
@@ -389,9 +404,6 @@ class Summary(JsonRecord):
         object.__setattr__(self, "sections", normalized)
         if not any(text.strip() for text in normalized.values()):
             raise ValueError(f"summary {self.encounter_id}: every section is empty")
-
-    def empty_sections(self) -> list[str]:
-        return [name for name in SUMMARY_SECTIONS if not self.sections[name].strip()]
 
     def text(self) -> str:
         """Render with section titles, skipping empty sections."""
@@ -576,7 +588,12 @@ class FactScore(JsonRecord):
     fact_id: str
     importance_weight: float
     uniqueness_weights: tuple[float, ...]
-    combined: float
+
+    @property
+    def combined(self) -> float:
+        return max((self.importance_weight, *self.uniqueness_weights))
+
+    derived = ("combined",)
 
     def check(self) -> None:
         object.__setattr__(self, "fact_id", parse_fact_id(self.fact_id))
@@ -590,12 +607,6 @@ class FactScore(JsonRecord):
                 raise ValueError(
                     f"fact {self.fact_id}: uniqueness weight {weight} outside (0, 1]"
                 )
-        if self.combined < self.importance_weight or any(
-            self.combined < w for w in self.uniqueness_weights
-        ):
-            raise ValueError(f"fact {self.fact_id}: combined score below a component weight")
-        if not 0.0 < self.combined <= 1.0:
-            raise ValueError(f"fact {self.fact_id}: combined score {self.combined} outside (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -603,36 +614,30 @@ class CompletionMargin(JsonRecord):
     """Top-vs-alternative completion score gaps, chat vs summary.
 
     ``ratio`` is None (undefined) when the summary-side gap is smaller
-    than epsilon; callers must never see a non-finite ratio.
+    than epsilon; every score must be finite, so the ratio is never NaN.
     """
 
     l_c0: float
     l_c1: float
     l_s0: float
     l_s1: float
-    ratio: Optional[float]
     epsilon: float = MARGIN_EPSILON
 
-    def check(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+    @property
+    def ratio(self) -> Optional[float]:
         denominator = self.l_s0 - self.l_s1
-        if self.ratio is None:
-            if abs(denominator) >= self.epsilon:
-                raise ValueError(
-                    "margin ratio marked undefined but the summary gap "
-                    f"{denominator} is above tolerance"
-                )
-        else:
-            if abs(denominator) < self.epsilon:
-                raise ValueError(
-                    f"margin ratio {self.ratio} defined with a summary gap below tolerance"
-                )
-            expected = (self.l_c0 - self.l_c1) / denominator
-            if self.ratio != expected:
-                raise ValueError(
-                    f"margin ratio {self.ratio} does not equal (l_c0-l_c1)/(l_s0-l_s1) = {expected}"
-                )
+        if abs(denominator) < self.epsilon:
+            return None
+        return (self.l_c0 - self.l_c1) / denominator
+
+    derived = ("ratio",)
+
+    def check(self) -> None:
+        for name in ("l_c0", "l_c1", "l_s0", "l_s1"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} is not finite: {value}")
+        if not self.epsilon > 0:
+            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 
 class ScoredOmission(NamedTuple):
@@ -646,9 +651,18 @@ class OmissionReport(JsonRecord):
 
     encounter_id: str
     omissions: tuple[ScoredOmission, ...]
-    omission_count: int
-    cumulative_weight: float
     margin: Optional[CompletionMargin] = None
+
+    @property
+    def omission_count(self) -> int:
+        return len(self.omissions)
+
+    @property
+    def cumulative_weight(self) -> float:
+        # fsum is exactly rounded, so the total is independent of ordering.
+        return math.fsum([score.combined for _, score in self.omissions])
+
+    derived = ("omission_count", "cumulative_weight")
 
     def check(self) -> None:
         if not self.encounter_id:
@@ -662,18 +676,6 @@ class OmissionReport(JsonRecord):
                     f"report {self.encounter_id}: omission {omission.fact_id} paired "
                     f"with score for {score.fact_id}"
                 )
-        if self.omission_count != len(self.omissions):
-            raise ValueError(
-                f"report {self.encounter_id}: omission_count {self.omission_count} "
-                f"!= {len(self.omissions)} omissions"
-            )
-        # fsum is exactly rounded, so the total is independent of ordering.
-        expected = math.fsum([score.combined for _, score in self.omissions])
-        if self.cumulative_weight != expected:
-            raise ValueError(
-                f"report {self.encounter_id}: cumulative_weight {self.cumulative_weight} "
-                f"!= sum of combined scores {expected}"
-            )
 
 
 def validate_encounter_bundle(

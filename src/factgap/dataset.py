@@ -60,7 +60,7 @@ class Encounter(JsonRecord):
     def encounter_id(self) -> str:
         return self.dialogue.encounter_id
 
-    derived = {"encounter_id": lambda encounter: encounter.encounter_id}
+    derived = ("encounter_id",)
 
 
 @dataclass(frozen=True)
@@ -248,7 +248,12 @@ class SkipMarker(JsonRecord):
     encounter_id: str
     reason: str
     cut_turn_index: int
-    truncated_turns: int
+
+    @property
+    def truncated_turns(self) -> int:
+        return self.cut_turn_index + 1
+
+    derived = ("truncated_turns",)
 
 
 @dataclass(frozen=True)
@@ -305,7 +310,8 @@ class RunManifest(JsonRecord):
     finished_at: str
     encounters: tuple[ManifestEntry, ...]
 
+    @property
     def counts(self) -> dict[str, int]:
         return count_statuses(self.encounters)
 
-    derived = {"counts": counts}
+    derived = ("counts",)

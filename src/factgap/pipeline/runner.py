@@ -288,11 +288,9 @@ class _Job:
     def skip(self, stage: Stage, exc: DialogueTooShort) -> EncounterResult:
         self.commit(stage, exc.output)
         self.write_stages()
-        turns = len(exc.output.value.turns)
         reason = str(exc)
-        marker = SkipMarker(
-            self.encounter_id, reason, cut_turn_index=turns - 1, truncated_turns=turns
-        )
+        cut_turn_index = len(exc.output.value.turns) - 1
+        marker = SkipMarker(self.encounter_id, reason, cut_turn_index)
         self.art.write(MARKERS["skipped"], marker.to_json_dict())
         log.info("skipping %s: %s", self.encounter_id, reason)
         return EncounterResult(encounter_id=self.encounter_id, status="skipped", reason=reason)

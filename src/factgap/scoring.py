@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 
 from .datamodel import (
     IMPORTANCE_WEIGHTS,
-    MARGIN_EPSILON,
     CompletionMargin,
     DifferentialDiagnosis,
     EvidenceClustering,
@@ -77,13 +76,10 @@ def fact_score(
     """Penalty for omitting this fact: max of importance and uniqueness."""
     if fact.importance is None:
         raise ValueError(f"fact {fact.fact_id} has no importance; categorize first")
-    i_weight = importance_weight(fact.importance)
-    u_weights = uniqueness_weights(fact.fact_id, clusters, polarity_mode)
     return FactScore(
         fact_id=fact.fact_id,
-        importance_weight=i_weight,
-        uniqueness_weights=u_weights,
-        combined=max(i_weight, *u_weights) if u_weights else i_weight,
+        importance_weight=importance_weight(fact.importance),
+        uniqueness_weights=uniqueness_weights(fact.fact_id, clusters, polarity_mode),
     )
 
 
@@ -133,13 +129,7 @@ def build_report(
     polarity_mode: PolarityMode | str = PolarityMode.BOTH,
 ) -> OmissionReport:
     scores = score_omissions(facts, omissions, clusters, polarity_mode)
-    return OmissionReport(
-        encounter_id=encounter_id,
-        omissions=tuple(zip(omissions, scores)),
-        omission_count=len(omissions),
-        cumulative_weight=math.fsum(score.combined for score in scores),
-        margin=margin,
-    )
+    return OmissionReport(encounter_id, tuple(zip(omissions, scores)), margin)
 
 
 @dataclass(frozen=True)
@@ -180,26 +170,6 @@ def completion_continuation(diagnosis_name: str) -> str:
     return f" {diagnosis_name}."
 
 
-def completion_margin(
-    l_c0: float,
-    l_c1: float,
-    l_s0: float,
-    l_s1: float,
-    epsilon: float = MARGIN_EPSILON,
-) -> CompletionMargin:
-    """Ratio of the chat-context score gap to the summary-context gap.
-
-    A gap denominator below epsilon yields ratio None (undefined); the
-    ratio is never NaN or infinite.
-    """
-    for label, value in (("l_c0", l_c0), ("l_c1", l_c1), ("l_s0", l_s0), ("l_s1", l_s1)):
-        if not math.isfinite(value):
-            raise ValueError(f"{label} is not finite: {value}")
-    denominator = l_s0 - l_s1
-    if abs(denominator) < epsilon:
-        ratio: Optional[float] = None
-    else:
-        ratio = (l_c0 - l_c1) / denominator
-    return CompletionMargin(
-        l_c0=l_c0, l_c1=l_c1, l_s0=l_s0, l_s1=l_s1, ratio=ratio, epsilon=epsilon
-    )
+# The margin of the four scores, in this order; its ratio is None when the
+# summary gap is below epsilon, and a score that is not finite is refused.
+completion_margin = CompletionMargin

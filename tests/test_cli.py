@@ -254,6 +254,7 @@ def test_compare_json(finished_run, capsys):
         (["report"], "report.txt"),
         (["compare", "--external", str(EXTERNAL_CSV)], "compare_external.txt"),
         (["compare", "--use-stemmer"], "compare_stemmed.txt"),
+        (["report", "--json"], "report.json"),
     ],
 )
 def test_fixture_replay_output_matches_its_golden_byte_for_byte(
@@ -430,9 +431,23 @@ def _edit_report(**changes):
     return damage
 
 
+def _nan_margin_score(enc_dir):
+    # Python's json writes and reads NaN. The ratio stays null, which a NaN
+    # gap once passed for an undefined margin.
+    path = enc_dir / "report.json"
+    report = read_json(path)
+    assert report["margin"]["ratio"] is None
+    report["margin"]["l_s0"] = float("nan")
+    write_json(path, report)
+
+
 # id -> (damage to one encounter directory, text the error must contain)
 RUN_DAMAGES = {
     "report_omissions_not_a_list": (_edit_report(omissions=5), "OmissionReport: "),
+    "report_margin_score_nan": (
+        _nan_margin_score,
+        "report.json: OmissionReport: CompletionMargin: l_s0 is not finite: nan\n",
+    ),
     "report_unknown_key": (_edit_report(surprise=1), "unknown keys ['surprise']"),
     "skip_without_reason": (
         _replace_report("skip.json", {"encounter_id": "enc-edward"}),

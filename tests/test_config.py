@@ -81,6 +81,19 @@ def test_yaml_exponent_without_a_dot_loads_as_a_float(tmp_path):
     assert isinstance(config.backend.timeout, float)
 
 
+def test_a_value_the_record_refuses_names_each_enclosing_type(tmp_path):
+    path = tmp_path / "c.yaml"
+    path.write_text(
+        "models:\n  summary: s\n  metric: m\ncassette: c.jsonl\n"
+        "thresholds:\n  margin_epsilon: tiny\n"
+    )
+    with pytest.raises(ValueError) as caught:
+        load_config(path)
+    assert str(caught.value) == (
+        f"{path}: RunConfig: ThresholdsConfig: could not convert string to float: 'tiny'"
+    )
+
+
 def test_integer_keys_take_only_integers(tmp_path):
     data = minimal_config_dict()
     data["max_gen_tokens"] = 1024.0

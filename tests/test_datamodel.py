@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import fields
 from enum import Enum
 from pathlib import Path
@@ -113,7 +114,6 @@ def test_dialogue_json_round_trip():
 def test_summary_fills_missing_sections_and_validates():
     s = Summary(encounter_id="enc-1", sections={"chief_complaint": "headache"})
     assert s.sections["past_social_history"] == ""
-    assert s.empty_sections() == ["history_of_present_illness", "past_social_history"]
     assert s.text() == "CHIEF COMPLAINT:\nheadache"
     with pytest.raises(ValueError, match="every section is empty"):
         Summary(encounter_id="enc-1", sections={"chief_complaint": "  "})
@@ -189,73 +189,52 @@ def test_subcluster_keeps_duplicates_for_validation():
 
 
 def test_fact_score_invariants():
-    fs = FactScore(fact_id="F1", importance_weight=0.5, uniqueness_weights=(0.5, 1.0), combined=1.0)
+    fs = FactScore(fact_id="F1", importance_weight=0.5, uniqueness_weights=(0.5, 1.0))
     assert fs.combined == 1.0
+    assert FactScore(fact_id="F1", importance_weight=0.5, uniqueness_weights=()).combined == 0.5
     with pytest.raises(ValueError, match="not one of"):
-        FactScore(fact_id="F1", importance_weight=0.3, uniqueness_weights=(), combined=0.3)
-    with pytest.raises(ValueError, match="below a component"):
-        FactScore(fact_id="F1", importance_weight=0.5, uniqueness_weights=(1.0,), combined=0.5)
+        FactScore(fact_id="F1", importance_weight=0.3, uniqueness_weights=())
     with pytest.raises(ValueError, match="outside"):
-        FactScore(fact_id="F1", importance_weight=0.5, uniqueness_weights=(2.0,), combined=2.0)
+        FactScore(fact_id="F1", importance_weight=0.5, uniqueness_weights=(2.0,))
 
 
 def test_completion_margin_checks_its_own_arithmetic():
-    m = CompletionMargin(l_c0=-1.0, l_c1=-3.0, l_s0=-2.0, l_s1=-3.0, ratio=2.0)
+    m = CompletionMargin(l_c0=-1.0, l_c1=-3.0, l_s0=-2.0, l_s1=-3.0)
     assert m.ratio == 2.0
-    undefined = CompletionMargin(l_c0=-1.0, l_c1=-3.0, l_s0=-2.0, l_s1=-2.0, ratio=None)
+    undefined = CompletionMargin(l_c0=-1.0, l_c1=-3.0, l_s0=-2.0, l_s1=-2.0)
     assert undefined.ratio is None
-    with pytest.raises(ValueError, match="undefined"):
-        CompletionMargin(l_c0=-1.0, l_c1=-3.0, l_s0=-2.0, l_s1=-3.0, ratio=None)
-    with pytest.raises(ValueError, match="below tolerance"):
-        CompletionMargin(l_c0=-1.0, l_c1=-3.0, l_s0=-2.0, l_s1=-2.0, ratio=1.0)
-    with pytest.raises(ValueError, match="does not equal"):
-        CompletionMargin(l_c0=-1.0, l_c1=-3.0, l_s0=-2.0, l_s1=-3.0, ratio=1.5)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^l_s0 is not finite"):
+            CompletionMargin(l_c0=-1.0, l_c1=-3.0, l_s0=bad, l_s1=-3.0)
+    for bad in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            CompletionMargin(l_c0=-1.0, l_c1=-3.0, l_s0=-2.0, l_s1=-3.0, epsilon=bad)
 
 
 def test_margin_round_trip_none_ratio():
-    m = CompletionMargin(l_c0=-1.0, l_c1=-1.0, l_s0=-2.0, l_s1=-2.0, ratio=None)
+    m = CompletionMargin(l_c0=-1.0, l_c1=-1.0, l_s0=-2.0, l_s1=-2.0)
     assert CompletionMargin.from_json_dict(m.to_json_dict()) == m
 
 
 def make_report_parts():
     o = Omission(fact_id="F1", explanation="missing entirely")
-    s = FactScore(fact_id="F1", importance_weight=1.0, uniqueness_weights=(), combined=1.0)
+    s = FactScore(fact_id="F1", importance_weight=1.0, uniqueness_weights=())
     return o, s
 
 
 def test_omission_report_consistency():
     o, s = make_report_parts()
-    r = OmissionReport(
-        encounter_id="enc-1", omissions=((o, s),), omission_count=1, cumulative_weight=1.0
-    )
+    r = OmissionReport(encounter_id="enc-1", omissions=((o, s),))
+    assert (r.omission_count, r.cumulative_weight) == (1, 1.0)
     assert OmissionReport.from_json_dict(r.to_json_dict()) == r
-    with pytest.raises(ValueError, match="omission_count"):
-        OmissionReport(
-            encounter_id="enc-1", omissions=((o, s),), omission_count=2, cumulative_weight=1.0
-        )
-    with pytest.raises(ValueError, match="cumulative_weight"):
-        OmissionReport(
-            encounter_id="enc-1", omissions=((o, s),), omission_count=1, cumulative_weight=0.9
-        )
-    s_other = FactScore(fact_id="F2", importance_weight=1.0, uniqueness_weights=(), combined=1.0)
+    s_other = FactScore(fact_id="F2", importance_weight=1.0, uniqueness_weights=())
     with pytest.raises(ValueError, match="paired"):
-        OmissionReport(
-            encounter_id="enc-1",
-            omissions=((o, s_other),),
-            omission_count=1,
-            cumulative_weight=1.0,
-        )
-    with pytest.raises(ValueError, match="cumulative_weight"):
-        OmissionReport(
-            encounter_id="enc-1", omissions=((o, s),), omission_count=1, cumulative_weight=0.0
-        )
-    with pytest.raises(ValueError, match="cumulative_weight"):
-        OmissionReport(encounter_id="enc-1", omissions=(), omission_count=0, cumulative_weight=0.5)
+        OmissionReport(encounter_id="enc-1", omissions=((o, s_other),))
 
 
 def test_empty_report_is_zero():
-    r = OmissionReport(encounter_id="enc-1", omissions=(), omission_count=0, cumulative_weight=0.0)
-    assert r.cumulative_weight == 0.0
+    r = OmissionReport(encounter_id="enc-1", omissions=())
+    assert (r.omission_count, r.cumulative_weight) == (0, 0.0)
 
 
 def test_validate_encounter_bundle_flags_cross_reference_breaks():
@@ -341,10 +320,8 @@ def sample_records():
         group=ClusterGroup.SYMPTOMS, mechanism_label="vascular", fact_ids=("F0",)
     )
     omission = Omission(fact_id="F0", explanation="missing entirely")
-    score = FactScore(fact_id="F0", importance_weight=1.0, uniqueness_weights=(1.0,), combined=1.0)
-    margin = CompletionMargin(
-        l_c0=-1.0, l_c1=-3.0, l_s0=-2.0, l_s1=-3.0, ratio=2.0, epsilon=1e-6
-    )
+    score = FactScore(fact_id="F0", importance_weight=1.0, uniqueness_weights=(1.0,))
+    margin = CompletionMargin(l_c0=-1.0, l_c1=-3.0, l_s0=-2.0, l_s1=-3.0, epsilon=1e-6)
     provenance = Provenance(original_encounter_id="enc-0", cut_turn_index=1)
     encounter = Encounter(dialogue=dialogue, reference_note="note", provenance=provenance)
     entry = ManifestEntry(encounter_id="enc-1", status="failed", reason="boom", stage="summarize")
@@ -369,18 +346,12 @@ def sample_records():
         FactScore: score,
         CompletionMargin: margin,
         OmissionReport: OmissionReport(
-            encounter_id="enc-1",
-            omissions=((omission, score),),
-            omission_count=1,
-            cumulative_weight=1.0,
-            margin=margin,
+            encounter_id="enc-1", omissions=((omission, score),), margin=margin
         ),
         Provenance: provenance,
         Encounter: encounter,
         Corpus: Corpus(name="c", encounters=(encounter,)),
-        SkipMarker: SkipMarker(
-            encounter_id="enc-1", reason="too short", cut_turn_index=3, truncated_turns=4
-        ),
+        SkipMarker: SkipMarker(encounter_id="enc-1", reason="too short", cut_turn_index=3),
         FailureMarker: FailureMarker(
             encounter_id="enc-1", stage="summarize", message="boom", fingerprint="ab", attempts=2
         ),
@@ -508,8 +479,17 @@ OPTIONAL_KEYS = [
     (ManifestEntry, "stage", ""),
 ]
 
-# (type, key): keys derived from the other fields, optional on decode.
-DERIVED_KEYS = {(Encounter, "encounter_id"), (RunManifest, "counts")}
+# (type, key, a value other than the one derived from sample_records()):
+# keys computed from the other fields, required on decode.
+DERIVED_KEYS = [
+    (Encounter, "encounter_id", "enc-other"),
+    (RunManifest, "counts", {"ok": 1, "skipped": 0, "failed": 0}),
+    (FactScore, "combined", 0.5),
+    (CompletionMargin, "ratio", None),
+    (OmissionReport, "omission_count", 2),
+    (OmissionReport, "cumulative_weight", 0.9),
+    (SkipMarker, "truncated_turns", 3),
+]
 
 
 def test_every_record_type_has_pinned_json_keys():
@@ -562,12 +542,34 @@ def test_absent_required_key_is_a_value_error_naming_type_and_key():
     optional = {(cls, key) for cls, key, _ in OPTIONAL_KEYS}
     for cls, record in sample_records().items():
         for key in RECORD_KEYS[cls] - {"schema_version"}:
-            if (cls, key) in optional or (cls, key) in DERIVED_KEYS:
+            if (cls, key) in optional:
                 continue
             data = record.to_json_dict()
             del data[key]
             with pytest.raises(ValueError, match=f"{cls.__name__}: missing required key '{key}'"):
                 cls.from_json_dict(data)
+
+
+def test_derived_keys_list_every_derived_table():
+    declared = {(cls, key) for cls in RECORD_KEYS for key in cls.derived}
+    assert declared == {(cls, key) for cls, key, _ in DERIVED_KEYS}
+
+
+@pytest.mark.parametrize(("cls", "key", "changed"), DERIVED_KEYS)
+def test_derived_key_is_required_and_must_match_the_record(cls, key, changed):
+    record = sample_records()[cls]
+    data = record.to_json_dict()
+    assert data[key] == getattr(record, key) != changed
+    with pytest.raises(ValueError, match=f"^{cls.__name__}: missing required key '{key}'$"):
+        cls.from_json_dict({name: value for name, value in data.items() if name != key})
+    with pytest.raises(
+        ValueError,
+        match=(
+            f"^{cls.__name__}: {key} {re.escape(repr(changed))} is not the "
+            f"{re.escape(repr(data[key]))} derived from the record$"
+        ),
+    ):
+        cls.from_json_dict({**data, key: changed})
 
 
 def test_versioned_records_check_schema_version():

@@ -277,7 +277,7 @@ def test_run_corpus_manifest_and_force(tmp_path):
     manifest, results = run_corpus(
         make_config(), fresh_gateway(), corpus, "corpus.json", out_dir
     )
-    assert manifest.counts() == {"ok": 1, "skipped": 1, "failed": 0}
+    assert manifest.counts == {"ok": 1, "skipped": 1, "failed": 0}
     assert [r.status for r in results] == ["ok", "skipped"]
     assert (out_dir / MANIFEST_NAME).exists()
     saved = json.loads((out_dir / MANIFEST_NAME).read_text(encoding="utf-8"))
@@ -289,7 +289,7 @@ def test_run_corpus_manifest_and_force(tmp_path):
     manifest, _ = run_corpus(
         make_config(), fresh_gateway(), corpus, "corpus.json", out_dir, force=True
     )
-    assert manifest.counts() == {"ok": 1, "skipped": 1, "failed": 0}
+    assert manifest.counts == {"ok": 1, "skipped": 1, "failed": 0}
 
     manifest, results = run_corpus(
         make_config(),
