@@ -1,20 +1,19 @@
 """Reference-based baseline metrics and correlation analysis.
 
-ROUGE here is self-contained: lowercase tokenization on alphanumeric
-runs, optional Porter stemming, and the summary-level union-LCS variant
-with double-count prevention. ROUGE-L and ROUGE-Lsum compute the LCS
-bit-parallel over Python ints (Allison & Dix 1986; Hyyro 2004), one
-column of the LCS table per int. ROUGE-Lsum lays all reference
-sentences side by side in one int, each followed by a zero guard bit
-that absorbs the carry out of it, so one pass per candidate sentence
-gives every reference sentence its own columns. Only sentences with an
-LCS of at least 1 are backtracked, jumping per column to the highest
-match or zero bit; an LCS of 1 needs one such jump. N-grams are counted
-in C (``Counter`` over the tokens or over zipped offset iterators).
-
-``rouge_all`` is the one ROUGE function that takes strings: it tokenizes
-each text once, sentence by sentence, for the variants, which take token
-lists (``rouge_lsum`` one per sentence).
+ROUGE here is self-contained: lowercase tokens of ``[a-z0-9]``, cut
+into sentences at line breaks and ``.!?`` by one ``bytes.translate``
+table, optional Porter stemming, and the summary-level union-LCS variant
+with double-count prevention. ``rouge_all`` tokenizes each text once and
+lays the reference sentences side by side in one int, each followed by a
+zero guard bit; ROUGE-L and ROUGE-Lsum both read that layout. They
+compute the LCS bit-parallel over Python ints (Allison & Dix 1986; Hyyro
+2004), one column of the LCS table per candidate token. ROUGE-L takes
+the guard bits as rows that never match. ROUGE-Lsum runs one pass per
+candidate sentence, in which the guards give every reference sentence
+its own columns, and backtracks all reference sentences at once: per
+column, a segmented smear finds each sentence's highest stop. N-grams
+are counted in C (``Counter`` over the tokens or over zipped offset
+iterators).
 
 Correlations (Spearman, Pearson) ship with two-sided p-values computed
 from the t distribution through a native regularized incomplete beta,
@@ -26,8 +25,6 @@ from __future__ import annotations
 import csv
 import functools
 import math
-import re
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
@@ -36,8 +33,10 @@ from typing import Container, Iterable, Mapping, Optional, Sequence
 
 from .datamodel import JsonRecord
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
-_SENTENCE_SPLIT_RE = re.compile(r"[.!?]+")
+# Over lowercased ASCII bytes: a token byte stays, ".", "!" and a line
+# break end a sentence ("?" is made "." beforehand), anything else separates.
+_TOKEN_BYTES = b"abcdefghijklmnopqrstuvwxyz0123456789"
+_SEPARATE = bytes(c if c in _TOKEN_BYTES else 10 if c in b".!\n" else 32 for c in range(256))
 
 _VOWELS = frozenset("aeiou")
 
@@ -198,33 +197,32 @@ def _step1b_cleanup(word: str) -> str:
     return word
 
 
+def _separated(text: str) -> str:
+    """The lowercased text with every sentence cut a newline and every
+    other character that is not ``[a-z0-9]`` a space. A non-ASCII
+    character is encoded as "?" after "?" is made ".", so it separates."""
+    text = "\n".join(text.lower().splitlines()).replace("?", ".")
+    return text.encode("ascii", "replace").translate(_SEPARATE).decode("ascii")
+
+
+def _stemmed(tokens: list[str]) -> list[str]:
+    # Very short tokens are left alone; stemming them loses more than it
+    # normalizes.
+    return [porter_stem(t) if len(t) > 3 else t for t in tokens]
+
+
 def tokenize(text: str, use_stemmer: bool = False) -> list[str]:
     """Lowercase alphanumeric runs; everything else is a separator."""
-    tokens = _TOKEN_RE.findall(text.lower())
-    if use_stemmer:
-        # Very short tokens are left alone; stemming them loses more
-        # than it normalizes.
-        tokens = [porter_stem(t) if len(t) > 3 else t for t in tokens]
-    return tokens
-
-
-def split_sentences(text: str) -> list[str]:
-    """Sentences end at newlines or terminal punctuation runs."""
-    sentences = []
-    for line in text.splitlines():
-        for chunk in _SENTENCE_SPLIT_RE.split(line):
-            chunk = chunk.strip()
-            if chunk:
-                sentences.append(chunk)
-    return sentences
+    tokens = _separated(text).split()
+    return _stemmed(tokens) if use_stemmer else tokens
 
 
 def sentence_tokens(text: str, use_stemmer: bool = False) -> list[list[str]]:
-    """The tokens of each sentence that has any. Joined, they are exactly
-    ``tokenize(text, use_stemmer)``: sentences are cut only at line
-    breaks, ``.!?`` and whitespace, none of which is part of a token, and
-    lowercasing and stemming never join characters across a cut."""
-    return list(filter(None, map(tokenize, split_sentences(text), repeat(use_stemmer))))
+    """The tokens of each sentence that has any; sentences end at line
+    breaks and ``.!?``. Joined, they are exactly ``tokenize(text,
+    use_stemmer)``: both split the same separated text."""
+    sentences = list(filter(None, map(str.split, _separated(text).split("\n"))))
+    return list(map(_stemmed, sentences)) if use_stemmer else sentences
 
 
 @dataclass(frozen=True)
@@ -272,15 +270,17 @@ def rouge_n(cand_tokens: Sequence[str], ref_tokens: Sequence[str], n: int) -> Ro
     return _score(overlap, max(len(cand_tokens) - n + 1, 0), max(len(ref_tokens) - n + 1, 0))
 
 
-def _side_by_side(
-    sentences: Iterable[Sequence[str]], vocabulary: Container[str]
-) -> tuple[dict[str, int], list[int], int]:
+Layout = tuple[dict[str, int], list[int], int]
+
+
+def side_by_side(sentences: Iterable[Sequence[str]], vocabulary: Container[str]) -> Layout:
     """Lay ``sentences`` side by side in one int, each followed by a zero
     guard bit that absorbs the carry out of it.
 
     Returns the match masks (bit p of masks[t] is set where the token at
-    bit p is t), the first bit of every sentence followed by one past the
-    last guard, and the int whose ones are exactly the sentence bits.
+    bit p is t, for t in vocabulary), the first bit of every sentence
+    followed by one past the last guard, and the int whose ones are
+    exactly the sentence bits.
     """
     masks: dict[str, int] = {}
     starts = [0]
@@ -297,7 +297,7 @@ def _side_by_side(
 
 def _lcs_columns(masks: Mapping[str, int], full: int, b: Sequence[str]) -> list[int]:
     """Bit-parallel LCS (Allison & Dix 1986; Hyyro 2004) of every
-    sentence laid out by ``_side_by_side`` against b, one int per
+    sentence laid out by ``side_by_side`` against b, one int per
     column: the bits of each sentence are its own LCS table's column.
 
     Bit i of a sentence's column j is 0 exactly where T[i+1][j] =
@@ -317,99 +317,106 @@ def _lcs_columns(masks: Mapping[str, int], full: int, b: Sequence[str]) -> list[
     return columns
 
 
-def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    if not a or not b:
-        return 0
-    masks, _, full = _side_by_side((a,), set(b))
-    return len(a) - _lcs_columns(masks, full, b)[-1].bit_count()
+def rouge_l(cand_tokens: Sequence[str], reference: Layout) -> RougeScore:
+    """ROUGE-L of the candidate against the joined sentences of a
+    reference laid out by ``side_by_side`` with the candidate's tokens.
+    Its guard bits are rows that never match, so the LCS of all its rows
+    is the LCS with the joined sentences."""
+    masks, starts, full = reference
+    rows = starts[-1]
+    lcs = rows - _lcs_columns(masks, (1 << rows) - 1, cand_tokens)[-1].bit_count()
+    return _score(lcs, len(cand_tokens), full.bit_count())
 
 
-def rouge_l(cand_tokens: Sequence[str], ref_tokens: Sequence[str]) -> RougeScore:
-    return _score(lcs_length(cand_tokens, ref_tokens), len(cand_tokens), len(ref_tokens))
+def _smear_shifts(starts: Sequence[int], full: int) -> list[tuple[int, int]]:
+    """The shifts k = 1, 2, 4, ... of a segmented smear over sentences
+    laid out by ``side_by_side``, each with the bits that stay in their
+    sentence when moved k down, while any sentence is longer than k."""
+    shifts = []
+    valid, k = full & ~sum(1 << start for start in starts), 1
+    while valid:
+        shifts.append((k, valid))
+        valid &= valid << k
+        k *= 2
+    return shifts
 
 
-def _lcs_hits(masks: Mapping[str, int], starts: Sequence[int], full: int, cand: Sequence[str]) -> int:
+def _lcs_hits(
+    masks: Mapping[str, int], full: int, shifts: Sequence[tuple[int, int]], cand: Sequence[str]
+) -> int:
     """Bits of the reference positions on one LCS of each sentence laid
-    out by ``_side_by_side`` with cand, backtracked by the table's rule:
+    out by ``side_by_side`` with cand, backtracked by the table's rule:
     from (i, j) take a match, else step up where T[i-1][j] >= T[i][j-1],
     else step left.
 
     Off a match T[i][j] = max(T[i-1][j], T[i][j-1]), so the rule steps
-    up exactly where bit i-1 of column j is 1. The walk in column j thus
-    jumps to the highest bit below row i that is a match of cand[j-1] or
-    a zero, and only sentences with a zero in the last column (an LCS of
-    at least 1) are walked. Once one hit is left (T[i][j] = 1), that bit
-    is the hit even when it is a zero and no match: the walk turns left
-    there and stays on its row, a zero in every column further left,
-    until a match takes it. So a sentence whose LCS is 1 takes one step:
-    the highest match of the last candidate token if it lies at or above
-    the zero, else the zero's row.
+    up exactly where bit i-1 of column j is 1: the walk in column j goes
+    to the highest stop below row i, a match of cand[j-1] or a zero.
+    ``below`` holds every sentence's bits below its row, so one pass from
+    the last column walks all sentences at once. The segmented smear
+    fills each sentence from its highest stop down, so that stop is the
+    top bit of the run. A match is a hit and the row moves under it; a
+    zero turns left and the row moves onto it. A sentence with no zero
+    below its row has no LCS left, and no stop.
     """
-    columns = _lcs_columns(masks, full, cand)
-    zeros = full ^ columns[-1]
-    if not zeros:
-        return 0
-    matches = [masks.get(token, 0) for token in cand]
-    stops = [m | (full ^ c) for m, c in zip(matches, columns[1:])]
     hits = 0
-    while zeros:
-        top = zeros.bit_length() - 1
-        sentence = bisect_right(starts, top) - 1
-        start = starts[sentence]
-        length = (zeros >> start).bit_count()
-        zeros &= (1 << start) - 1
-        row, j = starts[sentence + 1] - 1, len(cand)
-        while length:
-            j -= 1
-            bit = (stops[j] & ((1 << row) - 1)).bit_length() - 1
-            if length == 1 or matches[j] >> bit & 1:
-                hits |= 1 << bit
-                length -= 1
-                row = bit
-            else:
-                row = bit + 1
+    below = full
+    for token, column in zip(reversed(cand), reversed(_lcs_columns(masks, full, cand))):
+        zeros = (full ^ column) & below
+        if not zeros:
+            break
+        match = masks.get(token, 0)
+        y = match & below | zeros
+        for k, valid in shifts:
+            y |= (y & valid) >> k
+        top = y & ~(y >> 1)
+        hit = top & match
+        hits |= hit
+        below = ((below + top) & below) | (top ^ hit)
     return hits
 
 
-def rouge_lsum(
-    cand_sentences: Sequence[Sequence[str]], ref_sentences: Sequence[Sequence[str]]
-) -> RougeScore:
-    """Summary-level LCS over per-sentence token lists: per reference
-    sentence, union the LCS hits against every candidate sentence, then
-    cap each token's credit by its count on both sides so nothing is
-    matched twice.
+def rouge_lsum(cand_sentences: Sequence[Sequence[str]], reference: Layout) -> RougeScore:
+    """Summary-level LCS of per-sentence token lists against a reference
+    laid out by ``side_by_side`` with the candidate's tokens: per
+    reference sentence, union the LCS hits against every candidate
+    sentence, then cap each token's credit by its count on both sides so
+    nothing is matched twice.
 
-    The reference sentences share one bit layout, so one bit-parallel
-    pass per candidate sentence covers all of them, and the union is
-    one int. A token's union hits never exceed its reference count, so
-    its credit is min(union hits, candidate count).
+    One bit-parallel pass per candidate sentence covers all reference
+    sentences, and the union is one int. A token's union hits never
+    exceed its reference count, so its credit is min(union hits,
+    candidate count).
     """
+    masks, starts, full = reference
     cand_counts = Counter(chain.from_iterable(cand_sentences))
-    masks, starts, full = _side_by_side(ref_sentences, cand_counts)
+    shifts = _smear_shifts(starts, full)
     union = 0
     for cand_sent in cand_sentences:
-        union |= _lcs_hits(masks, starts, full, cand_sent)
+        union |= _lcs_hits(masks, full, shifts, cand_sent)
     hits = sum(
         min((union & mask).bit_count(), cand_counts[token]) for token, mask in masks.items()
     )
-    return _score(hits, cand_counts.total(), sum(map(len, ref_sentences)))
+    return _score(hits, cand_counts.total(), full.bit_count())
 
 
 ROUGE_VARIANTS = ("rouge1", "rouge2", "rougeL", "rougeLsum")
 
 
 def rouge_all(candidate: str, reference: str, use_stemmer: bool = False) -> dict[str, RougeScore]:
-    """Every ROUGE variant of one text pair, tokenizing each text once.
-    The one ROUGE function that takes strings."""
+    """Every ROUGE variant of one text pair, tokenizing each text once
+    and laying out the reference once. The one ROUGE function that takes
+    strings."""
     cand_sentences = sentence_tokens(candidate, use_stemmer)
     ref_sentences = sentence_tokens(reference, use_stemmer)
     cand = list(chain.from_iterable(cand_sentences))
     ref = list(chain.from_iterable(ref_sentences))
+    layout = side_by_side(ref_sentences, set(cand))
     return {
         "rouge1": rouge_n(cand, ref, 1),
         "rouge2": rouge_n(cand, ref, 2),
-        "rougeL": rouge_l(cand, ref),
-        "rougeLsum": rouge_lsum(cand_sentences, ref_sentences),
+        "rougeL": rouge_l(cand, layout),
+        "rougeLsum": rouge_lsum(cand_sentences, layout),
     }
 
 

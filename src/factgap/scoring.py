@@ -9,7 +9,6 @@ result does not depend on summation order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -115,9 +114,10 @@ def document_score(
     clusters: Sequence[EvidenceClustering],
     polarity_mode: PolarityMode | str = PolarityMode.BOTH,
 ) -> tuple[int, float]:
-    """(omission count, cumulative weight) for one summary."""
-    scores = score_omissions(facts, omissions, clusters, polarity_mode)
-    return len(scores), math.fsum(score.combined for score in scores)
+    """(omission count, cumulative weight) for one summary: the derived
+    keys of its report."""
+    report = build_report("document", facts, omissions, clusters, polarity_mode=polarity_mode)
+    return report.omission_count, report.cumulative_weight
 
 
 def build_report(

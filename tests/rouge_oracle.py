@@ -14,6 +14,7 @@ from functools import lru_cache
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 _BOUNDARY_RE = re.compile(r"[.!?]+|\n+")
+_TERMINAL_RE = re.compile(r"[.!?]+")
 
 
 def words(text):
@@ -22,6 +23,17 @@ def words(text):
 
 def sentences(text):
     return [chunk for chunk in (c.strip() for c in _BOUNDARY_RE.split(text)) if chunk]
+
+
+def split_sentences(text):
+    """Sentences end at line breaks as str.splitlines finds them (``\\r``,
+    ``\\x85`` and the rest), or at runs of terminal punctuation."""
+    return [
+        chunk
+        for line in text.splitlines()
+        for chunk in (c.strip() for c in _TERMINAL_RE.split(line))
+        if chunk
+    ]
 
 
 def _prf(overlap, candidate_total, reference_total):

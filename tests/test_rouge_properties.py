@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 import rouge_oracle
 from factgap.baselines import (
     _lcs_hits,
-    _side_by_side,
-    lcs_length,
+    _smear_shifts,
+    porter_stem,
+    rouge_l,
     rouge_lsum,
     rouge_n,
     sentence_tokens,
+    side_by_side,
     tokenize,
 )
 
@@ -27,11 +29,29 @@ SEPARATORS = (". ", "\n", "! ", "? ", "... ", " .\n")
 
 def _lcs_indices(ref, cand):
     """Positions in ref on the one LCS with cand that rouge_lsum credits."""
-    if not ref or not cand:
-        return set()
-    masks, starts, full = _side_by_side((ref,), set(cand))
-    hits = _lcs_hits(masks, starts, full, cand)
+    masks, starts, full = side_by_side((ref,), set(cand))
+    hits = _lcs_hits(masks, full, _smear_shifts(starts, full), cand)
     return {i for i in range(len(ref)) if hits >> i & 1}
+
+
+def lcs_length(a, b):
+    """The LCS that rouge_l credits to candidate b against reference a."""
+    return round(rouge_l(b, side_by_side((a,), set(b))).precision * len(b))
+
+
+def rouge_lsum_of_texts(candidate, reference):
+    cand_sentences = sentence_tokens(candidate)
+    layout = side_by_side(sentence_tokens(reference), set(tokenize(candidate)))
+    return rouge_lsum(cand_sentences, layout)
+
+
+def reference_sentence_tokens(text, use_stemmer):
+    """Each sentence's tokens, from rouge_oracle's regex sentence split
+    and regex tokens, stemmed as the package stems."""
+    sentences = [rouge_oracle.words(s) for s in rouge_oracle.split_sentences(text)]
+    if use_stemmer:
+        sentences = [[porter_stem(t) if len(t) > 3 else t for t in s] for s in sentences]
+    return [s for s in sentences if s]
 
 
 @st.composite
@@ -67,14 +87,14 @@ def test_lcs_indices_follow_the_oracle_backtrack(a, b):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(multi_sentence_texts(), multi_sentence_texts())
 def test_rouge_lsum_matches_oracle_exactly(candidate, reference):
-    score = rouge_lsum(sentence_tokens(candidate), sentence_tokens(reference))
+    score = rouge_lsum_of_texts(candidate, reference)
     assert (score.precision, score.recall, score.f1) == rouge_oracle.summary_lcs_prf(
         candidate, reference
     )
 
 
-# Characters on both sides of every cut split_sentences makes, plus ones
-# whose lowercase form is longer or depends on context.
+# Characters on both sides of every cut rouge_oracle.split_sentences
+# makes, plus ones whose lowercase form is longer or depends on context.
 _TEXT_ALPHABET = st.one_of(
     st.sampled_from("ab Z9 .!?\n\r\t\x0b\x0c\x1c\x85 İKΣ-,"),
     st.characters(),
@@ -88,6 +108,12 @@ def test_sentence_tokens_joined_are_the_text_tokens(text, use_stemmer):
     # ROUGE-N and ROUGE-L, so every cut must fall between tokens.
     joined = [token for sentence in sentence_tokens(text, use_stemmer) for token in sentence]
     assert joined == tokenize(text, use_stemmer)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.text(_TEXT_ALPHABET, max_size=80), st.booleans())
+def test_sentence_tokens_cut_where_the_regex_reference_cuts(text, use_stemmer):
+    assert sentence_tokens(text, use_stemmer) == reference_sentence_tokens(text, use_stemmer)
 
 
 def test_lcs_spanning_many_machine_words():
@@ -116,7 +142,7 @@ def sentence_texts(draw, sentences, max_words, vocabularies):
 
 
 def assert_rouge_lsum_matches_oracle(candidate, reference):
-    score = rouge_lsum(sentence_tokens(candidate), sentence_tokens(reference))
+    score = rouge_lsum_of_texts(candidate, reference)
     assert (score.precision, score.recall, score.f1) == rouge_oracle.summary_lcs_prf(
         candidate, reference
     )
@@ -128,6 +154,46 @@ def test_rouge_lsum_matches_oracle_across_many_reference_sentences(candidate, re
     # The reference sentences share one int, so every walk and hit count
     # crosses 20-60 guard bits.
     assert_rouge_lsum_matches_oracle(candidate, reference)
+
+
+@st.composite
+def long_sentences_beside_one_word_ones(draw):
+    vocabulary = WORDS[: draw(st.integers(1, len(WORDS)))]
+    lengths = []
+    for n in draw(st.lists(st.integers(65, 300), min_size=1, max_size=3)):
+        lengths += [1] * draw(st.integers(0, 3)) + [n]
+    lengths += [1] * draw(st.integers(1, 3))
+    # Between its first and last word, which the candidates may share, a
+    # sentence is sparse in such words: the filler word is in no
+    # candidate, so stops can lie up to a whole sentence apart.
+    density = draw(st.sampled_from((0.0, 0.01, 0.03, 0.1, 0.5, 1.0)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    sentences = []
+    for n in lengths:
+        words = [rng.choice(vocabulary) if rng.random() < density else "note" for _ in range(n)]
+        words[0], words[-1] = rng.choice(vocabulary), rng.choice(vocabulary)
+        sentences.append(" ".join(words) + rng.choice(SEPARATORS))
+    return "".join(sentences)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(sentence_texts((1, 6), 12, (1, 4)), long_sentences_beside_one_word_ones())
+def test_rouge_lsum_matches_oracle_on_long_reference_sentences(candidate, reference):
+    # Sentences of 65-300 words take smear shifts up to 256, and the
+    # one-word sentences beside them put guard bits within every shift's
+    # reach; sparse stops make the long shifts matter. The score caps
+    # credit per token, so the hits of each walk are checked as well.
+    assert_rouge_lsum_matches_oracle(candidate, reference)
+    ref_sentences = sentence_tokens(reference)
+    masks, starts, full = side_by_side(ref_sentences, set(tokenize(candidate)))
+    shifts = _smear_shifts(starts, full)
+    for cand_sent in sentence_tokens(candidate):
+        hits = _lcs_hits(masks, full, shifts, cand_sent)
+        assert {i for i in range(starts[-1]) if hits >> i & 1} == {
+            start + i
+            for start, ref_sent in zip(starts, ref_sentences)
+            for i in rouge_oracle._lcs_hit_positions(ref_sent, cand_sent)
+        }
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
