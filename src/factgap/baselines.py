@@ -26,12 +26,11 @@ import csv
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Container, Iterable, Mapping, Optional, Sequence
 
-from .datamodel import JsonRecord
+from .datamodel import JsonRecord, Record
 
 # Over lowercased ASCII bytes: a token byte stays, ".", "!" and a line
 # break end a sentence ("?" is made "." beforehand), anything else separates.
@@ -225,8 +224,7 @@ def sentence_tokens(text: str, use_stemmer: bool = False) -> list[list[str]]:
     return list(map(_stemmed, sentences)) if use_stemmer else sentences
 
 
-@dataclass(frozen=True)
-class RougeScore:
+class RougeScore(Record):
     precision: float
     recall: float
     f1: float
@@ -487,8 +485,7 @@ def _two_sided_p_from_t(t: float, df: float) -> float:
     return regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
+class CorrelationResult(Record):
     method: str
     statistic: float
     p_value: float
@@ -562,8 +559,7 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     )
 
 
-@dataclass(frozen=True)
-class MetricVector:
+class MetricVector(Record):
     """A named per-encounter scalar metric."""
 
     name: str
@@ -637,7 +633,6 @@ def import_external_metric(path: Path | str, metric_name: Optional[str] = None) 
     return MetricVector(name=metric_name, values=values)
 
 
-@dataclass(frozen=True)
 class CorrelationRow(JsonRecord):
     """One baseline's correlation with a target metric: a ``compare --json`` row."""
 

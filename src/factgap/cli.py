@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import statistics
 import sys
 from concurrent.futures import BrokenExecutor
 from pathlib import Path
@@ -53,16 +52,21 @@ def cmd_run(args: argparse.Namespace) -> int:
         config = config.with_mode(GatewayMode(args.mode))
     corpus = load_corpus(args.corpus)
     gateway = build_gateway(config)
-    _, results = run_corpus(
-        config,
-        gateway,
-        corpus,
-        str(args.corpus),
-        Path(args.out),
-        workers=args.workers,
-        only=args.only,
-        force=args.force,
-    )
+    try:
+        _, results = run_corpus(
+            config,
+            gateway,
+            corpus,
+            str(args.corpus),
+            Path(args.out),
+            workers=args.workers,
+            only=args.only,
+            force=args.force,
+        )
+    finally:
+        if gateway.backend is not None:
+            # Its keep-alive connections would stay open until collected.
+            gateway.backend.close()
     for result in results:
         if result.status == "ok":
             report = result.report
@@ -104,6 +108,9 @@ def _load_run(run_dir: Path) -> list[tuple[Path, EncounterResult]]:
 
 
 def _mean_stdev(values: Sequence[float]) -> dict[str, float]:
+    # Imported here: only report needs it, and it costs every command's import.
+    import statistics
+
     return {
         "mean": statistics.fmean(values),
         # statistics.stdev is correctly rounded from Python 3.11 on; the

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -22,7 +22,6 @@ from .scoring import PolarityMode
 BACKEND_KINDS = ("mock", "http")
 
 
-@dataclass(frozen=True)
 class ModelsConfig(JsonRecord):
     versioned = False
 
@@ -39,7 +38,6 @@ class ModelsConfig(JsonRecord):
             raise ValueError("models.margin must be non-empty when present")
 
 
-@dataclass(frozen=True)
 class BackendConfig(JsonRecord):
     versioned = False
 
@@ -61,7 +59,6 @@ class BackendConfig(JsonRecord):
             raise ValueError(f"backend.timeout must be positive, got {self.timeout}")
 
 
-@dataclass(frozen=True)
 class ThresholdsConfig(JsonRecord):
     versioned = False
 
@@ -80,7 +77,6 @@ class ThresholdsConfig(JsonRecord):
             raise ValueError("thresholds.margin_epsilon must be positive")
 
 
-@dataclass(frozen=True)
 class RunConfig(JsonRecord):
     versioned = False
 

@@ -7,14 +7,21 @@ duplicated subcluster members) is checked by
 :func:`validate_encounter_bundle`, which reports violations as data
 rather than raising.
 
-Every record type derives from :class:`JsonRecord`, one codec driven by
-the dataclass fields, and round-trips through ``to_json_dict`` and
-``from_json_dict``. The same codec loads the run configuration (the
-types in ``config``), and every decode refuses keys its type does not
-know. A record carries ``schema_version: "1"`` unless its type sets
-``versioned = False``. Three types here do, all parts of a larger record
-that have never carried a version: ``Turn``, ``Diagnosis`` and
-``SubCluster``; so do ``Provenance``, ``Encounter``, the two outcome
+Every value type in the package derives from :class:`Record`, one
+immutable base that gives each subclass its dataclass fields and supplies
+the constructor, equality, hash, repr and frozen attribute methods that
+``@dataclass(frozen=True)`` would generate. Generating them means running
+``exec`` on six methods per class at import, a third of the package's
+import time, and every command pays that import first.
+
+Every type that persists as JSON derives from :class:`JsonRecord`, a
+``Record`` with one codec driven by its fields, and round-trips through
+``to_json_dict`` and ``from_json_dict``. The same codec loads the run
+configuration (the types in ``config``), and every decode refuses keys
+its type does not know. A record carries ``schema_version: "1"`` unless
+its type sets ``versioned = False``. Three types here do, all parts of a
+larger record that have never carried a version: ``Turn``, ``Diagnosis``
+and ``SubCluster``; so do ``Provenance``, ``Encounter``, the two outcome
 markers and ``ManifestEntry`` in ``dataset``, ``CorrelationRow`` in
 ``baselines`` and the four types in ``config``.
 
@@ -34,7 +41,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Mapping
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from enum import Enum
 from operator import attrgetter, index, methodcaller
 from pathlib import Path
@@ -111,10 +118,136 @@ class ClusterGroup(str, Enum):
 MAX_DDX_ENTRIES = 10
 
 
-class JsonRecord:
+class _Layout(NamedTuple):
+    """What a Record subclass's shared methods need of its fields."""
+
+    names: tuple[str, ...]  # the constructor's fields, in order
+    keys: frozenset[str]  # the same names
+    defaults: dict[str, Any]  # the constructor's fields with a plain default
+    factories: tuple[tuple[str, Callable[[], Any]], ...]  # and those with a factory
+    key: Callable[[Any], tuple]  # the tuple of the compared fields' values
+    shown: tuple[str, ...]  # the fields repr shows
+
+
+class Record:
+    """Base of every immutable value type in the package.
+
+    A subclass declares annotated fields as a dataclass does and becomes
+    one, so ``dataclasses.fields`` and ``replace`` work on it, along with
+    defaults, ``field(default_factory=...)`` and ``field(init=False)``, a
+    field without a default that ``__post_init__`` sets. But it is
+    processed with ``dataclass(init=False, repr=False, eq=False)``,
+    which generates no method: the methods that ``dataclass(frozen=True)``
+    would ``exec`` for each class at import are written here once.
+
+    The constructor takes the fields by position or by name, fills
+    defaults and calls ``__post_init__``. Records compare and hash by the
+    tuple of their fields, and assigning or deleting an attribute raises
+    ``FrozenInstanceError``; a ``__post_init__`` that must normalize a
+    field uses ``object.__setattr__``.
+    """
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        if cls.__doc__ is None:
+            # Else dataclass writes one from the shared __init__'s signature.
+            cls.__doc__ = cls.__qualname__
+        dataclass(init=False, repr=False, eq=False)(cls)
+        every = fields(cls)
+        names = tuple(f.name for f in every if f.init)
+        compared = tuple(f.name for f in every if f.compare)
+        # Not annotated in the class body, where get_type_hints would
+        # evaluate it again for every record type's codec.
+        cls._layout = _Layout(
+            names,
+            frozenset(names),
+            {f.name: f.default for f in every if f.init and f.default is not MISSING},
+            tuple(
+                (f.name, f.default_factory)
+                for f in every
+                if f.init and f.default_factory is not MISSING
+            ),
+            attrgetter(*compared) if len(compared) > 1 else _tuple_getter(compared),
+            tuple(f.name for f in every if f.repr),
+        )
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        layout = self._layout
+        if not kwargs and len(args) == len(layout.names):
+            values = dict(zip(layout.names, args))
+        else:
+            # By name, perhaps with plain defaults; anything else goes to _bind.
+            values = kwargs if len(kwargs) == len(layout.names) else {**layout.defaults, **kwargs}
+            if args or len(values) != len(layout.names) or not kwargs.keys() <= layout.keys:
+                values = _bind(type(self), args, kwargs)
+        # The fields become the instance dict in one write, not one call per
+        # field. Updating self.__dict__ instead would make CPython build a
+        # shared-key dict, on which every later attribute read is slower.
+        _set(self, "__dict__", values)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._layout.key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._layout.key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._layout.shown)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+_set = object.__setattr__
+
+
+def _tuple_getter(names: tuple[str, ...]) -> Callable[[Any], tuple]:
+    # attrgetter returns a bare value for one name and takes no empty list.
+    return lambda record: tuple([getattr(record, name) for name in names])
+
+
+def _bind(cls: type[Record], args: tuple, kwargs: dict[str, Any]) -> dict[str, Any]:
+    """The constructor's fields from ``args`` and ``kwargs``, with defaults
+    filled; a TypeError like a function call's for an argument too many,
+    unknown, given twice or missing."""
+    layout = cls._layout
+    given = dict(zip(layout.names, args))
+    if len(args) > len(layout.names):
+        raise TypeError(
+            f"{cls.__qualname__}() takes {len(layout.names)} positional arguments "
+            f"but {len(args)} were given"
+        )
+    if not kwargs.keys() <= layout.keys:
+        unknown = sorted(kwargs.keys() - layout.keys)
+        raise TypeError(f"{cls.__qualname__}() got unexpected keyword arguments {unknown}")
+    if not given.keys().isdisjoint(kwargs):
+        twice = sorted(given.keys() & kwargs.keys())
+        raise TypeError(f"{cls.__qualname__}() got multiple values for arguments {twice}")
+    values = {**layout.defaults, **given, **kwargs}
+    for name, factory in layout.factories:
+        if name not in values:
+            values[name] = factory()
+    if len(values) < len(layout.names):
+        missing = [name for name in layout.names if name not in values]
+        raise TypeError(f"{cls.__qualname__}() missing required arguments {missing}")
+    return values
+
+
+class JsonRecord(Record):
     """Base of every record that persists as a JSON object.
 
-    The codec follows the dataclass fields: enums encode by value, tuples
+    The codec follows the record's fields: enums encode by value, tuples
     as lists, paths as strings, nested records and NamedTuples as objects,
     and every other value passes through. A versioned type also writes
     ``schema_version`` and checks it on decode. On decode a missing key
@@ -319,7 +452,6 @@ def fact_id_index(fact_id: str) -> int:
     return int(parse_fact_id(fact_id)[1:])
 
 
-@dataclass(frozen=True)
 class Turn(JsonRecord):
     versioned = False
 
@@ -334,7 +466,6 @@ class Turn(JsonRecord):
             raise ValueError(f"turn {self.index} has empty text")
 
 
-@dataclass(frozen=True)
 class Dialogue(JsonRecord):
     """A speaker-tagged patient-provider conversation.
 
@@ -380,7 +511,6 @@ class Dialogue(JsonRecord):
         )
 
 
-@dataclass(frozen=True)
 class Summary(JsonRecord):
     """A subjective note split into its three sections.
 
@@ -415,7 +545,6 @@ class Summary(JsonRecord):
         return "\n\n".join(parts)
 
 
-@dataclass(frozen=True)
 class Fact(JsonRecord):
     """An atomic statement extracted from the dialogue.
 
@@ -462,7 +591,6 @@ def check_fact_id_contiguity(facts: Sequence[Fact]) -> list[str]:
     return violations
 
 
-@dataclass(frozen=True)
 class Diagnosis(JsonRecord):
     versioned = False
 
@@ -478,7 +606,6 @@ class Diagnosis(JsonRecord):
             raise ValueError("diagnosis name must be non-empty")
 
 
-@dataclass(frozen=True)
 class DifferentialDiagnosis(JsonRecord):
     """Ranked candidate conditions, at most 10, rank 1 first."""
 
@@ -517,7 +644,6 @@ class DifferentialDiagnosis(JsonRecord):
         )
 
 
-@dataclass(frozen=True)
 class SubCluster(JsonRecord):
     """Facts that point at the same pathophysiological mechanism.
 
@@ -546,7 +672,6 @@ class SubCluster(JsonRecord):
         return len(self.fact_ids)
 
 
-@dataclass(frozen=True)
 class EvidenceClustering(JsonRecord):
     """All subclusters of one polarity for one diagnosis."""
 
@@ -559,7 +684,6 @@ class EvidenceClustering(JsonRecord):
             raise ValueError("clustering diagnosis_name must be non-empty")
 
 
-@dataclass(frozen=True)
 class Omission(JsonRecord):
     """A fact wholly or partially missing from the summary."""
 
@@ -581,7 +705,6 @@ IMPORTANCE_WEIGHTS = {
 _VALID_IMPORTANCE_WEIGHTS = frozenset(IMPORTANCE_WEIGHTS.values())
 
 
-@dataclass(frozen=True)
 class FactScore(JsonRecord):
     """Per-fact penalty: max of the importance weight and every 1/|S|."""
 
@@ -609,7 +732,6 @@ class FactScore(JsonRecord):
                 )
 
 
-@dataclass(frozen=True)
 class CompletionMargin(JsonRecord):
     """Top-vs-alternative completion score gaps, chat vs summary.
 
@@ -645,7 +767,6 @@ class ScoredOmission(NamedTuple):
     score: FactScore
 
 
-@dataclass(frozen=True)
 class OmissionReport(JsonRecord):
     """Everything the metric says about one encounter's summary."""
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
@@ -32,7 +31,6 @@ _SPEAKER_BY_TAG = {
 }
 
 
-@dataclass(frozen=True)
 class Provenance(JsonRecord):
     """Where a derived dialogue came from."""
 
@@ -48,7 +46,6 @@ class Provenance(JsonRecord):
             raise ValueError("cut_turn_index must be non-negative")
 
 
-@dataclass(frozen=True)
 class Encounter(JsonRecord):
     versioned = False
 
@@ -63,7 +60,6 @@ class Encounter(JsonRecord):
     derived = ("encounter_id",)
 
 
-@dataclass(frozen=True)
 class Corpus(JsonRecord):
     name: str
     encounters: tuple[Encounter, ...]
@@ -204,7 +200,6 @@ STATUSES = tuple(MARKERS)
 OUTCOME_MARKERS = tuple(MARKERS.values())
 
 
-@dataclass(frozen=True)
 class ManifestEntry(JsonRecord):
     """One encounter's outcome, as the run manifest lists it."""
 
@@ -220,7 +215,6 @@ class ManifestEntry(JsonRecord):
             raise ValueError(f"unknown status {self.status!r}")
 
 
-@dataclass(frozen=True)
 class EncounterResult(ManifestEntry):
     """One encounter's outcome, with the report of an ok one."""
 
@@ -239,7 +233,6 @@ def count_statuses(outcomes: Iterable[ManifestEntry]) -> dict[str, int]:
     return counts
 
 
-@dataclass(frozen=True)
 class SkipMarker(JsonRecord):
     """``skip.json``: the truncation left too few turns to score."""
 
@@ -256,7 +249,6 @@ class SkipMarker(JsonRecord):
     derived = ("truncated_turns",)
 
 
-@dataclass(frozen=True)
 class FailureMarker(JsonRecord):
     """``failure.json``: the stage that stopped the encounter, and why."""
 
@@ -294,7 +286,6 @@ def read_outcome(enc_dir: Path) -> EncounterResult:
     return EncounterResult(encounter_id, "failed", "no outcome marker in the encounter directory")
 
 
-@dataclass(frozen=True)
 class RunManifest(JsonRecord):
     """What a run did: inputs, settings, per-encounter outcomes.
 

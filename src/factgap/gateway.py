@@ -19,17 +19,18 @@ from __future__ import annotations
 import functools
 import hashlib
 import logging
-import statistics
+import math
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import field
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
 import json
 
+from .datamodel import Record
 from .jsonutil import canonical_dumps
 
 if TYPE_CHECKING:
@@ -96,8 +97,7 @@ class Aggregation(str, Enum):
     SUM = "sum"
 
 
-@dataclass(frozen=True)
-class ChatMessage:
+class ChatMessage(Record):
     role: str
     content: str
 
@@ -113,8 +113,7 @@ def _fingerprint(payload: Mapping[str, Any]) -> str:
     return hashlib.sha256(canonical_dumps(payload).encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class GenerationRequest:
+class GenerationRequest(Record):
     """A deterministic chat completion request, sent at ``TEMPERATURE``."""
 
     model_id: str
@@ -154,8 +153,7 @@ class GenerationRequest:
         )
 
 
-@dataclass(frozen=True)
-class ScoreRequest:
+class ScoreRequest(Record):
     """Token-level log-probabilities of continuation given prefix."""
 
     model_id: str
@@ -184,11 +182,10 @@ class ScoreRequest:
 def aggregate_logprobs(logprobs: Sequence[float], aggregation: Aggregation) -> float:
     if not logprobs:
         raise ValueError("no token logprobs to aggregate")
-    if Aggregation(aggregation) is Aggregation.MEAN:
-        return statistics.fmean(logprobs)
-    import math
-
-    return math.fsum(logprobs)
+    total = math.fsum(logprobs)
+    # The mean is what statistics.fmean computes, bit for bit, without
+    # importing statistics.
+    return total / len(logprobs) if Aggregation(aggregation) is Aggregation.MEAN else total
 
 
 class Cassette:

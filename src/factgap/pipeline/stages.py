@@ -18,11 +18,11 @@ order.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Any, Callable, Optional, Sequence
 
 from ..config import RunConfig
-from ..datamodel import DdxSource, Dialogue, Fact, Polarity
+from ..datamodel import DdxSource, Dialogue, Fact, Polarity, Record
 from ..gateway import GenerationRequest, LlmGateway
 from ..scoring import completion_continuation, completion_prompt, margin_plan
 from . import parsers, templates
@@ -38,8 +38,7 @@ class StageError(Exception):
         self.attempts = attempts
 
 
-@dataclass(frozen=True)
-class StageOutput:
+class StageOutput(Record):
     stage: str
     value: Any
     raw_text: str
@@ -53,8 +52,7 @@ class StageOutput:
             raise ValueError("attempts must be at least 1")
 
 
-@dataclass(frozen=True)
-class StageContext:
+class StageContext(Record):
     gateway: LlmGateway
     config: RunConfig
 
@@ -134,8 +132,7 @@ class StageInputs:
         self.values[name] = result.value if isinstance(result, StageOutput) else result
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(Record):
     """One row of the encounter's stage table.
 
     ``run`` may execute on any thread once every stage in ``needs`` has a

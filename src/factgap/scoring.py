@@ -9,7 +9,6 @@ result does not depend on summation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -24,6 +23,7 @@ from .datamodel import (
     Omission,
     OmissionReport,
     Polarity,
+    Record,
     parse_fact_id,
 )
 
@@ -132,8 +132,7 @@ def build_report(
     return OmissionReport(encounter_id, tuple(zip(omissions, scores)), margin)
 
 
-@dataclass(frozen=True)
-class MarginPlan:
+class MarginPlan(Record):
     """Which diagnoses to score for the completion margin.
 
     The target is the chat differential's top entry; it is scored under

@@ -88,53 +88,53 @@ def test_run_replay_corpus(finished_run, capsys):
     assert (finished_run / "manifest.json").exists()
 
 
-def test_run_replay_writes_nothing_to_stderr(tmp_path):
-    # A child process: the test process's logging setup would catch what a
-    # run with no logging configured prints through the last-resort handler.
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a child process with the package on its path.
+
+    A child process: the test process's logging and warning setup would
+    catch what a command prints through the last-resort handler.
+    """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    result = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "factgap.cli",
-            "run",
-            "--config",
-            str(REPLAY_CONFIG),
-            "--corpus",
-            str(CORPUS),
-            "--out",
-            str(tmp_path / "out"),
-        ],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+def test_run_replay_writes_nothing_to_stderr(tmp_path):
+    result = run_cli(
+        "-m",
+        "factgap.cli",
+        "run",
+        "--config",
+        str(REPLAY_CONFIG),
+        "--corpus",
+        str(CORPUS),
+        "--out",
+        str(tmp_path / "out"),
     )
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
 
 
-def test_live_run_sends_the_backend_every_request_the_cassette_holds(
-    tmp_path, loopback, capsys
-):
-    cassette = tmp_path / "corpus.jsonl"
-    shutil.copyfile(FIXTURES / "cassettes" / "corpus.jsonl", cassette)
-    recorded = Cassette(cassette)
-    # No margin model, so every call is a chat completion: 8 per encounter.
-    config = tmp_path / "config.json"
-    write_json(
-        config,
-        {
-            "models": {"summary": "summarizer-v1", "metric": "metric-v1"},
-            "backend": {"kind": "http", "base_url": loopback.url},
-            "cassette": str(cassette),
-            "mode": "record",
-        },
+def test_importing_the_cli_loads_no_module_only_some_commands_need():
+    # multiprocessing: the artifact writers, only for run; yaml: only
+    # .yaml configs; http.client: only a backend; statistics: only report.
+    result = run_cli(
+        "-c",
+        "import sys, factgap.cli; print(sorted("
+        "{'multiprocessing', 'yaml', 'http.client', 'statistics'} & set(sys.modules)))",
     )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
-    sent = []
+
+def live_config(tmp_path: Path, loopback, cassette: Path, sent: list) -> Path:
+    """A record-mode config whose backend is ``loopback``, which answers
+    every chat completion from ``cassette`` and lists its fingerprint in
+    ``sent``. No margin model, so every call is a chat completion."""
+    recorded = Cassette(cassette)
 
     def answer(received):
         request = GenerationRequest(
@@ -147,6 +147,26 @@ def test_live_run_sends_the_backend_every_request_the_cassette_holds(
         return Reply(payload={"choices": [{"message": {"content": text}}]})
 
     loopback.answer = answer
+    config = tmp_path / "config.json"
+    write_json(
+        config,
+        {
+            "models": {"summary": "summarizer-v1", "metric": "metric-v1"},
+            "backend": {"kind": "http", "base_url": loopback.url},
+            "cassette": str(cassette),
+            "mode": "record",
+        },
+    )
+    return config
+
+
+def test_live_run_sends_the_backend_every_request_the_cassette_holds(
+    tmp_path, loopback, capsys
+):
+    cassette = tmp_path / "corpus.jsonl"
+    shutil.copyfile(FIXTURES / "cassettes" / "corpus.jsonl", cassette)
+    sent = []
+    config = live_config(tmp_path, loopback, cassette, sent)
     out = tmp_path / "out"
     argv = ["run", "--config", str(config), "--corpus", str(CORPUS), "--out", str(out)]
     assert main([*argv, "--mode", "live"]) == 0
@@ -160,6 +180,28 @@ def test_live_run_sends_the_backend_every_request_the_cassette_holds(
     assert sorted(sent) == sorted(called)
     # Live mode neither reads nor appends to the cassette.
     assert cassette.read_bytes() == (FIXTURES / "cassettes" / "corpus.jsonl").read_bytes()
+
+
+def test_live_run_closes_its_backend_connections(tmp_path, loopback):
+    # Dev mode reports a socket left open when it is collected.
+    config = live_config(tmp_path, loopback, FIXTURES / "cassettes" / "corpus.jsonl", [])
+    result = run_cli(
+        "-X",
+        "dev",
+        "-m",
+        "factgap.cli",
+        "run",
+        "--config",
+        str(config),
+        "--corpus",
+        str(CORPUS),
+        "--out",
+        str(tmp_path / "out"),
+        "--mode",
+        "live",
+    )
+    assert result.returncode == 0, result.stderr
+    assert "ResourceWarning" not in result.stderr, result.stderr
 
 
 def test_run_refuses_to_overwrite(finished_run, capsys):

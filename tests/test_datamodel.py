@@ -1,12 +1,13 @@
 import json
 import re
-from dataclasses import fields
+from dataclasses import MISSING, FrozenInstanceError, field, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import Optional, get_type_hints
 
 import pytest
 
+import factgap.cli  # noqa: F401  (imports every module that defines a Record type)
 from factgap.config import BackendConfig, ModelsConfig, RunConfig, ThresholdsConfig
 from factgap.datamodel import (
     MARGIN_EPSILON,
@@ -26,6 +27,7 @@ from factgap.datamodel import (
     Omission,
     OmissionReport,
     Polarity,
+    Record,
     ScoredOmission,
     SourceTag,
     Speaker,
@@ -37,18 +39,28 @@ from factgap.datamodel import (
     parse_fact_id,
     validate_encounter_bundle,
 )
-from factgap.baselines import CorrelationRow
+from factgap.baselines import CorrelationResult, CorrelationRow, MetricVector, RougeScore
 from factgap.dataset import (
     Corpus,
     Encounter,
+    EncounterResult,
     FailureMarker,
     ManifestEntry,
     Provenance,
     RunManifest,
     SkipMarker,
 )
-from factgap.gateway import Aggregation, GatewayMode
-from factgap.scoring import PolarityMode
+from factgap.gateway import (
+    Aggregation,
+    ChatMessage,
+    GatewayMode,
+    GenerationRequest,
+    LlmGateway,
+    ScoreRequest,
+    ScriptedBackend,
+)
+from factgap.pipeline.stages import Stage, StageContext, StageOutput
+from factgap.scoring import MarginPlan, PolarityMode
 
 
 def make_dialogue(n_turns=4, encounter_id="enc-1"):
@@ -662,3 +674,105 @@ def test_encounter_refuses_an_outer_id_that_differs_from_the_dialogue():
         match="^Encounter: encounter_id 'enc-other' is not the 'enc-1' derived from the record$",
     ):
         Encounter.from_json_dict(data)
+
+
+def package_record_types(cls=Record):
+    """Every Record subclass the package defines, but JsonRecord, which
+    has no fields of its own."""
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("factgap.") and sub is not JsonRecord:
+            yield sub
+        yield from package_record_types(sub)
+
+
+RECORD_TYPES = sorted(set(package_record_types()), key=lambda cls: cls.__qualname__)
+
+
+def every_record():
+    """One instance of every Record type in the package."""
+    records = {**sample_records(), **config_records()}
+    message = ChatMessage(role="user", content="hi")
+    return {
+        **records,
+        EncounterResult: EncounterResult(
+            encounter_id="enc-1", status="ok", report=records[OmissionReport]
+        ),
+        RougeScore: RougeScore(precision=0.5, recall=0.25, f1=1 / 3),
+        CorrelationResult: CorrelationResult(method="pearson", statistic=0.5, p_value=0.2, n=4),
+        MetricVector: MetricVector(name="m", values={"enc-1": 1.0, "enc-2": 2.0}),
+        ChatMessage: message,
+        GenerationRequest: GenerationRequest(model_id="m", messages=(message,), max_tokens=8),
+        ScoreRequest: ScoreRequest(model_id="m", prefix="p", continuation="c"),
+        MarginPlan: MarginPlan(target="a", chat_alternative="b", summary_alternative="c"),
+        StageOutput: StageOutput(
+            stage="summarize", value=None, raw_text="x", fingerprint="ab", attempts=1
+        ),
+        StageContext: StageContext(
+            gateway=LlmGateway(backend=ScriptedBackend()), config=records[RunConfig]
+        ),
+        Stage: Stage(name="s", needs=("t",), run=len, artifact="s.json", payload=None, label="l"),
+    }
+
+
+def test_every_record_type_has_a_sample():
+    assert set(every_record()) == set(RECORD_TYPES)
+
+
+@pytest.mark.parametrize("cls", RECORD_TYPES, ids=lambda cls: cls.__qualname__)
+def test_record_base_supplies_the_methods_of_every_record_type(cls):
+    # A method of its own, or one generated by @dataclass, costs import time.
+    shared = {"__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"}
+    assert not shared & set(cls.__dict__)
+
+    record = every_record()[cls]
+    names = [f.name for f in fields(cls) if f.init]
+    values = [getattr(record, name) for name in names]
+    by_position = cls(*values)
+    by_name = cls(**dict(zip(names, values)))
+    assert by_position == by_name == record
+    assert replace(record) == record
+    try:
+        expected = hash(record)
+    except TypeError:  # a Mapping field
+        pass
+    else:
+        assert hash(by_position) == hash(by_name) == expected
+
+    with pytest.raises(FrozenInstanceError):
+        setattr(record, names[0], values[0])
+    with pytest.raises(FrozenInstanceError):
+        delattr(record, names[0])
+    shown = ", ".join(f"{f.name}={getattr(record, f.name)!r}" for f in fields(cls))
+    assert repr(record) == f"{cls.__qualname__}({shown})"
+
+    required = [f.name for f in fields(cls) if f.init and f.default is f.default_factory is MISSING]
+    if required:
+        given = {name: value for name, value in zip(names, values) if name != required[-1]}
+        message = f"missing required arguments {required[-1:]}"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            cls(**given)
+    with pytest.raises(TypeError, match="unexpected keyword arguments"):
+        cls(*values, unknown=1)
+    with pytest.raises(TypeError, match="positional arguments"):
+        cls(*values, values[0])
+    with pytest.raises(TypeError, match="multiple values"):
+        cls(*values, **{names[0]: values[0]})
+
+
+def test_record_fills_defaults_and_calls_post_init():
+    class Sample(Record):
+        name: str
+        count: int = 2
+        tags: list = field(default_factory=list)
+        size: int = field(init=False)
+
+        def __post_init__(self) -> None:
+            object.__setattr__(self, "size", len(self.name) * self.count)
+
+    first, second = Sample("ab"), Sample(name="ab")
+    assert first == second
+    assert first.tags is not second.tags
+    assert (first.count, first.tags, first.size) == (2, [], 4)
+    shown = repr(Sample("a", count=3))
+    assert shown.endswith("<locals>.Sample(name='a', count=3, tags=[], size=3)")
+    assert Sample("a") != Sample("b") and Sample("a") != ("a", 2, [], 2)
