@@ -27,13 +27,14 @@ from factgap.cli import main as factgap_main
 from factgap.config import ModelsConfig, RunConfig
 from factgap.datamodel import Dialogue
 from factgap.dataset import save_corpus
-from factgap.gateway import GatewayMode, LlmGateway, ScriptedBackend
+from factgap.gateway import GatewayMode, LlmGateway
 from factgap.jsonutil import write_json
 from factgap.pipeline.runner import run_corpus, run_encounter
 from factgap.pipeline.stages import StageContext, stage_truncate
 
 import corpus_fixtures as content
 from response_builders import MARGIN_MODEL, METRIC_MODEL, SUMMARY_MODEL, truncate_response
+from scripted_backend import ScriptedBackend
 
 
 def make_config(cassette: Path, mode: GatewayMode, margin: bool = True) -> RunConfig:

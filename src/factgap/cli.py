@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import BrokenExecutor
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -342,8 +341,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, GatewayError, BrokenExecutor) as exc:
-        # BrokenExecutor: an artifact writer process died.
+    except (ValueError, OSError, GatewayError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_FAILURES
 

@@ -637,12 +637,6 @@ class DifferentialDiagnosis(JsonRecord):
                 return entry
         return None
 
-    def text(self) -> str:
-        return "\n".join(
-            f"{d.rank}. {d.name} ({d.likelihood.value}): {d.explanation}".rstrip(": ")
-            for d in self.entries
-        )
-
 
 class SubCluster(JsonRecord):
     """Facts that point at the same pathophysiological mechanism.

@@ -27,6 +27,7 @@ from ..datamodel import (
     EvidenceClustering,
     Fact,
     Importance,
+    Likelihood,
     Omission,
     Polarity,
     SubCluster,
@@ -205,21 +206,18 @@ def parse_ddx(block: str, encounter_id: str, source: DdxSource) -> DifferentialD
             raise ParseError(f"condition {name!r} appears more than once")
         seen_names.add(lowered)
         try:
-            likelihood = Diagnosis(
-                rank=rank,
-                name=name,
-                likelihood=raw_likelihood.lower(),
-                explanation=explanation,
-            )
+            likelihood = Likelihood(raw_likelihood.lower())
         except ValueError as exc:
             raise ParseError(
                 f"unknown likelihood {raw_likelihood!r} on rank {rank} "
                 "(use probable, possible, or unlikely)"
             ) from exc
-        entries.append(likelihood)
+        entries.append((rank, name, likelihood, explanation))
     try:
         return DifferentialDiagnosis(
-            encounter_id=encounter_id, source=source, entries=tuple(entries)
+            encounter_id=encounter_id,
+            source=source,
+            entries=tuple(Diagnosis(*entry) for entry in entries),
         )
     except ValueError as exc:
         raise ParseError(str(exc)) from exc

@@ -18,20 +18,24 @@ corpus run writes the batches on two writer processes, forked before the
 run starts any thread, which create one encounter's files while the next
 one runs its stages. Processes rather than threads, because writer
 threads would share the GIL with the stages: the pretty encoding holds
-it, and every file operation has to take it back.
+it, and every file operation has to take it back. The run waits on its
+batches oldest first: a failed write stops it at the first hand-over
+after that batch finishes, or at the end, and a dead writer's error is
+an ``OSError`` that names a batch's directory.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-import queue
 import shutil
 import signal
 import threading
+from collections import deque
+from concurrent import futures
 from concurrent.futures import BrokenExecutor, Executor, Future, ThreadPoolExecutor
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from ..config import RunConfig
 from ..datamodel import Dialogue, bundle_warnings, validate_encounter_bundle
@@ -106,22 +110,20 @@ def _start_writer() -> None:
     threading.Thread(target=exit_with_run, daemon=True).start()
 
 
-def _naming(root: Path, exc: BaseException) -> BaseException:
-    """``exc``, or for a dead writer an error of its type that names the
-    directory of the batch it stopped."""
-    if not isinstance(exc, BrokenExecutor):
-        return exc
-    named = type(exc)(f"writing {root}: {exc}")
-    named.__cause__ = exc
-    return named
+def _writing(root: Path, call: Callable[..., Any], *args: Any) -> Any:
+    """``call(*args)``, where a dead writer's error becomes an ``OSError``
+    that names the directory of the batch it stopped."""
+    try:
+        return call(*args)
+    except BrokenExecutor as exc:
+        raise ChildProcessError(f"writing {root}: {exc}") from exc
 
 
 class _BatchWriter:
     """Writes a corpus run's batches on ``WRITER_PROCESSES`` forked
-    processes, each batch pickled once on its way there. Leaving the
-    ``with`` block waits for every batch and raises the first write error;
-    a writer that died raises a ``BrokenProcessPool`` that names a batch's
-    directory."""
+    processes, each batch pickled once on its way there, and waits on them
+    oldest first. Leaving the ``with`` block waits for every batch; a
+    write error is raised as itself once the run waits on its batch."""
 
     def __init__(self) -> None:
         # Imported here, so that commands which write no run never load it.
@@ -137,40 +139,34 @@ class _BatchWriter:
         # thread: a fork copies only the calling thread, and any lock
         # another thread holds stays held in the child.
         self._pool.submit(int)
-        self._slots = threading.BoundedSemaphore(MAX_PENDING_BATCHES)
-        self._errors: list[BaseException] = []
-        # The directory of each batch not yet written.
-        self._roots: dict[Future, Path] = {}
+        self._lock = threading.Lock()
+        # Each batch not yet waited on, and its directory, oldest first.
+        self._pending: deque[tuple[Future, Path]] = deque()
 
     def submit(self, root: Path, batch: Sequence[tuple[str, Any]]) -> None:
-        """Hands one batch over, waiting while ``MAX_PENDING_BATCHES`` are
-        pending. Once a write has failed, raises its error instead."""
-        self._raise_first_error()
-        self._slots.acquire()
-        try:
-            future = self._pool.submit(_write_batch, root, batch)
-        except BrokenExecutor as exc:
-            raise _naming(root, exc)
-        self._roots[future] = root
-        future.add_done_callback(self._finished)
+        """Hands one batch over, once the finished batches at the head are
+        collected and fewer than ``MAX_PENDING_BATCHES`` are pending."""
+        with self._lock:
+            while self._pending and (
+                len(self._pending) == MAX_PENDING_BATCHES or self._pending[0][0].done()
+            ):
+                self._wait_oldest()
+            future = _writing(root, self._pool.submit, _write_batch, root, batch)
+            self._pending.append((future, root))
 
-    def _finished(self, future: Future) -> None:
-        root = self._roots.pop(future)
-        if (exc := future.exception()) is not None:
-            self._errors.append(_naming(root, exc))
-        self._slots.release()
-
-    def _raise_first_error(self) -> None:
-        if self._errors:
-            raise self._errors[0]
+    def _wait_oldest(self) -> None:
+        future, root = self._pending.popleft()
+        _writing(root, future.result)
 
     def __enter__(self) -> "_BatchWriter":
         return self
 
     def __exit__(self, exc_type: Any, *_: Any) -> None:
-        self._pool.shutdown(wait=True)
-        if exc_type is None:
-            self._raise_first_error()
+        try:
+            while exc_type is None and self._pending:
+                self._wait_oldest()
+        finally:
+            self._pool.shutdown(wait=True)
 
 
 class _ArtifactDir:
@@ -249,20 +245,18 @@ class _Job:
         """Submits each row once its needs have values and commits rows in
         table order. After a failure only earlier rows still start; later
         rows' results are dropped. Returns once nothing is in flight."""
-        finished: queue.SimpleQueue[tuple[int, Future]] = queue.SimpleQueue()
+        running: dict[Future, int] = {}
         results: dict[int, Any] = {}
         started = [False] * len(stages)
         values = self.inputs.values
         failed_at, failure = len(stages), None
-        committed = in_flight = 0
+        committed = 0
 
         while True:
             for i in range(committed, failed_at):
                 if not started[i] and all(need in values for need in stages[i].needs):
                     started[i] = True
-                    in_flight += 1
-                    future = pool.submit(stages[i].run, self.inputs)
-                    future.add_done_callback(lambda f, i=i: finished.put((i, f)))
+                    running[pool.submit(stages[i].run, self.inputs)] = i
             # Artifacts are written after the dependents are on their way.
             while committed < failed_at and committed in results:
                 try:
@@ -271,18 +265,20 @@ class _Job:
                     failed_at, failure = committed, exc
                     break
                 committed += 1
-            if not in_flight:
+            if not running:
                 break
-            i, future = finished.get()
-            in_flight -= 1
-            if i >= failed_at:
-                continue
-            try:
-                results[i] = future.result()
-            except Exception as exc:
-                failed_at, failure = i, exc
-                continue
-            self.inputs.accept(stages[i].name, results[i])
+            # In any order: a later row's result never decides an earlier
+            # row's fate, and an earlier failure replaces a later one.
+            for future in futures.wait(running, return_when=futures.FIRST_COMPLETED).done:
+                i = running.pop(future)
+                if i >= failed_at:
+                    continue
+                try:
+                    results[i] = future.result()
+                except Exception as exc:
+                    failed_at, failure = i, exc
+                    continue
+                self.inputs.accept(stages[i].name, results[i])
         return None if failure is None else (stages[failed_at], failure)
 
     def skip(self, stage: Stage, exc: DialogueTooShort) -> EncounterResult:

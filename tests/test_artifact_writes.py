@@ -6,7 +6,7 @@ outlive neither an interrupt nor a killed run.
 
 The writers are forked processes, so what they do is observed through
 what crosses a fork: a log file, a ``multiprocessing`` event, and the
-writer's own callbacks in the test process."""
+run's waits on its batches in the test process."""
 
 import errno
 import multiprocessing
@@ -153,12 +153,11 @@ def test_no_more_than_four_batches_wait_for_the_writers(tmp_path, monkeypatch, w
         assert release.wait(timeout=60)
         write_json(path, obj, atomic=atomic)
 
-    finished = runner._BatchWriter._finished
+    wait_oldest = runner._BatchWriter._wait_oldest
 
-    def counting_finished(writer, future):
-        if future.exception() is None:
-            written.append(future)
-        finished(writer, future)
+    def counting_wait_oldest(writer):
+        wait_oldest(writer)
+        written.append(None)
 
     run_encounter = runner.run_encounter
 
@@ -186,7 +185,7 @@ def test_no_more_than_four_batches_wait_for_the_writers(tmp_path, monkeypatch, w
         return enter(writer)
 
     monkeypatch.setattr(runner, "write_json", blocking_write_json)
-    monkeypatch.setattr(runner._BatchWriter, "_finished", counting_finished)
+    monkeypatch.setattr(runner._BatchWriter, "_wait_oldest", counting_wait_oldest)
     monkeypatch.setattr(runner._BatchWriter, "__enter__", watching_enter)
     monkeypatch.setattr(runner, "run_encounter", counting_run_encounter)
 
@@ -252,12 +251,9 @@ def test_a_failed_artifact_write_stops_the_run_before_its_manifest(
     assert not failing.exists()
 
 
-@pytest.mark.parametrize("workers", ["1", "3"])
-def test_a_killed_writer_stops_the_run_with_an_error_and_no_manifest(
-    tmp_path, monkeypatch, capsys, workers
-):
+def kill_the_writer_at(monkeypatch, killed_at):
+    """Makes the writer that writes ``killed_at`` SIGKILL itself first."""
     write_json = runner.write_json
-    killed_at = tmp_path / "out" / ENCOUNTERS_SUBDIR / "enc-stephanie" / "facts.json"
     test_process = os.getpid()
 
     def killing_write_json(path, obj, atomic=True):
@@ -266,6 +262,14 @@ def test_a_killed_writer_stops_the_run_with_an_error_and_no_manifest(
         write_json(path, obj, atomic=atomic)
 
     monkeypatch.setattr(runner, "write_json", killing_write_json)
+
+
+@pytest.mark.parametrize("workers", ["1", "3"])
+def test_a_killed_writer_stops_the_run_with_an_error_and_no_manifest(
+    tmp_path, monkeypatch, capsys, workers
+):
+    killed_at = tmp_path / "out" / ENCOUNTERS_SUBDIR / "enc-stephanie" / "facts.json"
+    kill_the_writer_at(monkeypatch, killed_at)
     code = main(
         [
             "run",
@@ -292,6 +296,22 @@ def test_a_killed_writer_stops_the_run_with_an_error_and_no_manifest(
     assert not (tmp_path / "out" / MANIFEST_NAME).exists()
     enc_dir = killed_at.parent
     assert not any((enc_dir / name).exists() for name in OUTCOME_MARKERS)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_killed_writer_reaches_run_corpus_as_an_os_error_naming_a_batch(
+    tmp_path, monkeypatch, workers
+):
+    encounters_dir = tmp_path / ENCOUNTERS_SUBDIR
+    kill_the_writer_at(monkeypatch, encounters_dir / "enc-stephanie" / "facts.json")
+    with pytest.raises(OSError) as caught:
+        fixture_run(tmp_path, "ok", workers)
+    # A dead writer fails every pending batch, so any of them may be named.
+    assert any(
+        str(caught.value).startswith(f"writing {encounters_dir / encounter.encounter_id}: ")
+        for encounter in load_corpus(CORPUS).encounters
+    ), caught.value
+    assert not (tmp_path / MANIFEST_NAME).exists()
 
 
 def running(pid):

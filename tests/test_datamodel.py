@@ -57,10 +57,11 @@ from factgap.gateway import (
     GenerationRequest,
     LlmGateway,
     ScoreRequest,
-    ScriptedBackend,
 )
 from factgap.pipeline.stages import Stage, StageContext, StageOutput
 from factgap.scoring import MarginPlan, PolarityMode
+
+from scripted_backend import ScriptedBackend
 
 
 def make_dialogue(n_turns=4, encounter_id="enc-1"):

@@ -12,7 +12,6 @@ import pytest
 
 from factgap.gateway import (
     Aggregation,
-    BackendExhausted,
     Cassette,
     CassetteMiss,
     ChatMessage,
@@ -24,13 +23,13 @@ from factgap.gateway import (
     MAX_RETRY_AFTER_S,
     ResponseTruncated,
     ScoreRequest,
-    ScriptedBackend,
     TEMPERATURE,
     TransportError,
     aggregate_logprobs,
 )
 
 from loopback_server import Reply, open_after_concurrent_calls, unused_port_url
+from scripted_backend import BackendExhausted, ScriptedBackend
 
 
 def make_request(content="hello", model="m1"):

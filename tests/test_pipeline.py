@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from factgap import datamodel
 from factgap.config import ModelsConfig, RunConfig, ThresholdsConfig
 from factgap.datamodel import (
     ContentCategory,
@@ -11,7 +12,7 @@ from factgap.datamodel import (
     Likelihood,
     Polarity,
 )
-from factgap.gateway import ChatMessage, GenerationRequest, GatewayMode, LlmGateway, ScriptedBackend
+from factgap.gateway import ChatMessage, GenerationRequest, GatewayMode, LlmGateway
 from factgap.pipeline import parsers, templates
 from factgap.pipeline.parsers import ParseError
 from factgap.pipeline.stages import (
@@ -25,6 +26,7 @@ from factgap.pipeline.stages import (
 from factgap.datamodel import Dialogue, Speaker, Turn
 
 from response_builders import METRIC_MODEL, SUMMARY_MODEL
+from scripted_backend import ScriptedBackend
 
 
 def exactly(message):
@@ -169,6 +171,15 @@ def test_parse_ddx_errors():
         parsers.parse_ddx(
             "1. Anemia | probable | x\n2. anemia | possible | y", "e1", DdxSource.FROM_CHAT
         )
+
+
+def test_parse_ddx_reports_any_other_refusal_of_a_diagnosis(monkeypatch):
+    def refuse(diagnosis):
+        raise ValueError(f"diagnosis {diagnosis.name!r} is refused")
+
+    monkeypatch.setattr(datamodel.Diagnosis, "check", refuse)
+    with pytest.raises(ParseError, match=exactly("diagnosis 'Anemia' is refused")):
+        parsers.parse_ddx("1. Anemia | probable | x", "e1", DdxSource.FROM_CHAT)
 
 
 def test_parse_omissions():

@@ -7,7 +7,7 @@ import pytest
 from factgap.config import ModelsConfig, RunConfig, ThresholdsConfig
 from factgap.datamodel import Polarity
 from factgap.dataset import Corpus, Encounter, RunManifest, parse_tagged_dialogue
-from factgap.gateway import GatewayMode, LlmGateway, ScriptedBackend
+from factgap.gateway import GatewayMode, LlmGateway
 from factgap.jsonutil import read_json
 from factgap.pipeline import runner
 from factgap.pipeline.runner import ENCOUNTERS_SUBDIR, MANIFEST_NAME, run_corpus, run_encounter
@@ -31,6 +31,7 @@ from response_builders import (
     truncate_response,
 )
 from scoring_fixtures import EDWARD_CLUSTERS, EDWARD_FACTS, EDWARD_OMISSIONS
+from scripted_backend import ScriptedBackend
 
 
 EDWARD_DDX_NAMES = [name for name, _, _ in EDWARD_DDX_CHAT]
