@@ -14,14 +14,19 @@ Nothing is written while an encounter runs. Its artifacts are collected
 in commit order and written as one batch when it ends: every file in
 place, then the outcome marker last and atomically, so the marker is the
 encounter's commit point and a directory without one is incomplete. A
-corpus run writes the batches on two writer processes, forked before the
-run starts any thread, which create one encounter's files while the next
-one runs its stages. Processes rather than threads, because writer
-threads would share the GIL with the stages: the pretty encoding holds
-it, and every file operation has to take it back. The run waits on its
-batches oldest first: a failed write stops it at the first hand-over
-after that batch finishes, or at the end, and a dead writer's error is
-an ``OSError`` that names a batch's directory.
+corpus run writes the batches on two writer processes, which create one
+encounter's files while the next one runs its stages. Processes rather
+than threads, because writer threads would share the GIL with the
+stages: the pretty encoding holds it, and every file operation has to
+take it back. The run forks them itself before it starts any thread and
+hands them batches round robin, each pickled down its writer's own pipe;
+a writer answers each batch on a second pipe, with ``None`` or the
+write error, and exits when its batch pipe ends, which is also what it
+sees when the run's process dies. The run waits on its batches oldest
+first: a failed write stops it at the first hand-over after that batch
+finishes, or at the end, and no encounter starts after that. A writer
+that died shows up as a ``ChildProcessError`` that names a batch's
+directory.
 """
 
 from __future__ import annotations
@@ -33,9 +38,9 @@ import signal
 import threading
 from collections import deque
 from concurrent import futures
-from concurrent.futures import BrokenExecutor, Executor, Future, ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, NamedTuple, NoReturn, Optional, Sequence
 
 from ..config import RunConfig
 from ..datamodel import Dialogue, bundle_warnings, validate_encounter_bundle
@@ -91,72 +96,176 @@ def _write_batch(root: Path, batch: Sequence[tuple[str, Any]]) -> None:
             write_json(root / name, payload, atomic=name in OUTCOME_MARKERS)
 
 
-def _start_writer() -> None:
-    """Runs first in each writer process. The writer ignores SIGINT, so an
-    interrupted run still waits for the batches it handed over, and it
-    exits once the run's process is gone: a killed run would otherwise
-    leave its writers blocked on their queue for good."""
-    import multiprocessing
+def _send(fd: int, message: Any) -> None:
+    """Writes ``message`` to pipe ``fd``, pickled, after its length."""
+    import pickle
 
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    run_process = multiprocessing.parent_process()
-
-    def exit_with_run() -> None:
-        # A writer forked later holds the pipe this one watches, so the
-        # last writer sees the end first and the others follow it.
-        run_process.join()
-        os._exit(1)
-
-    threading.Thread(target=exit_with_run, daemon=True).start()
+    data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view) :]
 
 
-def _writing(root: Path, call: Callable[..., Any], *args: Any) -> Any:
-    """``call(*args)``, where a dead writer's error becomes an ``OSError``
-    that names the directory of the batch it stopped."""
+def _read(fd: int, size: int) -> bytes:
+    """``size`` bytes from pipe ``fd``; ``EOFError`` if it ends first."""
+    chunks = []
+    while size:
+        chunk = os.read(fd, size)
+        if not chunk:
+            raise EOFError
+        chunks.append(chunk)
+        size -= len(chunk)
+    return b"".join(chunks)
+
+
+def _receive(fd: int) -> Any:
+    """The next message that ``_send`` wrote to pipe ``fd``."""
+    import pickle
+
+    return pickle.loads(_read(fd, int.from_bytes(_read(fd, 8), "little")))
+
+
+def _serve(batches: int, acks: int, inherited: Sequence[int]) -> NoReturn:
+    """A writer process's whole life. It closes the ``inherited`` pipe
+    ends, which belong to the run and to the writers forked before it,
+    then writes each ``(root, batch)`` that its ``batches`` pipe brings
+    and answers on ``acks`` with ``None`` or the write error. It ignores
+    SIGINT, so an interrupted run still has the batches it handed over
+    written, and it exits when ``batches`` ends: when the run closes it,
+    or when the run's process dies."""
+    import pickle
+
+    code = 1
     try:
-        return call(*args)
-    except BrokenExecutor as exc:
-        raise ChildProcessError(f"writing {root}: {exc}") from exc
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        for fd in inherited:
+            os.close(fd)
+        while True:
+            try:
+                root, batch = _receive(batches)
+            except EOFError:
+                break
+            error = None
+            try:
+                _write_batch(root, batch)
+            except Exception as exc:
+                error = exc
+                try:
+                    pickle.loads(pickle.dumps(exc))
+                except Exception:
+                    # It would not survive the pipe; its words do.
+                    error = OSError(f"writing {root}: {type(exc).__name__}: {exc}")
+            _send(acks, error)
+        code = 0
+    except BrokenPipeError:
+        pass  # The run's process is gone, and nobody reads the answer.
+    except BaseException:
+        # Printed, not raised: a writer must never return into the run's
+        # code that it was forked from.
+        import traceback
+
+        traceback.print_exc()
+    finally:
+        os._exit(code)
+
+
+class _Writer(NamedTuple):
+    """A writer process and the run's ends of its two pipes."""
+
+    pid: int
+    batches: int
+    acks: int
 
 
 class _BatchWriter:
     """Writes a corpus run's batches on ``WRITER_PROCESSES`` forked
-    processes, each batch pickled once on its way there, and waits on them
-    oldest first. Leaving the ``with`` block waits for every batch; a
-    write error is raised as itself once the run waits on its batch."""
+    processes, handed out round robin, each batch pickled once into its
+    writer's pipe, and waits on them oldest first. Leaving the ``with``
+    block waits for every batch; a write error is raised as itself once
+    the run waits on its batch, and kept as ``error``."""
 
     def __init__(self) -> None:
-        # Imported here, so that commands which write no run never load it.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        self._pool = ProcessPoolExecutor(
-            WRITER_PROCESSES,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_start_writer,
-        )
-        # The first submit forks every writer, before the run starts a
-        # thread: a fork copies only the calling thread, and any lock
-        # another thread holds stays held in the child.
-        self._pool.submit(int)
+        self._writers: list[_Writer] = []
+        try:
+            for _ in range(WRITER_PROCESSES):
+                self._fork()
+        except BaseException:
+            self._stop()
+            raise
+        self._turn = 0
         self._lock = threading.Lock()
-        # Each batch not yet waited on, and its directory, oldest first.
-        self._pending: deque[tuple[Future, Path]] = deque()
+        # Each batch not yet waited on, with its writer, oldest first.
+        self._pending: deque[tuple[_Writer, Path]] = deque()
+        self.error: Optional[Exception] = None
+
+    def _fork(self) -> None:
+        # Called before the run starts a thread: a fork copies only the
+        # calling thread, and any lock another thread holds stays held in
+        # the child.
+        read_batches, write_batches = os.pipe()
+        read_acks, write_acks = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            for fd in (read_batches, write_batches, read_acks, write_acks):
+                os.close(fd)
+            raise
+        if pid == 0:
+            inherited = [write_batches, read_acks]
+            for writer in self._writers:
+                inherited += [writer.batches, writer.acks]
+            _serve(read_batches, write_acks, inherited)
+        os.close(read_batches)
+        os.close(write_acks)
+        self._writers.append(_Writer(pid, write_batches, read_acks))
 
     def submit(self, root: Path, batch: Sequence[tuple[str, Any]]) -> None:
         """Hands one batch over, once the finished batches at the head are
         collected and fewer than ``MAX_PENDING_BATCHES`` are pending."""
         with self._lock:
             while self._pending and (
-                len(self._pending) == MAX_PENDING_BATCHES or self._pending[0][0].done()
+                len(self._pending) == MAX_PENDING_BATCHES or self._oldest_done()
             ):
                 self._wait_oldest()
-            future = _writing(root, self._pool.submit, _write_batch, root, batch)
-            self._pending.append((future, root))
+            writer = self._writers[self._turn]
+            self._turn = (self._turn + 1) % len(self._writers)
+            try:
+                _send(writer.batches, (root, batch))
+            except BrokenPipeError as exc:
+                raise self._failed(ChildProcessError(f"writing {root}: {exc}")) from exc
+            self._pending.append((writer, root))
+
+    def _oldest_done(self) -> bool:
+        # poll, not select, which refuses descriptors past 1023.
+        import select
+
+        poll = select.poll()
+        poll.register(self._pending[0][0].acks, select.POLLIN)
+        return bool(poll.poll(0))
 
     def _wait_oldest(self) -> None:
-        future, root = self._pending.popleft()
-        _writing(root, future.result)
+        # A writer answers its batches in the order it was handed them.
+        writer, root = self._pending.popleft()
+        try:
+            error = _receive(writer.acks)
+        except EOFError:
+            error = ChildProcessError(f"writing {root}: writer process {writer.pid} died")
+        if error is not None:
+            raise self._failed(error)
+
+    def _failed(self, error: Exception) -> Exception:
+        if self.error is None:
+            self.error = error
+        return error
+
+    def _stop(self) -> None:
+        """Ends the writers' batch pipes and waits for each writer to exit,
+        which it does once it has written every batch it was handed."""
+        for writer in self._writers:
+            os.close(writer.batches)
+        for writer in self._writers:
+            os.waitpid(writer.pid, 0)
+            os.close(writer.acks)
 
     def __enter__(self) -> "_BatchWriter":
         return self
@@ -166,7 +275,7 @@ class _BatchWriter:
             while exc_type is None and self._pending:
                 self._wait_oldest()
         finally:
-            self._pool.shutdown(wait=True)
+            self._stop()
 
 
 class _ArtifactDir:
@@ -453,14 +562,15 @@ def run_corpus(
             with ThreadPoolExecutor(max_workers=workers * len(STAGES)) as stage_pool, (
                 ThreadPoolExecutor(max_workers=workers)
             ) as encounter_pool:
-                results = list(
-                    encounter_pool.map(
-                        lambda encounter: run_encounter(
-                            config, gateway, encounter, out_dir, stage_pool, writer
-                        ),
-                        selected.encounters,
-                    )
-                )
+
+                def run_next(encounter: Encounter) -> EncounterResult:
+                    # After a failed write the run ends without a manifest,
+                    # so it starts no more encounters and their model calls.
+                    if writer.error is not None:
+                        raise writer.error
+                    return run_encounter(config, gateway, encounter, out_dir, stage_pool, writer)
+
+                results = list(encounter_pool.map(run_next, selected.encounters))
 
     outcomes = {**kept, **{result.encounter_id: result for result in results}}
     manifest = RunManifest(

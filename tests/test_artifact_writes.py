@@ -1,8 +1,9 @@
 """How a run writes its artifacts: one ordered batch per encounter with
-the outcome marker last, mode 0600 files, a bounded writer queue, write
-errors and dead writers that stop the run before its manifest, writer
-processes forked before the run starts a thread, and writers that
-outlive neither an interrupt nor a killed run.
+the outcome marker last, mode 0600 files, a bounded writer queue, batches
+many pipe buffers long, write errors (even one pickle cannot send) and
+dead writers that stop the run before its manifest and before another
+encounter starts, writer processes forked before the run starts a
+thread, and writers that outlive neither an interrupt nor a killed run.
 
 The writers are forked processes, so what they do is observed through
 what crosses a fork: a log file, a ``multiprocessing`` event, and the
@@ -214,19 +215,24 @@ def test_no_more_than_four_batches_wait_for_the_writers(tmp_path, monkeypatch, w
         assert (encounters_dir / encounter.encounter_id / "report.json").is_file()
 
 
+def failing_write_json(monkeypatch, failing, error=OSError):
+    """Makes the write of ``failing`` raise ``error`` as a full disk would."""
+    write_json = runner.write_json
+
+    def full_disk_write_json(path, obj, atomic=True):
+        if path == failing:
+            raise error(errno.ENOSPC, "No space left on device", str(path))
+        write_json(path, obj, atomic=atomic)
+
+    monkeypatch.setattr(runner, "write_json", full_disk_write_json)
+
+
 @pytest.mark.parametrize("workers", ["1", "3"])
 def test_a_failed_artifact_write_stops_the_run_before_its_manifest(
     tmp_path, monkeypatch, capsys, workers
 ):
-    write_json = runner.write_json
     failing = tmp_path / "out" / ENCOUNTERS_SUBDIR / "enc-stephanie" / "facts.json"
-
-    def full_disk_write_json(path, obj, atomic=True):
-        if path == failing:
-            raise OSError(errno.ENOSPC, "No space left on device", str(path))
-        write_json(path, obj, atomic=atomic)
-
-    monkeypatch.setattr(runner, "write_json", full_disk_write_json)
+    failing_write_json(monkeypatch, failing)
     code = main(
         [
             "run",
@@ -249,6 +255,80 @@ def test_a_failed_artifact_write_stops_the_run_before_its_manifest(
     enc_dir = failing.parent
     assert not any((enc_dir / name).exists() for name in OUTCOME_MARKERS)
     assert not failing.exists()
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_no_encounter_starts_once_a_failed_write_has_reached_the_run(
+    tmp_path, monkeypatch, workers
+):
+    corpus = rekeyed_fixture_corpus(10)
+    failing = tmp_path / ENCOUNTERS_SUBDIR / corpus.encounters[1].encounter_id / "facts.json"
+    failing_write_json(monkeypatch, failing)
+    started, reached = [], []
+
+    run_encounter = runner.run_encounter
+
+    def counting_run_encounter(config, gateway, encounter, *args, **kwargs):
+        started.append(None)
+        if encounter is corpus.encounters[0]:
+            # The run collects its results in corpus order, so it waits
+            # here while the other encounter threads go on.
+            time.sleep(0.5)
+        return run_encounter(config, gateway, encounter, *args, **kwargs)
+
+    wait_oldest = runner._BatchWriter._wait_oldest
+
+    def watching_wait_oldest(writer):
+        try:
+            wait_oldest(writer)
+        except OSError:
+            reached.append(len(started))
+            raise
+
+    monkeypatch.setattr(runner, "run_encounter", counting_run_encounter)
+    monkeypatch.setattr(runner._BatchWriter, "_wait_oldest", watching_wait_oldest)
+    config = load_config(REPLAY_CONFIG)
+    with pytest.raises(OSError) as caught:
+        run_corpus(config, build_gateway(config), corpus, "corpus.json", tmp_path, workers=workers)
+    assert str(failing) in str(caught.value)
+    assert len(reached) == 1
+    # Only an encounter thread already past its check may still start one.
+    assert len(started) - reached[0] <= workers - 1, (started, reached)
+    assert not (tmp_path / MANIFEST_NAME).exists()
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_batch_many_pipe_buffers_long_is_written_byte_for_byte(tmp_path, workers):
+    corpus = load_corpus(CORPUS)
+    # 2 MiB and more of reference note, where a pipe buffers 64 KiB.
+    note = "".join(f"line {i}: a note\u00e9 long enough\n" for i in range(80_000))
+    assert len(note.encode("utf-8")) > 2 << 20
+    first = replace(corpus.encounters[0], reference_note=note)
+    corpus = Corpus(name=corpus.name, encounters=(first, *corpus.encounters[1:]))
+    config = load_config(REPLAY_CONFIG)
+    _, results = run_corpus(
+        config, build_gateway(config), corpus, "corpus.json", tmp_path, workers=workers
+    )
+    assert [r.status for r in results] == ["ok"] * len(corpus)
+    written = tmp_path / ENCOUNTERS_SUBDIR / first.dialogue.encounter_id / "reference.txt"
+    assert written.read_bytes() == note.encode("utf-8")
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_write_error_that_cannot_be_pickled_still_stops_the_run(
+    tmp_path, monkeypatch, workers
+):
+    class LocalError(OSError):
+        """Pickle finds no class by this name, so it cannot send one."""
+
+    failing = tmp_path / ENCOUNTERS_SUBDIR / "enc-stephanie" / "facts.json"
+    failing_write_json(monkeypatch, failing, LocalError)
+    with pytest.raises(OSError) as caught:
+        fixture_run(tmp_path, "ok", workers)
+    message = str(caught.value)
+    assert message.startswith(f"writing {failing.parent}: LocalError: "), message
+    assert "No space left on device" in message
+    assert not (tmp_path / MANIFEST_NAME).exists()
 
 
 def kill_the_writer_at(monkeypatch, killed_at):

@@ -119,15 +119,33 @@ def test_run_replay_writes_nothing_to_stderr(tmp_path):
 
 
 def test_importing_the_cli_loads_no_module_only_some_commands_need():
-    # multiprocessing: the artifact writers, only for run; yaml: only
-    # .yaml configs; http.client: only a backend; statistics: only report.
+    # pickle: the artifact writers' pipes, only for run; multiprocessing:
+    # no command; yaml: only .yaml configs; http.client: only a backend;
+    # statistics: only report.
     result = run_cli(
         "-c",
-        "import sys, factgap.cli; print(sorted("
-        "{'multiprocessing', 'yaml', 'http.client', 'statistics'} & set(sys.modules)))",
+        "import sys, factgap.cli; print(sorted({'multiprocessing', 'pickle', 'yaml', "
+        "'http.client', 'statistics'} & set(sys.modules)))",
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("workers", ["1", "3"])
+def test_a_run_loads_no_process_pool(tmp_path, workers):
+    # The writers are forked by hand and fed over plain pipes.
+    result = run_cli(
+        "-c",
+        "import sys\n"
+        "from factgap.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, sorted("
+        "{'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))",
+        *("run", "--config", str(REPLAY_CONFIG), "--corpus", str(CORPUS)),
+        *("--out", str(tmp_path / "out"), "--workers", workers),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 []"
 
 
 def live_config(tmp_path: Path, loopback, cassette: Path, sent: list) -> Path:
