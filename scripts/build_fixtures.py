@@ -4,8 +4,8 @@ Builds the fixture corpora, records every cassette by driving the real
 pipeline against scripted replies, then replays each cassette and checks
 the outcome before declaring the fixtures good. Last it replays the
 fixture corpus through the command line and keeps the output of
-``report``, ``report --json``, ``compare --external`` and
-``compare --use-stemmer`` as golden outputs.
+``report``, ``report --json``, ``compare --json``, ``compare --external``
+and ``compare --use-stemmer`` as golden outputs.
 Run from the repository root:
 
     python3 scripts/build_fixtures.py
@@ -175,7 +175,7 @@ def factgap_stdout(*argv: str) -> str:
 
 
 def write_golden_outputs(fixtures: Path) -> None:
-    """The fixture replay's ``report``, ``report --json``,
+    """The fixture replay's ``report``, ``report --json``, ``compare --json``,
     ``compare --external`` and ``compare --use-stemmer`` output."""
     golden = fixtures / "golden"
     golden.mkdir(exist_ok=True)
@@ -193,6 +193,7 @@ def write_golden_outputs(fixtures: Path) -> None:
         outputs = {
             "report.txt": factgap_stdout("report", "--run", run),
             "report.json": factgap_stdout("report", "--run", run, "--json"),
+            "compare.json": factgap_stdout("compare", "--run", run, "--json"),
             "compare_external.txt": factgap_stdout(
                 "compare", "--run", run, "--external", str(fixtures / "external_metric.csv")
             ),

@@ -7,6 +7,11 @@ backend, whose reply the cassette records, or with no backend raises
 between worker threads. Concurrent requests with the same fingerprint
 share one backend call.
 
+A reply whose text cannot be written as UTF-8 (JSON's ``\\ud83d`` escape
+gives a lone surrogate) is a ``GatewayError`` in every mode, whether it
+comes from the backend, which a cassette then never records, or from a
+cassette, so it fails its encounter rather than its artifact writes.
+
 Transport failures retry with exponential backoff, waiting at least as
 long as a server's numeric ``Retry-After`` asks; a call whose server asks
 for more than ``MAX_RETRY_AFTER_S`` fails at once instead. Contract
@@ -107,6 +112,18 @@ class ChatMessage(Record):
 
 def _fingerprint(payload: Mapping[str, Any]) -> str:
     return hashlib.sha256(canonical_dumps(payload).encode("utf-8")).hexdigest()
+
+
+def _reply_text(text: Any, fingerprint: str) -> str:
+    """``text``, if it is a str that UTF-8 can encode; else GatewayError."""
+    if not isinstance(text, str):
+        raise GatewayError(f"reply to {fingerprint[:12]} is {type(text).__name__}, not text")
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise GatewayError(f"reply to {fingerprint[:12]} is not valid UTF-8: {exc}") from exc
+    return text
 
 
 class GenerationRequest(Record):
@@ -539,9 +556,10 @@ class LlmGateway:
             request,
             "generate",
             lambda: self.backend.complete(request),
-            lambda text: {"text": text},
+            # Checked before the cassette records it, and again for a hit.
+            lambda text: {"text": _reply_text(text, request.fingerprint)},
         )
-        return response["text"]
+        return _reply_text(response["text"], request.fingerprint)
 
     def score_continuation(
         self,

@@ -27,6 +27,14 @@ first: a failed write stops it at the first hand-over after that batch
 finishes, or at the end, and no encounter starts after that. A writer
 that died shows up as a ``ChildProcessError`` that names a batch's
 directory.
+
+Each writer puts itself under ``SCHED_BATCH`` as it starts, which tells
+the kernel it is a batch job that need not run the moment it wakes. A
+writer woken by a batch then no longer preempts the run's process in the
+middle of its pipe write: that preemption made handing over one batch
+take anywhere from 0.04 to 1.8 ms. Any process may choose this policy
+for itself; where the platform lacks it or refuses it, the writer runs
+under the default policy and writes the same bytes.
 """
 
 from __future__ import annotations
@@ -58,7 +66,7 @@ from ..dataset import (
     utc_now_iso,
 )
 from ..gateway import GatewayError, LlmGateway
-from ..jsonutil import write_json, write_text
+from ..jsonutil import write_all, write_json, write_text
 from ..scoring import build_report, completion_margin
 from .stages import (
     MARGIN_SCORES,
@@ -101,9 +109,7 @@ def _send(fd: int, message: Any) -> None:
     import pickle
 
     data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
-    view = memoryview(len(data).to_bytes(8, "little") + data)
-    while view:
-        view = view[os.write(fd, view) :]
+    write_all(fd, len(data).to_bytes(8, "little") + data)
 
 
 def _read(fd: int, size: int) -> bytes:
@@ -129,15 +135,21 @@ def _serve(batches: int, acks: int, inherited: Sequence[int]) -> NoReturn:
     """A writer process's whole life. It closes the ``inherited`` pipe
     ends, which belong to the run and to the writers forked before it,
     then writes each ``(root, batch)`` that its ``batches`` pipe brings
-    and answers on ``acks`` with ``None`` or the write error. It ignores
-    SIGINT, so an interrupted run still has the batches it handed over
-    written, and it exits when ``batches`` ends: when the run closes it,
-    or when the run's process dies."""
+    and answers on ``acks`` with ``None`` or the write error. It runs
+    under ``SCHED_BATCH`` where it may, so handing it a batch does not
+    preempt the run. It ignores SIGINT, so an interrupted run still has
+    the batches it handed over written, and it exits when ``batches``
+    ends: when the run closes it, or when the run's process dies."""
     import pickle
 
     code = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
+        if hasattr(os, "sched_setscheduler"):
+            try:
+                os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+            except OSError:
+                pass  # Best effort: the default policy writes the same bytes.
         for fd in inherited:
             os.close(fd)
         while True:

@@ -3,7 +3,9 @@ the outcome marker last, mode 0600 files, a bounded writer queue, batches
 many pipe buffers long, write errors (even one pickle cannot send) and
 dead writers that stop the run before its manifest and before another
 encounter starts, writer processes forked before the run starts a
-thread, and writers that outlive neither an interrupt nor a killed run.
+thread and run under ``SCHED_BATCH`` where they may, writers that
+outlive neither an interrupt nor a killed run, and files that a failed
+encode or write leaves unmade.
 
 The writers are forked processes, so what they do is observed through
 what crosses a fork: a log file, a ``multiprocessing`` event, and the
@@ -27,11 +29,12 @@ import pytest
 from factgap.cli import main
 from factgap.config import build_gateway, load_config
 from factgap.dataset import OUTCOME_MARKERS, Corpus, load_corpus
-from factgap.jsonutil import write_json
+from factgap.jsonutil import write_json, write_text
 from factgap.pipeline import runner
 from factgap.pipeline.runner import ENCOUNTERS_SUBDIR, MANIFEST_NAME, run_corpus
 
 from test_acceptance import _replay_run_config
+from test_stage_graph import FIXTURE_TREE_SHA256, tree_digest
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPLAY_CONFIG = FIXTURES / "replay_config.json"
@@ -508,3 +511,71 @@ def test_the_writers_fork_before_the_run_starts_a_thread(tmp_path, monkeypatch):
     assert code == 0
     assert threads_at_fork == [threads] * runner.WRITER_PROCESSES
     assert [str(w.message) for w in caught if "use of fork()" in str(w.message)] == []
+
+
+def writer_policies(tmp_path):
+    """The scheduling policy of each writer of a ``_BatchWriter``, read
+    once every writer has answered a batch, so once each has started."""
+    with runner._BatchWriter() as writer:
+        for k in range(runner.WRITER_PROCESSES):
+            writer.submit(tmp_path / f"batch-{k}", [])
+        while writer._pending:
+            writer._wait_oldest()
+        return [os.sched_getscheduler(w.pid) for w in writer._writers]
+
+
+linux_only = pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="scheduling policies are Linux's"
+)
+
+
+@linux_only
+def test_every_writer_runs_under_sched_batch(tmp_path):
+    assert writer_policies(tmp_path) == [os.SCHED_BATCH] * runner.WRITER_PROCESSES
+
+
+@linux_only
+@pytest.mark.parametrize("workers", [1, 3])
+def test_writers_refused_sched_batch_still_write_the_pinned_tree(tmp_path, monkeypatch, workers):
+    def refuse(*args):
+        raise PermissionError(errno.EPERM, "Operation not permitted")
+
+    monkeypatch.setattr(os, "sched_setscheduler", refuse)
+    assert writer_policies(tmp_path / "probe") == [os.SCHED_OTHER] * runner.WRITER_PROCESSES
+    _, results = fixture_run(tmp_path / "out", "ok", workers)
+    assert [r.status for r in results] == ["ok"] * len(results)
+    assert tree_digest(tmp_path / "out" / ENCOUNTERS_SUBDIR) == FIXTURE_TREE_SHA256
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        pytest.param(write_text, id="write_text"),
+        pytest.param(lambda path, text: write_json(path, {"text": text}), id="atomic-json"),
+        pytest.param(lambda path, text: write_json(path, [text], atomic=False), id="json"),
+    ],
+)
+def test_text_that_utf8_cannot_encode_creates_no_file(tmp_path, write):
+    with pytest.raises(UnicodeEncodeError):
+        write(tmp_path / "reply.txt", "half an emoji \ud83d")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("step", ["write", "rename"])
+def test_a_failed_atomic_write_json_leaves_no_temp_file(tmp_path, monkeypatch, step):
+    target = tmp_path / "report.json"
+    if step == "write":
+
+        def full_disk(fd, data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "write", full_disk)
+    else:
+        # A rename onto a directory that is not empty fails.
+        target.mkdir()
+        (target / "kept").touch()
+    with pytest.raises(OSError):
+        write_json(target, {"a": 1})
+    monkeypatch.undo()
+    left = ["report.json"] if step == "rename" else []
+    assert [path.name for path in tmp_path.iterdir()] == left

@@ -148,11 +148,14 @@ def test_a_run_loads_no_process_pool(tmp_path, workers):
     assert result.stdout.splitlines()[-1] == "0 []"
 
 
-def live_config(tmp_path: Path, loopback, cassette: Path, sent: list) -> Path:
-    """A record-mode config whose backend is ``loopback``, which answers
-    every chat completion from ``cassette`` and lists its fingerprint in
-    ``sent``. No margin model, so every call is a chat completion."""
-    recorded = Cassette(cassette)
+def live_config(
+    tmp_path: Path, loopback, cassette: Path, sent: list, edit=lambda fingerprint, text: text
+) -> Path:
+    """A config that records to ``cassette``, whose backend is ``loopback``,
+    which answers every chat completion from the fixture cassette, passed
+    through ``edit``, and lists its fingerprint in ``sent``. No margin
+    model, so every call is a chat completion."""
+    recorded = Cassette(FIXTURES / "cassettes" / "corpus.jsonl")
 
     def answer(received):
         request = GenerationRequest(
@@ -161,7 +164,7 @@ def live_config(tmp_path: Path, loopback, cassette: Path, sent: list) -> Path:
             max_tokens=received.body["max_tokens"],
         )
         sent.append(request.fingerprint)
-        text = recorded.get(request.fingerprint)["text"]
+        text = edit(request.fingerprint, recorded.get(request.fingerprint)["text"])
         return Reply(payload={"choices": [{"message": {"content": text}}]})
 
     loopback.answer = answer
@@ -220,6 +223,74 @@ def test_live_run_closes_its_backend_connections(tmp_path, loopback):
     )
     assert result.returncode == 0, result.stderr
     assert "ResourceWarning" not in result.stderr, result.stderr
+
+
+# Half an emoji: JSON's "\ud83d" escape loads as it, and UTF-8 cannot encode it.
+LONE_SURROGATE = "\ud83d"
+
+
+def martha_summary_fingerprint(finished_run: Path) -> str:
+    stages = read_json(finished_run / "encounters" / "enc-martha" / "stages.json")["stages"]
+    return next(entry["fingerprint"] for entry in stages if entry["stage"] == "summarize")
+
+
+def assert_only_martha_failed_at_summarize(out: Path, code: int, captured) -> None:
+    assert code == 2, captured.err
+    assert "done: 2 ok, 0 skipped, 1 failed" in captured.out
+    assert "error:" not in captured.err
+    failure = read_json(out / "encounters" / "enc-martha" / "failure.json")
+    assert failure["stage"] == "summarize"
+    assert "is not valid UTF-8" in failure["message"]
+    for encounter_id in ("enc-stephanie", "enc-edward"):
+        assert (out / "encounters" / encounter_id / "report.json").is_file()
+    assert read_json(out / "manifest.json")["counts"] == {"failed": 1, "ok": 2, "skipped": 0}
+
+
+def test_a_cassette_reply_utf8_cannot_encode_fails_only_its_encounter(
+    finished_run, tmp_path, capsys
+):
+    bad = martha_summary_fingerprint(finished_run)
+    lines = []
+    for line in (FIXTURES / "cassettes" / "corpus.jsonl").read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        if record["fingerprint"] == bad:
+            record["response"]["text"] += LONE_SURROGATE
+        lines.append(json.dumps(record) + "\n")
+    cassette = tmp_path / "surrogate.jsonl"
+    cassette.write_text("".join(lines), encoding="ascii")
+    assert "\\ud83d" in cassette.read_text(encoding="ascii")
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(write_config(tmp_path, cassette)), "--corpus", str(CORPUS)]
+    code = main([*argv, "--out", str(out)])
+    assert_only_martha_failed_at_summarize(out, code, capsys.readouterr())
+
+
+@pytest.mark.parametrize("mode", ["live", "record"])
+def test_a_backend_reply_utf8_cannot_encode_fails_only_its_encounter(
+    finished_run, tmp_path, loopback, capsys, mode
+):
+    bad = martha_summary_fingerprint(finished_run)
+    sent = []
+    cassette = tmp_path / "recorded.jsonl"
+    config = live_config(
+        tmp_path,
+        loopback,
+        cassette,
+        sent,
+        lambda fingerprint, text: text + LONE_SURROGATE if fingerprint == bad else text,
+    )
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(config), "--corpus", str(CORPUS), "--out", str(out)]
+    code = main([*argv, "--mode", mode])
+    assert bad in sent
+    assert_only_martha_failed_at_summarize(out, code, capsys.readouterr())
+    if mode == "live":
+        assert not cassette.exists()
+    else:
+        # Every other reply is recorded, and the cassette still loads.
+        recorded = Cassette(cassette)
+        assert recorded.get(bad) is None
+        assert len(recorded) == len(set(sent)) - 1
 
 
 def test_run_refuses_to_overwrite(finished_run, capsys):
@@ -315,6 +386,7 @@ def test_compare_json(finished_run, capsys):
         (["compare", "--external", str(EXTERNAL_CSV)], "compare_external.txt"),
         (["compare", "--use-stemmer"], "compare_stemmed.txt"),
         (["report", "--json"], "report.json"),
+        (["compare", "--json"], "compare.json"),
     ],
 )
 def test_fixture_replay_output_matches_its_golden_byte_for_byte(

@@ -191,6 +191,51 @@ def test_replay_mode_hits_and_misses(tmp_path):
         gateway.generate(make_request(content="unseen"))
 
 
+# Half an emoji: JSON's "\ud83d" escape loads as it, and UTF-8 cannot encode it.
+LONE_SURROGATE = "\ud83d"
+
+
+@pytest.mark.parametrize(
+    "text, refused",
+    [
+        pytest.param("hi" + LONE_SURROGATE, r"'\\ud83d' in position 2", id="high-half"),
+        pytest.param("\udc00 low half first", r"'\\udc00' in position 0", id="low-half"),
+        pytest.param("an emoji \U0001f600, \u00e9 and \uffff", None, id="whole-code-points"),
+    ],
+)
+def test_a_cassette_reply_that_utf8_cannot_encode_is_a_gateway_error(tmp_path, text, refused):
+    path = tmp_path / "c.jsonl"
+    req = make_request()
+    record = {"fingerprint": req.fingerprint, "response": {"text": text}}
+    path.write_text(json.dumps(record) + "\n", encoding="ascii")
+    gateway = LlmGateway(cassette_path=path)
+    if refused is None:
+        assert gateway.generate(req) == text
+        return
+    refusal = "is not valid UTF-8: 'utf-8' codec can't encode character " + refused
+    with pytest.raises(GatewayError, match=refusal):
+        gateway.generate(req)
+
+
+def test_a_backend_reply_that_utf8_cannot_encode_is_never_recorded(tmp_path):
+    path = tmp_path / "c.jsonl"
+    backend = ScriptedBackend(generate_responses=["hi" + LONE_SURROGATE, "fine"])
+    gateway = LlmGateway(backend=backend, cassette_path=path)
+    with pytest.raises(GatewayError, match="is not valid UTF-8"):
+        gateway.generate(make_request())
+    assert not path.exists()
+    assert gateway.generate(make_request(content="next")) == "fine"
+    assert len(Cassette(path)) == 1
+
+
+def test_a_backend_reply_that_is_not_a_string_is_a_gateway_error(tmp_path):
+    backend = ScriptedBackend(generate_responses=[{"text": None}])
+    gateway = LlmGateway(backend=backend, cassette_path=tmp_path / "c.jsonl")
+    with pytest.raises(GatewayError, match="is NoneType, not text"):
+        gateway.generate(make_request())
+    assert not (tmp_path / "c.jsonl").exists()
+
+
 def test_record_mode_appends_then_short_circuits(tmp_path):
     path = tmp_path / "c.jsonl"
     backend = ScriptedBackend(generate_responses=["only"])
