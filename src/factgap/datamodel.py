@@ -379,6 +379,8 @@ def _decode_float(value: Any) -> Any:
 def _decode_str(value: Any) -> str:
     if not isinstance(value, str):
         raise TypeError(f"expected a string, got {type(value).__name__}")
+    if not value.isascii():
+        value.encode("utf-8")  # UnicodeEncodeError on a lone surrogate
     return value
 
 
@@ -428,6 +430,9 @@ def _decode_key(cls: type, data: Mapping[str, Any], name: str, decode: _Coder) -
         raise ValueError(f"{cls.__name__}: missing required key {name!r}")
     try:
         return data[name] if decode is None else decode(data[name])
+    except UnicodeEncodeError as exc:
+        # Such as JSON's escape of a lone surrogate: no artifact could hold it.
+        raise ValueError(f"{cls.__name__}: {name} is not valid UTF-8: {exc}") from exc
     except (TypeError, ValueError) as exc:
         # A value of the wrong JSON type, or a nested record's error,
         # which then names each type on the way down.

@@ -16,7 +16,7 @@ manifest lists one :class:`ManifestEntry` per encounter.
 from __future__ import annotations
 
 import csv
-import datetime as _dt
+import time
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
@@ -190,7 +190,7 @@ def save_corpus(corpus: Corpus, path: Path | str, force: bool = False) -> None:
 
 
 def utc_now_iso() -> str:
-    return _dt.datetime.now(tz=_dt.timezone.utc).isoformat(timespec="seconds")
+    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
 
 # Each status, and the file that ends an encounter directory with it, in

@@ -1,8 +1,8 @@
 """Encounter orchestration and artifact persistence.
 
-Each encounter runs the stage table of ``stages.STAGES``. With one
-worker the rows run inline, one after another in table order. With
-more, each encounter submits every row whose needs are met to a stage
+Each encounter runs the stage table of ``stages.STAGES`` in one loop.
+With one worker it runs each row inline, one after another in table
+order. With more, it submits every row whose needs are met to a stage
 pool shared by the run, so independent model calls overlap. Either way
 a row's artifact and stage-log entry are committed only after every
 earlier row's, and the earliest failing row decides the failure marker,
@@ -48,7 +48,7 @@ from collections import deque
 from concurrent import futures
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from pathlib import Path
-from typing import Any, NamedTuple, NoReturn, Optional, Sequence
+from typing import Any, Callable, NamedTuple, NoReturn, Optional, Sequence
 
 from ..config import RunConfig
 from ..datamodel import Dialogue, bundle_warnings, validate_encounter_bundle
@@ -290,11 +290,30 @@ class _BatchWriter:
             self._stop()
 
 
-class _ArtifactDir:
-    """Collects one encounter's artifacts, in commit order, as the batch
-    that ``flush`` writes under its directory."""
+def _check_encounter_id(encounter_id: str) -> None:
+    if encounter_id in (".", "..") or any(c in encounter_id for c in "/\\\0"):
+        raise ValueError(f"encounter id {encounter_id!r} is not filesystem-safe")
 
-    def __init__(self, root: Optional[Path]):
+
+def _run_now(call: Callable[..., Any], *args: Any) -> Future:
+    """``call(*args)`` run on this thread, as a finished future."""
+    future: Future = Future()
+    try:
+        future.set_result(call(*args))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
+
+
+class _Job:
+    """One encounter's stage values and stage log, and its artifacts,
+    collected in commit order as the batch that ``flush`` writes under
+    ``root``; without a root nothing is written."""
+
+    def __init__(self, ctx: StageContext, dialogue: Dialogue, root: Optional[Path]):
+        self.encounter_id = dialogue.encounter_id
+        self.inputs = StageInputs(ctx, dialogue)
+        self.outputs: list[StageOutput] = []
         self.root = root
         self.batch: list[tuple[str, Any]] = []
 
@@ -304,27 +323,8 @@ class _ArtifactDir:
 
     def flush(self, writer: Optional[_BatchWriter]) -> None:
         """Hands the batch to ``writer``, or writes it inline without one."""
-        if self.root is None:
-            return
-        if writer is None:
-            _write_batch(self.root, self.batch)
-        else:
-            writer.submit(self.root, self.batch)
-
-
-def _check_encounter_id(encounter_id: str) -> None:
-    if encounter_id in (".", "..") or any(c in encounter_id for c in "/\\\0"):
-        raise ValueError(f"encounter id {encounter_id!r} is not filesystem-safe")
-
-
-class _Job:
-    """One encounter's stage values, stage log and artifacts."""
-
-    def __init__(self, ctx: StageContext, dialogue: Dialogue, art: _ArtifactDir):
-        self.encounter_id = dialogue.encounter_id
-        self.inputs = StageInputs(ctx, dialogue)
-        self.art = art
-        self.outputs: list[StageOutput] = []
+        if self.root is not None:
+            (_write_batch if writer is None else writer.submit)(self.root, self.batch)
 
     def commit(self, stage: Stage, result: Any) -> None:
         value = result
@@ -332,10 +332,56 @@ class _Job:
             self.outputs.append(result)
             value = result.value
         if stage.artifact:
-            self.art.write(stage.artifact, stage.payload(self.encounter_id, value))
+            self.write(stage.artifact, stage.payload(self.encounter_id, value))
 
-    def write_stages(self) -> None:
-        self.art.write(
+    def run(
+        self, stages: Sequence[Stage], pool: Optional[Executor]
+    ) -> Optional[tuple[Stage, Exception]]:
+        """Starts each row once its needs have values: on ``pool``, or
+        without one on this thread, one row at a time, which runs the rows
+        in table order. Commits finished rows in table order before it
+        starts more. After a failure only earlier rows still start; later
+        rows' results are dropped. Returns once nothing is in flight."""
+        submit = _run_now if pool is None else pool.submit
+        running: dict[Future, int] = {}
+        results: dict[int, Any] = {}
+        started = [False] * len(stages)
+        values = self.inputs.values
+        failed_at, failure = len(stages), None
+        committed = 0
+
+        while True:
+            while committed < failed_at and committed in results:
+                try:
+                    self.commit(stages[committed], results[committed])
+                except Exception as exc:
+                    failed_at, failure = committed, exc
+                    break
+                committed += 1
+            for i in range(committed, failed_at):
+                if not started[i] and all(need in values for need in stages[i].needs):
+                    started[i] = True
+                    running[submit(stages[i].run, self.inputs)] = i
+                    if pool is None:
+                        break
+            if not running:
+                return None if failure is None else (stages[failed_at], failure)
+            # In any order: a later row's result never decides an earlier
+            # row's fate, and an earlier failure replaces a later one.
+            for future in futures.wait(running, return_when=futures.FIRST_COMPLETED).done:
+                i = running.pop(future)
+                if i >= failed_at:
+                    continue
+                try:
+                    results[i] = future.result()
+                except Exception as exc:
+                    failed_at, failure = i, exc
+                    continue
+                self.inputs.accept(stages[i].name, results[i])
+
+    def end(self, status: str, marker: dict, **outcome: Any) -> EncounterResult:
+        """The one writer of outcomes: the stage log, then the marker."""
+        self.write(
             "stages.json",
             {
                 "stages": [
@@ -349,68 +395,16 @@ class _Job:
                 ]
             },
         )
-
-    def run_inline(self, stages: Sequence[Stage]) -> Optional[tuple[Stage, Exception]]:
-        for stage in stages:
-            try:
-                result = stage.run(self.inputs)
-                self.inputs.accept(stage.name, result)
-                self.commit(stage, result)
-            except Exception as exc:
-                return stage, exc
-        return None
-
-    def run_pooled(
-        self, stages: Sequence[Stage], pool: Executor
-    ) -> Optional[tuple[Stage, Exception]]:
-        """Submits each row once its needs have values and commits rows in
-        table order. After a failure only earlier rows still start; later
-        rows' results are dropped. Returns once nothing is in flight."""
-        running: dict[Future, int] = {}
-        results: dict[int, Any] = {}
-        started = [False] * len(stages)
-        values = self.inputs.values
-        failed_at, failure = len(stages), None
-        committed = 0
-
-        while True:
-            for i in range(committed, failed_at):
-                if not started[i] and all(need in values for need in stages[i].needs):
-                    started[i] = True
-                    running[pool.submit(stages[i].run, self.inputs)] = i
-            # Artifacts are written after the dependents are on their way.
-            while committed < failed_at and committed in results:
-                try:
-                    self.commit(stages[committed], results[committed])
-                except Exception as exc:
-                    failed_at, failure = committed, exc
-                    break
-                committed += 1
-            if not running:
-                break
-            # In any order: a later row's result never decides an earlier
-            # row's fate, and an earlier failure replaces a later one.
-            for future in futures.wait(running, return_when=futures.FIRST_COMPLETED).done:
-                i = running.pop(future)
-                if i >= failed_at:
-                    continue
-                try:
-                    results[i] = future.result()
-                except Exception as exc:
-                    failed_at, failure = i, exc
-                    continue
-                self.inputs.accept(stages[i].name, results[i])
-        return None if failure is None else (stages[failed_at], failure)
+        self.write(MARKERS[status], marker)
+        return EncounterResult(encounter_id=self.encounter_id, status=status, **outcome)
 
     def skip(self, stage: Stage, exc: DialogueTooShort) -> EncounterResult:
         self.commit(stage, exc.output)
-        self.write_stages()
         reason = str(exc)
         cut_turn_index = len(exc.output.value.turns) - 1
         marker = SkipMarker(self.encounter_id, reason, cut_turn_index)
-        self.art.write(MARKERS["skipped"], marker.to_json_dict())
         log.info("skipping %s: %s", self.encounter_id, reason)
-        return EncounterResult(encounter_id=self.encounter_id, status="skipped", reason=reason)
+        return self.end("skipped", marker.to_json_dict(), reason=reason)
 
     def fail_on(self, stage: str, exc: Exception) -> EncounterResult:
         """The failure of an encounter that ``exc`` stopped in ``stage``."""
@@ -424,14 +418,9 @@ class _Job:
     def fail(
         self, stage: str, message: str, fingerprint: str = "", attempts: int = 0
     ) -> EncounterResult:
-        """The one writer of failure markers."""
-        self.write_stages()
         marker = FailureMarker(self.encounter_id, stage, message, fingerprint, attempts)
-        self.art.write(MARKERS["failed"], marker.to_json_dict())
         log.error("%s failed at %s: %s", self.encounter_id, stage, message)
-        return EncounterResult(
-            encounter_id=self.encounter_id, status="failed", reason=message, stage=stage
-        )
+        return self.end("failed", marker.to_json_dict(), reason=message, stage=stage)
 
     def report(self) -> EncounterResult:
         config = self.inputs.ctx.config
@@ -448,7 +437,7 @@ class _Job:
 
         violations = validate_encounter_bundle(values["truncate"], facts, clusters, omissions)
         warnings = bundle_warnings(clusters)
-        self.art.write(
+        self.write(
             "validation.json",
             {"encounter_id": self.encounter_id, "violations": violations, "warnings": warnings},
         )
@@ -463,10 +452,7 @@ class _Job:
             margin=margin,
             polarity_mode=config.uniqueness_polarity,
         )
-        payload = report.to_json_dict()
-        self.write_stages()
-        self.art.write(MARKERS["ok"], payload)
-        return EncounterResult(encounter_id=self.encounter_id, status="ok", report=report)
+        return self.end("ok", report.to_json_dict(), report=report)
 
 
 def run_encounter(
@@ -484,20 +470,17 @@ def run_encounter(
     dialogue = encounter.dialogue
     encounter_id = dialogue.encounter_id
     _check_encounter_id(encounter_id)
-    art = _ArtifactDir(
-        (out_dir / ENCOUNTERS_SUBDIR / encounter_id) if out_dir is not None else None
+    job = _Job(
+        StageContext(gateway=gateway, config=config),
+        dialogue,
+        (out_dir / ENCOUNTERS_SUBDIR / encounter_id) if out_dir is not None else None,
     )
     try:
-        art.write("dialogue.json", dialogue.to_json_dict())
+        job.write("dialogue.json", dialogue.to_json_dict())
         if encounter.reference_note:
-            art.write("reference.txt", encounter.reference_note)
+            job.write("reference.txt", encounter.reference_note)
 
-        job = _Job(StageContext(gateway=gateway, config=config), dialogue, art)
-        stages = encounter_stages(config)
-        if stage_pool is None:
-            stopped = job.run_inline(stages)
-        else:
-            stopped = job.run_pooled(stages, stage_pool)
+        stopped = job.run(encounter_stages(config), stage_pool)
         if stopped is not None:
             stage, exc = stopped
             if isinstance(exc, DialogueTooShort):
@@ -508,7 +491,7 @@ def run_encounter(
         except Exception as exc:
             return job.fail_on("report", exc)
     finally:
-        art.flush(writer)
+        job.flush(writer)
 
 
 def run_corpus(

@@ -121,11 +121,12 @@ def test_run_replay_writes_nothing_to_stderr(tmp_path):
 def test_importing_the_cli_loads_no_module_only_some_commands_need():
     # pickle: the artifact writers' pipes, only for run; multiprocessing:
     # no command; yaml: only .yaml configs; http.client: only a backend;
-    # statistics: only report.
+    # statistics: only report; datetime: none, the manifest's times come
+    # from time.
     result = run_cli(
         "-c",
         "import sys, factgap.cli; print(sorted({'multiprocessing', 'pickle', 'yaml', "
-        "'http.client', 'statistics'} & set(sys.modules)))",
+        "'http.client', 'statistics', 'datetime'} & set(sys.modules)))",
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
@@ -639,6 +640,32 @@ def test_run_refuses_a_corpus_with_a_number_in_a_string_field(tmp_path, capsys):
     assert captured.err == (
         f"error: {corpus}: Corpus: Encounter: expected a string, got int\n"
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, where",
+    [
+        ("text", lambda encounter: encounter["dialogue"]["turns"][0]),
+        ("reference_note", lambda encounter: encounter),
+    ],
+    ids=["turn", "reference_note"],
+)
+def test_run_refuses_corpus_text_that_utf8_cannot_encode(tmp_path, capsys, field, where):
+    data = read_json(CORPUS)
+    where(data["encounters"][0])[field] += LONE_SURROGATE
+    corpus = tmp_path / "corpus.json"
+    # json escapes the lone surrogate as \ud83d, which json.loads reads back.
+    corpus.write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(
+        ["run", "--config", str(REPLAY_CONFIG), "--corpus", str(corpus), "--out", str(out)]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {corpus}: Corpus: Encounter: ")
+    assert f" {field} is not valid UTF-8: " in captured.err
+    assert captured.err.count("\n") == 1
     assert not out.exists()
 
 

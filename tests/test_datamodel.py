@@ -640,6 +640,18 @@ def test_every_str_field_refuses_a_number():
                 cls.from_json_dict(data)
 
 
+def test_every_str_field_refuses_text_that_utf8_cannot_encode():
+    for cls, record in {**sample_records(), **config_records()}.items():
+        for name, hint in get_type_hints(cls).items():
+            if hint not in (str, Optional[str]):
+                continue
+            data = {**record.to_json_dict(), name: "caf\u00e9 \ud83d"}
+            with pytest.raises(ValueError, match=f"^{cls.__name__}: {name} is not valid UTF-8: "):
+                cls.from_json_dict(data)
+    turn = sample_records()[Turn].to_json_dict()
+    assert Turn.from_json_dict({**turn, "text": "caf\u00e9"}).text == "caf\u00e9"
+
+
 def test_construction_converts_enum_values_and_lists_to_the_declared_types():
     for cls, record in {**sample_records(), **config_records()}.items():
         loose = {}

@@ -1,4 +1,5 @@
 import csv
+import datetime
 
 import pytest
 
@@ -15,6 +16,7 @@ from factgap.dataset import (
     parse_tagged_dialogue,
     read_outcome,
     save_corpus,
+    utc_now_iso,
 )
 from factgap.jsonutil import read_json, write_json
 
@@ -178,6 +180,16 @@ def test_run_manifest_roundtrip(tmp_path):
     assert loaded.encounters == manifest.encounters
     assert loaded.finished_at == manifest.finished_at
     assert loaded == manifest
+
+
+def test_utc_now_iso_is_the_isoformat_of_now_in_utc():
+    before = datetime.datetime.now(tz=datetime.timezone.utc).replace(microsecond=0)
+    stamp = utc_now_iso()
+    after = datetime.datetime.now(tz=datetime.timezone.utc)
+    parsed = datetime.datetime.fromisoformat(stamp)
+    assert stamp == parsed.isoformat(timespec="seconds")
+    assert parsed.utcoffset() == datetime.timedelta(0)
+    assert before <= parsed <= after
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import json
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -259,6 +260,52 @@ def test_run_encounter_failure_writes_marker(tmp_path):
     stages = read_artifact(tmp_path, "enc-edward", "stages.json")
     assert [s["stage"] for s in stages["stages"]] == ["truncate", "summarize"]
     assert not (tmp_path / ENCOUNTERS_SUBDIR / "enc-edward" / "report.json").exists()
+
+
+class CountingBackend(ScriptedBackend):
+    def __init__(self, generate_responses):
+        super().__init__(generate_responses=generate_responses)
+        self.calls = 0
+
+    def complete(self, request):
+        self.calls += 1
+        return super().complete(request)
+
+
+def test_one_worker_stops_at_a_row_whose_artifact_cannot_be_encoded(tmp_path, monkeypatch):
+    def unencodable(encounter_id, value):
+        raise TypeError("cannot encode this row")
+
+    stages = tuple(
+        replace(stage, payload=unencodable) if stage.name == "ddx_chat" else stage
+        for stage in runner.encounter_stages(make_config())
+    )
+    monkeypatch.setattr(runner, "encounter_stages", lambda config: stages)
+    backend = CountingBackend(edward_generate_responses())
+    result = run_encounter(make_config(), LlmGateway(backend=backend), edward_encounter(), tmp_path)
+
+    assert (result.status, result.stage) == ("failed", "ddx_chat")
+    failure = read_artifact(tmp_path, "enc-edward", "failure.json")
+    assert failure["stage"] == "ddx_chat"
+    assert "cannot encode this row" in failure["message"]
+    enc_dir = tmp_path / ENCOUNTERS_SUBDIR / "enc-edward"
+    assert {p.name for p in enc_dir.iterdir()} == {
+        "dialogue.json",
+        "reference.txt",
+        "truncated.json",
+        "summary.json",
+        "stages.json",
+        "failure.json",
+    }
+    stages_log = read_artifact(tmp_path, "enc-edward", "stages.json")
+    assert [s["stage"] for s in stages_log["stages"]] == [
+        "truncate",
+        "summarize",
+        "extract_facts",
+        "ddx_chat",
+    ]
+    # truncate, summarize, extract_facts and ddx_chat; no later row starts.
+    assert backend.calls == 4
 
 
 def short_encounter(encounter_id="enc-short"):
