@@ -23,7 +23,8 @@ its type sets ``versioned = False``. Three types here do, all parts of a
 larger record that have never carried a version: ``Turn``, ``Diagnosis``
 and ``SubCluster``; so do ``Provenance``, ``Encounter``, the two outcome
 markers and ``ManifestEntry`` in ``dataset``, ``CorrelationRow`` in
-``baselines`` and the four types in ``config``.
+``baselines``, the four types in ``config`` and the three request types
+in ``gateway``.
 
 Construction follows the same field types: an enum field converts its
 argument by value and a ``tuple[...]`` field converts any iterable to a

@@ -1,16 +1,20 @@
 """Language-model access with record/replay cassettes.
 
-Every request is identified by a sha256 fingerprint over its canonical
-JSON payload. A gateway's cassette answers first; a miss goes to its
-backend, whose reply the cassette records, or with no backend raises
+A request is a record: its payload is the codec's encoding of it plus
+its ``kind``, and its fingerprint the sha256 of the payload's canonical
+JSON. A gateway's cassette answers first; a miss goes to its backend,
+whose reply the cassette records, or with no backend raises
 ``CassetteMiss``. Cassettes are append-only JSONL and safe to share
-between worker threads. Concurrent requests with the same fingerprint
-share one backend call.
+between worker threads; an append that fails partway is cut off by the
+next one. Concurrent requests with the same fingerprint share one
+backend call.
 
-A reply whose text cannot be written as UTF-8 (JSON's ``\\ud83d`` escape
-gives a lone surrogate) is a ``GatewayError`` in every mode, whether it
-comes from the backend, which a cassette then never records, or from a
-cassette, so it fails its encounter rather than its artifact writes.
+Each kind of reply has one check, run on a cassette hit and on a backend
+reply before the cassette records it: a generation is text that UTF-8
+can encode (JSON's ``\\ud83d`` escape gives a lone surrogate), a score a
+non-empty list of finite numbers. A reply that fails it is a
+``GatewayError`` in every mode and is never recorded, so it fails its
+encounter at the stage that asked for it.
 
 Transport failures retry with exponential backoff, waiting at least as
 long as a server's numeric ``Retry-After`` asks; a call whose server asks
@@ -25,17 +29,17 @@ import functools
 import hashlib
 import logging
 import math
+import os
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import field
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
 import json
 
-from .datamodel import Record
+from .datamodel import JsonRecord
 from .jsonutil import canonical_dumps
 
 if TYPE_CHECKING:
@@ -98,46 +102,34 @@ class Aggregation(str, Enum):
     SUM = "sum"
 
 
-class ChatMessage(Record):
+class ChatMessage(JsonRecord):
+    versioned = False
+
     role: str
     content: str
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         if self.role not in ("system", "user", "assistant"):
             raise ValueError(f"unknown chat role {self.role!r}")
 
-    def to_json_dict(self) -> dict[str, str]:
-        return {"role": self.role, "content": self.content}
-
 
 def _fingerprint(payload: Mapping[str, Any]) -> str:
+    """A request's ``fingerprint``, which its check sets from its payload."""
     return hashlib.sha256(canonical_dumps(payload).encode("utf-8")).hexdigest()
 
 
-def _reply_text(text: Any, fingerprint: str) -> str:
-    """``text``, if it is a str that UTF-8 can encode; else GatewayError."""
-    if not isinstance(text, str):
-        raise GatewayError(f"reply to {fingerprint[:12]} is {type(text).__name__}, not text")
-    if not text.isascii():
-        try:
-            text.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise GatewayError(f"reply to {fingerprint[:12]} is not valid UTF-8: {exc}") from exc
-    return text
-
-
-class GenerationRequest(Record):
+class GenerationRequest(JsonRecord):
     """A deterministic chat completion request, sent at ``TEMPERATURE``."""
+
+    versioned = False
 
     model_id: str
     messages: tuple[ChatMessage, ...]
     max_tokens: int = 1024
-    fingerprint: str = field(init=False)
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         if not self.model_id:
             raise ValueError("model_id must be non-empty")
-        object.__setattr__(self, "messages", tuple(self.messages))
         if not self.messages:
             raise ValueError("request has no messages")
         if self.max_tokens < 1:
@@ -145,13 +137,7 @@ class GenerationRequest(Record):
         object.__setattr__(self, "fingerprint", _fingerprint(self.payload()))
 
     def payload(self) -> dict[str, Any]:
-        return {
-            "kind": "generate",
-            "model_id": self.model_id,
-            "messages": [m.to_json_dict() for m in self.messages],
-            "max_tokens": self.max_tokens,
-            "temperature": TEMPERATURE,
-        }
+        return {**self.to_json_dict(), "kind": "generate", "temperature": TEMPERATURE}
 
     def extended(self, assistant_text: str, user_text: str) -> "GenerationRequest":
         """The follow-up request for a repair round."""
@@ -166,15 +152,16 @@ class GenerationRequest(Record):
         )
 
 
-class ScoreRequest(Record):
+class ScoreRequest(JsonRecord):
     """Token-level log-probabilities of continuation given prefix."""
+
+    versioned = False
 
     model_id: str
     prefix: str
     continuation: str
-    fingerprint: str = field(init=False)
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         if not self.model_id:
             raise ValueError("model_id must be non-empty")
         if not self.prefix:
@@ -184,12 +171,34 @@ class ScoreRequest(Record):
         object.__setattr__(self, "fingerprint", _fingerprint(self.payload()))
 
     def payload(self) -> dict[str, Any]:
-        return {
-            "kind": "score",
-            "model_id": self.model_id,
-            "prefix": self.prefix,
-            "continuation": self.continuation,
-        }
+        return {**self.to_json_dict(), "kind": "score"}
+
+
+def _text(response: Any, fingerprint: str) -> str:
+    """The text of a generation response, if it is a str that UTF-8 can
+    encode; else GatewayError."""
+    text = response.get("text") if isinstance(response, dict) else None
+    if not isinstance(text, str):
+        raise GatewayError(f"reply to {fingerprint[:12]} is {type(text).__name__}, not text")
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise GatewayError(f"reply to {fingerprint[:12]} is not valid UTF-8: {exc}") from exc
+    return text
+
+
+def _logprobs(response: Any, fingerprint: str) -> list[float]:
+    """The token logprobs of a score response, if they are a non-empty
+    list of finite numbers, not bools; else GatewayError."""
+    logprobs = response.get("logprobs") if isinstance(response, dict) else None
+    numbers = logprobs if isinstance(logprobs, list) else ()
+    if not numbers or not all(type(lp) in (int, float) and math.isfinite(lp) for lp in numbers):
+        raise GatewayError(
+            f"reply to {fingerprint[:12]} is not a non-empty list of finite logprobs: "
+            f"{logprobs!r:.80}"
+        )
+    return logprobs
 
 
 def aggregate_logprobs(logprobs: Sequence[float], aggregation: Aggregation) -> float:
@@ -270,18 +279,25 @@ class Cassette:
             return self._responses.get(fingerprint)
 
     def append(self, record: Mapping[str, Any]) -> None:
+        """Write ``record`` and then answer for it. A write that fails
+        partway (a full disk) leaves a torn line, which the next append
+        cuts off first."""
+        line = (canonical_dumps(record) + "\n").encode("utf-8")
         with self._lock:
-            self._responses[record["fingerprint"]] = record["response"]
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a+b") as handle:
                 if self._torn_at is not None:
                     handle.truncate(self._torn_at)
                     self._torn_at = None
-                if self._newline_missing:
-                    handle.write(b"\n")
-                    self._newline_missing = False
-                handle.write((canonical_dumps(record) + "\n").encode("utf-8"))
-                handle.flush()
+                end = handle.seek(0, os.SEEK_END)
+                try:
+                    handle.write(b"\n" + line if self._newline_missing else line)
+                    handle.flush()
+                except BaseException:
+                    self._torn_at = end
+                    raise
+                self._newline_missing = False
+            self._responses[record["fingerprint"]] = record["response"]
 
 
 def _retry_after_seconds(value: Optional[str]) -> Optional[float]:
@@ -429,27 +445,24 @@ class HttpBackend:
             "temperature": TEMPERATURE,
         }
         data = self._post("/completions", body)
+        cut = len(request.prefix)
         try:
             logprobs = data["choices"][0]["logprobs"]
-            token_logprobs = logprobs["token_logprobs"]
-            offsets = logprobs["text_offset"]
-        except (KeyError, IndexError, TypeError) as exc:
+            pairs = zip(logprobs["token_logprobs"], logprobs["text_offset"])
+            selected = [lp for lp, offset in pairs if offset >= cut]
+            if not selected:
+                raise LogprobsUnsupported(
+                    "no tokens fell inside the continuation; check tokenization boundaries"
+                )
+            if any(lp is None for lp in selected):
+                raise LogprobsUnsupported(
+                    f"model {request.model_id} returned null logprobs inside the continuation"
+                )
+            return tuple(float(lp) for lp in selected)
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
             raise LogprobsUnsupported(
-                f"backend returned no token logprobs for model {request.model_id}: {exc}"
+                f"backend returned no usable token logprobs for model {request.model_id}: {exc}"
             ) from exc
-        cut = len(request.prefix)
-        selected = [
-            lp for lp, offset in zip(token_logprobs, offsets) if offset >= cut
-        ]
-        if not selected:
-            raise LogprobsUnsupported(
-                "no tokens fell inside the continuation; check tokenization boundaries"
-            )
-        if any(lp is None for lp in selected):
-            raise LogprobsUnsupported(
-                f"model {request.model_id} returned null logprobs inside the continuation"
-            )
-        return tuple(float(lp) for lp in selected)
 
 
 class LlmGateway:
@@ -504,18 +517,18 @@ class LlmGateway:
     def _respond(
         self,
         request: GenerationRequest | ScoreRequest,
-        kind: str,
-        call: Callable[[], Any],
-        encode: Callable[[Any], dict[str, Any]],
-    ) -> dict[str, Any]:
-        """The cassette response to ``request``, or ``encode`` of one
-        backend call. Concurrent requests with the same fingerprint share
-        that call, so the cassette also records it once."""
+        call: Callable[[], dict[str, Any]],
+        reply: Callable[[Any, str], Any],
+    ) -> Any:
+        """``reply``'s check of the cassette response to ``request``, or of
+        the response ``call`` gets from the backend, which the cassette
+        records only once checked. Concurrent requests with the same
+        fingerprint share that call, its record and its checked value."""
         fingerprint = request.fingerprint
         if self.cassette is not None:
             response = self.cassette.get(fingerprint)
             if response is not None:
-                return response
+                return reply(response, fingerprint)
         if self.backend is None:
             raise CassetteMiss(fingerprint)
         with self._flights_lock:
@@ -526,40 +539,31 @@ class LlmGateway:
                 # above has appended its response by now.
                 response = self.cassette.get(fingerprint) if self.cassette is not None else None
                 if response is not None:
-                    return response
+                    return reply(response, fingerprint)
                 flight = self._flights[fingerprint] = Future()
         if not leader:
             return flight.result()
         try:
-            response = encode(self._call_with_retry(call, f"{kind} {fingerprint[:12]}"))
+            payload = request.payload()
+            kind = payload["kind"]
+            response = self._call_with_retry(call, f"{kind} {fingerprint[:12]}")
+            value = reply(response, fingerprint)
             if self.cassette is not None:
                 self.cassette.append(
-                    {
-                        "fingerprint": fingerprint,
-                        "kind": kind,
-                        "request": request.payload(),
-                        "response": response,
-                    }
+                    dict(fingerprint=fingerprint, kind=kind, request=payload, response=response)
                 )
         except BaseException as exc:
             flight.set_exception(exc)
             raise
         else:
-            flight.set_result(response)
-            return response
+            flight.set_result(value)
+            return value
         finally:
             with self._flights_lock:
                 del self._flights[fingerprint]
 
     def generate(self, request: GenerationRequest) -> str:
-        response = self._respond(
-            request,
-            "generate",
-            lambda: self.backend.complete(request),
-            # Checked before the cassette records it, and again for a hit.
-            lambda text: {"text": _reply_text(text, request.fingerprint)},
-        )
-        return _reply_text(response["text"], request.fingerprint)
+        return self._respond(request, lambda: {"text": self.backend.complete(request)}, _text)
 
     def score_continuation(
         self,
@@ -571,10 +575,7 @@ class LlmGateway:
         """The log-probability of ``continuation`` after ``prefix``, pooled
         over its tokens by ``aggregation``."""
         request = ScoreRequest(model_id=model_id, prefix=prefix, continuation=continuation)
-        response = self._respond(
-            request,
-            "score",
-            lambda: self.backend.score(request),
-            lambda logprobs: {"logprobs": list(logprobs)},
+        logprobs = self._respond(
+            request, lambda: {"logprobs": list(self.backend.score(request))}, _logprobs
         )
-        return aggregate_logprobs([float(x) for x in response["logprobs"]], aggregation)
+        return aggregate_logprobs(logprobs, aggregation)

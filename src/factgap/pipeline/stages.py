@@ -9,10 +9,10 @@ made.
 
 ``STAGES`` declares the stages of one encounter as a dependency table:
 each row names what it needs, how it runs and which artifact it writes.
-A model stage's row declares its template, the model role it asks
-(``config.models.<role>``), the values its prompt renders and the parser
-of the reply. The runner schedules the table; ``STAGE_ORDER`` is its row
-order.
+A model stage's row is one ``_model_stage`` call, which names the stage
+once, with its template, the model role it asks (``config.models.<role>``),
+the values its prompt renders and the parser of the reply. The runner
+schedules the table; ``STAGE_ORDER`` is its row order.
 """
 
 from __future__ import annotations
@@ -153,30 +153,36 @@ class Stage(Record):
             object.__setattr__(self, "label", self.name)
 
 
-def _ask(
-    stage: str,
+def _model_stage(
+    name: str,
+    needs: tuple[str, ...],
     template: str,
     role: str,
     values: Callable[[StageInputs], dict[str, str]],
     parse: Callable[[StageInputs, str], Any],
-) -> Callable[[StageInputs], StageOutput]:
-    """The run of a model stage: renders ``template`` with ``values`` for
-    the model ``config.models.<role>`` and parses the reply's last fenced
-    block with ``parse``, repairing through run_stage."""
+    artifact: str = "",
+    payload: Optional[Callable[[str, Any], dict]] = None,
+) -> Stage:
+    """The row of model stage ``name``: its run renders ``template`` with
+    ``values`` for the model ``config.models.<role>`` and parses the
+    reply's last fenced block with ``parse``, repairing through
+    run_stage."""
 
     def run(s: StageInputs) -> StageOutput:
         config = s.ctx.config
         request = templates.build_request(
             getattr(config.models, role), template, config.max_gen_tokens, **values(s)
         )
-        return run_stage(s.ctx, stage, request, lambda block: parse(s, block))
+        return run_stage(s.ctx, name, request, lambda block: parse(s, block))
 
-    return run
+    return Stage(name, needs, run, artifact, payload)
 
 
-# Truncation's model call names the last turn to keep; its row cuts there.
-_ask_cut = _ask(
+# Truncation's model call names the last turn to keep; its row in STAGES
+# runs it and cuts there.
+_ask_cut = _model_stage(
     "truncate",
+    (),
     "truncate",
     "metric",
     lambda s: {"dialogue_numbered": s.dialogue.numbered_text()},
@@ -185,11 +191,11 @@ _ask_cut = _ask(
 
 
 def stage_truncate(ctx: StageContext, dialogue: Dialogue) -> StageOutput:
-    return _ask_cut(StageInputs(ctx, dialogue))
+    return _ask_cut.run(StageInputs(ctx, dialogue))
 
 
 def _truncate(s: StageInputs) -> StageOutput:
-    out = _ask_cut(s)
+    out = _ask_cut.run(s)
     out = replace(out, value=s.dialogue.prefix(out.value))
     minimum = s.ctx.config.thresholds.min_truncated_turns
     if len(out.value.turns) < minimum:
@@ -251,23 +257,20 @@ def _diagnoses(s: StageInputs) -> list[str]:
 
 
 def _cluster_stage(polarity: Polarity) -> Stage:
-    return Stage(
+    return _model_stage(
         f"cluster_{polarity.value}",
         # The cluster prompt renders only fact ids and text, so the raw
         # facts serve as well as the categorized ones.
         ("extract_facts", "ddx_chat"),
-        _ask(
-            f"cluster_{polarity.value}",
-            "cluster",
-            "metric",
-            lambda s: {
-                "polarity_word": "supports" if polarity is Polarity.SUPPORTING else "refutes",
-                "diagnoses": "\n".join(f"- {name}" for name in _diagnoses(s)),
-                "facts": _facts_text(s["extract_facts"]),
-            },
-            lambda s, block: parsers.parse_clusters(
-                block, _diagnoses(s), _fact_ids(s["extract_facts"]), polarity
-            ),
+        "cluster",
+        "metric",
+        lambda s: {
+            "polarity_word": "supports" if polarity is Polarity.SUPPORTING else "refutes",
+            "diagnoses": "\n".join(f"- {name}" for name in _diagnoses(s)),
+            "facts": _facts_text(s["extract_facts"]),
+        },
+        lambda s, block: parsers.parse_clusters(
+            block, _diagnoses(s), _fact_ids(s["extract_facts"]), polarity
         ),
         f"clusters_{polarity.value}.json",
         lambda encounter_id, clusters: {
@@ -281,87 +284,65 @@ def _cluster_stage(polarity: Polarity) -> Stage:
 MARGIN_SCORES = ("score_c0", "score_c1", "score_s0", "score_s1")
 
 STAGES: tuple[Stage, ...] = (
-    Stage("truncate", (), _truncate, "truncated.json", _encoded),
-    Stage(
+    replace(_ask_cut, run=_truncate, artifact="truncated.json", payload=_encoded),
+    _model_stage(
         "summarize",
         ("truncate",),
-        _ask(
-            "summarize",
-            "summary",
-            "summary",
-            lambda s: {"dialogue": s["truncate"].text()},
-            lambda s, block: parsers.parse_summary(block, s.dialogue.encounter_id),
-        ),
+        "summary",
+        "summary",
+        lambda s: {"dialogue": s["truncate"].text()},
+        lambda s, block: parsers.parse_summary(block, s.dialogue.encounter_id),
         "summary.json",
         _encoded,
     ),
-    Stage(
+    _model_stage(
         "extract_facts",
         ("truncate",),
-        _ask(
-            "extract_facts",
-            "facts",
-            "metric",
-            lambda s: {"dialogue": s["truncate"].text()},
-            lambda s, block: parsers.parse_facts(block),
-        ),
+        "facts",
+        "metric",
+        lambda s: {"dialogue": s["truncate"].text()},
+        lambda s, block: parsers.parse_facts(block),
     ),
-    Stage(
+    _model_stage(
         "ddx_chat",
         ("truncate",),
-        _ask(
-            "ddx_chat",
-            "ddx",
-            "metric",
-            lambda s: {"context": s["truncate"].text()},
-            lambda s, block: parsers.parse_ddx(
-                block, s.dialogue.encounter_id, DdxSource.FROM_CHAT
-            ),
-        ),
+        "ddx",
+        "metric",
+        lambda s: {"context": s["truncate"].text()},
+        lambda s, block: parsers.parse_ddx(block, s.dialogue.encounter_id, DdxSource.FROM_CHAT),
         "ddx_chat.json",
         _encoded,
     ),
-    Stage(
+    _model_stage(
         "detect_omissions",
         ("extract_facts", "summarize"),
-        _ask(
-            "detect_omissions",
-            "omissions",
-            "metric",
-            lambda s: {"facts": _facts_text(s["extract_facts"]), "summary": s["summarize"].text()},
-            lambda s, block: parsers.parse_omissions(block, _fact_ids(s["extract_facts"])),
-        ),
+        "omissions",
+        "metric",
+        lambda s: {"facts": _facts_text(s["extract_facts"]), "summary": s["summarize"].text()},
+        lambda s, block: parsers.parse_omissions(block, _fact_ids(s["extract_facts"])),
         "omissions.json",
         _listed("omissions"),
     ),
-    Stage(
+    _model_stage(
         "categorize",
         ("extract_facts",),
-        _ask(
-            "categorize",
-            "categorize",
-            "metric",
-            lambda s: {"facts": _facts_text(s["extract_facts"])},
-            lambda s, block: parsers.parse_categorization(block, s["extract_facts"]),
-        ),
+        "categorize",
+        "metric",
+        lambda s: {"facts": _facts_text(s["extract_facts"])},
+        lambda s, block: parsers.parse_categorization(block, s["extract_facts"]),
         "facts.json",
         _listed("facts"),
     ),
     _cluster_stage(Polarity.SUPPORTING),
     _cluster_stage(Polarity.REFUTING),
     # From here on the rows exist only when a margin model is configured.
-    Stage(
+    _model_stage(
         "ddx_summary",
         ("summarize",),
-        _ask(
-            "ddx_summary",
-            "ddx",
-            "metric",
-            lambda s: {"context": s["summarize"].text()},
-            lambda s, block: parsers.parse_ddx(
-                block, s.dialogue.encounter_id, DdxSource.FROM_SUMMARY
-            ),
-        ),
+        "ddx",
+        "metric",
+        lambda s: {"context": s["summarize"].text()},
+        lambda s, block: parsers.parse_ddx(block, s.dialogue.encounter_id, DdxSource.FROM_SUMMARY),
         "ddx_summary.json",
         _encoded,
     ),

@@ -266,6 +266,28 @@ def test_a_cassette_reply_utf8_cannot_encode_fails_only_its_encounter(
     assert_only_martha_failed_at_summarize(out, code, capsys.readouterr())
 
 
+def test_a_cassette_score_that_is_not_finite_fails_only_its_encounter(tmp_path, capsys, caplog):
+    lines = (FIXTURES / "cassettes" / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    bad = next(record for record in records if record["kind"] == "score")
+    assert "Martha" in bad["request"]["prefix"]
+    bad["response"]["logprobs"][0] = float("nan")
+    cassette = tmp_path / "nan.jsonl"
+    cassette.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(write_config(tmp_path, cassette)), "--corpus", str(CORPUS)]
+    code = main([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2, captured.err
+    assert "done: 2 ok, 0 skipped, 1 failed" in captured.out
+    failure = read_json(out / "encounters" / "enc-martha" / "failure.json")
+    assert failure["stage"] == "margin_scores"
+    assert failure["message"] == (
+        f"reply to {bad['fingerprint'][:12]} is not a non-empty list of finite logprobs: [nan]"
+    )
+    assert "unexpected error" not in caplog.text
+
+
 @pytest.mark.parametrize("mode", ["live", "record"])
 def test_a_backend_reply_utf8_cannot_encode_fails_only_its_encounter(
     finished_run, tmp_path, loopback, capsys, mode

@@ -338,6 +338,7 @@ def sample_records():
     provenance = Provenance(original_encounter_id="enc-0", cut_turn_index=1)
     encounter = Encounter(dialogue=dialogue, reference_note="note", provenance=provenance)
     entry = ManifestEntry(encounter_id="enc-1", status="failed", reason="boom", stage="summarize")
+    message = ChatMessage(role="user", content="hi")
     return {
         Turn: dialogue.turns[0],
         Dialogue: dialogue,
@@ -386,6 +387,9 @@ def sample_records():
             pearson_r=0.7,
             pearson_p=0.8,
         ),
+        ChatMessage: message,
+        GenerationRequest: GenerationRequest(model_id="m", messages=(message,), max_tokens=8),
+        ScoreRequest: ScoreRequest(model_id="m", prefix="p", continuation="c"),
     }
 
 
@@ -476,6 +480,9 @@ RECORD_KEYS = {
         "aggregation",
         "max_gen_tokens",
     },
+    ChatMessage: {"role", "content"},
+    GenerationRequest: {"model_id", "messages", "max_tokens"},
+    ScoreRequest: {"model_id", "prefix", "continuation"},
 }
 
 # (type, key, default): keys that may be absent on decode.
@@ -490,6 +497,7 @@ OPTIONAL_KEYS = [
     (Encounter, "provenance", None),
     (ManifestEntry, "reason", ""),
     (ManifestEntry, "stage", ""),
+    (GenerationRequest, "max_tokens", 1024),
 ]
 
 # (type, key, a value other than the one derived from sample_records()):
@@ -704,7 +712,6 @@ RECORD_TYPES = sorted(set(package_record_types()), key=lambda cls: cls.__qualnam
 def every_record():
     """One instance of every Record type in the package."""
     records = {**sample_records(), **config_records()}
-    message = ChatMessage(role="user", content="hi")
     return {
         **records,
         EncounterResult: EncounterResult(
@@ -713,9 +720,6 @@ def every_record():
         RougeScore: RougeScore(precision=0.5, recall=0.25, f1=1 / 3),
         CorrelationResult: CorrelationResult(method="pearson", statistic=0.5, p_value=0.2, n=4),
         MetricVector: MetricVector(name="m", values={"enc-1": 1.0, "enc-2": 2.0}),
-        ChatMessage: message,
-        GenerationRequest: GenerationRequest(model_id="m", messages=(message,), max_tokens=8),
-        ScoreRequest: ScoreRequest(model_id="m", prefix="p", continuation="c"),
         MarginPlan: MarginPlan(target="a", chat_alternative="b", summary_alternative="c"),
         StageOutput: StageOutput(
             stage="summarize", value=None, raw_text="x", fingerprint="ab", attempts=1

@@ -1,3 +1,4 @@
+import errno
 import json
 import logging
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import factgap.gateway
 from factgap.gateway import (
     Aggregation,
     Cassette,
@@ -72,6 +74,20 @@ def test_score_request_validation():
         ScoreRequest(model_id="m", prefix="", continuation="x")
     with pytest.raises(ValueError):
         ScoreRequest(model_id="m", prefix="x", continuation="")
+
+
+def test_every_fixture_cassette_record_fingerprints_its_decoded_request():
+    types = {"generate": GenerationRequest, "score": ScoreRequest}
+    paths = sorted((Path(__file__).parent / "fixtures" / "cassettes").glob("*.jsonl"))
+    records = [
+        json.loads(line) for path in paths for line in path.read_text(encoding="utf-8").splitlines()
+    ]
+    assert paths and records
+    for record in records:
+        fields = {k: v for k, v in record["request"].items() if k not in ("kind", "temperature")}
+        request = types[record["kind"]].from_json_dict(fields)
+        assert request.payload() == record["request"]
+        assert request.fingerprint == record["fingerprint"]
 
 
 def test_aggregation_mean_and_sum():
@@ -167,6 +183,45 @@ def test_cassette_append_after_a_torn_tail_keeps_every_whole_record(tmp_path):
         assert [f for f in ("f1", "f5") if reloaded.get(f)] == kept + ["f5"]
 
 
+class StopsHalfway:
+    """A cassette file whose writes stop halfway with a full disk."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+    def __getattr__(self, name):
+        return getattr(self.handle, name)
+
+    def write(self, data):
+        self.handle.write(data[: len(data) // 2])
+        self.handle.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_a_failed_append_is_cut_off_by_the_next_and_never_answers(tmp_path, monkeypatch):
+    path = tmp_path / "c.jsonl"
+    cassette = Cassette(path)
+    cassette.append({"fingerprint": "a", "kind": "generate", "response": {"text": "a"}})
+    monkeypatch.setattr(
+        factgap.gateway, "open", lambda *args: StopsHalfway(open(*args)), raising=False
+    )
+    with pytest.raises(OSError, match="No space left"):
+        cassette.append({"fingerprint": "b", "kind": "generate", "response": {"text": "b"}})
+    monkeypatch.undo()
+    assert cassette.get("b") is None
+    assert path.read_text(encoding="utf-8").startswith(cassette_line("a", "a") + '{"')
+    cassette.append({"fingerprint": "c", "kind": "generate", "response": {"text": "c"}})
+    assert path.read_text(encoding="utf-8") == cassette_line("a", "a") + cassette_line("c", "c")
+    reloaded = Cassette(path)
+    assert [reloaded.get(f) for f in "abc"] == [{"text": "a"}, None, {"text": "c"}]
+
+
 def test_scripted_backend_order_and_exhaustion():
     backend = ScriptedBackend(
         generate_responses=["one", {"text": "two"}], score_responses=[[-1.0]]
@@ -234,6 +289,46 @@ def test_a_backend_reply_that_is_not_a_string_is_a_gateway_error(tmp_path):
     with pytest.raises(GatewayError, match="is NoneType, not text"):
         gateway.generate(make_request())
     assert not (tmp_path / "c.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, response, refusal",
+    [
+        pytest.param("generate", {}, "is NoneType, not text", id="no-text"),
+        pytest.param("generate", ["text"], "is NoneType, not text", id="list-response"),
+        pytest.param("score", {"logprobs": [-1.0, float("nan")]}, r"\[-1.0, nan\]", id="nan"),
+        pytest.param("score", {"logprobs": [float("-inf")]}, r"\[-inf\]", id="infinite"),
+        pytest.param("score", {"logprobs": []}, r"\[\]", id="empty"),
+        pytest.param("score", {"logprobs": [True]}, r"\[True\]", id="bool"),
+        pytest.param("score", {"logprobs": ["-1.0"]}, r"\['-1.0'\]", id="string"),
+        pytest.param("score", {"logprobs": -1.0}, "-1.0", id="not-a-list"),
+        pytest.param("score", {}, "None", id="no-logprobs"),
+        pytest.param("score", 5, "None", id="number-response"),
+    ],
+)
+def test_a_cassette_reply_of_the_wrong_shape_is_a_gateway_error(tmp_path, kind, response, refusal):
+    path = tmp_path / "c.jsonl"
+    request = make_request() if kind == "generate" else ScoreRequest("m1", "prefix ", "tail")
+    fingerprint = request.fingerprint
+    path.write_text(json.dumps({"fingerprint": fingerprint, "response": response}) + "\n")
+    gateway = LlmGateway(cassette_path=path)
+    with pytest.raises(GatewayError, match=f"^reply to {fingerprint[:12]} .*{refusal}"):
+        if kind == "generate":
+            gateway.generate(request)
+        else:
+            gateway.score_continuation("m1", "prefix ", "tail")
+
+
+@pytest.mark.parametrize("logprobs", [[-1.0, float("nan")], [float("inf")]], ids=["nan", "inf"])
+def test_a_backend_score_that_is_not_finite_is_never_recorded(tmp_path, logprobs):
+    path = tmp_path / "c.jsonl"
+    backend = ScriptedBackend(score_responses=[logprobs, [-1.0, -3.0]])
+    gateway = LlmGateway(backend=backend, cassette_path=path)
+    with pytest.raises(GatewayError, match="not a non-empty list of finite logprobs"):
+        gateway.score_continuation("m1", "prefix ", "tail")
+    assert not path.exists()
+    assert gateway.score_continuation("m1", "prefix ", "tail") == -2.0
+    assert len(Cassette(path)) == 1
 
 
 def test_record_mode_appends_then_short_circuits(tmp_path):
@@ -497,6 +592,24 @@ def test_http_backend_score_failures(loopback, http_backend):
     loopback.script(Reply(payload=score_payload([None, None], [0, 7])))
     with pytest.raises(LogprobsUnsupported, match="null logprobs"):
         backend.score(req)
+
+
+@pytest.mark.parametrize(
+    "token_logprobs, offsets",
+    [
+        pytest.param([None, -1.0], None, id="null-offsets"),
+        pytest.param([None, -1.0], [0, "7"], id="text-offset"),
+        pytest.param([None, "x"], [0, 7], id="text-logprob"),
+        pytest.param([None, [1]], [0, 7], id="list-logprob"),
+    ],
+)
+def test_http_backend_malformed_logprobs_are_unsupported(
+    loopback, http_backend, token_logprobs, offsets
+):
+    loopback.script(Reply(payload=score_payload(token_logprobs, offsets)))
+    req = ScoreRequest(model_id="m", prefix="abc def", continuation=" tail")
+    with pytest.raises(LogprobsUnsupported, match="no usable token logprobs for model m: "):
+        http_backend().score(req)
 
 
 def test_http_backend_keeps_every_returned_connection_idle(loopback, http_backend):
