@@ -587,10 +587,9 @@ class MetricVector(Record):
         )
 
 
-def import_external_metric(path: Path | str, metric_name: Optional[str] = None) -> MetricVector:
+def import_external_metric(path: Path | str) -> MetricVector:
     """Load one per-encounter metric from a CSV with an encounter_id
-    column. With no explicit name the file must have exactly one other
-    column."""
+    column and exactly one other column, the metric, named by its header."""
     path = Path(path)
     # utf-8-sig drops the byte-order mark of Excel's "CSV UTF-8" export.
     with open(path, newline="", encoding="utf-8-sig") as handle:
@@ -602,14 +601,12 @@ def import_external_metric(path: Path | str, metric_name: Optional[str] = None) 
             if "encounter_id" not in fields:
                 raise ValueError(f"{path}: no encounter_id column (found {fields})")
             candidates = [f for f in fields if f != "encounter_id"]
-            if metric_name is None:
-                if len(candidates) != 1:
-                    raise ValueError(
-                        f"{path}: ambiguous metric column, specify one of {candidates}"
-                    )
-                metric_name = candidates[0]
-            elif metric_name not in candidates:
-                raise ValueError(f"{path}: no column {metric_name!r} (found {candidates})")
+            if len(candidates) != 1:
+                raise ValueError(
+                    f"{path}: ambiguous metric column: expected exactly one besides "
+                    f"encounter_id, found {candidates}"
+                )
+            (metric_name,) = candidates
             values: dict[str, float] = {}
             for row_no, row in enumerate(reader, start=2):
                 encounter_id = (row.get("encounter_id") or "").strip()

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import traceback
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -343,6 +344,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except (ValueError, OSError, GatewayError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_FAILURES
+    except Exception:
+        # A fault in factgap: exit 2 with the traceback, not Python's 1 ("skips only").
+        traceback.print_exc()
         return EXIT_FAILURES
 
 

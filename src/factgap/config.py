@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import field, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -84,7 +84,7 @@ class RunConfig(JsonRecord):
     backend: Optional[BackendConfig] = None
     cassette: Optional[Path] = None
     mode: GatewayMode = GatewayMode.REPLAY
-    thresholds: ThresholdsConfig = field(default_factory=ThresholdsConfig)
+    thresholds: ThresholdsConfig = ThresholdsConfig()
     uniqueness_polarity: PolarityMode = PolarityMode.BOTH
     aggregation: Aggregation = Aggregation.MEAN
     max_gen_tokens: int = 1024

@@ -12,13 +12,15 @@ immutable base that gives each subclass its dataclass fields and supplies
 the constructor, equality, hash, repr and frozen attribute methods that
 ``@dataclass(frozen=True)`` would generate. Generating them means running
 ``exec`` on six methods per class at import, a third of the package's
-import time, and every command pays that import first.
+import time, and every command pays that import first. A field takes a
+plain default or none.
 
 Every type that persists as JSON derives from :class:`JsonRecord`, a
 ``Record`` with one codec driven by its fields, and round-trips through
-``to_json_dict`` and ``from_json_dict``. The same codec loads the run
-configuration (the types in ``config``), and every decode refuses keys
-its type does not know. A record carries ``schema_version: "1"`` unless
+``to_json_dict`` and ``from_json_dict``; its codec is one named table,
+``_Codec``, built from its type hints on first use. The same codec loads
+the run configuration (the types in ``config``), and every decode refuses
+keys its type does not know. A record carries ``schema_version: "1"`` unless
 its type sets ``versioned = False``. Three types here do, all parts of a
 larger record that have never carried a version: ``Turn``, ``Diagnosis``
 and ``SubCluster``; so do ``Provenance``, ``Encounter``, the two outcome
@@ -122,24 +124,22 @@ MAX_DDX_ENTRIES = 10
 class _Layout(NamedTuple):
     """What a Record subclass's shared methods need of its fields."""
 
-    names: tuple[str, ...]  # the constructor's fields, in order
+    names: tuple[str, ...]  # the fields, in order
     keys: frozenset[str]  # the same names
-    defaults: dict[str, Any]  # the constructor's fields with a plain default
-    factories: tuple[tuple[str, Callable[[], Any]], ...]  # and those with a factory
-    key: Callable[[Any], tuple]  # the tuple of the compared fields' values
-    shown: tuple[str, ...]  # the fields repr shows
+    defaults: dict[str, Any]  # the fields with a default
+    key: Callable[[Any], tuple]  # the tuple of the fields' values
 
 
 class Record:
     """Base of every immutable value type in the package.
 
     A subclass declares annotated fields as a dataclass does and becomes
-    one, so ``dataclasses.fields`` and ``replace`` work on it, along with
-    defaults, ``field(default_factory=...)`` and ``field(init=False)``, a
-    field without a default that ``__post_init__`` sets. But it is
-    processed with ``dataclass(init=False, repr=False, eq=False)``,
-    which generates no method: the methods that ``dataclass(frozen=True)``
-    would ``exec`` for each class at import are written here once.
+    one, so ``dataclasses.fields`` and ``replace`` work on it. A field
+    takes a plain default or none; a record is immutable, so a record
+    default is safe to share. The class is processed with
+    ``dataclass(init=False, repr=False, eq=False)``, which generates no
+    method: the methods that ``dataclass(frozen=True)`` would ``exec`` for
+    each class at import are written here once.
 
     The constructor takes the fields by position or by name, fills
     defaults and calls ``__post_init__``. Records compare and hash by the
@@ -155,21 +155,17 @@ class Record:
             cls.__doc__ = cls.__qualname__
         dataclass(init=False, repr=False, eq=False)(cls)
         every = fields(cls)
-        names = tuple(f.name for f in every if f.init)
-        compared = tuple(f.name for f in every if f.compare)
+        for f in every:
+            if f.default_factory is not MISSING or not (f.init and f.compare and f.repr):
+                raise TypeError(f"{cls.__qualname__}.{f.name}: Record fields take plain defaults")
+        names = tuple(f.name for f in every)
         # Not annotated in the class body, where get_type_hints would
         # evaluate it again for every record type's codec.
         cls._layout = _Layout(
             names,
             frozenset(names),
-            {f.name: f.default for f in every if f.init and f.default is not MISSING},
-            tuple(
-                (f.name, f.default_factory)
-                for f in every
-                if f.init and f.default_factory is not MISSING
-            ),
-            attrgetter(*compared) if len(compared) > 1 else _tuple_getter(compared),
-            tuple(f.name for f in every if f.repr),
+            {f.name: f.default for f in every if f.default is not MISSING},
+            attrgetter(*names) if len(names) > 1 else _tuple_getter(names),
         )
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
@@ -200,7 +196,7 @@ class Record:
         return hash(self._layout.key(self))
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._layout.shown)
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._layout.names)
         return f"{type(self).__qualname__}({shown})"
 
     def __setattr__(self, name: str, value: Any) -> None:
@@ -236,9 +232,6 @@ def _bind(cls: type[Record], args: tuple, kwargs: dict[str, Any]) -> dict[str, A
         twice = sorted(given.keys() & kwargs.keys())
         raise TypeError(f"{cls.__qualname__}() got multiple values for arguments {twice}")
     values = {**layout.defaults, **given, **kwargs}
-    for name, factory in layout.factories:
-        if name not in values:
-            values[name] = factory()
     if len(values) < len(layout.names):
         missing = [name for name in layout.names if name not in values]
         raise TypeError(f"{cls.__qualname__}() missing required arguments {missing}")
@@ -272,7 +265,7 @@ class JsonRecord(Record):
     derived: ClassVar[tuple[str, ...]] = ()
 
     def __post_init__(self) -> None:
-        for name, kept in _plan(type(self))[4]:
+        for name, kept in _codec(type(self)).coercions:
             value = getattr(self, name)
             if value.__class__ not in kept:
                 object.__setattr__(self, name, kept[0](value))
@@ -283,43 +276,52 @@ class JsonRecord(Record):
         its type; a type may also normalize its fields here."""
 
     def to_json_dict(self) -> dict[str, Any]:
-        return _encode(self, _plan(type(self)))
+        return _encode(self, _codec(type(self)))
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, Any]) -> Any:
-        return _decode(cls, _plan(cls), data)
+        return _decode(cls, _codec(cls), data)
 
 
+# Turns a value into its JSON form, or back; None passes it through.
 _Coder = Optional[Callable[[Any], Any]]
 # The classes a constructor argument may already have, the first of which
 # converts any other value. None: the constructor converts nothing.
 _Coercion = Optional[tuple[type, ...]]
-_Row = tuple[str, _Coder, _Coder, _Coercion, bool]
-# Per type: whether it is versioned, one (name, encoder, decoder, coercion,
-# required) row per field, one such row per derived key, the keys a decode
-# accepts and the (name, coercion) pairs of the fields the constructor
-# converts. A None coder passes the value through.
-_Plan = tuple[bool, tuple[_Row, ...], tuple[_Row, ...], frozenset[str], tuple]
+
+
+class _Codec(NamedTuple):
+    """How one record type is written to JSON and read back."""
+
+    versioned: bool
+    encoders: tuple[tuple[str, _Coder], ...]  # every key written: fields, then derived
+    decoders: tuple[tuple[str, _Coder, bool], ...]  # each field, and whether it is required
+    derived: tuple[tuple[str, _Coder], ...]  # each derived key and its decoder
+    allowed: frozenset[str]  # the keys a decode accepts
+    coercions: tuple[tuple[str, tuple[type, ...]], ...]  # the fields the constructor converts
 
 
 @functools.cache
-def _plan(cls: type) -> _Plan:
+def _codec(cls: type) -> _Codec:
     hints = get_type_hints(cls)
     if hasattr(cls, "_fields"):  # a NamedTuple
-        names = [(name, name not in cls._field_defaults) for name in cls._fields]
+        required = {name: name not in cls._field_defaults for name in cls._fields}
     else:
-        names = [
-            (f.name, f.default is MISSING and f.default_factory is MISSING) for f in fields(cls)
-        ]
-    rows = tuple((name, *_coders(hints[name]), required) for name, required in names)
-    coercions = tuple((name, kept) for name, _, _, kept, _ in rows if kept)
-    derived = tuple(
-        (name, *_coders(get_type_hints(getattr(cls, name).fget)["return"]), True)
+        required = {f.name: f.default is MISSING for f in fields(cls)}
+    coders = {name: _coders(hints[name]) for name in required}
+    derived = {
+        name: _coders(get_type_hints(getattr(cls, name).fget)["return"])
         for name in getattr(cls, "derived", ())
-    )
+    }
     versioned = getattr(cls, "versioned", False)
-    allowed = {name for name, *_ in rows + derived} | ({"schema_version"} if versioned else set())
-    return versioned, rows, derived, frozenset(allowed), coercions
+    return _Codec(
+        versioned,
+        encoders=tuple((name, encode) for name, (encode, _, _) in {**coders, **derived}.items()),
+        decoders=tuple((name, decode, required[name]) for name, (_, decode, _) in coders.items()),
+        derived=tuple((name, decode) for name, (_, decode, _) in derived.items()),
+        allowed=frozenset([*coders, *derived, *(["schema_version"] if versioned else [])]),
+        coercions=tuple((name, kept) for name, (_, _, kept) in coders.items() if kept),
+    )
 
 
 def _coders(hint: Any) -> tuple[_Coder, _Coder, _Coercion]:
@@ -357,8 +359,8 @@ def _coders(hint: Any) -> tuple[_Coder, _Coder, _Coercion]:
         return methodcaller("to_json_dict"), lambda value: hint.from_json_dict(value), None
     if issubclass(hint, tuple) and hasattr(hint, "_fields"):
         return (
-            lambda value: _encode(value, _plan(hint)),
-            lambda value: _decode(hint, _plan(hint), value),
+            lambda value: _encode(value, _codec(hint)),
+            lambda value: _decode(hint, _codec(hint), value),
             None,
         )
     raise TypeError(f"no JSON codec for field type {hint!r}")
@@ -385,29 +387,27 @@ def _decode_str(value: Any) -> str:
     return value
 
 
-def _encode(obj: Any, plan: _Plan) -> dict[str, Any]:
-    versioned, rows, derived, *_ = plan
-    out: dict[str, Any] = {"schema_version": SCHEMA_VERSION} if versioned else {}
-    for name, encode, *_ in rows + derived:
+def _encode(obj: Any, codec: _Codec) -> dict[str, Any]:
+    out: dict[str, Any] = {"schema_version": SCHEMA_VERSION} if codec.versioned else {}
+    for name, encode in codec.encoders:
         value = getattr(obj, name)
         out[name] = value if encode is None else encode(value)
     return out
 
 
-def _decode(cls: type, plan: _Plan, data: Mapping[str, Any]) -> Any:
-    versioned, rows, derived, allowed, _ = plan
+def _decode(cls: type, codec: _Codec, data: Mapping[str, Any]) -> Any:
     if not isinstance(data, dict):
         raise ValueError(f"{cls.__name__}: expected a JSON object, got {type(data).__name__}")
-    if not data.keys() <= allowed:
-        raise ValueError(f"{cls.__name__}: unknown keys {sorted(data.keys() - allowed)}")
-    if versioned and data.get("schema_version") != SCHEMA_VERSION:
+    if not data.keys() <= codec.allowed:
+        raise ValueError(f"{cls.__name__}: unknown keys {sorted(data.keys() - codec.allowed)}")
+    if codec.versioned and data.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(
             f"{cls.__name__}: unsupported schema_version {data.get('schema_version')!r} "
             f"(expected {SCHEMA_VERSION!r})"
         )
     values = {
         name: _decode_key(cls, data, name, decode)
-        for name, _, decode, _, required in rows
+        for name, decode, required in codec.decoders
         if required or name in data
     }
     try:
@@ -416,7 +416,7 @@ def _decode(cls: type, plan: _Plan, data: Mapping[str, Any]) -> Any:
         # A value that the record's check refuses, a number where it calls
         # a str method, or a value the constructor cannot convert.
         raise ValueError(f"{cls.__name__}: {exc}") from exc
-    for name, _, decode, *_ in derived:
+    for name, decode in codec.derived:
         stored = _decode_key(cls, data, name, decode)
         if stored != (expected := getattr(record, name)):
             raise ValueError(

@@ -145,7 +145,7 @@ def parse_tagged_dialogue(encounter_id: str, text: str) -> Dialogue:
     return Dialogue(encounter_id=encounter_id, turns=tuple(turns))
 
 
-def load_csv_corpus(path: Path | str, name: Optional[str] = None) -> Corpus:
+def load_csv_corpus(path: Path | str) -> Corpus:
     path = Path(path)
     encounters = []
     # utf-8-sig drops the byte-order mark of Excel's "CSV UTF-8" export.
@@ -169,7 +169,7 @@ def load_csv_corpus(path: Path | str, name: Optional[str] = None) -> Corpus:
             # Such as a cell over csv.field_size_limit(). The DictReader's
             # own line_num lags: it is set only once a row parses.
             raise ValueError(f"{path}:{reader.reader.line_num}: {exc}") from exc
-    return Corpus(name=name or path.stem, encounters=tuple(encounters))
+    return Corpus(name=path.stem, encounters=tuple(encounters))
 
 
 def load_corpus(path: Path | str) -> Corpus:

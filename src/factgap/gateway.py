@@ -267,11 +267,20 @@ class Cassette:
                         f"{self.path}:{line_no}: cassette record missing "
                         "fingerprint/response"
                     )
+                if not isinstance(record["fingerprint"], str):
+                    raise ValueError(
+                        f"{self.path}:{line_no}: cassette fingerprint is "
+                        f"{type(record['fingerprint']).__name__}, not a string"
+                    )
                 self._responses[record["fingerprint"]] = record["response"]
                 self._newline_missing = not line.endswith(b"\n")
 
     def __len__(self) -> int:
         return len(self._responses)
+
+    def __contains__(self, fingerprint: str) -> bool:
+        with self._lock:
+            return fingerprint in self._responses
 
     def get(self, fingerprint: str) -> Optional[Any]:
         """The response recorded for ``fingerprint``, or None."""
@@ -525,10 +534,8 @@ class LlmGateway:
         records only once checked. Concurrent requests with the same
         fingerprint share that call, its record and its checked value."""
         fingerprint = request.fingerprint
-        if self.cassette is not None:
-            response = self.cassette.get(fingerprint)
-            if response is not None:
-                return reply(response, fingerprint)
+        if self.cassette is not None and fingerprint in self.cassette:
+            return reply(self.cassette.get(fingerprint), fingerprint)
         if self.backend is None:
             raise CassetteMiss(fingerprint)
         with self._flights_lock:
@@ -537,9 +544,8 @@ class LlmGateway:
             if leader:
                 # With a cassette, a flight that ended after the lookup
                 # above has appended its response by now.
-                response = self.cassette.get(fingerprint) if self.cassette is not None else None
-                if response is not None:
-                    return reply(response, fingerprint)
+                if self.cassette is not None and fingerprint in self.cassette:
+                    return reply(self.cassette.get(fingerprint), fingerprint)
                 flight = self._flights[fingerprint] = Future()
         if not leader:
             return flight.result()

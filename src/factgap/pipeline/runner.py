@@ -428,12 +428,10 @@ class _Job:
         facts = values["categorize"]
         omissions = values["detect_omissions"]
         clusters = [*values["cluster_supporting"], *values["cluster_refuting"]]
+        scores = [values.get(name) for name in MARGIN_SCORES]  # None: no model or no plan
         margin = None
-        if values.get("margin_plan") is not None:
-            margin = completion_margin(
-                *(values[name] for name in MARGIN_SCORES),
-                epsilon=config.thresholds.margin_epsilon,
-            )
+        if None not in scores:
+            margin = completion_margin(*scores, epsilon=config.thresholds.margin_epsilon)
 
         violations = validate_encounter_bundle(values["truncate"], facts, clusters, omissions)
         warnings = bundle_warnings(clusters)
@@ -485,7 +483,7 @@ def run_encounter(
             stage, exc = stopped
             if isinstance(exc, DialogueTooShort):
                 return job.skip(stage, exc)
-            return job.fail_on(stage.label, exc)
+            return job.fail_on(stage.label or stage.name, exc)
         try:
             return job.report()
         except Exception as exc:

@@ -11,8 +11,10 @@ made.
 each row names what it needs, how it runs and which artifact it writes.
 A model stage's row is one ``_model_stage`` call, which names the stage
 once, with its template, the model role it asks (``config.models.<role>``),
-the values its prompt renders and the parser of the reply. The runner
-schedules the table; ``STAGE_ORDER`` is its row order.
+the values its prompt renders and the parser of the reply. Each margin
+score is a row of its own, declared in ``MARGIN_SCORES``, that needs both
+differentials and plans the margin itself. The runner schedules the
+table; ``STAGE_ORDER`` is its row order.
 """
 
 from __future__ import annotations
@@ -138,7 +140,8 @@ class Stage(Record):
     ``run`` may execute on any thread once every stage in ``needs`` has a
     value; it returns a StageOutput for a model stage and a plain value
     otherwise. ``payload`` turns the value into the JSON body of
-    ``artifact``. ``label`` is the stage a failure here is reported under.
+    ``artifact``. A failure here is reported under ``label``, if set, and
+    else under ``name``.
     """
 
     name: str
@@ -147,10 +150,6 @@ class Stage(Record):
     artifact: str = ""
     payload: Optional[Callable[[str, Any], dict]] = None
     label: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.label:
-            object.__setattr__(self, "label", self.name)
 
 
 def _model_stage(
@@ -211,31 +210,27 @@ def _fact_ids(facts: Sequence[Fact]) -> list[str]:
     return [fact.fact_id for fact in facts]
 
 
-def _margin_requests(s: StageInputs) -> Optional[tuple[tuple[str, str], ...]]:
-    """The (prefix, diagnosis) of the four margin scores, in the order of
-    completion_margin's arguments; None when the margin is undefined."""
-    plan = margin_plan(s["ddx_chat"], s["ddx_summary"])
-    if plan is None:
-        return None
-    chat = completion_prompt(s["truncate"].text())
-    summary = completion_prompt(s["summarize"].text())
-    return (
-        (chat, plan.target),
-        (chat, plan.chat_alternative),
-        (summary, plan.target),
-        (summary, plan.summary_alternative),
-    )
+# Each margin score row, in completion_margin's argument order: the stage
+# whose text is the prompt's context and the MarginPlan diagnosis it scores.
+MARGIN_SCORES = {
+    "score_c0": ("truncate", "target"),
+    "score_c1": ("truncate", "chat_alternative"),
+    "score_s0": ("summarize", "target"),
+    "score_s1": ("summarize", "summary_alternative"),
+}
 
 
-def _margin_score(index: int) -> Callable[[StageInputs], Optional[float]]:
+def _margin_score(context: str, diagnosis: str) -> Callable[[StageInputs], Optional[float]]:
     def run(s: StageInputs) -> Optional[float]:
-        requests = s["margin_plan"]
-        if requests is None:
+        plan = margin_plan(s["ddx_chat"], s["ddx_summary"])
+        if plan is None:
             return None
-        prefix, diagnosis = requests[index]
         config = s.ctx.config
         return s.ctx.gateway.score_continuation(
-            config.models.margin, prefix, completion_continuation(diagnosis), config.aggregation
+            config.models.margin,
+            completion_prompt(s[context].text()),
+            completion_continuation(getattr(plan, diagnosis)),
+            config.aggregation,
         )
 
     return run
@@ -280,8 +275,6 @@ def _cluster_stage(polarity: Polarity) -> Stage:
         },
     )
 
-
-MARGIN_SCORES = ("score_c0", "score_c1", "score_s0", "score_s1")
 
 STAGES: tuple[Stage, ...] = (
     replace(_ask_cut, run=_truncate, artifact="truncated.json", payload=_encoded),
@@ -346,10 +339,9 @@ STAGES: tuple[Stage, ...] = (
         "ddx_summary.json",
         _encoded,
     ),
-    Stage("margin_plan", ("ddx_chat", "ddx_summary"), _margin_requests, label="margin_scores"),
     *(
-        Stage(name, ("margin_plan",), _margin_score(i), label="margin_scores")
-        for i, name in enumerate(MARGIN_SCORES)
+        Stage(name, ("ddx_chat", "ddx_summary"), _margin_score(*row), label="margin_scores")
+        for name, row in MARGIN_SCORES.items()
     ),
 )
 

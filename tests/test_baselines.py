@@ -212,6 +212,18 @@ def test_import_external_metric_reads_a_file_with_a_byte_order_mark(tmp_path):
     assert metric.values == {"e1": 0.85}
 
 
+def test_import_external_metric_refuses_two_metric_columns(tmp_path):
+    # --external takes only a path, so the error cannot ask for a column name.
+    multi = tmp_path / "multi.csv"
+    multi.write_text("encounter_id,a,b\ne1,1,2\n")
+    with pytest.raises(ValueError) as refused:
+        import_external_metric(multi)
+    assert str(refused.value) == (
+        f"{multi}: ambiguous metric column: expected exactly one besides encounter_id, "
+        "found ['a', 'b']"
+    )
+
+
 def test_import_external_metric(tmp_path):
     path = tmp_path / "scores.csv"
     path.write_text("encounter_id,bertscore\ne1,0.85\ne2,0.91\n")
@@ -223,9 +235,6 @@ def test_import_external_metric(tmp_path):
     multi.write_text("encounter_id,a,b\ne1,1,2\n")
     with pytest.raises(ValueError, match="ambiguous"):
         import_external_metric(multi)
-    assert import_external_metric(multi, "b").values == {"e1": 2.0}
-    with pytest.raises(ValueError, match="no column"):
-        import_external_metric(multi, "c")
 
     dupe = tmp_path / "dupe.csv"
     dupe.write_text("encounter_id,m\ne1,1\ne1,2\n")

@@ -88,6 +88,29 @@ def test_run_replay_corpus(finished_run, capsys):
     assert (finished_run / "manifest.json").exists()
 
 
+def test_an_unexpected_error_exits_2_with_its_traceback(tmp_path, monkeypatch, capsys):
+    def broken(path):
+        raise TypeError("a fault in the package")
+
+    monkeypatch.setattr("factgap.cli.load_config", broken)
+    argv = ["run", "--config", str(REPLAY_CONFIG), "--corpus", str(CORPUS)]
+    code = main([*argv, "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("Traceback (most recent call last):\n")
+    assert captured.err.endswith("TypeError: a fault in the package\n")
+
+
+def test_a_keyboard_interrupt_still_propagates_out_of_main(tmp_path, monkeypatch):
+    def interrupted(path):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("factgap.cli.load_config", interrupted)
+    argv = ["run", "--config", str(REPLAY_CONFIG), "--corpus", str(CORPUS)]
+    with pytest.raises(KeyboardInterrupt):
+        main([*argv, "--out", str(tmp_path / "out")])
+
+
 def run_cli(*args: str) -> subprocess.CompletedProcess:
     """Run ``python *args`` in a child process with the package on its path.
 

@@ -780,16 +780,26 @@ def test_record_fills_defaults_and_calls_post_init():
     class Sample(Record):
         name: str
         count: int = 2
-        tags: list = field(default_factory=list)
-        size: int = field(init=False)
 
         def __post_init__(self) -> None:
-            object.__setattr__(self, "size", len(self.name) * self.count)
+            object.__setattr__(self, "name", self.name.strip())
 
-    first, second = Sample("ab"), Sample(name="ab")
+    first, second = Sample(" ab"), Sample(name="ab")
     assert first == second
-    assert first.tags is not second.tags
-    assert (first.count, first.tags, first.size) == (2, [], 4)
+    assert (first.name, first.count) == ("ab", 2)
     shown = repr(Sample("a", count=3))
-    assert shown.endswith("<locals>.Sample(name='a', count=3, tags=[], size=3)")
-    assert Sample("a") != Sample("b") and Sample("a") != ("a", 2, [], 2)
+    assert shown.endswith("<locals>.Sample(name='a', count=3)")
+    assert Sample("a") != Sample("b") and Sample("a") != ("a", 2)
+
+
+@pytest.mark.parametrize(
+    "option",
+    [{"default_factory": list}, {"init": False}, {"compare": False}, {"repr": False}],
+    ids=["default_factory", "init", "compare", "repr"],
+)
+def test_record_refuses_a_field_option_other_than_a_plain_default(option):
+    with pytest.raises(TypeError, match=r"Sample\.tags: Record fields take plain defaults"):
+
+        class Sample(Record):
+            name: str
+            tags: list = field(**option)

@@ -304,6 +304,8 @@ def test_a_backend_reply_that_is_not_a_string_is_a_gateway_error(tmp_path):
         pytest.param("score", {"logprobs": -1.0}, "-1.0", id="not-a-list"),
         pytest.param("score", {}, "None", id="no-logprobs"),
         pytest.param("score", 5, "None", id="number-response"),
+        pytest.param("generate", None, "is NoneType, not text", id="null-response"),
+        pytest.param("score", None, "None", id="null-score-response"),
     ],
 )
 def test_a_cassette_reply_of_the_wrong_shape_is_a_gateway_error(tmp_path, kind, response, refusal):
@@ -342,6 +344,30 @@ def test_record_mode_appends_then_short_circuits(tmp_path):
     # The cassette file keeps the whole record, request included.
     (line,) = path.read_text(encoding="utf-8").splitlines()
     assert json.loads(line)["request"]["model_id"] == "m1"
+
+
+def test_record_mode_treats_a_stored_null_response_as_a_malformed_reply(tmp_path):
+    path = tmp_path / "c.jsonl"
+    request = make_request()
+    line = json.dumps({"fingerprint": request.fingerprint, "response": None}) + "\n"
+    path.write_text(line)
+    backend = ScriptedBackend(generate_responses=["never asked"])
+    gateway = LlmGateway(backend=backend, cassette_path=path)
+    with pytest.raises(GatewayError, match=f"^reply to {request.fingerprint[:12]} is NoneType"):
+        gateway.generate(request)
+    # The backend still holds its one reply, and nothing was appended.
+    assert backend.complete(request) == "never asked"
+    assert path.read_text() == line
+
+
+@pytest.mark.parametrize("fingerprint", [["f1"], 5, None], ids=["list", "int", "null"])
+def test_cassette_refuses_a_fingerprint_that_is_not_a_string(tmp_path, fingerprint):
+    path = tmp_path / "c.jsonl"
+    record = {"fingerprint": fingerprint, "response": {"text": "a"}}
+    path.write_text(cassette_line("f0", "a") + json.dumps(record) + "\n")
+    refusal = rf"c\.jsonl:2: cassette fingerprint is {type(fingerprint).__name__}, not a string"
+    with pytest.raises(ValueError, match=refusal):
+        Cassette(path)
 
 
 class BlockingBackend:

@@ -7,14 +7,27 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from factgap.config import build_gateway, load_config
+from factgap.config import ModelsConfig, RunConfig, build_gateway, load_config
+from factgap.datamodel import (
+    DdxSource,
+    Diagnosis,
+    Dialogue,
+    DifferentialDiagnosis,
+    Likelihood,
+    Speaker,
+    Summary,
+    Turn,
+)
 from factgap.dataset import load_corpus
 from factgap.gateway import Cassette, GatewayError, GatewayMode, LlmGateway
 from factgap.jsonutil import read_json
 from factgap.pipeline import parsers
 from factgap.pipeline.runner import ENCOUNTERS_SUBDIR, MANIFEST_NAME, run_corpus
-from factgap.pipeline.stages import MARGIN_SCORES, STAGE_ORDER, STAGES
+from factgap.pipeline.stages import MARGIN_SCORES, STAGE_ORDER, STAGES, StageContext, StageInputs
+from factgap.scoring import completion_continuation, completion_prompt, margin_plan
 
 from corpus_fixtures import MALFORMED_SCENARIOS
 from test_acceptance import _replay_run_config
@@ -107,6 +120,67 @@ def test_stage_table_is_in_dependency_order():
     assert STAGE_ORDER == tuple(stage.name for stage in STAGES)
 
 
+def differentials(source):
+    """Differentials of up to four entries with drawn likelihoods, named
+    after their source and rank, so each diagnosis is told apart."""
+    return st.lists(st.sampled_from(Likelihood), min_size=1, max_size=4).map(
+        lambda likelihoods: DifferentialDiagnosis(
+            "enc",
+            source,
+            [
+                Diagnosis(rank, f"{source.value} {rank}", likelihood)
+                for rank, likelihood in enumerate(likelihoods, start=1)
+            ],
+        )
+    )
+
+
+class ScoreRecorder:
+    """A gateway that records each score request and answers -1.0."""
+
+    def __init__(self):
+        self.requests = []
+
+    def score_continuation(self, model_id, prefix, continuation, aggregation):
+        self.requests.append((model_id, prefix, continuation))
+        return -1.0
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(differentials(DdxSource.FROM_CHAT), differentials(DdxSource.FROM_SUMMARY))
+def test_margin_score_rows_request_the_plans_diagnoses_under_each_context(chat, summary):
+    gateway = ScoreRecorder()
+    config = RunConfig(
+        models=ModelsConfig(summary="s", metric="m", margin="margin-model"), cassette="c.jsonl"
+    )
+    truncated = Dialogue("enc", [Turn(0, Speaker.PATIENT, "my head hurts")])
+    inputs = StageInputs(StageContext(gateway, config), truncated)
+    inputs.values.update(
+        truncate=truncated,
+        summarize=Summary("enc", {"chief_complaint": "headache"}),
+        ddx_chat=chat,
+        ddx_summary=summary,
+    )
+    rows = [stage for stage in STAGES if stage.name in MARGIN_SCORES]
+    assert [row.name for row in rows] == list(MARGIN_SCORES)
+    scores = [row.run(inputs) for row in rows]
+
+    plan = margin_plan(chat, summary)
+    if plan is None:
+        assert scores == [None] * 4
+        assert gateway.requests == []
+        return
+    chat_prompt = completion_prompt("[patient] my head hurts")
+    summary_prompt = completion_prompt("CHIEF COMPLAINT:\nheadache")
+    assert scores == [-1.0] * 4
+    assert gateway.requests == [
+        ("margin-model", chat_prompt, completion_continuation(plan.target)),
+        ("margin-model", chat_prompt, completion_continuation(plan.chat_alternative)),
+        ("margin-model", summary_prompt, completion_continuation(plan.target)),
+        ("margin-model", summary_prompt, completion_continuation(plan.summary_alternative)),
+    ]
+
+
 def fixture_stage_fingerprints(tmp_path):
     """Maps every generate fingerprint of the fixture replay to its
     (encounter id, stage)."""
@@ -156,7 +230,7 @@ def test_one_worker_calls_the_model_in_stage_order(tmp_path):
         for name in STAGE_ORDER:
             if name in MARGIN_SCORES:
                 expected.append((None, "score"))
-            elif name != "margin_plan":
+            else:
                 expected.append((result.encounter_id, name))
     assert backend.calls == expected
 
