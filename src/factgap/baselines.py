@@ -615,12 +615,14 @@ def import_external_metric(path: Path | str) -> MetricVector:
                 if encounter_id in values:
                     raise ValueError(f"{path}:{row_no}: duplicate encounter_id {encounter_id}")
                 raw = (row.get(metric_name) or "").strip()
+                where = f"{path}:{row_no}: {metric_name} value {raw!r}"
                 try:
-                    values[encounter_id] = float(raw)
+                    value = float(raw)
                 except ValueError as exc:
-                    raise ValueError(
-                        f"{path}:{row_no}: {metric_name} value {raw!r} is not a number"
-                    ) from exc
+                    raise ValueError(f"{where} is not a number") from exc
+                if not math.isfinite(value):
+                    raise ValueError(f"{where} is not finite")
+                values[encounter_id] = value
         except csv.Error as exc:
             # Such as a cell over csv.field_size_limit(). The DictReader's
             # own line_num lags: it is set only once a row parses.

@@ -10,6 +10,7 @@ an environment variable instead. Only live and record runs need a backend.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import replace
 from pathlib import Path
@@ -55,8 +56,8 @@ class BackendConfig(JsonRecord):
             raise ValueError("backend.kind mock requires backend.path")
         if self.kind == "http" and not self.base_url:
             raise ValueError("backend.kind http requires backend.base_url")
-        if self.timeout <= 0:
-            raise ValueError(f"backend.timeout must be positive, got {self.timeout}")
+        if not 0 < self.timeout < math.inf:
+            raise ValueError(f"backend.timeout must be positive and finite, got {self.timeout}")
 
 
 class ThresholdsConfig(JsonRecord):
@@ -73,8 +74,8 @@ class ThresholdsConfig(JsonRecord):
             raise ValueError("thresholds.min_truncated_turns must be at least 1")
         if self.repair_budget < 0:
             raise ValueError("thresholds.repair_budget must be non-negative")
-        if self.margin_epsilon <= 0:
-            raise ValueError("thresholds.margin_epsilon must be positive")
+        if not 0 < self.margin_epsilon < math.inf:
+            raise ValueError("thresholds.margin_epsilon must be positive and finite")
 
 
 class RunConfig(JsonRecord):

@@ -2,12 +2,12 @@
 
 A request is a record: its payload is the codec's encoding of it plus
 its ``kind``, and its fingerprint the sha256 of the payload's canonical
-JSON. A gateway's cassette answers first; a miss goes to its backend,
-whose reply the cassette records, or with no backend raises
-``CassetteMiss``. Cassettes are append-only JSONL and safe to share
-between worker threads; an append that fails partway is cut off by the
-next one. Concurrent requests with the same fingerprint share one
-backend call.
+JSON. One cassette lookup under one lock decides each call: a hit is
+answered from the cassette; a miss raises ``CassetteMiss`` with no
+backend, waits for a concurrent call with the same fingerprint, or leads
+one backend call, whose reply the cassette records. Cassettes are
+append-only JSONL and safe to share between worker threads; an append
+that fails partway is cut off by the next one.
 
 Each kind of reply has one check, run on a cassette hit and on a backend
 reply before the cassette records it: a generation is text that UTF-8
@@ -57,6 +57,8 @@ RETRY_FACTOR = 2.0
 # Every request is greedy: cassette identity depends on the full payload,
 # so sampling is never exposed.
 TEMPERATURE = 0.0
+# What a cassette lookup returns for a fingerprint it has no record of.
+_ABSENT = object()
 
 
 class GatewayError(Exception):
@@ -278,14 +280,11 @@ class Cassette:
     def __len__(self) -> int:
         return len(self._responses)
 
-    def __contains__(self, fingerprint: str) -> bool:
+    def get(self, fingerprint: str, default: Any = None) -> Any:
+        """The response recorded for ``fingerprint``, or ``default``. A
+        stored response may itself be None."""
         with self._lock:
-            return fingerprint in self._responses
-
-    def get(self, fingerprint: str) -> Optional[Any]:
-        """The response recorded for ``fingerprint``, or None."""
-        with self._lock:
-            return self._responses.get(fingerprint)
+            return self._responses.get(fingerprint, default)
 
     def append(self, record: Mapping[str, Any]) -> None:
         """Write ``record`` and then answer for it. A write that fails
@@ -342,20 +341,14 @@ class HttpBackend:
         parts = urlsplit(self.base_url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError(f"base_url must be an http or https URL, got {base_url!r}")
+        connection, tls = http.client.HTTPConnection, {}
         if parts.scheme == "https":
             import ssl
 
-            self._connect = functools.partial(
-                http.client.HTTPSConnection,
-                parts.hostname,
-                parts.port,
-                timeout=timeout,
-                context=ssl.create_default_context(),
-            )
-        else:
-            self._connect = functools.partial(
-                http.client.HTTPConnection, parts.hostname, parts.port, timeout=timeout
-            )
+            connection, tls = http.client.HTTPSConnection, {"context": ssl.create_default_context()}
+        self._connect = functools.partial(
+            connection, parts.hostname, parts.port, timeout=timeout, **tls
+        )
         self._path_prefix = parts.path
         self._idle: list[http.client.HTTPConnection] = []
         self._idle_lock = threading.Lock()
@@ -498,30 +491,27 @@ class LlmGateway:
         self.cassette = Cassette(cassette_path) if cassette_path is not None else None
 
     def _call_with_retry(self, fn: Callable[[], Any], label: str) -> Any:
-        last: Optional[TransportError] = None
         for attempt in range(RETRY_ATTEMPTS):
             try:
                 return fn()
             except TransportError as exc:
-                last = exc
                 if (exc.retry_after or 0.0) > MAX_RETRY_AFTER_S:
                     raise TransportError(
                         f"{label}: the server asked to retry after {exc.retry_after:g}s, "
                         f"longer than the {MAX_RETRY_AFTER_S:g}s limit ({exc})"
                     ) from exc
-                if attempt + 1 < RETRY_ATTEMPTS:
-                    delay = max(RETRY_BASE_DELAY_S * RETRY_FACTOR**attempt, exc.retry_after or 0.0)
-                    log.warning(
-                        "%s failed (%s); retrying in %.2fs (%d/%d)",
-                        label,
-                        exc,
-                        delay,
-                        attempt + 2,
-                        RETRY_ATTEMPTS,
-                    )
-                    self._sleeper(delay)
-        assert last is not None
-        raise last
+                if attempt + 1 == RETRY_ATTEMPTS:
+                    raise
+                delay = max(RETRY_BASE_DELAY_S * RETRY_FACTOR**attempt, exc.retry_after or 0.0)
+                log.warning(
+                    "%s failed (%s); retrying in %.2fs (%d/%d)",
+                    label,
+                    exc,
+                    delay,
+                    attempt + 2,
+                    RETRY_ATTEMPTS,
+                )
+                self._sleeper(delay)
 
     def _respond(
         self,
@@ -534,19 +524,19 @@ class LlmGateway:
         records only once checked. Concurrent requests with the same
         fingerprint share that call, its record and its checked value."""
         fingerprint = request.fingerprint
-        if self.cassette is not None and fingerprint in self.cassette:
-            return reply(self.cassette.get(fingerprint), fingerprint)
+        # One decision under the lock. A leader appends its response
+        # before it ends its flight under this lock, so a request that
+        # finds neither a record nor a flight has no answer yet.
+        with self._flights_lock:
+            response = _ABSENT if self.cassette is None else self.cassette.get(fingerprint, _ABSENT)
+            flight = self._flights.get(fingerprint)
+            leader = response is _ABSENT and flight is None and self.backend is not None
+            if leader:
+                flight = self._flights[fingerprint] = Future()
+        if response is not _ABSENT:
+            return reply(response, fingerprint)
         if self.backend is None:
             raise CassetteMiss(fingerprint)
-        with self._flights_lock:
-            flight = self._flights.get(fingerprint)
-            leader = flight is None
-            if leader:
-                # With a cassette, a flight that ended after the lookup
-                # above has appended its response by now.
-                if self.cassette is not None and fingerprint in self.cassette:
-                    return reply(self.cassette.get(fingerprint), fingerprint)
-                flight = self._flights[fingerprint] = Future()
         if not leader:
             return flight.result()
         try:

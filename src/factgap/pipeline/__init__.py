@@ -1,15 +1,1 @@
 """Stage pipeline: prompts, parsers, stage engine, and the runner."""
-
-from .parsers import ParseError
-from .runner import EncounterResult, run_corpus, run_encounter
-from .stages import StageContext, StageError, StageOutput
-
-__all__ = [
-    "EncounterResult",
-    "ParseError",
-    "StageContext",
-    "StageError",
-    "StageOutput",
-    "run_corpus",
-    "run_encounter",
-]

@@ -7,7 +7,8 @@ back to the model in a repair round.
 
 Summaries, importance categories and each diagnosis's evidence groups
 are sectioned replies, ``HEADER:`` lines each followed by its section;
-one scan, ``_headed_sections``, splits all three.
+one scan, ``_headed_sections``, splits all three. Facts and omissions
+are ``F<n>: …`` lines, which one reader, ``_fact_line``, splits.
 """
 
 from __future__ import annotations
@@ -133,19 +134,25 @@ def parse_summary(block: str, encounter_id: str) -> Summary:
         raise ParseError(str(exc)) from exc
 
 
+def _fact_line(line: str, noun: str) -> tuple[str, str]:
+    """The fact id of an ``F<n>: …`` line and the text after its first
+    colon; ``noun`` names the line in a ParseError."""
+    raw_id, colon, rest = line.partition(":")
+    if not colon:
+        raise ParseError(f"{noun} line {line!r} has no F<number>: prefix")
+    try:
+        return parse_fact_id(raw_id), rest
+    except ValueError as exc:
+        raise ParseError(f"{noun} line {line!r}: {exc}") from exc
+
+
 def parse_facts(block: str) -> list[Fact]:
     lines = _non_empty_lines(block)
     if not lines:
         raise ParseError("the fact list is empty")
     facts = []
     for position, line in enumerate(lines):
-        if ":" not in line:
-            raise ParseError(f"fact line {line!r} has no F<number>: prefix")
-        raw_id, rest = line.split(":", 1)
-        try:
-            fact_id = parse_fact_id(raw_id)
-        except ValueError as exc:
-            raise ParseError(f"fact line {line!r}: {exc}") from exc
+        fact_id, rest = _fact_line(line, "fact")
         if fact_id != f"F{position}":
             raise ParseError(
                 f"fact ids must be contiguous from F0 in order; line {position} "
@@ -238,13 +245,7 @@ def parse_omissions(block: str, known_fact_ids: Sequence[str]) -> list[Omission]
     for line in lines:
         if _NO_OMISSIONS_RE.match(line):
             raise ParseError("OMITTED: NONE must be the only line when present")
-        if ":" not in line:
-            raise ParseError(f"omission line {line!r} has no F<number>: prefix")
-        raw_id, explanation = line.split(":", 1)
-        try:
-            fact_id = parse_fact_id(raw_id)
-        except ValueError as exc:
-            raise ParseError(f"omission line {line!r}: {exc}") from exc
+        fact_id, explanation = _fact_line(line, "omission")
         if fact_id not in known:
             raise ParseError(f"omission references unknown fact {fact_id}")
         if fact_id in seen:

@@ -257,6 +257,15 @@ def test_import_external_metric(tmp_path):
         import_external_metric(long_cell)
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", "-Infinity", "1e999"])
+def test_import_external_metric_refuses_a_value_that_is_not_finite_at_its_row(tmp_path, raw):
+    path = tmp_path / "scores.csv"
+    path.write_text(f"encounter_id,bertscore\ne1,0.85\ne2,{raw}\n")
+    with pytest.raises(ValueError) as refused:
+        import_external_metric(path)
+    assert str(refused.value) == f"{path}:3: bertscore value {raw!r} is not finite"
+
+
 def test_correlation_table_and_rendering():
     rng = random.Random(3)
     ids = [f"e{i}" for i in range(10)]

@@ -738,6 +738,39 @@ def test_run_on_an_unparsable_json_config_is_an_error_naming_the_file(tmp_path, 
     assert "Traceback" not in captured.err
 
 
+# JSON spells them Infinity and NaN, YAML .inf and .nan; a YAML flow
+# mapping is JSON with those spellings.
+@pytest.mark.parametrize(
+    "name, number",
+    [
+        ("config.json", "Infinity"),
+        ("config.json", "NaN"),
+        ("config.yaml", ".inf"),
+        ("config.yaml", ".nan"),
+    ],
+)
+@pytest.mark.parametrize(
+    "section",
+    [
+        {"backend": {"kind": "http", "base_url": "http://127.0.0.1:9", "timeout": "NUMBER"}},
+        {"thresholds": {"margin_epsilon": "NUMBER"}},
+    ],
+    ids=["timeout", "margin_epsilon"],
+)
+def test_run_refuses_a_config_number_that_is_not_finite(tmp_path, capsys, name, number, section):
+    data = {**read_json(REPLAY_CONFIG), "cassette": str(FIXTURES / "cassettes" / "corpus.jsonl")}
+    config = tmp_path / name
+    config.write_text(json.dumps({**data, **section}).replace('"NUMBER"', number), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(config), "--corpus", str(CORPUS), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {config}: ")
+    assert "must be positive and finite" in captured.err
+    assert captured.err.count("\n") == 1
+    assert not (out / "encounters").exists()
+
+
 def test_only_run_writes_a_manifest_of_the_whole_corpus(finished_run, tmp_path, capsys):
     run = tmp_path / "run"
     shutil.copytree(finished_run, run)

@@ -1,6 +1,8 @@
 import json
+import math
 
 import pytest
+import yaml
 
 from factgap.config import (
     BackendConfig,
@@ -261,3 +263,20 @@ def test_live_gateway_reads_no_cassette_the_config_names(tmp_path, loopback):
     record = build_gateway(config.with_mode("record"))
     assert record.cassette.path == config.cassette
     assert record.backend is not None
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("name", ["config.json", "config.yaml"])
+@pytest.mark.parametrize("section, key", [("backend", "timeout"), ("thresholds", "margin_epsilon")])
+def test_a_number_that_is_not_finite_is_refused_naming_the_file_and_key(
+    tmp_path, section, key, name, value
+):
+    data = minimal_config_dict()
+    data.setdefault(section, {})[key] = value
+    path = tmp_path / name
+    # json writes Infinity, -Infinity and NaN; yaml writes .inf, -.inf and .nan.
+    path.write_text(json.dumps(data) if name.endswith(".json") else yaml.safe_dump(data))
+    with pytest.raises(ValueError) as refused:
+        load_config(path)
+    assert str(refused.value).startswith(f"{path}: RunConfig: ")
+    assert f"{section}.{key} must be positive and finite" in str(refused.value)

@@ -464,6 +464,35 @@ def test_record_mode_single_flight_under_thread_churn(tmp_path):
     assert len(path.read_text(encoding="utf-8").splitlines()) == len(requests_)
 
 
+@pytest.mark.parametrize("kind", ["generate", "score"])
+def test_a_request_after_the_leaders_append_is_a_cassette_hit(tmp_path, kind):
+    # The second request comes once the leader has appended its record but
+    # before its flight ends. It must read the record rather than wait on
+    # that flight, so it finishes while the leader is still in append. The
+    # backend holds one reply of each kind, so a second call would fail.
+    path = tmp_path / "c.jsonl"
+    backend = ScriptedBackend(generate_responses=["only"], score_responses=[[-1.0, -3.0]])
+    gateway = LlmGateway(backend=backend, cassette_path=path)
+    ask = {
+        "generate": lambda: gateway.generate(make_request()),
+        "score": lambda: gateway.score_continuation("m1", "prefix ", "tail"),
+    }[kind]
+    append = gateway.cassette.append
+    replies = []
+
+    def append_then_ask(record):
+        append(record)
+        second = threading.Thread(target=lambda: replies.append(ask()))
+        second.start()
+        second.join(5)
+        assert not second.is_alive(), "the second request waited on the leader's flight"
+
+    gateway.cassette.append = append_then_ask
+    first = ask()
+    assert replies == [first]
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 1
+
+
 def test_mode_configuration_errors():
     # With neither, no request could ever be answered.
     with pytest.raises(ValueError, match="needs a backend, a cassette path or both"):
