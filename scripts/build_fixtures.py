@@ -126,14 +126,17 @@ def record_malformed_cassettes(fixtures: Path, corpus) -> None:
         cassette = fixtures / "cassettes" / f"malformed_{name}.jsonl"
         gateway = record_gateway(cassette, queue)
         config = make_config(cassette, GatewayMode.RECORD, margin=False)
-        result = run_encounter(config, gateway, edward)
-        if result.status != "failed" or result.stage != stage or fragment not in result.reason:
-            raise SystemExit(f"{name}: unexpected recording outcome {result}")
-
         replay_config = make_config(cassette, GatewayMode.REPLAY, margin=False)
-        result = run_encounter(replay_config, replay_gateway(cassette), edward)
-        if result.status != "failed" or result.stage != stage or fragment not in result.reason:
-            raise SystemExit(f"{name}: unexpected replay outcome {result}")
+        with tempfile.TemporaryDirectory() as tmp:
+            result = run_encounter(config, gateway, edward, Path(tmp) / "record")
+            if result.status != "failed" or result.stage != stage or fragment not in result.reason:
+                raise SystemExit(f"{name}: unexpected recording outcome {result}")
+
+            result = run_encounter(
+                replay_config, replay_gateway(cassette), edward, Path(tmp) / "replay"
+            )
+            if result.status != "failed" or result.stage != stage or fragment not in result.reason:
+                raise SystemExit(f"{name}: unexpected replay outcome {result}")
         print(f"recorded {cassette} (fails at {stage})")
 
 

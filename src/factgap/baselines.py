@@ -26,6 +26,7 @@ import csv
 import functools
 import math
 from collections import Counter
+from dataclasses import replace
 from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Container, Iterable, Mapping, Optional, Sequence
@@ -553,10 +554,7 @@ def average_ranks(values: Sequence[float]) -> list[float]:
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     _validate_pair(x, y)
-    result = pearson(average_ranks(x), average_ranks(y))
-    return CorrelationResult(
-        method="spearman", statistic=result.statistic, p_value=result.p_value, n=result.n
-    )
+    return replace(pearson(average_ranks(x), average_ranks(y)), method="spearman")
 
 
 class MetricVector(Record):

@@ -44,7 +44,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Mapping
-from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields, replace
 from enum import Enum
 from operator import attrgetter, index, methodcaller
 from pathlib import Path
@@ -458,6 +458,13 @@ def fact_id_index(fact_id: str) -> int:
     return int(parse_fact_id(fact_id)[1:])
 
 
+def _check_reply_line(owner: str, text: str, refused: tuple[str, ...] = ("```",)) -> None:
+    """Refuse text that one reply line cannot carry back intact: surrounding
+    whitespace, a line break (any ``str.splitlines`` boundary) or ``refused``."""
+    if text != text.strip() or len(text.splitlines()) > 1 or any(r in text for r in refused):
+        raise ValueError(f"{owner} {text!r} cannot be carried on one reply line")
+
+
 class Turn(JsonRecord):
     versioned = False
 
@@ -510,10 +517,8 @@ class Dialogue(JsonRecord):
                 f"dialogue {self.encounter_id}: turn index {last_turn_index} out of range "
                 f"0..{len(self.turns) - 1}"
             )
-        return Dialogue(
-            encounter_id=self.encounter_id,
-            turns=self.turns[: last_turn_index + 1],
-            source_tag=SourceTag.TRUNCATED,
+        return replace(
+            self, turns=self.turns[: last_turn_index + 1], source_tag=SourceTag.TRUNCATED
         )
 
 
@@ -567,14 +572,10 @@ class Fact(JsonRecord):
         object.__setattr__(self, "fact_id", parse_fact_id(self.fact_id))
         if not self.text.strip():
             raise ValueError(f"fact {self.fact_id}: empty text")
+        _check_reply_line(f"fact {self.fact_id}: text", self.text)
 
     def with_importance(self, importance: Importance) -> "Fact":
-        return Fact(
-            fact_id=self.fact_id,
-            text=self.text,
-            content_category=self.content_category,
-            importance=importance,
-        )
+        return replace(self, importance=importance)
 
 
 def check_fact_id_contiguity(facts: Sequence[Fact]) -> list[str]:
@@ -610,6 +611,8 @@ class Diagnosis(JsonRecord):
             raise ValueError(f"diagnosis rank must be positive, got {self.rank}")
         if not self.name.strip():
             raise ValueError("diagnosis name must be non-empty")
+        for name in ("name", "explanation"):
+            _check_reply_line(f"diagnosis {self.rank}: {name}", getattr(self, name), ("```", "|"))
 
 
 class DifferentialDiagnosis(JsonRecord):
@@ -694,6 +697,7 @@ class Omission(JsonRecord):
         object.__setattr__(self, "fact_id", parse_fact_id(self.fact_id))
         if not self.explanation.strip():
             raise ValueError(f"omission {self.fact_id}: empty explanation")
+        _check_reply_line(f"omission {self.fact_id}: explanation", self.explanation)
 
 
 IMPORTANCE_WEIGHTS = {

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
@@ -93,9 +94,8 @@ class Corpus(JsonRecord):
         if missing:
             raise ValueError(f"corpus {self.name} has no encounters {missing}")
         selected = set(wanted)
-        return Corpus(
-            name=self.name,
-            encounters=tuple(e for e in self.encounters if e.encounter_id in selected),
+        return replace(
+            self, encounters=tuple(e for e in self.encounters if e.encounter_id in selected)
         )
 
 

@@ -33,6 +33,7 @@ import os
 import threading
 import time
 from concurrent.futures import Future
+from dataclasses import replace
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
@@ -143,14 +144,13 @@ class GenerationRequest(JsonRecord):
 
     def extended(self, assistant_text: str, user_text: str) -> "GenerationRequest":
         """The follow-up request for a repair round."""
-        return GenerationRequest(
-            model_id=self.model_id,
+        return replace(
+            self,
             messages=self.messages
             + (
                 ChatMessage(role="assistant", content=assistant_text),
                 ChatMessage(role="user", content=user_text),
             ),
-            max_tokens=self.max_tokens,
         )
 
 

@@ -171,9 +171,10 @@ def parse_facts(block: str) -> list[Fact]:
         text = text.strip()
         if not text:
             raise ParseError(f"fact {fact_id} has empty text")
-        facts.append(
-            Fact(fact_id=fact_id, text=text, content_category=content_category)
-        )
+        try:
+            facts.append(Fact(fact_id=fact_id, text=text, content_category=content_category))
+        except ValueError as exc:
+            raise ParseError(str(exc)) from exc
     return facts
 
 
@@ -254,7 +255,10 @@ def parse_omissions(block: str, known_fact_ids: Sequence[str]) -> list[Omission]
         explanation = explanation.strip()
         if not explanation:
             raise ParseError(f"omission {fact_id} has no explanation")
-        omissions.append(Omission(fact_id=fact_id, explanation=explanation))
+        try:
+            omissions.append(Omission(fact_id=fact_id, explanation=explanation))
+        except ValueError as exc:
+            raise ParseError(str(exc)) from exc
     return omissions
 
 

@@ -10,23 +10,24 @@ so two replay runs over the same cassette produce byte-identical
 ``encounters/`` subtrees at any worker count, and a failed encounter
 leaves behind everything before the failing stage plus a failure marker.
 
-Nothing is written while an encounter runs. Its artifacts are collected
-in commit order and written as one batch when it ends: every file in
-place, then the outcome marker last and atomically, so the marker is the
-encounter's commit point and a directory without one is incomplete. A
-corpus run writes the batches on two writer processes, which create one
-encounter's files while the next one runs its stages. Processes rather
-than threads, because writer threads would share the GIL with the
-stages: the pretty encoding holds it, and every file operation has to
-take it back. The run forks them itself before it starts any thread and
-hands them batches round robin, each pickled down its writer's own pipe;
-a writer answers each batch on a second pipe, with ``None`` or the
-write error, and exits when its batch pipe ends, which is also what it
-sees when the run's process dies. The run waits on its batches oldest
-first: a failed write stops it at the first hand-over after that batch
-finishes, or at the end, and no encounter starts after that. A writer
-that died shows up as a ``ChildProcessError`` that names a batch's
-directory.
+Each encounter has its own directory, ``encounters/<id>`` under the
+run's output directory, and nothing is written while it runs. Its
+artifacts are collected in commit order and written there as one batch
+when it ends: every file in place, then the outcome marker last and
+atomically, so the marker is the encounter's commit point and a
+directory without one is incomplete. A corpus run writes the batches on
+two writer processes, which create one encounter's files while the next
+one runs its stages. Processes rather than threads, because writer
+threads would share the GIL with the stages: the pretty encoding holds
+it, and every file operation has to take it back. The run forks them
+itself before it starts any thread and hands them batches round robin,
+each pickled down its writer's own pipe; a writer answers each batch on
+a second pipe, with ``None`` or the write error, and exits when its
+batch pipe ends, which is also what it sees when the run's process dies.
+The run waits on its batches oldest first: a failed write stops it at
+the first hand-over after that batch finishes, or at the end, and no
+encounter starts after that. A writer that died shows up as a
+``ChildProcessError`` that names a batch's directory.
 
 Each writer puts itself under ``SCHED_BATCH`` as it starts, which tells
 the kernel it is a batch job that need not run the moment it wakes. A
@@ -308,9 +309,9 @@ def _run_now(call: Callable[..., Any], *args: Any) -> Future:
 class _Job:
     """One encounter's stage values and stage log, and its artifacts,
     collected in commit order as the batch that ``flush`` writes under
-    ``root``; without a root nothing is written."""
+    ``root``."""
 
-    def __init__(self, ctx: StageContext, dialogue: Dialogue, root: Optional[Path]):
+    def __init__(self, ctx: StageContext, dialogue: Dialogue, root: Path):
         self.encounter_id = dialogue.encounter_id
         self.inputs = StageInputs(ctx, dialogue)
         self.outputs: list[StageOutput] = []
@@ -318,13 +319,11 @@ class _Job:
         self.batch: list[tuple[str, Any]] = []
 
     def write(self, name: str, payload: Any) -> None:
-        if self.root is not None:
-            self.batch.append((name, payload))
+        self.batch.append((name, payload))
 
     def flush(self, writer: Optional[_BatchWriter]) -> None:
         """Hands the batch to ``writer``, or writes it inline without one."""
-        if self.root is not None:
-            (_write_batch if writer is None else writer.submit)(self.root, self.batch)
+        (_write_batch if writer is None else writer.submit)(self.root, self.batch)
 
     def commit(self, stage: Stage, result: Any) -> None:
         value = result
@@ -457,22 +456,19 @@ def run_encounter(
     config: RunConfig,
     gateway: LlmGateway,
     encounter: Encounter,
-    out_dir: Optional[Path] = None,
+    out_dir: Path,
     stage_pool: Optional[Executor] = None,
     writer: Optional[_BatchWriter] = None,
 ) -> EncounterResult:
     """Runs one encounter's stage table: inline in table order, or with
     every ready row submitted to ``stage_pool``. However it ends, its
-    artifacts go to ``writer`` as one batch; without a writer they are on
-    disk when this returns."""
+    artifacts go to ``writer`` as one batch for ``encounters/<id>`` under
+    ``out_dir``; without a writer they are on disk when this returns."""
     dialogue = encounter.dialogue
     encounter_id = dialogue.encounter_id
     _check_encounter_id(encounter_id)
-    job = _Job(
-        StageContext(gateway=gateway, config=config),
-        dialogue,
-        (out_dir / ENCOUNTERS_SUBDIR / encounter_id) if out_dir is not None else None,
-    )
+    ctx = StageContext(gateway=gateway, config=config)
+    job = _Job(ctx, dialogue, out_dir / ENCOUNTERS_SUBDIR / encounter_id)
     try:
         job.write("dialogue.json", dialogue.to_json_dict())
         if encounter.reference_note:

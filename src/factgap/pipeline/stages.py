@@ -1,10 +1,10 @@
 """Stage execution: one model call per stage plus a bounded repair loop.
 
 A stage sends its prompt, extracts the last fenced block from the reply
-and parses it. On a format violation the model gets exactly
-``repair_budget`` follow-ups quoting the violation; if the final attempt
-still fails the stage raises StageError carrying the stage name, the
-last violation, the failing request fingerprint, and how many calls were
+and parses it, in one loop of at most ``repair_budget + 1`` attempts. A
+format violation before the last attempt gets a follow-up quoting it; on
+the last, the stage raises StageError carrying the stage name, that
+violation, the failing request's fingerprint, and how many calls were
 made.
 
 ``STAGES`` declares the stages of one encounter as a dependency table:
@@ -13,8 +13,9 @@ A model stage's row is one ``_model_stage`` call, which names the stage
 once, with its template, the model role it asks (``config.models.<role>``),
 the values its prompt renders and the parser of the reply. Each margin
 score is a row of its own, declared in ``MARGIN_SCORES``, that needs both
-differentials and plans the margin itself. The runner schedules the
-table; ``STAGE_ORDER`` is its row order.
+differentials and plans the margin itself. One builder, ``_listed``,
+makes the payload of each list artifact: facts, omissions and clusters.
+The runner schedules the table; ``STAGE_ORDER`` is its row order.
 """
 
 from __future__ import annotations
@@ -73,36 +74,18 @@ def run_stage(
     request: GenerationRequest,
     parse: Callable[[str], Any],
 ) -> StageOutput:
-    attempts = 0
-    current = request
-    last_error: Optional[parsers.ParseError] = None
     budget = ctx.config.thresholds.repair_budget
-    while attempts <= budget:
-        text = ctx.gateway.generate(current)
-        attempts += 1
+    for attempts in range(1, budget + 2):
+        text = ctx.gateway.generate(request)
         try:
-            block = parsers.extract_last_fenced_block(text)
-            value = parse(block)
+            value = parse(parsers.extract_last_fenced_block(text))
         except parsers.ParseError as exc:
-            last_error = exc
-            if attempts <= budget:
-                log.info("stage %s attempt %d rejected: %s", stage, attempts, exc)
-                current = current.extended(text, _repair_message(exc))
+            if attempts > budget:
+                raise StageError(stage, str(exc), request.fingerprint, attempts) from exc
+            log.info("stage %s attempt %d rejected: %s", stage, attempts, exc)
+            request = request.extended(text, _repair_message(exc))
             continue
-        return StageOutput(
-            stage=stage,
-            value=value,
-            raw_text=text,
-            fingerprint=current.fingerprint,
-            attempts=attempts,
-        )
-    assert last_error is not None
-    raise StageError(
-        stage=stage,
-        message=str(last_error),
-        fingerprint=current.fingerprint,
-        attempts=attempts,
-    )
+        return StageOutput(stage, value, text, request.fingerprint, attempts)
 
 
 class DialogueTooShort(Exception):
@@ -240,9 +223,11 @@ def _encoded(_: str, value: Any) -> dict:
     return value.to_json_dict()
 
 
-def _listed(key: str) -> Callable[[str, Any], dict]:
+def _listed(key: str, **fields: str) -> Callable[[str, Any], dict]:
+    """A list artifact's payload: the encounter id, ``fields``, then ``key``'s items."""
     return lambda encounter_id, items: {
         "encounter_id": encounter_id,
+        **fields,
         key: [item.to_json_dict() for item in items],
     }
 
@@ -268,11 +253,7 @@ def _cluster_stage(polarity: Polarity) -> Stage:
             block, _diagnoses(s), _fact_ids(s["extract_facts"]), polarity
         ),
         f"clusters_{polarity.value}.json",
-        lambda encounter_id, clusters: {
-            "encounter_id": encounter_id,
-            "polarity": polarity.value,
-            "clusters": [c.to_json_dict() for c in clusters],
-        },
+        _listed("clusters", polarity=polarity.value),
     )
 
 

@@ -192,6 +192,40 @@ def test_ddx_top_non_probable_scans_in_rank_order():
     assert all_probable.top_non_probable() is None
 
 
+# Text that one line of a model reply cannot carry back intact.
+NOT_ONE_LINE = (" a", "a ", "a\nb", "a\r\nb", "a\u2028b", "a\u2029b", "a\x85b", "a\x1cb", "a```b")
+
+
+@pytest.mark.parametrize("text", NOT_ONE_LINE)
+def test_reply_line_records_refuse_text_a_reply_line_cannot_carry(text):
+    with pytest.raises(ValueError, match="cannot be carried on one reply line"):
+        Fact(fact_id="F0", text=text, content_category="medical")
+    with pytest.raises(ValueError, match="cannot be carried on one reply line"):
+        Omission(fact_id="F0", explanation=text)
+    with pytest.raises(ValueError, match="cannot be carried on one reply line"):
+        Diagnosis(rank=1, name=text, likelihood="probable")
+    with pytest.raises(ValueError, match="cannot be carried on one reply line"):
+        Diagnosis(rank=1, name="a", likelihood="probable", explanation=text)
+
+
+def test_diagnosis_fields_refuse_the_reply_separator():
+    with pytest.raises(ValueError, match=re.escape("diagnosis 1: name 'A | B' cannot be")):
+        Diagnosis(1, "A | B", "probable", "x")
+    with pytest.raises(ValueError, match=re.escape("diagnosis 2: explanation 'x|y' cannot be")):
+        Diagnosis(2, "A", "probable", "x|y")
+    # Elsewhere the separator is plain text, and a diagnosis may go unexplained.
+    assert Fact(fact_id="F0", text="a | b", content_category="medical").text == "a | b"
+    assert Omission(fact_id="F0", explanation="a | b").explanation == "a | b"
+    assert Diagnosis(1, "a", "probable").explanation == ""
+
+
+def test_a_stored_omission_with_a_line_break_is_refused_on_decode():
+    data = Omission(fact_id="F2", explanation="swelling").to_json_dict()
+    data["explanation"] = "the new ankle\nswelling"
+    with pytest.raises(ValueError, match=re.escape("Omission: omission F2: explanation")):
+        Omission.from_json_dict(data)
+
+
 def test_subcluster_keeps_duplicates_for_validation():
     sc = SubCluster(group="treatments", mechanism_label="adherence", fact_ids=("F1", "F1"))
     assert sc.size == 2

@@ -1,3 +1,4 @@
+import logging
 import re
 
 import pytest
@@ -196,6 +197,20 @@ def test_parse_omissions():
         parsers.parse_omissions("", ["F0"])
 
 
+def test_fact_and_omission_parsers_report_a_record_refusal_as_a_parse_error():
+    # A code fence cannot reach them through a fenced reply, but a parser
+    # called on its own still answers with ParseError, never ValueError.
+    with pytest.raises(
+        ParseError, match=exactly("fact F0: text 'a```b' cannot be carried on one reply line")
+    ):
+        parsers.parse_facts("F0: a```b | medical")
+    with pytest.raises(
+        ParseError,
+        match=exactly("omission F0: explanation 'a```b' cannot be carried on one reply line"),
+    ):
+        parsers.parse_omissions("F0: a```b", ["F0"])
+
+
 def make_facts(n):
     return [
         Fact(fact_id=f"F{i}", text=f"fact {i}", content_category=ContentCategory.MEDICAL)
@@ -372,6 +387,32 @@ def test_run_stage_zero_budget():
         run_stage(ctx, "truncate", simple_request(), lambda b: parsers.parse_truncation(b, 5))
     assert err.value.attempts == 1
     assert len(backend.requests) == 1
+
+
+def test_run_stage_extends_each_repair_and_fails_on_the_last_request(caplog):
+    backend = RequestRecordingBackend(["bad 1", "bad 2", "bad 3", "never used"])
+    ctx = make_context(backend, repair_budget=2)
+    with caplog.at_level(logging.INFO, logger="factgap.pipeline.stages"):
+        with pytest.raises(StageError) as err:
+            run_stage(
+                ctx, "truncate", simple_request(), lambda b: parsers.parse_truncation(b, 5)
+            )
+    requests = backend.requests
+    assert [len(request.messages) for request in requests] == [1, 3, 5]
+    for before, after in zip(requests, requests[1:]):
+        assert after.messages[: len(before.messages)] == before.messages
+    assert [m.content for m in requests[2].messages if m.role == "assistant"] == [
+        "bad 1",
+        "bad 2",
+    ]
+    assert err.value.attempts == 3
+    assert err.value.fingerprint == requests[2].fingerprint
+    assert err.value.message == "the reply contains no fenced code block"
+    rejected = [r.getMessage() for r in caplog.records if "rejected" in r.getMessage()]
+    assert rejected == [
+        "stage truncate attempt 1 rejected: the reply contains no fenced code block",
+        "stage truncate attempt 2 rejected: the reply contains no fenced code block",
+    ]
 
 
 def make_dialogue(n=4):
