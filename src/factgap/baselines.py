@@ -22,7 +22,6 @@ so the package has no runtime dependency on a stats library.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from collections import Counter
@@ -32,6 +31,7 @@ from pathlib import Path
 from typing import Container, Iterable, Mapping, Optional, Sequence
 
 from .datamodel import JsonRecord, Record
+from .dataset import csv_reader
 
 # Over lowercased ASCII bytes: a token byte stays, ".", "!" and a line
 # break end a sentence ("?" is made "." beforehand), anything else separates.
@@ -589,42 +589,35 @@ def import_external_metric(path: Path | str) -> MetricVector:
     """Load one per-encounter metric from a CSV with an encounter_id
     column and exactly one other column, the metric, named by its header."""
     path = Path(path)
-    # utf-8-sig drops the byte-order mark of Excel's "CSV UTF-8" export.
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.DictReader(handle)
-        try:
-            if reader.fieldnames is None:
-                raise ValueError(f"{path}: empty CSV")
-            fields = list(reader.fieldnames)
-            if "encounter_id" not in fields:
-                raise ValueError(f"{path}: no encounter_id column (found {fields})")
-            candidates = [f for f in fields if f != "encounter_id"]
-            if len(candidates) != 1:
-                raise ValueError(
-                    f"{path}: ambiguous metric column: expected exactly one besides "
-                    f"encounter_id, found {candidates}"
-                )
-            (metric_name,) = candidates
-            values: dict[str, float] = {}
-            for row_no, row in enumerate(reader, start=2):
-                encounter_id = (row.get("encounter_id") or "").strip()
-                if not encounter_id:
-                    raise ValueError(f"{path}:{row_no}: blank encounter_id")
-                if encounter_id in values:
-                    raise ValueError(f"{path}:{row_no}: duplicate encounter_id {encounter_id}")
-                raw = (row.get(metric_name) or "").strip()
-                where = f"{path}:{row_no}: {metric_name} value {raw!r}"
-                try:
-                    value = float(raw)
-                except ValueError as exc:
-                    raise ValueError(f"{where} is not a number") from exc
-                if not math.isfinite(value):
-                    raise ValueError(f"{where} is not finite")
-                values[encounter_id] = value
-        except csv.Error as exc:
-            # Such as a cell over csv.field_size_limit(). The DictReader's
-            # own line_num lags: it is set only once a row parses.
-            raise ValueError(f"{path}:{reader.reader.line_num}: {exc}") from exc
+    with csv_reader(path) as reader:
+        if reader.fieldnames is None:
+            raise ValueError(f"{path}: empty CSV")
+        fields = list(reader.fieldnames)
+        if "encounter_id" not in fields:
+            raise ValueError(f"{path}: no encounter_id column (found {fields})")
+        candidates = [f for f in fields if f != "encounter_id"]
+        if len(candidates) != 1:
+            raise ValueError(
+                f"{path}: ambiguous metric column: expected exactly one besides "
+                f"encounter_id, found {candidates}"
+            )
+        (metric_name,) = candidates
+        values: dict[str, float] = {}
+        for row_no, row in enumerate(reader, start=2):
+            encounter_id = (row.get("encounter_id") or "").strip()
+            if not encounter_id:
+                raise ValueError(f"{path}:{row_no}: blank encounter_id")
+            if encounter_id in values:
+                raise ValueError(f"{path}:{row_no}: duplicate encounter_id {encounter_id}")
+            raw = (row.get(metric_name) or "").strip()
+            where = f"{path}:{row_no}: {metric_name} value {raw!r}"
+            try:
+                value = float(raw)
+            except ValueError as exc:
+                raise ValueError(f"{where} is not a number") from exc
+            if not math.isfinite(value):
+                raise ValueError(f"{where} is not finite")
+            values[encounter_id] = value
     if not values:
         raise ValueError(f"{path}: no data rows")
     return MetricVector(name=metric_name, values=values)

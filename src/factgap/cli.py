@@ -198,10 +198,11 @@ def _baseline_pairs(ok: Sequence[tuple[Path, EncounterResult]]) -> dict[str, tup
             )
             continue
         summary = read_record(enc_dir / "summary.json", Summary)
-        pairs[result.encounter_id] = (
-            summary.text(),
-            reference_path.read_text(encoding="utf-8"),
-        )
+        try:
+            reference = reference_path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{reference_path}: {exc}") from exc
+        pairs[result.encounter_id] = (summary.text(), reference)
     return pairs
 
 

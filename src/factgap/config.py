@@ -102,7 +102,10 @@ class RunConfig(JsonRecord):
 
 def load_config(path: Path | str) -> RunConfig:
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     suffix = path.suffix.lower()
     if suffix == ".json":
         try:

@@ -32,7 +32,8 @@ Construction follows the same field types: an enum field converts its
 argument by value and a ``tuple[...]`` field converts any iterable to a
 tuple (an ``Optional`` one keeps ``None``), before the record's
 :meth:`JsonRecord.check` tests its invariants. On decode a ``float`` field
-refuses ``true`` and ``false``, as an ``int`` field does.
+refuses ``true`` and ``false``, as an ``int`` field does, and a mapping's
+values decode by their declared type.
 
 A value computed from the fields, such as a fact's ``combined`` penalty
 or a margin's ``ratio``, is a property in its type's ``derived`` table,
@@ -246,10 +247,11 @@ class JsonRecord(Record):
     and every other value passes through. A versioned type also writes
     ``schema_version`` and checks it on decode. On decode a missing key
     takes the field's default, an integer field takes only an integer, a
-    float field anything but a bool and a string field only a string, and
-    an unknown key, a missing required key or a value of the wrong type is
-    a ValueError that names the type, prefixed by the enclosing record
-    types when it is nested. So is a value the constructor refuses.
+    float field anything but a bool, a string field only a string and a
+    mapping only values of its value type, and an unknown key, a missing
+    required key or a value of the wrong type is a ValueError that names
+    the type, prefixed by the enclosing record types when it is nested.
+    So is a value the constructor refuses.
 
     Each name in ``derived`` is a property computed from the fields. The
     codec writes it as a key, typed by the property's return annotation;
@@ -344,7 +346,8 @@ def _coders(hint: Any) -> tuple[_Coder, _Coder, _Coercion]:
             (tuple,),
         )
     if origin is Mapping or origin is dict:
-        return dict, dict, None
+        decode = _coders(args[1])[1]
+        return dict, lambda value: {key: decode(item) for key, item in dict(value).items()}, None
     if hint is int:
         return None, _decode_int, None
     if hint is float:
@@ -616,7 +619,8 @@ class Diagnosis(JsonRecord):
 
 
 class DifferentialDiagnosis(JsonRecord):
-    """Ranked candidate conditions, at most 10, rank 1 first."""
+    """Ranked candidate conditions, at most 10, ranked 1, 2, … in order,
+    no two names the same under ``str.lower``."""
 
     encounter_id: str
     source: DdxSource
@@ -632,9 +636,18 @@ class DifferentialDiagnosis(JsonRecord):
                 f"ddx {self.encounter_id}: {len(self.entries)} entries exceeds the "
                 f"maximum of {MAX_DDX_ENTRIES}"
             )
-        ranks = [d.rank for d in self.entries]
-        if ranks != sorted(ranks) or len(set(ranks)) != len(ranks):
-            raise ValueError(f"ddx {self.encounter_id}: ranks must be unique and ascending")
+        names = set()
+        for position, entry in enumerate(self.entries, start=1):
+            if entry.rank != position:
+                raise ValueError(
+                    f"ddx {self.encounter_id}: ranks must start at 1 and increase by 1; "
+                    f"entry {position} has rank {entry.rank}"
+                )
+            if entry.name.lower() in names:
+                raise ValueError(
+                    f"ddx {self.encounter_id}: condition {entry.name!r} appears more than once"
+                )
+            names.add(entry.name.lower())
 
     def top(self) -> Diagnosis:
         return self.entries[0]

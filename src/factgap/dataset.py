@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import csv
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .datamodel import Dialogue, JsonRecord, OmissionReport, Speaker, Turn
 from .jsonutil import read_json, write_json
@@ -145,30 +146,41 @@ def parse_tagged_dialogue(encounter_id: str, text: str) -> Dialogue:
     return Dialogue(encounter_id=encounter_id, turns=tuple(turns))
 
 
-def load_csv_corpus(path: Path | str) -> Corpus:
-    path = Path(path)
-    encounters = []
+@contextmanager
+def csv_reader(path: Path) -> Iterator[csv.DictReader]:
+    """A DictReader over the CSV file at ``path``, its errors naming the file and line."""
     # utf-8-sig drops the byte-order mark of Excel's "CSV UTF-8" export.
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         try:
-            required = {"encounter_id", "dialogue"}
-            fields = set(reader.fieldnames or ())
-            if not required <= fields:
-                raise ValueError(
-                    f"{path}: CSV must have columns {sorted(required)}, found {sorted(fields)}"
-                )
-            for row_no, row in enumerate(reader, start=2):
-                encounter_id = (row.get("encounter_id") or "").strip()
-                if not encounter_id:
-                    raise ValueError(f"{path}:{row_no}: blank encounter_id")
-                dialogue = parse_tagged_dialogue(encounter_id, row.get("dialogue") or "")
-                note = (row.get("note") or "").strip() or None
-                encounters.append(Encounter(dialogue=dialogue, reference_note=note))
+            yield reader
         except csv.Error as exc:
             # Such as a cell over csv.field_size_limit(). The DictReader's
             # own line_num lags: it is set only once a row parses.
             raise ValueError(f"{path}:{reader.reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            # Raised on the chunk (exc.object) decoded past the reader's last line.
+            line = reader.reader.line_num + exc.object.count(b"\n", 0, exc.start) + 1
+            raise ValueError(f"{path}:{line}: {exc}") from exc
+
+
+def load_csv_corpus(path: Path | str) -> Corpus:
+    path = Path(path)
+    encounters = []
+    with csv_reader(path) as reader:
+        required = {"encounter_id", "dialogue"}
+        fields = set(reader.fieldnames or ())
+        if not required <= fields:
+            raise ValueError(
+                f"{path}: CSV must have columns {sorted(required)}, found {sorted(fields)}"
+            )
+        for row_no, row in enumerate(reader, start=2):
+            encounter_id = (row.get("encounter_id") or "").strip()
+            if not encounter_id:
+                raise ValueError(f"{path}:{row_no}: blank encounter_id")
+            dialogue = parse_tagged_dialogue(encounter_id, row.get("dialogue") or "")
+            note = (row.get("note") or "").strip() or None
+            encounters.append(Encounter(dialogue=dialogue, reference_note=note))
     return Corpus(name=path.stem, encounters=tuple(encounters))
 
 

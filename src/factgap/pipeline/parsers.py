@@ -9,12 +9,18 @@ Summaries, importance categories and each diagnosis's evidence groups
 are sectioned replies, ``HEADER:`` lines each followed by its section;
 one scan, ``_headed_sections``, splits all three. Facts and omissions
 are ``F<n>: …`` lines, which one reader, ``_fact_line``, splits.
+
+Records own their field rules, such as blank text, a differential's
+ranks and its repeated names. A parser builds each record through
+``_built``, which turns the record's refusal into a ParseError, and owns
+only line syntax and the list rules no record holds, such as contiguous
+or known fact ids.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Sequence, TypeVar
+from typing import Any, Callable, Sequence, TypeVar
 
 from ..datamodel import (
     MAX_DDX_ENTRIES,
@@ -43,6 +49,7 @@ class ParseError(ValueError):
 
 
 _K = TypeVar("_K")
+_R = TypeVar("_R")
 
 _FENCE_RE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
 
@@ -52,6 +59,15 @@ def extract_last_fenced_block(text: str) -> str:
     if not matches:
         raise ParseError("the reply contains no fenced code block")
     return matches[-1].strip("\n")
+
+
+def _built(record: Callable[..., _R], *fields: Any, context: str = "") -> _R:
+    """``record(*fields)``, its refusal a ParseError prefixed by ``context``
+    when one is given."""
+    try:
+        return record(*fields)
+    except ValueError as exc:
+        raise ParseError(f"{context}: {exc}" if context else str(exc)) from exc
 
 
 def _non_empty_lines(block: str) -> list[str]:
@@ -128,10 +144,7 @@ def parse_summary(block: str, encounter_id: str) -> Summary:
         if body.upper() == "NONE":
             body = ""
         sections[key] = body
-    try:
-        return Summary(encounter_id=encounter_id, sections=sections)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return _built(Summary, encounter_id, sections)
 
 
 def _fact_line(line: str, noun: str) -> tuple[str, str]:
@@ -168,13 +181,7 @@ def parse_facts(block: str) -> list[Fact]:
             raise ParseError(
                 f"unknown content category {category!r} on fact {fact_id}"
             ) from exc
-        text = text.strip()
-        if not text:
-            raise ParseError(f"fact {fact_id} has empty text")
-        try:
-            facts.append(Fact(fact_id=fact_id, text=text, content_category=content_category))
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
+        facts.append(_built(Fact, fact_id, text.strip(), content_category))
     return facts
 
 
@@ -183,23 +190,16 @@ _DDX_LINE_RE = re.compile(r"^(\d+)\.\s*(.+)$")
 
 def parse_ddx(block: str, encounter_id: str, source: DdxSource) -> DifferentialDiagnosis:
     lines = _non_empty_lines(block)
-    if not lines:
-        raise ParseError("the differential diagnosis is empty")
     if len(lines) > MAX_DDX_ENTRIES:
         raise ParseError(
             f"{len(lines)} entries exceeds the maximum of {MAX_DDX_ENTRIES}"
         )
     entries = []
-    seen_names = set()
-    for position, line in enumerate(lines):
+    for line in lines:
         match = _DDX_LINE_RE.match(line)
         if not match:
             raise ParseError(f"line {line!r} does not match <rank>. <condition> | ...")
         rank = int(match.group(1))
-        if rank != position + 1:
-            raise ParseError(
-                f"ranks must start at 1 and increase by 1; line {position + 1} has rank {rank}"
-            )
         parts = [part.strip() for part in match.group(2).split("|")]
         if len(parts) != 3:
             raise ParseError(
@@ -207,12 +207,6 @@ def parse_ddx(block: str, encounter_id: str, source: DdxSource) -> DifferentialD
                 "(condition, likelihood, rationale)"
             )
         name, raw_likelihood, explanation = parts
-        if not name:
-            raise ParseError(f"line {line!r} has an empty condition name")
-        lowered = name.lower()
-        if lowered in seen_names:
-            raise ParseError(f"condition {name!r} appears more than once")
-        seen_names.add(lowered)
         try:
             likelihood = Likelihood(raw_likelihood.lower())
         except ValueError as exc:
@@ -220,15 +214,8 @@ def parse_ddx(block: str, encounter_id: str, source: DdxSource) -> DifferentialD
                 f"unknown likelihood {raw_likelihood!r} on rank {rank} "
                 "(use probable, possible, or unlikely)"
             ) from exc
-        entries.append((rank, name, likelihood, explanation))
-    try:
-        return DifferentialDiagnosis(
-            encounter_id=encounter_id,
-            source=source,
-            entries=tuple(Diagnosis(*entry) for entry in entries),
-        )
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+        entries.append(_built(Diagnosis, rank, name, likelihood, explanation))
+    return _built(DifferentialDiagnosis, encounter_id, source, entries)
 
 
 _NO_OMISSIONS_RE = re.compile(r"^OMITTED:\s*NONE$", re.IGNORECASE)
@@ -252,13 +239,7 @@ def parse_omissions(block: str, known_fact_ids: Sequence[str]) -> list[Omission]
         if fact_id in seen:
             raise ParseError(f"fact {fact_id} is listed as omitted more than once")
         seen.add(fact_id)
-        explanation = explanation.strip()
-        if not explanation:
-            raise ParseError(f"omission {fact_id} has no explanation")
-        try:
-            omissions.append(Omission(fact_id=fact_id, explanation=explanation))
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
+        omissions.append(_built(Omission, fact_id, explanation.strip()))
     return omissions
 
 
@@ -390,11 +371,7 @@ def _parse_cluster_section(
             unknown = sorted(set(ids) - known)
             if unknown:
                 raise ParseError(f"{context}: unknown fact ids {unknown}")
-            try:
-                subcluster = SubCluster(group=group, mechanism_label=mechanism, fact_ids=tuple(ids))
-            except ValueError as exc:
-                raise ParseError(f"{context}: {exc}") from exc
-            subclusters.append(subcluster)
+            subclusters.append(_built(SubCluster, group, mechanism, ids, context=context))
     return EvidenceClustering(
         diagnosis_name=diagnosis_name, polarity=polarity, subclusters=tuple(subclusters)
     )

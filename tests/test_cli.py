@@ -593,6 +593,73 @@ def test_compare_on_a_summary_of_the_wrong_shape_names_the_file(
     assert captured.err.startswith(f"error: {summary_path}: Summary: ")
 
 
+def test_compare_on_a_summary_with_a_numeric_section_names_the_file(
+    finished_run, tmp_path, capsys
+):
+    run = tmp_path / "run"
+    shutil.copytree(finished_run, run)
+    summary_path = run / "encounters" / "enc-edward" / "summary.json"
+    summary = read_json(summary_path)
+    # The last section: the summary's own check stops at its first non-empty one.
+    summary["sections"]["past_social_history"] = 5
+    write_json(summary_path, summary)
+    code = main(["compare", "--run", str(run)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {summary_path}: Summary: expected a string, got int\n"
+
+
+def _config_not_utf8(tmp_path, run):
+    config = tmp_path / "config.json"
+    config.write_bytes(REPLAY_CONFIG.read_bytes().replace(b"replay", b"replay\xff"))
+    out = tmp_path / "out"
+    return config, ["run", "--config", str(config), "--corpus", str(CORPUS), "--out", str(out)]
+
+
+def _csv_corpus_not_utf8(tmp_path, run):
+    # More than the 8 KiB the reader's file decodes at a time precede the byte.
+    rows = b"".join(b"enc-%d,[doctor] hello\n" % i for i in range(600))
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_bytes(b"encounter_id,dialogue\n" + rows + b"enc-cafe,[doctor] caf\xff\n")
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(REPLAY_CONFIG), "--corpus", str(corpus), "--out", str(out)]
+    return f"{corpus}:602", argv
+
+
+def _external_csv_not_utf8(tmp_path, run):
+    external = tmp_path / "external.csv"
+    external.write_bytes(EXTERNAL_CSV.read_bytes() + b"enc-extra,0.5\xff\n")
+    return f"{external}:5", ["compare", "--run", str(run), "--external", str(external)]
+
+
+def _reference_not_utf8(tmp_path, run):
+    copy = tmp_path / "run"
+    shutil.copytree(run, copy)
+    reference = copy / "encounters" / "enc-edward" / "reference.txt"
+    reference.write_bytes(reference.read_bytes() + b"\xff")
+    return reference, ["compare", "--run", str(copy)]
+
+
+# id -> a function of (tmp_path, finished run) giving the file with the byte
+# 0xff, as the error names it, and the command that reads it.
+NOT_UTF8 = {
+    "json_config": _config_not_utf8,
+    "csv_corpus": _csv_corpus_not_utf8,
+    "external_csv": _external_csv_not_utf8,
+    "reference_note": _reference_not_utf8,
+}
+
+
+@pytest.mark.parametrize("case", NOT_UTF8)
+def test_an_input_file_that_is_not_utf8_names_itself(case, finished_run, tmp_path, capsys):
+    where, argv = NOT_UTF8[case](tmp_path, finished_run)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {where}: 'utf-8' codec can't decode byte 0xff ")
+    assert captured.err.count("\n") == 1
+
+
 def _replace_report(name, marker):
     def damage(enc_dir):
         (enc_dir / "report.json").unlink()

@@ -1,9 +1,10 @@
 import json
 import re
+from collections.abc import Mapping
 from dataclasses import MISSING, FrozenInstanceError, field, fields, replace
 from enum import Enum
 from pathlib import Path
-from typing import Optional, get_type_hints
+from typing import Optional, get_origin, get_type_hints
 
 import pytest
 
@@ -168,6 +169,25 @@ def test_ddx_invariants():
                 Diagnosis(rank=2, name="a", likelihood=Likelihood.PROBABLE),
                 Diagnosis(rank=1, name="b", likelihood=Likelihood.POSSIBLE),
             ),
+        )
+
+
+@pytest.mark.parametrize(
+    ("entries", "message"),
+    [
+        ((("Flu", 1), ("Cold", 3)), "ranks must start at 1 and increase by 1; entry 2 has rank 3"),
+        ((("Flu", 1), ("flu", 2)), "condition 'flu' appears more than once"),
+    ],
+    ids=["rank_gap", "name_repeated_in_another_case"],
+)
+def test_ddx_refuses_what_no_reply_can_carry(entries, message):
+    # ddx_response numbers entries 1, 2, ... and parse_ddx refuses a name
+    # twice in any case, so neither differential could round-trip.
+    with pytest.raises(ValueError, match=f"^ddx e: {re.escape(message)}$"):
+        DifferentialDiagnosis(
+            "e",
+            DdxSource.FROM_CHAT,
+            [Diagnosis(rank, name, Likelihood.POSSIBLE) for name, rank in entries],
         )
 
 
@@ -692,6 +712,23 @@ def test_every_str_field_refuses_text_that_utf8_cannot_encode():
                 cls.from_json_dict(data)
     turn = sample_records()[Turn].to_json_dict()
     assert Turn.from_json_dict({**turn, "text": "caf\u00e9"}).text == "caf\u00e9"
+
+
+def test_every_mapping_value_decodes_by_its_declared_type():
+    refused = (5, "expected a string, got int$"), ("x\ud83d", "{} is not valid UTF-8: ")
+    checked = []
+    for cls, record in {**sample_records(), **config_records()}.items():
+        for name, hint in get_type_hints(cls).items():
+            if get_origin(hint) is not Mapping:
+                continue
+            data = record.to_json_dict()
+            # The last key: a summary's check stops at its first non-empty section.
+            key = list(data[name])[-1]
+            for bad, message in refused:
+                with pytest.raises(ValueError, match=f"^{cls.__name__}: {message.format(name)}"):
+                    cls.from_json_dict({**data, name: {**data[name], key: bad}})
+            checked.append(cls)
+    assert checked == [Summary, RunManifest]
 
 
 def test_construction_converts_enum_values_and_lists_to_the_declared_types():

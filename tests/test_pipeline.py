@@ -415,6 +415,58 @@ def test_run_stage_extends_each_repair_and_fails_on_the_last_request(caplog):
     ]
 
 
+def parse_ddx(block):
+    return parsers.parse_ddx(block, "e1", DdxSource.FROM_CHAT)
+
+
+# Rules the records hold, not their parsers: (parser, the reply's block,
+# the message a repair request quotes, a block the parser accepts).
+RECORD_RULES = {
+    "blank_fact_text": (
+        parsers.parse_facts,
+        "F0:  | medical",
+        "fact F0: empty text",
+        "F0: a | medical",
+    ),
+    "blank_explanation": (
+        lambda block: parsers.parse_omissions(block, ["F0"]),
+        "F0:",
+        "omission F0: empty explanation",
+        "OMITTED: NONE",
+    ),
+    "blank_condition": (
+        parse_ddx,
+        "1.  | probable | x",
+        "diagnosis name must be non-empty",
+        "1. Flu | probable | x",
+    ),
+    "rank_gap": (
+        parse_ddx,
+        "1. Flu | probable | x\n3. Cold | possible | y",
+        "ddx e1: ranks must start at 1 and increase by 1; entry 2 has rank 3",
+        "1. Flu | probable | x",
+    ),
+    "condition_repeated_in_another_case": (
+        parse_ddx,
+        "1. Flu | probable | x\n2. flu | possible | y",
+        "ddx e1: condition 'flu' appears more than once",
+        "1. Flu | probable | x",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", RECORD_RULES)
+def test_a_rule_a_record_holds_is_a_parse_error_that_earns_a_repair(case):
+    parse, block, message, accepted = RECORD_RULES[case]
+    with pytest.raises(ParseError, match=exactly(message)):
+        parse(block)
+    backend = RequestRecordingBackend([f"```\n{block}\n```", f"```\n{accepted}\n```"])
+    out = run_stage(make_context(backend), "extract_facts", simple_request(), parse)
+    assert out.value == parse(accepted)
+    assert out.attempts == 2
+    assert f"violated the required format: {message}. " in backend.requests[1].messages[2].content
+
+
 def make_dialogue(n=4):
     return Dialogue(
         encounter_id="e1",

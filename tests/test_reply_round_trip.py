@@ -6,14 +6,16 @@ back, come back as drawn.
 The first two properties draw only text these formats can carry: one
 line, no code fence, no surrounding whitespace and not empty. Within
 that it mixes the formats' own separators and keywords into arbitrary
-text. The last three draw text from all of Unicode, separators included,
+text. The other four draw text from all of Unicode, separators included,
 and keep whatever the record admits: a record must refuse any text that
-its reply line cannot carry back.
+its reply line cannot carry back. The last also draws free ranks and
+names that repeat in another case, and keeps the differentials that
+``DifferentialDiagnosis`` admits.
 """
 
 from dataclasses import replace
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from factgap.datamodel import (
@@ -132,9 +134,8 @@ def test_any_text_an_omission_admits_round_trips_through_its_reply(drawn):
     )
 )
 def test_any_text_a_diagnosis_admits_round_trips_through_its_reply(drawn):
-    # A differential admits names that differ only in case, and gaps
-    # between ranks, which parse_ddx refuses and ddx_response cannot write;
-    # neither is drawn.
+    # Ranked 1..n and named apart in any case, as every differential is;
+    # the next property draws other ranks and names.
     entries, names = [], set()
     for diagnosis in drawn:
         if diagnosis.name.lower() not in names and len(entries) < MAX_DDX_ENTRIES:
@@ -142,4 +143,43 @@ def test_any_text_a_diagnosis_admits_round_trips_through_its_reply(drawn):
             entries.append(replace(diagnosis, rank=len(entries) + 1))
     ddx = DifferentialDiagnosis("enc-1", DdxSource.FROM_CHAT, entries)
     reply = ddx_response([(d.name, d.likelihood.value, d.explanation) for d in entries])
+    assert parse_reply(reply, parsers.parse_ddx, "enc-1", DdxSource.FROM_CHAT) == ddx
+
+
+# Names that repeat one another in another case.
+CASED_NAMES = ("Flu", "flu", "FLU", "Cold", "cold")
+
+
+@st.composite
+def free_differentials(draw):
+    """The differential of entries drawn with free ranks, three in four
+    their position, and free names, often another entry's in another case;
+    None when DifferentialDiagnosis refuses them."""
+    diagnoses = draw(
+        admitted(
+            lambda entry: Diagnosis(1, *entry),
+            st.tuples(
+                st.one_of(st.sampled_from(CASED_NAMES), carried, any_text),
+                st.sampled_from(list(Likelihood)),
+                st.one_of(carried, any_text),
+            ),
+            min_size=1,
+        )
+    )
+    ranks = [
+        position if draw(st.integers(0, 3)) else draw(st.integers(0, MAX_DDX_ENTRIES + 1))
+        for position in range(1, len(diagnoses) + 1)
+    ]
+    try:
+        entries = [replace(d, rank=rank) for d, rank in zip(diagnoses, ranks)]
+        return DifferentialDiagnosis("enc-1", DdxSource.FROM_CHAT, entries)
+    except ValueError:
+        return None
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(ddx=free_differentials())
+def test_any_differential_a_record_admits_round_trips_through_its_reply(ddx):
+    assume(ddx is not None)
+    reply = ddx_response([(d.name, d.likelihood.value, d.explanation) for d in ddx.entries])
     assert parse_reply(reply, parsers.parse_ddx, "enc-1", DdxSource.FROM_CHAT) == ddx
