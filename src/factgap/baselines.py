@@ -25,12 +25,11 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import replace
 from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Container, Iterable, Mapping, Optional, Sequence
 
-from .datamodel import JsonRecord, Record
+from .datamodel import JsonRecord, Record, replace
 from .dataset import csv_reader
 
 # Over lowercased ASCII bytes: a token byte stays, ".", "!" and a line

@@ -12,11 +12,10 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
-from .datamodel import MARGIN_EPSILON, JsonRecord
+from .datamodel import MARGIN_EPSILON, JsonRecord, replace
 from .gateway import Aggregation, GatewayMode, HttpBackend, LlmGateway
 from .scoring import PolarityMode
 

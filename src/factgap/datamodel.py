@@ -8,12 +8,14 @@ duplicated subcluster members) is checked by
 rather than raising.
 
 Every value type in the package derives from :class:`Record`, one
-immutable base that gives each subclass its dataclass fields and supplies
-the constructor, equality, hash, repr and frozen attribute methods that
-``@dataclass(frozen=True)`` would generate. Generating them means running
-``exec`` on six methods per class at import, a third of the package's
-import time, and every command pays that import first. A field takes a
-plain default or none.
+immutable base that reads each subclass's fields from its annotations into
+a field table, ``_layout``, and supplies the constructor, equality, hash,
+repr and frozen attribute methods that ``@dataclass(frozen=True)`` would
+generate. Generating them means running ``exec`` on six methods per class
+at import, and even ``dataclasses`` itself, with the ``inspect``, ``ast``
+and ``dis`` it loads, is a quarter of the package's import time, which
+every command pays first. A field takes a plain default or none;
+:func:`replace` copies a record with some fields changed.
 
 Every type that persists as JSON derives from :class:`JsonRecord`, a
 ``Record`` with one codec driven by its fields, and round-trips through
@@ -44,13 +46,13 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections.abc import Mapping
-from dataclasses import MISSING, FrozenInstanceError, dataclass, fields, replace
 from enum import Enum
 from operator import attrgetter, index, methodcaller
 from pathlib import Path
 from types import UnionType
-from typing import Any, Callable, ClassVar, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, ClassVar, NamedTuple, Optional, Sequence, TypeVar, Union
 from typing import get_args, get_origin, get_type_hints
 
 SCHEMA_VERSION = "1"
@@ -134,38 +136,46 @@ class _Layout(NamedTuple):
 class Record:
     """Base of every immutable value type in the package.
 
-    A subclass declares annotated fields as a dataclass does and becomes
-    one, so ``dataclasses.fields`` and ``replace`` work on it. A field
-    takes a plain default or none; a record is immutable, so a record
-    default is safe to share. The class is processed with
-    ``dataclass(init=False, repr=False, eq=False)``, which generates no
-    method: the methods that ``dataclass(frozen=True)`` would ``exec`` for
-    each class at import are written here once.
+    A subclass declares annotated fields as a dataclass does, and its field
+    table, ``_layout``, lists them in order: the fields of its bases first,
+    then its own, leaving out ``ClassVar`` annotations. A field's default is
+    the class attribute of its name, and it takes a plain default or none;
+    a record is immutable, so a record default is safe to share, while an
+    unhashable default or a ``dataclasses.field`` is refused. The methods
+    that ``dataclass(frozen=True)`` would ``exec`` for each class at import
+    are written here once.
 
     The constructor takes the fields by position or by name, fills
     defaults and calls ``__post_init__``. Records compare and hash by the
     tuple of their fields, and assigning or deleting an attribute raises
-    ``FrozenInstanceError``; a ``__post_init__`` that must normalize a
+    :class:`FrozenInstanceError`; a ``__post_init__`` that must normalize a
     field uses ``object.__setattr__``.
     """
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
-        if cls.__doc__ is None:
-            # Else dataclass writes one from the shared __init__'s signature.
-            cls.__doc__ = cls.__qualname__
-        dataclass(init=False, repr=False, eq=False)(cls)
-        every = fields(cls)
-        for f in every:
-            if f.default_factory is not MISSING or not (f.init and f.compare and f.repr):
-                raise TypeError(f"{cls.__qualname__}.{f.name}: Record fields take plain defaults")
-        names = tuple(f.name for f in every)
+        # A base's fields first; a field declared again keeps its place.
+        names = tuple(
+            dict.fromkeys(
+                name
+                for klass in reversed(cls.__mro__)
+                for name, hint in vars(klass).get("__annotations__", {}).items()
+                if not _is_class_var(hint)
+            )
+        )
+        defaults = {name: getattr(cls, name) for name in names if hasattr(cls, name)}
+        # A dataclasses.Field exists only once dataclasses is loaded, so the
+        # check needs no import of its own.
+        field_spec = getattr(sys.modules.get("dataclasses"), "Field", ())
+        for name, default in defaults.items():
+            if isinstance(default, field_spec) or default.__class__.__hash__ is None:
+                raise TypeError(f"{cls.__qualname__}.{name}: Record fields take plain defaults")
         # Not annotated in the class body, where get_type_hints would
         # evaluate it again for every record type's codec.
         cls._layout = _Layout(
             names,
             frozenset(names),
-            {f.name: f.default for f in every if f.default is not MISSING},
+            defaults,
             attrgetter(*names) if len(names) > 1 else _tuple_getter(names),
         )
 
@@ -207,7 +217,26 @@ class Record:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
+class FrozenInstanceError(AttributeError):
+    """An assignment to, or deletion of, an attribute of a record."""
+
+
 _set = object.__setattr__
+_R = TypeVar("_R", bound=Record)
+
+
+def replace(record: _R, **changes: Any) -> _R:
+    """A copy of ``record`` with ``changes`` to its fields, built by its
+    constructor, so its conversions and checks run again."""
+    values = {name: getattr(record, name) for name in record._layout.names}
+    return type(record)(**{**values, **changes})
+
+
+def _is_class_var(hint: Any) -> bool:
+    # Under postponed evaluation every annotation is a string.
+    if isinstance(hint, str):
+        return hint.partition("[")[0].strip() in ("ClassVar", "typing.ClassVar")
+    return hint is ClassVar or get_origin(hint) is ClassVar
 
 
 def _tuple_getter(names: tuple[str, ...]) -> Callable[[Any], tuple]:
@@ -309,7 +338,7 @@ def _codec(cls: type) -> _Codec:
     if hasattr(cls, "_fields"):  # a NamedTuple
         required = {name: name not in cls._field_defaults for name in cls._fields}
     else:
-        required = {f.name: f.default is MISSING for f in fields(cls)}
+        required = {name: name not in cls._layout.defaults for name in cls._layout.names}
     coders = {name: _coders(hints[name]) for name in required}
     derived = {
         name: _coders(get_type_hints(getattr(cls, name).fget)["return"])

@@ -18,11 +18,10 @@ from __future__ import annotations
 import csv
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .datamodel import Dialogue, JsonRecord, OmissionReport, Speaker, Turn
+from .datamodel import Dialogue, JsonRecord, OmissionReport, Speaker, Turn, replace
 from .jsonutil import read_json, write_json
 
 _SPEAKER_BY_TAG = {
@@ -159,9 +158,15 @@ def csv_reader(path: Path) -> Iterator[csv.DictReader]:
             # own line_num lags: it is set only once a row parses.
             raise ValueError(f"{path}:{reader.reader.line_num}: {exc}") from exc
         except UnicodeDecodeError as exc:
-            # Raised on the chunk (exc.object) decoded past the reader's last line.
+            # Raised on the chunk (exc.object) decoded past the reader's last
+            # line, so the codec's "position N" is an offset in that chunk,
+            # not in the file: name the line and the bytes instead.
             line = reader.reader.line_num + exc.object.count(b"\n", 0, exc.start) + 1
-            raise ValueError(f"{path}:{line}: {exc}") from exc
+            bad = " ".join(f"0x{byte:02x}" for byte in exc.object[exc.start : exc.end])
+            noun = "bytes" if " " in bad else "byte"
+            raise ValueError(
+                f"{path}:{line}: {exc.encoding!r} codec can't decode {noun} {bad} ({exc.reason})"
+            ) from exc
 
 
 def load_csv_corpus(path: Path | str) -> Corpus:

@@ -33,14 +33,13 @@ import os
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import replace
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
 import json
 
-from .datamodel import JsonRecord
+from .datamodel import JsonRecord, replace
 from .jsonutil import canonical_dumps
 
 if TYPE_CHECKING:

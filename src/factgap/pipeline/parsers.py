@@ -11,10 +11,10 @@ one scan, ``_headed_sections``, splits all three. Facts and omissions
 are ``F<n>: …`` lines, which one reader, ``_fact_line``, splits.
 
 Records own their field rules, such as blank text, a differential's
-ranks and its repeated names. A parser builds each record through
-``_built``, which turns the record's refusal into a ParseError, and owns
-only line syntax and the list rules no record holds, such as contiguous
-or known fact ids.
+limit of 10 entries, its ranks and its repeated names. A parser builds
+each record through ``_built``, which turns the record's refusal into a
+ParseError, and owns only line syntax and the list rules no record holds,
+such as contiguous or known fact ids.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import re
 from typing import Any, Callable, Sequence, TypeVar
 
 from ..datamodel import (
-    MAX_DDX_ENTRIES,
     SECTION_TITLES,
     SUMMARY_SECTIONS,
     ClusterGroup,
@@ -189,13 +188,8 @@ _DDX_LINE_RE = re.compile(r"^(\d+)\.\s*(.+)$")
 
 
 def parse_ddx(block: str, encounter_id: str, source: DdxSource) -> DifferentialDiagnosis:
-    lines = _non_empty_lines(block)
-    if len(lines) > MAX_DDX_ENTRIES:
-        raise ParseError(
-            f"{len(lines)} entries exceeds the maximum of {MAX_DDX_ENTRIES}"
-        )
     entries = []
-    for line in lines:
+    for line in _non_empty_lines(block):
         match = _DDX_LINE_RE.match(line)
         if not match:
             raise ParseError(f"line {line!r} does not match <rank>. <condition> | ...")

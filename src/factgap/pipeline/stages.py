@@ -21,11 +21,10 @@ The runner schedules the table; ``STAGE_ORDER`` is its row order.
 from __future__ import annotations
 
 import logging
-from dataclasses import replace
 from typing import Any, Callable, Optional, Sequence
 
 from ..config import RunConfig
-from ..datamodel import DdxSource, Dialogue, Fact, Polarity, Record
+from ..datamodel import DdxSource, Dialogue, Fact, Polarity, Record, replace
 from ..gateway import GenerationRequest, LlmGateway
 from ..scoring import completion_continuation, completion_prompt, margin_plan
 from . import parsers, templates

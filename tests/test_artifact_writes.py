@@ -21,13 +21,13 @@ import threading
 import time
 import warnings
 from collections import defaultdict
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from factgap.cli import main
 from factgap.config import build_gateway, load_config
+from factgap.datamodel import replace
 from factgap.dataset import OUTCOME_MARKERS, Corpus, load_corpus
 from factgap.jsonutil import write_json, write_text
 from factgap.pipeline import runner

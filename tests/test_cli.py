@@ -145,11 +145,13 @@ def test_importing_the_cli_loads_no_module_only_some_commands_need():
     # pickle: the artifact writers' pipes, only for run; multiprocessing:
     # no command; yaml: only .yaml configs; http.client: only a backend;
     # statistics: only report; datetime: none, the manifest's times come
-    # from time.
+    # from time; dataclasses and the inspect, ast and dis it loads: none,
+    # records build their own field table.
     result = run_cli(
         "-c",
         "import sys, factgap.cli; print(sorted({'multiprocessing', 'pickle', 'yaml', "
-        "'http.client', 'statistics', 'datetime'} & set(sys.modules)))",
+        "'http.client', 'statistics', 'datetime', 'dataclasses', 'inspect', 'ast', 'dis'} "
+        "& set(sys.modules)))",
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"

@@ -1,7 +1,7 @@
 import json
 import re
 from collections.abc import Mapping
-from dataclasses import MISSING, FrozenInstanceError, field, fields, replace
+from dataclasses import field
 from enum import Enum
 from pathlib import Path
 from typing import Optional, get_origin, get_type_hints
@@ -22,6 +22,7 @@ from factgap.datamodel import (
     EvidenceClustering,
     Fact,
     FactScore,
+    FrozenInstanceError,
     Importance,
     JsonRecord,
     Likelihood,
@@ -38,6 +39,7 @@ from factgap.datamodel import (
     bundle_warnings,
     fact_id_index,
     parse_fact_id,
+    replace,
     validate_encounter_bundle,
 )
 from factgap.baselines import CorrelationResult, CorrelationRow, MetricVector, RougeScore
@@ -734,13 +736,13 @@ def test_every_mapping_value_decodes_by_its_declared_type():
 def test_construction_converts_enum_values_and_lists_to_the_declared_types():
     for cls, record in {**sample_records(), **config_records()}.items():
         loose = {}
-        for field in fields(cls):
-            value = getattr(record, field.name)
+        for name in cls._layout.names:
+            value = getattr(record, name)
             if isinstance(value, Enum):
                 value = value.value
             elif type(value) is tuple:
                 value = list(value)
-            loose[field.name] = value
+            loose[name] = value
         rebuilt = cls(**loose)
         assert rebuilt == record, cls.__name__
         for name in loose:
@@ -813,7 +815,7 @@ def test_record_base_supplies_the_methods_of_every_record_type(cls):
     assert not shared & set(cls.__dict__)
 
     record = every_record()[cls]
-    names = [f.name for f in fields(cls) if f.init]
+    names = list(cls._layout.names)
     values = [getattr(record, name) for name in names]
     by_position = cls(*values)
     by_name = cls(**dict(zip(names, values)))
@@ -830,10 +832,10 @@ def test_record_base_supplies_the_methods_of_every_record_type(cls):
         setattr(record, names[0], values[0])
     with pytest.raises(FrozenInstanceError):
         delattr(record, names[0])
-    shown = ", ".join(f"{f.name}={getattr(record, f.name)!r}" for f in fields(cls))
+    shown = ", ".join(f"{name}={getattr(record, name)!r}" for name in names)
     assert repr(record) == f"{cls.__qualname__}({shown})"
 
-    required = [f.name for f in fields(cls) if f.init and f.default is f.default_factory is MISSING]
+    required = [name for name in names if name not in cls._layout.defaults]
     if required:
         given = {name: value for name, value in zip(names, values) if name != required[-1]}
         message = f"missing required arguments {required[-1:]}"

@@ -152,6 +152,26 @@ def test_load_csv_corpus_errors(tmp_path):
         load_corpus(tmp_path / "corpus.txt")
 
 
+@pytest.mark.parametrize(
+    "tail, bad",
+    [
+        (b"caf\xff\n", "byte 0xff (invalid start byte)"),
+        (b"caf\xe2\x82", "bytes 0xe2 0x82 (unexpected end of data)"),
+    ],
+    ids=["invalid_byte", "truncated_at_end"],
+)
+def test_a_csv_decode_error_names_the_line_and_bytes_not_an_offset(tmp_path, tail, bad):
+    # The bytes sit about 30,000 bytes in, several of the 8 KiB chunks the
+    # file is decoded in; the codec's own "position N" counts from the
+    # start of the chunk, not of the file.
+    rows = b"".join(b"enc-%d,[doctor] hello there\n" % i for i in range(2000))
+    path = tmp_path / "corpus.csv"
+    path.write_bytes(b"encounter_id,dialogue\n" + rows + b"enc-cafe,[doctor] " + tail)
+    with pytest.raises(ValueError) as caught:
+        load_corpus(path)
+    assert str(caught.value) == f"{path}:2002: 'utf-8' codec can't decode {bad}"
+
+
 def make_manifest(*entries):
     return RunManifest(
         corpus_path="corpus.json",

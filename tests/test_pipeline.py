@@ -452,6 +452,12 @@ RECORD_RULES = {
         "ddx e1: condition 'flu' appears more than once",
         "1. Flu | probable | x",
     ),
+    "eleven_conditions": (
+        parse_ddx,
+        "\n".join(f"{rank}. Condition {rank} | possible | x" for rank in range(1, 12)),
+        "ddx e1: 11 entries exceeds the maximum of 10",
+        "1. Flu | probable | x",
+    ),
 }
 
 

@@ -13,8 +13,6 @@ names that repeat in another case, and keeps the differentials that
 ``DifferentialDiagnosis`` admits.
 """
 
-from dataclasses import replace
-
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +25,7 @@ from factgap.datamodel import (
     Fact,
     Likelihood,
     Omission,
+    replace,
 )
 from factgap.pipeline import parsers
 

@@ -1,12 +1,11 @@
 import json
 import threading
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from factgap.config import ModelsConfig, RunConfig, ThresholdsConfig
-from factgap.datamodel import Polarity
+from factgap.datamodel import Polarity, replace
 from factgap.dataset import Corpus, Encounter, RunManifest, parse_tagged_dialogue
 from factgap.gateway import GatewayMode, LlmGateway
 from factgap.jsonutil import read_json
