@@ -11,9 +11,10 @@ compute the LCS bit-parallel over Python ints (Allison & Dix 1986; Hyyro
 the guard bits as rows that never match. ROUGE-Lsum runs one pass per
 candidate sentence, in which the guards give every reference sentence
 its own columns, and backtracks all reference sentences at once: per
-column, a segmented smear finds each sentence's highest stop. N-grams
-are counted in C (``Counter`` over the tokens or over zipped offset
-iterators).
+column, a segmented smear finds each sentence's highest stop. ROUGE-1
+and ROUGE-2 read the same layout: a candidate n-gram's count in the
+reference is the popcount of its tokens' masks ANDed, each shifted onto
+the bit of the token before it.
 
 Correlations (Spearman, Pearson) ship with two-sided p-values computed
 from the t distribution through a native regularized incomplete beta,
@@ -25,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from pathlib import Path
 from typing import Container, Iterable, Mapping, Optional, Sequence
 
@@ -253,27 +254,13 @@ def _score(overlap: int, candidate_total: int, reference_total: int) -> RougeSco
     return RougeScore(precision, recall, _f1(precision, recall))
 
 
-def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    if n == 1:
-        return Counter(tokens)
-    return Counter(zip(*(islice(tokens, i, None) for i in range(n))))
-
-
-def rouge_n(cand_tokens: Sequence[str], ref_tokens: Sequence[str], n: int) -> RougeScore:
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    cand = _ngrams(cand_tokens, n)
-    ref = _ngrams(ref_tokens, n)
-    overlap = sum(map(min, cand.values(), map(ref.get, cand, repeat(0))))
-    return _score(overlap, max(len(cand_tokens) - n + 1, 0), max(len(ref_tokens) - n + 1, 0))
-
-
 Layout = tuple[dict[str, int], list[int], int]
 
 
 def side_by_side(sentences: Iterable[Sequence[str]], vocabulary: Container[str]) -> Layout:
-    """Lay ``sentences`` side by side in one int, each followed by a zero
-    guard bit that absorbs the carry out of it.
+    """Lay the non-empty ``sentences`` side by side in one int, each
+    followed by a zero guard bit that absorbs the carry out of it, so no
+    two guard bits are adjacent.
 
     Returns the match masks (bit p of masks[t] is set where the token at
     bit p is t, for t in vocabulary), the first bit of every sentence
@@ -283,7 +270,7 @@ def side_by_side(sentences: Iterable[Sequence[str]], vocabulary: Container[str])
     masks: dict[str, int] = {}
     starts = [0]
     full = 0
-    for sentence in sentences:
+    for sentence in filter(None, sentences):
         start = starts[-1]
         for bit, token in enumerate(sentence, start):
             if token in vocabulary:
@@ -291,6 +278,28 @@ def side_by_side(sentences: Iterable[Sequence[str]], vocabulary: Container[str])
         full |= ((1 << len(sentence)) - 1) << start
         starts.append(start + len(sentence) + 1)
     return masks, starts, full
+
+
+def rouge_n(cand_tokens: Sequence[str], reference: Layout, n: int) -> RougeScore:
+    """ROUGE-N of the candidate against the joined sentences of a
+    reference laid out by ``side_by_side`` with the candidate's tokens.
+
+    A distinct candidate n-gram occurs in the reference at each bit of
+    the AND of its tokens' masks, each mask aligned onto the bit of the
+    token before it: one bit up, or two across a guard bit, so n-grams
+    that span sentences count as they do over the joined reference.
+    """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    masks, _, full = reference
+    ends = full & ~(full >> 1)
+    overlap = 0
+    for gram, count in Counter(zip(*(islice(cand_tokens, i, None) for i in range(n)))).items():
+        bits = masks.get(gram[-1], 0)
+        for token in gram[-2::-1]:
+            bits = masks.get(token, 0) & ((bits >> 1) | ((bits >> 2) & ends))
+        overlap += min(count, bits.bit_count())
+    return _score(overlap, max(len(cand_tokens) - n + 1, 0), max(full.bit_count() - n + 1, 0))
 
 
 def _lcs_columns(masks: Mapping[str, int], full: int, b: Sequence[str]) -> list[int]:
@@ -408,11 +417,10 @@ def rouge_all(candidate: str, reference: str, use_stemmer: bool = False) -> dict
     cand_sentences = sentence_tokens(candidate, use_stemmer)
     ref_sentences = sentence_tokens(reference, use_stemmer)
     cand = list(chain.from_iterable(cand_sentences))
-    ref = list(chain.from_iterable(ref_sentences))
     layout = side_by_side(ref_sentences, set(cand))
     return {
-        "rouge1": rouge_n(cand, ref, 1),
-        "rouge2": rouge_n(cand, ref, 2),
+        "rouge1": rouge_n(cand, layout, 1),
+        "rouge2": rouge_n(cand, layout, 2),
         "rougeL": rouge_l(cand, layout),
         "rougeLsum": rouge_lsum(cand_sentences, layout),
     }

@@ -37,8 +37,10 @@ FILE_MODE = 0o600
 _INF = float("inf")
 
 
-def canonical_dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+# Built once: json.dumps builds a new encoder on every call that passes options.
+canonical_dumps: Callable[[Any], str] = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=False
+).encode
 
 
 def _float(value: float) -> str:

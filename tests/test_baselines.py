@@ -86,19 +86,21 @@ def test_sentence_tokens_drop_sentences_without_tokens():
 
 
 def test_rouge_n_hand_computed():
-    r1 = rouge_n(["the", "cat", "sat"], ["the", "cat"], 1)
+    cand = ["the", "cat", "sat"]
+    reference = side_by_side([["the", "cat"]], cand)
+    r1 = rouge_n(cand, reference, 1)
     assert r1.precision == pytest.approx(2 / 3)
     assert r1.recall == pytest.approx(1.0)
-    r2 = rouge_n(["the", "cat", "sat"], ["the", "cat"], 2)
+    r2 = rouge_n(cand, reference, 2)
     assert r2.precision == pytest.approx(0.5)
     assert r2.recall == pytest.approx(1.0)
     assert r2.f1 == pytest.approx(2 / 3)
-    zero = rouge_n([], ["anything"], 1)
+    zero = rouge_n([], side_by_side([["anything"]], []), 1)
     assert (zero.precision, zero.recall, zero.f1) == (0.0, 0.0, 0.0)
 
 
 def test_rouge_n_counts_repeats_with_clipping():
-    score = rouge_n(["a", "a", "a"], ["a", "a", "b"], 1)
+    score = rouge_n(["a", "a", "a"], side_by_side([["a", "a", "b"]], ["a"]), 1)
     assert score.precision == pytest.approx(2 / 3)
     assert score.recall == pytest.approx(2 / 3)
 

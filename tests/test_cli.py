@@ -125,17 +125,17 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_run_replay_writes_nothing_to_stderr(tmp_path):
+@pytest.mark.parametrize("workers", ["1", "3"])
+def test_run_replay_writes_nothing_to_stderr(tmp_path, workers):
+    # Dev mode prints a leaked file's ResourceWarning, a writer prints its
+    # traceback, and Python 3.12 and later warn after a fork in a process
+    # with threads: the writers must fork before the run starts any.
+    # -W error cannot catch that warning, which comes after the fork and is
+    # swallowed, so it is looked for on stderr.
     result = run_cli(
-        "-m",
-        "factgap.cli",
-        "run",
-        "--config",
-        str(REPLAY_CONFIG),
-        "--corpus",
-        str(CORPUS),
-        "--out",
-        str(tmp_path / "out"),
+        *("-X", "dev", "-W", "always::DeprecationWarning", "-m", "factgap.cli"),
+        *("run", "--config", str(REPLAY_CONFIG), "--corpus", str(CORPUS)),
+        *("--out", str(tmp_path / "out"), "--workers", workers),
     )
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
@@ -688,21 +688,39 @@ def _nan_margin_score(enc_dir):
     write_json(path, report)
 
 
-# id -> (damage to one encounter directory, text the error must contain)
+def _split_explanation(enc_dir):
+    # An explanation that one reply line cannot carry is refused, not
+    # printed split.
+    path = enc_dir / "report.json"
+    report = read_json(path)
+    report["omissions"][0]["omission"]["explanation"] = "the new ankle\nswelling"
+    write_json(path, report)
+
+
+# id -> (damage to one encounter directory, the file it damages, text the
+# error must contain)
 RUN_DAMAGES = {
-    "report_omissions_not_a_list": (_edit_report(omissions=5), "OmissionReport: "),
+    "report_omissions_not_a_list": (_edit_report(omissions=5), "report.json", "OmissionReport: "),
     "report_margin_score_nan": (
         _nan_margin_score,
-        "report.json: OmissionReport: CompletionMargin: l_s0 is not finite: nan\n",
+        "report.json",
+        "OmissionReport: CompletionMargin: l_s0 is not finite: nan\n",
     ),
-    "report_unknown_key": (_edit_report(surprise=1), "unknown keys ['surprise']"),
+    "report_unknown_key": (_edit_report(surprise=1), "report.json", "unknown keys ['surprise']"),
+    "report_explanation_split": (
+        _split_explanation,
+        "report.json",
+        "explanation 'the new ankle\\nswelling' cannot be carried on one reply line\n",
+    ),
     "skip_without_reason": (
         _replace_report("skip.json", {"encounter_id": "enc-edward"}),
         "skip.json",
+        "SkipMarker: missing required key 'reason'\n",
     ),
     "failure_without_stage": (
         _replace_report("failure.json", {"encounter_id": "enc-edward", "message": "boom"}),
         "failure.json",
+        "FailureMarker: missing required key 'stage'\n",
     ),
 }
 
@@ -711,16 +729,17 @@ RUN_DAMAGES = {
 def test_report_on_a_damaged_run_file_is_an_error_not_a_traceback(
     case, finished_run, tmp_path, capsys
 ):
-    damage, expected = RUN_DAMAGES[case]
+    damage, name, expected = RUN_DAMAGES[case]
     run = tmp_path / "run"
     shutil.copytree(finished_run, run)
-    damage(run / "encounters" / "enc-edward")
+    enc_dir = run / "encounters" / "enc-edward"
+    damage(enc_dir)
     code = main(["report", "--run", str(run)])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err.startswith("error:")
+    assert captured.err.startswith(f"error: {enc_dir / name}: ")
+    assert captured.err.count("\n") == 1
     assert expected in captured.err
-    assert "Traceback" not in captured.err
 
 
 def test_run_refuses_a_corpus_with_a_misspelled_key(tmp_path, capsys):
@@ -838,6 +857,33 @@ def test_run_refuses_a_config_number_that_is_not_finite(tmp_path, capsys, name, 
     assert "must be positive and finite" in captured.err
     assert captured.err.count("\n") == 1
     assert not (out / "encounters").exists()
+
+
+def test_run_in_live_mode_without_a_backend_is_refused(tmp_path, capsys):
+    # Live mode reads no cassette, so the replay config's cassette is no backend.
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(REPLAY_CONFIG), "--corpus", str(CORPUS), "--out", str(out)]
+    code = main([*argv, "--mode", "live"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: mode live requires a backend\n"
+    assert not out.exists()
+
+
+def test_run_refuses_a_cassette_whose_fingerprint_is_a_list(tmp_path, capsys):
+    lines = (FIXTURES / "cassettes" / "corpus.jsonl").read_text(encoding="utf-8")
+    first, *rest = lines.splitlines(keepends=True)
+    record = json.loads(first)
+    record["fingerprint"] = [record["fingerprint"]]
+    cassette = tmp_path / "cassette.jsonl"
+    cassette.write_text("".join([json.dumps(record) + "\n", *rest]), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(write_config(tmp_path, cassette)), "--corpus", str(CORPUS)]
+    code = main([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {cassette}:1: cassette fingerprint is list, not a string\n"
+    assert not out.exists()
 
 
 def test_only_run_writes_a_manifest_of_the_whole_corpus(finished_run, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import json
 import logging
 import os
@@ -29,6 +30,7 @@ from factgap.gateway import (
     TransportError,
     aggregate_logprobs,
 )
+from factgap.jsonutil import canonical_dumps
 
 from loopback_server import Reply, open_after_concurrent_calls, unused_port_url
 from scripted_backend import BackendExhausted, ScriptedBackend
@@ -88,6 +90,9 @@ def test_every_fixture_cassette_record_fingerprints_its_decoded_request():
         request = types[record["kind"]].from_json_dict(fields)
         assert request.payload() == record["request"]
         assert request.fingerprint == record["fingerprint"]
+        # The stored request's own canonical bytes hash to the fingerprint.
+        canonical = canonical_dumps(record["request"]).encode("utf-8")
+        assert hashlib.sha256(canonical).hexdigest() == record["fingerprint"]
 
 
 def test_aggregation_mean_and_sum():

@@ -82,7 +82,10 @@ def test_extract_last_fenced_block():
 
 def test_parse_truncation():
     assert parsers.parse_truncation("LAST_SUBJECTIVE_TURN: 7", 10) == 7
-    with pytest.raises(ParseError, match="outside the transcript range"):
+    assert parsers.parse_truncation("LAST_SUBJECTIVE_TURN: 0", 10) == 0
+    with pytest.raises(
+        ParseError, match=exactly("turn number 10 is outside the transcript range 0..9")
+    ):
         parsers.parse_truncation("LAST_SUBJECTIVE_TURN: 10", 10)
     with pytest.raises(ParseError, match="does not match"):
         parsers.parse_truncation("TURN: 3", 10)
@@ -100,6 +103,9 @@ def test_parse_summary_happy_and_none_sections():
     assert summary.sections["chief_complaint"] == "Headache."
     assert summary.sections["history_of_present_illness"] == "Two days of pain.\nWorse at night."
     assert summary.sections["past_social_history"] == ""
+    # Text on the header line keeps its first character with no space after the colon.
+    inline = "CHIEF COMPLAINT:Fever\nHISTORY OF PRESENT ILLNESS:NONE\nPAST SOCIAL HISTORY:NONE"
+    assert parsers.parse_summary(inline, "e1").sections["chief_complaint"] == "Fever"
 
 
 def test_parse_summary_errors():
@@ -228,6 +234,10 @@ def test_parse_categorization():
     inline = "CRITICAL: NONE\nIMPORTANT: F0, F1, F2, F3\nOTHER: NONE"
     categorized = parsers.parse_categorization(inline, facts)
     assert all(f.importance is Importance.IMPORTANT for f in categorized)
+    unspaced = "CRITICAL:F0\nIMPORTANT:F1,F2\nOTHER:F3"
+    categorized = parsers.parse_categorization(unspaced, facts)
+    assert categorized[0].importance is Importance.CRITICAL
+    assert categorized[3].importance is Importance.OTHER
 
 
 def test_parse_categorization_errors():
