@@ -2,10 +2,11 @@
 
 All values are immutable after construction and validate their own
 invariants, so a constructed object is always safe to share across
-concurrent workers. Cross-object consistency (dangling fact references,
-duplicated subcluster members) is checked by
-:func:`validate_encounter_bundle`, which reports violations as data
-rather than raising.
+concurrent workers. The rules that span records (fact ids run F0, F1, …,
+each omission names a known fact once and each subcluster member a known
+fact) belong to the reply parsers, which refuse a reply that breaks one.
+:func:`validate_encounter_bundle` only lists the non-fatal oddities of an
+encounter's clusterings.
 
 Every value type in the package derives from :class:`Record`, one
 immutable base that reads each subclass's fields from its annotations into
@@ -610,26 +611,6 @@ class Fact(JsonRecord):
         return replace(self, importance=importance)
 
 
-def check_fact_id_contiguity(facts: Sequence[Fact]) -> list[str]:
-    """Return violations of the F0..F(n-1) identifier discipline."""
-    violations = []
-    seen: dict[str, int] = {}
-    for fact in facts:
-        seen[fact.fact_id] = seen.get(fact.fact_id, 0) + 1
-    for fact_id, count in seen.items():
-        if count > 1:
-            violations.append(f"fact id {fact_id} appears {count} times")
-    expected = {f"F{i}" for i in range(len(facts))}
-    missing = sorted(expected - set(seen), key=fact_id_index)
-    extra = sorted(set(seen) - expected, key=fact_id_index)
-    if missing or extra:
-        violations.append(
-            "fact ids are not contiguous from F0: "
-            f"missing {missing or 'none'}, unexpected {extra or 'none'}"
-        )
-    return violations
-
-
 class Diagnosis(JsonRecord):
     versioned = False
 
@@ -690,12 +671,9 @@ class DifferentialDiagnosis(JsonRecord):
 
 
 class SubCluster(JsonRecord):
-    """Facts that point at the same pathophysiological mechanism.
-
-    Duplicate members are representable here so that
-    validate_encounter_bundle can report them; the stage parsers reject
-    them before an object ever reaches a report.
-    """
+    """Facts that point at the same pathophysiological mechanism, each
+    listed once: MED-OMIT weights a fact by ``1/size`` of each subcluster
+    that holds it."""
 
     versioned = False
 
@@ -706,11 +684,14 @@ class SubCluster(JsonRecord):
     def check(self) -> None:
         if not self.mechanism_label.strip():
             raise ValueError("subcluster mechanism_label must be non-empty")
-        object.__setattr__(
-            self, "fact_ids", tuple(parse_fact_id(fid) for fid in self.fact_ids)
-        )
-        if not self.fact_ids:
+        _check_reply_line("subcluster mechanism_label", self.mechanism_label, (":", "```"))
+        ids = tuple(parse_fact_id(fid) for fid in self.fact_ids)
+        object.__setattr__(self, "fact_ids", ids)
+        if not ids:
             raise ValueError(f"subcluster {self.mechanism_label!r}: no fact ids")
+        dupes = sorted({i for i in ids if ids.count(i) > 1})
+        if dupes:
+            raise ValueError(f"fact ids {dupes} are listed more than once")
 
     @property
     def size(self) -> int:
@@ -845,49 +826,7 @@ class OmissionReport(JsonRecord):
                 )
 
 
-def validate_encounter_bundle(
-    dialogue: Dialogue,
-    facts: Sequence[Fact],
-    clusters: Sequence[EvidenceClustering],
-    omissions: Sequence[Omission],
-) -> list[str]:
-    """Check cross-reference invariants over one encounter's artifacts.
-
-    Returns one description per violation; an empty list means the bundle
-    is consistent. Violations are data, not errors.
-    """
-    violations = list(check_fact_id_contiguity(facts))
-    known = {fact.fact_id for fact in facts}
-    for omission in omissions:
-        if omission.fact_id not in known:
-            violations.append(f"omission references unknown fact {omission.fact_id}")
-    seen_omitted = set()
-    for omission in omissions:
-        if omission.fact_id in seen_omitted:
-            violations.append(f"fact {omission.fact_id} omitted more than once")
-        seen_omitted.add(omission.fact_id)
-    for clustering in clusters:
-        for subcluster in clustering.subclusters:
-            label = (
-                f"{clustering.polarity.value}/{clustering.diagnosis_name}/"
-                f"{subcluster.group.value}/{subcluster.mechanism_label}"
-            )
-            counts: dict[str, int] = {}
-            for fact_id in subcluster.fact_ids:
-                counts[fact_id] = counts.get(fact_id, 0) + 1
-                if fact_id not in known:
-                    violations.append(
-                        f"subcluster {label} references unknown fact {fact_id}"
-                    )
-            for fact_id, count in counts.items():
-                if count > 1:
-                    violations.append(
-                        f"subcluster {label} lists fact {fact_id} {count} times"
-                    )
-    return violations
-
-
-def bundle_warnings(clusters: Sequence[EvidenceClustering]) -> list[str]:
+def validate_encounter_bundle(clusters: Sequence[EvidenceClustering]) -> list[str]:
     """Non-fatal oddities: NONE mechanism labels and facts that both
     support and refute the same diagnosis."""
     warnings = []

@@ -11,10 +11,10 @@ one scan, ``_headed_sections``, splits all three. Facts and omissions
 are ``F<n>: …`` lines, which one reader, ``_fact_line``, splits.
 
 Records own their field rules, such as blank text, a differential's
-limit of 10 entries, its ranks and its repeated names. A parser builds
-each record through ``_built``, which turns the record's refusal into a
-ParseError, and owns only line syntax and the list rules no record holds,
-such as contiguous or known fact ids.
+limit of 10 entries, its ranks and its repeated names, and a subcluster's
+repeated members. A parser builds each record through ``_built``, which
+turns the record's refusal into a ParseError, and owns only line syntax
+and the list rules no record holds, such as contiguous or known fact ids.
 """
 
 from __future__ import annotations
@@ -359,13 +359,11 @@ def _parse_cluster_section(
             ids = _parse_id_csv(match.group(2), context)
             if not ids:
                 raise ParseError(f"{context}: no fact ids")
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
-            if dupes:
-                raise ParseError(f"{context}: fact ids {dupes} are listed more than once")
+            subcluster = _built(SubCluster, group, mechanism, ids, context=context)
             unknown = sorted(set(ids) - known)
             if unknown:
                 raise ParseError(f"{context}: unknown fact ids {unknown}")
-            subclusters.append(_built(SubCluster, group, mechanism, ids, context=context))
+            subclusters.append(subcluster)
     return EvidenceClustering(
         diagnosis_name=diagnosis_name, polarity=polarity, subclusters=tuple(subclusters)
     )

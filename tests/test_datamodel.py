@@ -36,7 +36,6 @@ from factgap.datamodel import (
     SubCluster,
     Summary,
     Turn,
-    bundle_warnings,
     fact_id_index,
     parse_fact_id,
     replace,
@@ -230,6 +229,13 @@ def test_reply_line_records_refuse_text_a_reply_line_cannot_carry(text):
         Diagnosis(rank=1, name="a", likelihood="probable", explanation=text)
 
 
+@pytest.mark.parametrize("label", (*NOT_ONE_LINE, "a:b"))
+def test_subcluster_refuses_a_label_its_reply_line_cannot_carry(label):
+    # "- a:b: F0" would parse back as mechanism "a" with fact id "b: F0".
+    with pytest.raises(ValueError, match=re.escape(f"mechanism_label {label!r} cannot be")):
+        SubCluster(group="symptoms", mechanism_label=label, fact_ids=("F0",))
+
+
 def test_diagnosis_fields_refuse_the_reply_separator():
     with pytest.raises(ValueError, match=re.escape("diagnosis 1: name 'A | B' cannot be")):
         Diagnosis(1, "A | B", "probable", "x")
@@ -248,9 +254,9 @@ def test_a_stored_omission_with_a_line_break_is_refused_on_decode():
         Omission.from_json_dict(data)
 
 
-def test_subcluster_keeps_duplicates_for_validation():
-    sc = SubCluster(group="treatments", mechanism_label="adherence", fact_ids=("F1", "F1"))
-    assert sc.size == 2
+def test_subcluster_refuses_repeated_members():
+    with pytest.raises(ValueError, match=r"^fact ids \['F1'\] are listed more than once$"):
+        SubCluster(group="treatments", mechanism_label="adherence", fact_ids=("F1", "F01"))
     with pytest.raises(ValueError):
         SubCluster(group=ClusterGroup.TESTS, mechanism_label=" ", fact_ids=("F1",))
     with pytest.raises(ValueError):
@@ -306,57 +312,6 @@ def test_empty_report_is_zero():
     assert (r.omission_count, r.cumulative_weight) == (0, 0.0)
 
 
-def test_validate_encounter_bundle_flags_cross_reference_breaks():
-    dialogue = make_dialogue(4)
-    facts = [
-        Fact(fact_id="F0", text="a", content_category=ContentCategory.MEDICAL),
-        Fact(fact_id="F1", text="b", content_category=ContentCategory.MEDICAL),
-    ]
-    clusters = [
-        EvidenceClustering(
-            diagnosis_name="dx",
-            polarity=Polarity.SUPPORTING,
-            subclusters=(
-                SubCluster(group=ClusterGroup.SYMPTOMS, mechanism_label="m", fact_ids=("F1", "F1")),
-                SubCluster(group=ClusterGroup.TESTS, mechanism_label="t", fact_ids=("F9",)),
-            ),
-        )
-    ]
-    omissions = [Omission(fact_id="F7", explanation="gone")]
-    violations = validate_encounter_bundle(dialogue, facts, clusters, omissions)
-    text = "\n".join(violations)
-    assert "unknown fact F7" in text
-    assert "unknown fact F9" in text
-    assert "F1 2 times" in text
-
-
-def test_validate_encounter_bundle_clean():
-    dialogue = make_dialogue(4)
-    facts = [
-        Fact(fact_id="F0", text="a", content_category=ContentCategory.MEDICAL),
-        Fact(fact_id="F1", text="b", content_category=ContentCategory.MEDICAL),
-    ]
-    clusters = [
-        EvidenceClustering(
-            diagnosis_name="dx",
-            polarity=Polarity.SUPPORTING,
-            subclusters=(
-                SubCluster(group=ClusterGroup.SYMPTOMS, mechanism_label="m", fact_ids=("F0",)),
-            ),
-        )
-    ]
-    assert validate_encounter_bundle(dialogue, facts, clusters, []) == []
-
-
-def test_fact_id_contiguity_violations():
-    facts = [
-        Fact(fact_id="F0", text="a", content_category=ContentCategory.MEDICAL),
-        Fact(fact_id="F2", text="b", content_category=ContentCategory.MEDICAL),
-    ]
-    violations = validate_encounter_bundle(make_dialogue(), facts, [], [])
-    assert any("not contiguous" in v for v in violations)
-
-
 def test_bundle_warnings():
     clusters = [
         EvidenceClustering(
@@ -374,7 +329,7 @@ def test_bundle_warnings():
             ),
         ),
     ]
-    warnings = bundle_warnings(clusters)
+    warnings = validate_encounter_bundle(clusters)
     assert any('mechanism label "NONE"' in w for w in warnings)
     assert any("both supports and refutes" in w for w in warnings)
 

@@ -330,6 +330,21 @@ def test_parse_clusters_errors():
         parsers.parse_clusters(no_mechanism, names, known, Polarity.SUPPORTING)
 
 
+def test_parse_clusters_quotes_the_subclusters_repeated_member_refusal():
+    # SubCluster refuses repeated members; its refusal comes before the
+    # parser's unknown-member check, with the subcluster named first.
+    names = ["Anemia", "Heart failure"]
+    repeated = CLUSTER_BLOCK.replace("F1, F2", "F2, F9, F02, F9")
+    with pytest.raises(
+        ParseError,
+        match=exactly(
+            "diagnosis 'Anemia', subcluster 'Fatigue from low oxygen delivery': "
+            "fact ids ['F2', 'F9'] are listed more than once"
+        ),
+    ):
+        parsers.parse_clusters(repeated, names, ["F0", "F1", "F2"], Polarity.SUPPORTING)
+
+
 def make_context(backend, repair_budget=1):
     config = RunConfig(
         models=ModelsConfig(summary=SUMMARY_MODEL, metric=METRIC_MODEL),

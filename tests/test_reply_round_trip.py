@@ -6,11 +6,13 @@ back, come back as drawn.
 The first two properties draw only text these formats can carry: one
 line, no code fence, no surrounding whitespace and not empty. Within
 that it mixes the formats' own separators and keywords into arbitrary
-text. The other four draw text from all of Unicode, separators included,
+text. The other five draw text from all of Unicode, separators included,
 and keep whatever the record admits: a record must refuse any text that
-its reply line cannot carry back. The last also draws free ranks and
-names that repeat in another case, and keeps the differentials that
-``DifferentialDiagnosis`` admits.
+its reply line cannot carry back. The differential property also draws
+free ranks and names that repeat in another case, and keeps the
+differentials that ``DifferentialDiagnosis`` admits. The last draws
+evidence clusterings, whose reply is sectioned rather than one line per
+record, for one to three diagnoses.
 """
 
 from hypothesis import assume, given, settings
@@ -22,14 +24,23 @@ from factgap.datamodel import (
     DdxSource,
     Diagnosis,
     DifferentialDiagnosis,
+    EvidenceClustering,
     Fact,
     Likelihood,
     Omission,
+    Polarity,
+    SubCluster,
     replace,
 )
 from factgap.pipeline import parsers
 
-from response_builders import ddx_response, facts_response, omissions_response
+from response_builders import (
+    GROUP_ORDER,
+    clusters_response,
+    ddx_response,
+    facts_response,
+    omissions_response,
+)
 
 # str.splitlines breaks a line at each of these, and at Zl and Zp.
 LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85"
@@ -182,3 +193,39 @@ def test_any_differential_a_record_admits_round_trips_through_its_reply(ddx):
     assume(ddx is not None)
     reply = ddx_response([(d.name, d.likelihood.value, d.explanation) for d in ddx.entries])
     assert parse_reply(reply, parsers.parse_ddx, "enc-1", DdxSource.FROM_CHAT) == ddx
+
+
+DIAGNOSIS_NAMES = ("Anemia", "Heart failure", "Flu")
+
+
+@st.composite
+def clusterings(draw):
+    """Fact ids F0..F(n-1) and, per diagnosis, the subclusters
+    ``SubCluster`` admits of drawn groups, labels and distinct member ids,
+    listed in the order the reply's group headings come."""
+    n_facts = draw(st.integers(1, 12))
+    names = draw(st.lists(st.sampled_from(DIAGNOSIS_NAMES), min_size=1, unique=True))
+    polarity = draw(st.sampled_from(list(Polarity)))
+    drawn = st.tuples(
+        st.sampled_from(GROUP_ORDER),
+        st.one_of(carried, any_text),
+        st.lists(st.integers(0, n_facts - 1), min_size=1, max_size=n_facts, unique=True),
+    )
+    result = []
+    for name in names:
+        subclusters = draw(
+            admitted(lambda s: SubCluster(s[0], s[1], [f"F{i}" for i in s[2]]), drawn)
+        )
+        subclusters.sort(key=lambda subcluster: GROUP_ORDER.index(subcluster.group))
+        result.append(EvidenceClustering(name, polarity, subclusters))
+    return [f"F{i}" for i in range(n_facts)], result
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(drawn=clusterings())
+def test_any_clustering_a_subcluster_admits_round_trips_through_its_reply(drawn):
+    fact_ids, clustered = drawn
+    names = [c.diagnosis_name for c in clustered]
+    reply = clusters_response(names, clustered)
+    polarity = clustered[0].polarity
+    assert parse_reply(reply, parsers.parse_clusters, names, fact_ids, polarity) == clustered
