@@ -263,6 +263,8 @@ def parse_categorization(block: str, facts: Sequence[Fact]) -> list[Fact]:
     ):
         ids = _parse_id_csv(",".join(c for c in (inline, *following) if c.strip()), header)
         for fact_id in ids:
+            if by_importance.get(fact_id) is importance:
+                raise ParseError(f"fact {fact_id} is listed more than once under {header}")
             if fact_id in by_importance:
                 raise ParseError(f"fact {fact_id} appears in more than one section")
             by_importance[fact_id] = importance

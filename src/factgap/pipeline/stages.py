@@ -47,12 +47,6 @@ class StageOutput(Record):
     fingerprint: str
     attempts: int
 
-    def __post_init__(self) -> None:
-        if self.stage not in STAGE_ORDER:
-            raise ValueError(f"unknown stage {self.stage!r}")
-        if self.attempts < 1:
-            raise ValueError("attempts must be at least 1")
-
 
 class StageContext(Record):
     gateway: LlmGateway

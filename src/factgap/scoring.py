@@ -2,9 +2,15 @@
 
 A fact's penalty is the maximum of its importance weight and one
 uniqueness weight per evidence subcluster that contains it, where a
-subcluster of size n contributes 1/n. A document's omission score is the
-exact sum (math.fsum) of the penalties of its omitted facts, so the
+subcluster of size n contributes 1/n. ``score_omissions`` finds every
+share in one pass over the clusterings. A document's omission score is
+the exact sum (math.fsum) of the penalties of its omitted facts, so the
 result does not depend on summation order.
+
+The rules that span records are the reply parsers': fact ids run from
+F0 without a gap, an omission names a known fact, and a subcluster lists
+known facts once each. Scoring trusts them and refuses only a fact that
+has not been categorized yet.
 """
 
 from __future__ import annotations
@@ -19,12 +25,10 @@ from .datamodel import (
     EvidenceClustering,
     Fact,
     FactScore,
-    Importance,
     Omission,
     OmissionReport,
     Polarity,
     Record,
-    parse_fact_id,
 )
 
 COMPLETION_PHRASE = "The patient most likely has"
@@ -37,74 +41,31 @@ class PolarityMode(str, Enum):
     SUPPORTING_ONLY = "supporting_only"
 
 
-def importance_weight(importance: Importance) -> float:
-    return IMPORTANCE_WEIGHTS[Importance(importance)]
-
-
-def uniqueness_weights(
-    fact_id: str,
-    clusters: Sequence[EvidenceClustering],
-    polarity_mode: PolarityMode | str = PolarityMode.BOTH,
-) -> tuple[float, ...]:
-    """One weight per subcluster containing the fact, each 1/|S|.
-
-    Subclusters are scanned across every diagnosis (and both polarities
-    unless restricted), so a fact that is the sole evidence anywhere
-    carries a weight of 1.
-    """
-    fact_id = parse_fact_id(fact_id)
-    polarity_mode = PolarityMode(polarity_mode)
-    weights = []
-    for clustering in clusters:
-        if (
-            polarity_mode is PolarityMode.SUPPORTING_ONLY
-            and clustering.polarity is not Polarity.SUPPORTING
-        ):
-            continue
-        for subcluster in clustering.subclusters:
-            if fact_id in subcluster.fact_ids:
-                weights.append(1.0 / subcluster.size)
-    return tuple(weights)
-
-
-def fact_score(
-    fact: Fact,
-    clusters: Sequence[EvidenceClustering],
-    polarity_mode: PolarityMode | str = PolarityMode.BOTH,
-) -> FactScore:
-    """Penalty for omitting this fact: max of importance and uniqueness."""
-    if fact.importance is None:
-        raise ValueError(f"fact {fact.fact_id} has no importance; categorize first")
-    return FactScore(
-        fact_id=fact.fact_id,
-        importance_weight=importance_weight(fact.importance),
-        uniqueness_weights=uniqueness_weights(fact.fact_id, clusters, polarity_mode),
-    )
-
-
-def _facts_by_id(facts: Sequence[Fact]) -> dict[str, Fact]:
-    by_id: dict[str, Fact] = {}
-    for fact in facts:
-        if fact.fact_id in by_id:
-            raise ValueError(f"duplicate fact id {fact.fact_id}")
-        by_id[fact.fact_id] = fact
-    return by_id
-
-
 def score_omissions(
     facts: Sequence[Fact],
     omissions: Sequence[Omission],
     clusters: Sequence[EvidenceClustering],
     polarity_mode: PolarityMode | str = PolarityMode.BOTH,
 ) -> list[FactScore]:
-    """FactScores aligned one-to-one with omissions."""
-    by_id = _facts_by_id(facts)
+    """FactScores aligned one-to-one with omissions, from one pass over
+    the clusterings: each fact's shares come in cluster and subcluster
+    order, so a fact that is the sole evidence anywhere carries a 1."""
+    supporting_only = PolarityMode(polarity_mode) is PolarityMode.SUPPORTING_ONLY
+    shares: dict[str, list[float]] = {}
+    for clustering in clusters:
+        if supporting_only and clustering.polarity is not Polarity.SUPPORTING:
+            continue
+        for subcluster in clustering.subclusters:
+            for fact_id in subcluster.fact_ids:
+                shares.setdefault(fact_id, []).append(1.0 / subcluster.size)
+    importance = {fact.fact_id: fact.importance for fact in facts}
     scores = []
     for omission in omissions:
-        fact = by_id.get(omission.fact_id)
-        if fact is None:
-            raise ValueError(f"omission references unknown fact {omission.fact_id}")
-        scores.append(fact_score(fact, clusters, polarity_mode))
+        fact_id = omission.fact_id
+        if importance[fact_id] is None:
+            raise ValueError(f"fact {fact_id} has no importance; categorize first")
+        weight = IMPORTANCE_WEIGHTS[importance[fact_id]]
+        scores.append(FactScore(fact_id, weight, tuple(shares.get(fact_id, ()))))
     return scores
 
 

@@ -2,10 +2,11 @@
 
 The oracle re-derives every rule from scratch: importance weights come
 from a literal string table, subcluster membership is rediscovered by
-scanning raw fact-id tuples, and the per-fact penalty is tracked as a
-running maximum. It shares no code path with the production scorer
-except math.fsum, which is exactly rounded and therefore a canonical
-value rather than an implementation choice.
+scanning raw fact-id tuples once per omission, which lists each
+omission's weights in cluster and subcluster order, and the per-fact
+penalty is tracked as a running maximum. It shares no code path with the
+production scorer except math.fsum, which is exactly rounded and
+therefore a canonical value rather than an implementation choice.
 """
 
 import math
@@ -24,23 +25,33 @@ from factgap.datamodel import (
 _WEIGHT_BY_IMPORTANCE = {"critical": 1.0, "important": 0.5, "other": 0.1}
 
 
-def brute_force_document_score(facts, omissions, clusters, polarity_mode="both"):
-    by_id = {}
-    for fact in facts:
-        by_id[fact.fact_id] = fact
-    penalties = []
+def brute_force_weights(omissions, clusters, polarity_mode="both"):
+    """Each omission's uniqueness weights, in cluster and subcluster order."""
+    lists = []
     for omission in omissions:
-        fact = by_id[omission.fact_id]
-        best = _WEIGHT_BY_IMPORTANCE[fact.importance.value]
+        weights = []
         for clustering in clusters:
             if polarity_mode == "supporting_only" and clustering.polarity.value != "supporting":
                 continue
             for subcluster in clustering.subclusters:
                 members = tuple(subcluster.fact_ids)
-                if fact.fact_id in members:
-                    candidate = 1.0 / len(members)
-                    if candidate > best:
-                        best = candidate
+                if omission.fact_id in members:
+                    weights.append(1.0 / len(members))
+        lists.append(weights)
+    return lists
+
+
+def brute_force_document_score(facts, omissions, clusters, polarity_mode="both"):
+    by_id = {}
+    for fact in facts:
+        by_id[fact.fact_id] = fact
+    weight_lists = brute_force_weights(omissions, clusters, polarity_mode)
+    penalties = []
+    for omission, weights in zip(omissions, weight_lists):
+        best = _WEIGHT_BY_IMPORTANCE[by_id[omission.fact_id].importance.value]
+        for candidate in weights:
+            if candidate > best:
+                best = candidate
         penalties.append(best)
     return len(penalties), math.fsum(penalties)
 

@@ -246,6 +246,9 @@ def test_parse_categorization_errors():
         parsers.parse_categorization("CRITICAL:\nF0\nIMPORTANT:\nNONE\nOTHER:\nNONE", facts)
     with pytest.raises(ParseError, match="more than one section"):
         parsers.parse_categorization("CRITICAL:\nF0\nIMPORTANT:\nF0, F1\nOTHER:\nNONE", facts)
+    repeated = "fact F0 is listed more than once under CRITICAL"
+    with pytest.raises(ParseError, match=exactly(repeated)):
+        parsers.parse_categorization("CRITICAL: F0, F0\nIMPORTANT: F1\nOTHER: NONE", facts)
     with pytest.raises(ParseError, match="unknown fact ids"):
         parsers.parse_categorization("CRITICAL:\nF0, F7\nIMPORTANT:\nF1\nOTHER:\nNONE", facts)
     with pytest.raises(

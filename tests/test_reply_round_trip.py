@@ -10,9 +10,9 @@ text. The other five draw text from all of Unicode, separators included,
 and keep whatever the record admits: a record must refuse any text that
 its reply line cannot carry back. The differential property also draws
 free ranks and names that repeat in another case, and keeps the
-differentials that ``DifferentialDiagnosis`` admits. The last draws
-evidence clusterings, whose reply is sectioned rather than one line per
-record, for one to three diagnoses.
+differentials that ``DifferentialDiagnosis`` admits. The last two draw
+replies that are sectioned rather than one line per record: evidence
+clusterings for one to three diagnoses, and the importance of each fact.
 """
 
 from hypothesis import assume, given, settings
@@ -26,6 +26,7 @@ from factgap.datamodel import (
     DifferentialDiagnosis,
     EvidenceClustering,
     Fact,
+    Importance,
     Likelihood,
     Omission,
     Polarity,
@@ -36,6 +37,7 @@ from factgap.pipeline import parsers
 
 from response_builders import (
     GROUP_ORDER,
+    categorize_response,
     clusters_response,
     ddx_response,
     facts_response,
@@ -229,3 +231,15 @@ def test_any_clustering_a_subcluster_admits_round_trips_through_its_reply(drawn)
     reply = clusters_response(names, clustered)
     polarity = clustered[0].polarity
     assert parse_reply(reply, parsers.parse_clusters, names, fact_ids, polarity) == clustered
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(importances=st.lists(st.sampled_from(list(Importance)), min_size=1, max_size=12))
+def test_importance_buckets_round_trip_through_their_reply(importances):
+    facts = [
+        Fact(f"F{i}", f"fact {i}", "medical", importance)
+        for i, importance in enumerate(importances)
+    ]
+    uncategorized = [replace(fact, importance=None) for fact in facts]
+    reply = categorize_response(facts)
+    assert parse_reply(reply, parsers.parse_categorization, uncategorized) == facts

@@ -26,11 +26,8 @@ from factgap.scoring import (
     completion_margin,
     completion_prompt,
     document_score,
-    fact_score,
-    importance_weight,
     margin_plan,
     score_omissions,
-    uniqueness_weights,
 )
 from scoring_fixtures import (
     EDWARD_EXPECTED,
@@ -40,14 +37,30 @@ from scoring_fixtures import (
     martha_bundle,
     stephanie_bundle,
 )
-from scoring_oracle import brute_force_document_score, random_instance
+from scoring_oracle import brute_force_document_score, brute_force_weights, random_instance
+
+
+def make_fact(fact_id, importance):
+    return Fact(
+        fact_id=fact_id,
+        text=f"text {fact_id}",
+        content_category=ContentCategory.MEDICAL,
+        importance=importance,
+    )
+
+
+def score_of(fact, clusters, polarity_mode=PolarityMode.BOTH):
+    """The score of omitting ``fact`` alone."""
+    omission = Omission(fact_id=fact.fact_id, explanation="gone")
+    [score] = score_omissions([fact], [omission], clusters, polarity_mode)
+    return score
 
 
 def test_importance_weight_mapping():
-    assert importance_weight(Importance.CRITICAL) == 1.0
-    assert importance_weight(Importance.IMPORTANT) == 0.5
-    assert importance_weight(Importance.OTHER) == 0.1
-    assert importance_weight("critical") == 1.0
+    assert score_of(make_fact("F0", Importance.CRITICAL), []).importance_weight == 1.0
+    assert score_of(make_fact("F0", Importance.IMPORTANT), []).importance_weight == 0.5
+    assert score_of(make_fact("F0", Importance.OTHER), []).importance_weight == 0.1
+    assert score_of(make_fact("F0", "critical"), []).importance_weight == 1.0
 
 
 def cluster(diagnosis, polarity, *subclusters):
@@ -70,9 +83,9 @@ def test_uniqueness_weights_span_diagnoses_and_polarities():
         ),
         cluster("dx2", Polarity.REFUTING, sub(ClusterGroup.OTHER, "m3", "F1", "F2", "F3")),
     ]
-    weights = uniqueness_weights("F1", clusters)
+    weights = score_of(make_fact("F1", Importance.OTHER), clusters).uniqueness_weights
     assert sorted(weights) == pytest.approx([1 / 3, 1 / 2, 1.0])
-    assert uniqueness_weights("F9", clusters) == ()
+    assert score_of(make_fact("F9", Importance.OTHER), clusters).uniqueness_weights == ()
 
 
 def test_uniqueness_supporting_only_mode():
@@ -80,33 +93,25 @@ def test_uniqueness_supporting_only_mode():
         cluster("dx1", Polarity.SUPPORTING, sub(ClusterGroup.SYMPTOMS, "m1", "F1", "F2")),
         cluster("dx1", Polarity.REFUTING, sub(ClusterGroup.TESTS, "m2", "F1")),
     ]
-    assert uniqueness_weights("F1", clusters, PolarityMode.BOTH) == (0.5, 1.0)
-    assert uniqueness_weights("F1", clusters, "supporting_only") == (0.5,)
-
-
-def make_fact(fact_id, importance):
-    return Fact(
-        fact_id=fact_id,
-        text=f"text {fact_id}",
-        content_category=ContentCategory.MEDICAL,
-        importance=importance,
-    )
+    fact = make_fact("F1", Importance.OTHER)
+    assert score_of(fact, clusters, PolarityMode.BOTH).uniqueness_weights == (0.5, 1.0)
+    assert score_of(fact, clusters, "supporting_only").uniqueness_weights == (0.5,)
 
 
 def test_fact_score_takes_the_max():
     clusters = [
         cluster("dx", Polarity.SUPPORTING, sub(ClusterGroup.SYMPTOMS, "m", "F1", "F2"))
     ]
-    score = fact_score(make_fact("F1", Importance.OTHER), clusters)
+    score = score_of(make_fact("F1", Importance.OTHER), clusters)
     assert score.combined == 0.5
     assert score.importance_weight == 0.1
     assert score.uniqueness_weights == (0.5,)
 
-    lone = fact_score(make_fact("F5", Importance.IMPORTANT), clusters)
+    lone = score_of(make_fact("F5", Importance.IMPORTANT), clusters)
     assert lone.combined == 0.5
     assert lone.uniqueness_weights == ()
 
-    critical = fact_score(make_fact("F1", Importance.CRITICAL), clusters)
+    critical = score_of(make_fact("F1", Importance.CRITICAL), clusters)
     assert critical.combined == 1.0
 
 
@@ -115,16 +120,7 @@ def test_fact_score_requires_importance():
         fact_id="F1", text="x", content_category=ContentCategory.MEDICAL
     )
     with pytest.raises(ValueError, match="no importance"):
-        fact_score(uncategorized, [])
-
-
-def test_score_omissions_validation():
-    facts = [make_fact("F0", Importance.OTHER)]
-    with pytest.raises(ValueError, match="unknown fact"):
-        score_omissions(facts, [Omission(fact_id="F3", explanation="gone")], [])
-    facts_dup = [make_fact("F0", Importance.OTHER), make_fact("F0", Importance.OTHER)]
-    with pytest.raises(ValueError, match="duplicate"):
-        score_omissions(facts_dup, [], [])
+        score_of(uncategorized, [])
 
 
 def test_document_score_goldens():
@@ -146,6 +142,9 @@ def test_randomized_instances_match_oracle():
             ours = document_score(facts, omissions, clusters, mode)
             oracle = brute_force_document_score(facts, omissions, clusters, mode)
             assert ours == oracle
+            scores = score_omissions(facts, omissions, clusters, mode)
+            weights = [list(score.uniqueness_weights) for score in scores]
+            assert weights == brute_force_weights(omissions, clusters, mode)
 
 
 def test_weight_bounds_and_monotonicity():
