@@ -12,9 +12,10 @@ the guard bits as rows that never match. ROUGE-Lsum runs one pass per
 candidate sentence, in which the guards give every reference sentence
 its own columns, and backtracks all reference sentences at once: per
 column, a segmented smear finds each sentence's highest stop. ROUGE-1
-and ROUGE-2 read the same layout: a candidate n-gram's count in the
-reference is the popcount of its tokens' masks ANDed, each shifted onto
-the bit of the token before it.
+and ROUGE-2 read the same layout: a candidate token's count in the
+reference is the popcount of its mask, and a longer n-gram's is the
+popcount of its tokens' masks ANDed, each shifted onto the bit of the
+token before it, up to the first token without a mask or empty AND.
 
 Correlations (Spearman, Pearson) ship with two-sided p-values computed
 from the t distribution through a native regularized incomplete beta,
@@ -292,13 +293,23 @@ def rouge_n(cand_tokens: Sequence[str], reference: Layout, n: int) -> RougeScore
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     masks, _, full = reference
-    ends = full & ~(full >> 1)
+    get = masks.get
     overlap = 0
-    for gram, count in Counter(zip(*(islice(cand_tokens, i, None) for i in range(n)))).items():
-        bits = masks.get(gram[-1], 0)
-        for token in gram[-2::-1]:
-            bits = masks.get(token, 0) & ((bits >> 1) | ((bits >> 2) & ends))
-        overlap += min(count, bits.bit_count())
+    if n == 1:
+        for token, count in Counter(cand_tokens).items():
+            if mask := get(token):
+                overlap += min(count, mask.bit_count())
+    else:
+        ends = full & ~(full >> 1)
+        for gram, count in Counter(zip(*(islice(cand_tokens, i, None) for i in range(n)))).items():
+            # An n-gram ends at its first token without a mask or empty AND.
+            if bits := get(gram[-1]):
+                for token in gram[-2::-1]:
+                    mask = get(token)
+                    if not mask or not (bits := mask & ((bits >> 1) | ((bits >> 2) & ends))):
+                        break
+                else:
+                    overlap += min(count, bits.bit_count())
     return _score(overlap, max(len(cand_tokens) - n + 1, 0), max(full.bit_count() - n + 1, 0))
 
 

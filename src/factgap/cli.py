@@ -199,7 +199,9 @@ def _baseline_pairs(ok: Sequence[tuple[Path, EncounterResult]]) -> dict[str, tup
             continue
         summary = read_record(enc_dir / "summary.json", Summary)
         try:
-            reference = reference_path.read_text(encoding="utf-8")
+            # Bytes, with no text stream; line ends need no translating,
+            # since ROUGE splits sentences at every line boundary.
+            reference = reference_path.read_bytes().decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ValueError(f"{reference_path}: {exc}") from exc
         pairs[result.encounter_id] = (summary.text(), reference)

@@ -21,12 +21,15 @@ every command pays first. A field takes a plain default or none;
 Every type that persists as JSON derives from :class:`JsonRecord`, a
 ``Record`` with one codec driven by its fields, and round-trips through
 ``to_json_dict`` and ``from_json_dict``; its codec is one named table,
-``_Codec``, built from its type hints on first use. The same codec loads
-the run configuration (the types in ``config``), and every decode refuses
-keys its type does not know. A record carries ``schema_version: "1"`` unless
-its type sets ``versioned = False``. Three types here do, all parts of a
-larger record that have never carried a version: ``Turn``, ``Diagnosis``
-and ``SubCluster``; so do ``Provenance``, ``Encounter``, the two outcome
+``_Codec``, built on first use from its fields' annotations. It evaluates
+them as ``typing.get_type_hints`` would, but not through that function,
+which makes and compiles a new ``ForwardRef`` of every annotation of every
+base on each call. The same codec loads the run configuration (the types
+in ``config``), and every decode refuses keys its type does not know. A
+record carries ``schema_version: "1"`` unless its type sets
+``versioned = False``. Three types here do, all parts of a larger record
+that have never carried a version: ``Turn``, ``Diagnosis`` and
+``SubCluster``; so do ``Provenance``, ``Encounter``, the two outcome
 markers and ``ManifestEntry`` in ``dataset``, ``CorrelationRow`` in
 ``baselines``, the four types in ``config`` and the three request types
 in ``gateway``.
@@ -52,9 +55,9 @@ from collections.abc import Mapping
 from enum import Enum
 from operator import attrgetter, index, methodcaller
 from pathlib import Path
-from types import UnionType
-from typing import Any, Callable, ClassVar, NamedTuple, Optional, Sequence, TypeVar, Union
-from typing import get_args, get_origin, get_type_hints
+from types import CodeType, UnionType
+from typing import Any, Callable, ClassVar, ForwardRef, Iterable, NamedTuple, Optional, Sequence
+from typing import TypeVar, Union, get_args, get_origin
 
 SCHEMA_VERSION = "1"
 
@@ -171,8 +174,6 @@ class Record:
         for name, default in defaults.items():
             if isinstance(default, field_spec) or default.__class__.__hash__ is None:
                 raise TypeError(f"{cls.__qualname__}.{name}: Record fields take plain defaults")
-        # Not annotated in the class body, where get_type_hints would
-        # evaluate it again for every record type's codec.
         cls._layout = _Layout(
             names,
             frozenset(names),
@@ -335,15 +336,13 @@ class _Codec(NamedTuple):
 
 @functools.cache
 def _codec(cls: type) -> _Codec:
-    hints = get_type_hints(cls)
     if hasattr(cls, "_fields"):  # a NamedTuple
         required = {name: name not in cls._field_defaults for name in cls._fields}
     else:
         required = {name: name not in cls._layout.defaults for name in cls._layout.names}
-    coders = {name: _coders(hints[name]) for name in required}
+    coders = {name: _coders(hint) for name, hint in _field_types(cls, required).items()}
     derived = {
-        name: _coders(get_type_hints(getattr(cls, name).fget)["return"])
-        for name in getattr(cls, "derived", ())
+        name: _coders(_return_type(getattr(cls, name).fget)) for name in getattr(cls, "derived", ())
     }
     versioned = getattr(cls, "versioned", False)
     return _Codec(
@@ -354,6 +353,43 @@ def _codec(cls: type) -> _Codec:
         allowed=frozenset([*coders, *derived, *(["schema_version"] if versioned else [])]),
         coercions=tuple((name, kept) for name, (_, _, kept) in coders.items() if kept),
     )
+
+
+@functools.cache
+def _compiled(annotation: str) -> CodeType:
+    return compile(annotation, "<annotation>", "eval")
+
+
+def _field_types(cls: type, names: Iterable[str]) -> dict[str, Any]:
+    """The type of each field in ``names``, as ``typing.get_type_hints(cls)``
+    gives it, without a new ForwardRef for every annotation of every base.
+
+    A field's annotation is the one of the first class in the MRO that
+    annotates it, evaluated as get_type_hints evaluates it: a string with
+    that class's module as locals and a copy of the class's attributes as
+    globals, so the module shadows the class; a ForwardRef, which a
+    NamedTuple makes of each string, in its module alone.
+    """
+    types = {}
+    for name in names:
+        base = next(base for base in cls.__mro__ if name in vars(base).get("__annotations__", ()))
+        annotation = vars(base)["__annotations__"][name]
+        module = vars(sys.modules[base.__module__])
+        if isinstance(annotation, ForwardRef):
+            annotation = eval(_compiled(annotation.__forward_arg__), module)
+        elif isinstance(annotation, str):
+            annotation = eval(_compiled(annotation), dict(vars(base)), module)
+        types[name] = annotation
+    return types
+
+
+def _return_type(function: Callable[..., Any]) -> Any:
+    """The return type of ``function``, as ``typing.get_type_hints`` gives
+    it: a string evaluates in the function's globals."""
+    annotation = function.__annotations__["return"]
+    if isinstance(annotation, str):
+        return eval(_compiled(annotation), function.__globals__)
+    return annotation
 
 
 def _coders(hint: Any) -> tuple[_Coder, _Coder, _Coercion]:
@@ -438,11 +474,15 @@ def _decode(cls: type, codec: _Codec, data: Mapping[str, Any]) -> Any:
             f"{cls.__name__}: unsupported schema_version {data.get('schema_version')!r} "
             f"(expected {SCHEMA_VERSION!r})"
         )
-    values = {
-        name: _decode_key(cls, data, name, decode)
-        for name, decode, required in codec.decoders
-        if required or name in data
-    }
+    values = {}
+    for name, decode, required in codec.decoders:
+        if name in data:
+            try:
+                values[name] = data[name] if decode is None else decode(data[name])
+            except (TypeError, ValueError) as exc:
+                raise _key_error(cls, name, exc) from exc
+        elif required:
+            raise ValueError(f"{cls.__name__}: missing required key {name!r}")
     try:
         record = cls(**values)
     except (TypeError, ValueError, AttributeError) as exc:
@@ -450,7 +490,12 @@ def _decode(cls: type, codec: _Codec, data: Mapping[str, Any]) -> Any:
         # a str method, or a value the constructor cannot convert.
         raise ValueError(f"{cls.__name__}: {exc}") from exc
     for name, decode in codec.derived:
-        stored = _decode_key(cls, data, name, decode)
+        if name not in data:
+            raise ValueError(f"{cls.__name__}: missing required key {name!r}")
+        try:
+            stored = data[name] if decode is None else decode(data[name])
+        except (TypeError, ValueError) as exc:
+            raise _key_error(cls, name, exc) from exc
         if stored != (expected := getattr(record, name)):
             raise ValueError(
                 f"{cls.__name__}: {name} {stored!r} is not the {expected!r} "
@@ -459,18 +504,14 @@ def _decode(cls: type, codec: _Codec, data: Mapping[str, Any]) -> Any:
     return record
 
 
-def _decode_key(cls: type, data: Mapping[str, Any], name: str, decode: _Coder) -> Any:
-    if name not in data:
-        raise ValueError(f"{cls.__name__}: missing required key {name!r}")
-    try:
-        return data[name] if decode is None else decode(data[name])
-    except UnicodeEncodeError as exc:
+def _key_error(cls: type, name: str, exc: Exception) -> ValueError:
+    """The error for the value of key ``name`` that its decoder refused."""
+    if isinstance(exc, UnicodeEncodeError):
         # Such as JSON's escape of a lone surrogate: no artifact could hold it.
-        raise ValueError(f"{cls.__name__}: {name} is not valid UTF-8: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        # A value of the wrong JSON type, or a nested record's error,
-        # which then names each type on the way down.
-        raise ValueError(f"{cls.__name__}: {exc}") from exc
+        return ValueError(f"{cls.__name__}: {name} is not valid UTF-8: {exc}")
+    # A value of the wrong JSON type, or a nested record's error, which
+    # then names each type on the way down.
+    return ValueError(f"{cls.__name__}: {exc}")
 
 
 def parse_fact_id(raw: str) -> str:
@@ -482,9 +523,10 @@ def parse_fact_id(raw: str) -> str:
     cleaned = raw.strip()
     if cleaned.endswith(":"):
         cleaned = cleaned[:-1].rstrip()
-    if len(cleaned) < 2 or cleaned[0] != "F" or not cleaned[1:].isdigit():
+    digits = cleaned[1:]
+    if len(cleaned) < 2 or cleaned[0] != "F" or not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"malformed fact id {raw!r}")
-    return "F" + str(int(cleaned[1:]))
+    return "F" + str(int(digits))
 
 
 def fact_id_index(fact_id: str) -> int:

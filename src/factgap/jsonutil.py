@@ -20,8 +20,9 @@ list, and leaves strings and numbers to json's C string encoder and to
 Files are written as bytes: the text is encoded before the file is
 opened, so text that is not valid UTF-8 (a lone surrogate) creates no
 file, and the bytes go to the descriptor with ``os.write`` rather than
-through a text stream. Every file written here is created with mode
-0600 (before the umask): run artifacts hold patient conversations.
+through a text stream. ``read_json`` reads them back the same way, as
+bytes decoded as strict UTF-8. Every file written here is created with
+mode 0600 (before the umask): run artifacts hold patient conversations.
 """
 
 from __future__ import annotations
@@ -174,5 +175,10 @@ def write_json(path: Path | str, obj: Any, atomic: bool = True) -> None:
 
 
 def read_json(path: Path | str) -> Any:
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+    """The JSON value in the file at ``path``, which must be UTF-8.
+
+    The bytes are decoded strictly before json parses the text:
+    ``json.loads`` of the bytes would also take UTF-16, UTF-32 and
+    lone surrogates."""
+    with open(path, "rb") as handle:
+        return json.loads(handle.read().decode("utf-8"))

@@ -642,6 +642,14 @@ def _reference_not_utf8(tmp_path, run):
     return reference, ["compare", "--run", str(copy)]
 
 
+def _summary_json_not_utf8(tmp_path, run):
+    copy = tmp_path / "run"
+    shutil.copytree(run, copy)
+    summary = copy / "encounters" / "enc-edward" / "summary.json"
+    summary.write_bytes(summary.read_bytes().replace(b'"sections"', b'"sections\xff"', 1))
+    return summary, ["compare", "--run", str(copy)]
+
+
 # id -> a function of (tmp_path, finished run) giving the file with the byte
 # 0xff, as the error names it, and the command that reads it.
 NOT_UTF8 = {
@@ -649,6 +657,7 @@ NOT_UTF8 = {
     "csv_corpus": _csv_corpus_not_utf8,
     "external_csv": _external_csv_not_utf8,
     "reference_note": _reference_not_utf8,
+    "json_artifact": _summary_json_not_utf8,
 }
 
 

@@ -4,7 +4,7 @@ from collections.abc import Mapping
 from dataclasses import field
 from enum import Enum
 from pathlib import Path
-from typing import Optional, get_origin, get_type_hints
+from typing import Optional, get_args, get_origin, get_type_hints
 
 import pytest
 
@@ -36,6 +36,8 @@ from factgap.datamodel import (
     SubCluster,
     Summary,
     Turn,
+    _field_types,
+    _return_type,
     fact_id_index,
     parse_fact_id,
     replace,
@@ -81,9 +83,13 @@ def test_parse_fact_id_normalizes():
     assert fact_id_index("F14") == 14
 
 
-@pytest.mark.parametrize("bad", ["", "14", "F", "Fx", "G3", "F1.5", "fact F1 and F2"])
+@pytest.mark.parametrize(
+    # A superscript two, a fullwidth one and an Arabic-Indic three: str.isdigit
+    # takes them all, and int() takes the last two.
+    "bad", ["", "14", "F", "Fx", "G3", "F1.5", "fact F1 and F2", "F\u00b2", "F\uff11", "F\u0663"]
+)
 def test_parse_fact_id_rejects_malformed(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^malformed fact id {re.escape(repr(bad))}$"):
         parse_fact_id(bad)
 
 
@@ -761,6 +767,38 @@ def every_record():
 
 def test_every_record_type_has_a_sample():
     assert set(every_record()) == set(RECORD_TYPES)
+
+
+def served_named_tuples(hint):
+    """The NamedTuples that the codec of a field of type ``hint`` serves."""
+    if isinstance(hint, type) and issubclass(hint, tuple) and hasattr(hint, "_fields"):
+        yield hint
+        for field_hint in get_type_hints(hint).values():
+            yield from served_named_tuples(field_hint)
+    for arg in get_args(hint):
+        yield from served_named_tuples(arg)
+
+
+def test_the_codec_resolves_field_types_as_get_type_hints_does():
+    json_records = [cls for cls in RECORD_TYPES if issubclass(cls, JsonRecord)]
+    named_tuples = {
+        named_tuple
+        for cls in json_records
+        for hint in get_type_hints(cls).values()
+        for named_tuple in served_named_tuples(hint)
+    }
+    assert {cls.__module__ for cls in json_records} == {
+        "factgap.datamodel", "factgap.dataset", "factgap.config", "factgap.gateway",
+        "factgap.baselines",
+    }
+    assert ScoredOmission in named_tuples
+    for cls in [*json_records, *named_tuples]:
+        names = cls._fields if cls in named_tuples else cls._layout.names
+        hints = get_type_hints(cls)
+        assert _field_types(cls, names) == {name: hints[name] for name in names}, cls
+        for name in getattr(cls, "derived", ()):
+            fget = getattr(cls, name).fget
+            assert _return_type(fget) == get_type_hints(fget)["return"], (cls, name)
 
 
 @pytest.mark.parametrize("cls", RECORD_TYPES, ids=lambda cls: cls.__qualname__)
