@@ -22,8 +22,6 @@ from the t distribution through a native regularized incomplete beta,
 so the package has no runtime dependency on a stats library.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 from collections import Counter
@@ -667,8 +665,11 @@ def correlation_table(
                 f"metrics {target.name} and {baseline.name} share only "
                 f"{len(shared)} encounters; need at least 3"
             )
-        s = spearman(x, y)
-        p = pearson(x, y)
+        try:
+            s = spearman(x, y)
+            p = pearson(x, y)
+        except ValueError as exc:
+            raise ValueError(f"metrics {target.name} and {baseline.name}: {exc}") from None
         rows.append(
             CorrelationRow(
                 metric_name=baseline.name,

@@ -5,8 +5,6 @@ Exit codes: 0 when everything succeeded, 1 when nothing failed but at
 least one encounter was skipped, 2 on any failure or fatal error.
 """
 
-from __future__ import annotations
-
 import argparse
 import math
 import sys

@@ -7,8 +7,6 @@ directory. Credentials never appear in the file; the http backend names
 an environment variable instead. Only live and record runs need a backend.
 """
 
-from __future__ import annotations
-
 import json
 import math
 import os

@@ -21,10 +21,10 @@ every command pays first. A field takes a plain default or none;
 Every type that persists as JSON derives from :class:`JsonRecord`, a
 ``Record`` with one codec driven by its fields, and round-trips through
 ``to_json_dict`` and ``from_json_dict``; its codec is one named table,
-``_Codec``, built on first use from its fields' annotations. It evaluates
-them as ``typing.get_type_hints`` would, but not through that function,
-which makes and compiles a new ``ForwardRef`` of every annotation of every
-base on each call. The same codec loads the run configuration (the types
+``_Codec``, built on first use from its fields' types. Package modules do
+not postpone annotations, so each annotation is the type itself, and a
+field's type is its most-derived annotation, which ``_layout`` keeps with
+its name. The same codec loads the run configuration (the types
 in ``config``), and every decode refuses keys its type does not know. A
 record carries ``schema_version: "1"`` unless its type sets
 ``versioned = False``. Three types here do, all parts of a larger record
@@ -46,8 +46,6 @@ or a margin's ``ratio``, is a property in its type's ``derived`` table,
 never a field, so no check repeats its formula; the codec still writes it.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 import sys
@@ -55,8 +53,8 @@ from collections.abc import Mapping
 from enum import Enum
 from operator import attrgetter, index, methodcaller
 from pathlib import Path
-from types import CodeType, UnionType
-from typing import Any, Callable, ClassVar, ForwardRef, Iterable, NamedTuple, Optional, Sequence
+from types import UnionType
+from typing import Any, Callable, ClassVar, NamedTuple, Optional, Sequence
 from typing import TypeVar, Union, get_args, get_origin
 
 SCHEMA_VERSION = "1"
@@ -135,6 +133,7 @@ class _Layout(NamedTuple):
     keys: frozenset[str]  # the same names
     defaults: dict[str, Any]  # the fields with a default
     key: Callable[[Any], tuple]  # the tuple of the fields' values
+    types: dict[str, Any]  # each field's type: its most-derived annotation
 
 
 class Record:
@@ -142,12 +141,13 @@ class Record:
 
     A subclass declares annotated fields as a dataclass does, and its field
     table, ``_layout``, lists them in order: the fields of its bases first,
-    then its own, leaving out ``ClassVar`` annotations. A field's default is
-    the class attribute of its name, and it takes a plain default or none;
-    a record is immutable, so a record default is safe to share, while an
-    unhashable default or a ``dataclasses.field`` is refused. The methods
-    that ``dataclass(frozen=True)`` would ``exec`` for each class at import
-    are written here once.
+    then its own, leaving out ``ClassVar`` annotations. A field declared
+    again keeps its base's place and takes the new annotation as its type.
+    A field's default is the class attribute of its name, and it takes a
+    plain default or none; a record is immutable, so a record default is
+    safe to share, while an unhashable default or a ``dataclasses.field``
+    is refused. The methods that ``dataclass(frozen=True)`` would ``exec``
+    for each class at import are written here once.
 
     The constructor takes the fields by position or by name, fills
     defaults and calls ``__post_init__``. Records compare and hash by the
@@ -158,15 +158,16 @@ class Record:
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
-        # A base's fields first; a field declared again keeps its place.
-        names = tuple(
-            dict.fromkeys(
-                name
-                for klass in reversed(cls.__mro__)
-                for name, hint in vars(klass).get("__annotations__", {}).items()
-                if not _is_class_var(hint)
-            )
-        )
+        # A base's fields first; a field declared again keeps its place and
+        # takes its new annotation. Each class has its own annotations dict,
+        # read through the attribute, which on 3.14 evaluates __annotate__.
+        types = {
+            name: hint
+            for klass in reversed(cls.__mro__[:-1])  # all but object
+            for name, hint in klass.__annotations__.items()
+            if hint is not ClassVar and get_origin(hint) is not ClassVar
+        }
+        names = tuple(types)
         defaults = {name: getattr(cls, name) for name in names if hasattr(cls, name)}
         # A dataclasses.Field exists only once dataclasses is loaded, so the
         # check needs no import of its own.
@@ -179,6 +180,7 @@ class Record:
             frozenset(names),
             defaults,
             attrgetter(*names) if len(names) > 1 else _tuple_getter(names),
+            types,
         )
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
@@ -232,13 +234,6 @@ def replace(record: _R, **changes: Any) -> _R:
     constructor, so its conversions and checks run again."""
     values = {name: getattr(record, name) for name in record._layout.names}
     return type(record)(**{**values, **changes})
-
-
-def _is_class_var(hint: Any) -> bool:
-    # Under postponed evaluation every annotation is a string.
-    if isinstance(hint, str):
-        return hint.partition("[")[0].strip() in ("ClassVar", "typing.ClassVar")
-    return hint is ClassVar or get_origin(hint) is ClassVar
 
 
 def _tuple_getter(names: tuple[str, ...]) -> Callable[[Any], tuple]:
@@ -337,12 +332,14 @@ class _Codec(NamedTuple):
 @functools.cache
 def _codec(cls: type) -> _Codec:
     if hasattr(cls, "_fields"):  # a NamedTuple
-        required = {name: name not in cls._field_defaults for name in cls._fields}
+        types, defaults = cls.__annotations__, cls._field_defaults
     else:
-        required = {name: name not in cls._layout.defaults for name in cls._layout.names}
-    coders = {name: _coders(hint) for name, hint in _field_types(cls, required).items()}
+        types, defaults = cls._layout.types, cls._layout.defaults
+    required = {name: name not in defaults for name in types}
+    coders = {name: _coders(hint) for name, hint in types.items()}
     derived = {
-        name: _coders(_return_type(getattr(cls, name).fget)) for name in getattr(cls, "derived", ())
+        name: _coders(getattr(cls, name).fget.__annotations__["return"])
+        for name in getattr(cls, "derived", ())
     }
     versioned = getattr(cls, "versioned", False)
     return _Codec(
@@ -353,43 +350,6 @@ def _codec(cls: type) -> _Codec:
         allowed=frozenset([*coders, *derived, *(["schema_version"] if versioned else [])]),
         coercions=tuple((name, kept) for name, (_, _, kept) in coders.items() if kept),
     )
-
-
-@functools.cache
-def _compiled(annotation: str) -> CodeType:
-    return compile(annotation, "<annotation>", "eval")
-
-
-def _field_types(cls: type, names: Iterable[str]) -> dict[str, Any]:
-    """The type of each field in ``names``, as ``typing.get_type_hints(cls)``
-    gives it, without a new ForwardRef for every annotation of every base.
-
-    A field's annotation is the one of the first class in the MRO that
-    annotates it, evaluated as get_type_hints evaluates it: a string with
-    that class's module as locals and a copy of the class's attributes as
-    globals, so the module shadows the class; a ForwardRef, which a
-    NamedTuple makes of each string, in its module alone.
-    """
-    types = {}
-    for name in names:
-        base = next(base for base in cls.__mro__ if name in vars(base).get("__annotations__", ()))
-        annotation = vars(base)["__annotations__"][name]
-        module = vars(sys.modules[base.__module__])
-        if isinstance(annotation, ForwardRef):
-            annotation = eval(_compiled(annotation.__forward_arg__), module)
-        elif isinstance(annotation, str):
-            annotation = eval(_compiled(annotation), dict(vars(base)), module)
-        types[name] = annotation
-    return types
-
-
-def _return_type(function: Callable[..., Any]) -> Any:
-    """The return type of ``function``, as ``typing.get_type_hints`` gives
-    it: a string evaluates in the function's globals."""
-    annotation = function.__annotations__["return"]
-    if isinstance(annotation, str):
-        return eval(_compiled(annotation), function.__globals__)
-    return annotation
 
 
 def _coders(hint: Any) -> tuple[_Coder, _Coder, _Coercion]:

@@ -13,8 +13,6 @@ one outcome marker (``report.json``, ``skip.json`` or ``failure.json``),
 manifest lists one :class:`ManifestEntry` per encounter.
 """
 
-from __future__ import annotations
-
 import csv
 import time
 from contextlib import contextmanager
@@ -207,7 +205,9 @@ def save_corpus(corpus: Corpus, path: Path | str, force: bool = False) -> None:
 
 
 def utc_now_iso() -> str:
-    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
+    # gmtime() without an argument reads C time(), a coarse clock that can
+    # lag time.time() into the previous second.
+    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime(time.time()))
 
 
 # Each status, and the file that ends an encounter directory with it, in

@@ -23,8 +23,6 @@ failures (truncated output, missing logprobs, malformed payloads) never
 retry.
 """
 
-from __future__ import annotations
-
 import functools
 import hashlib
 import logging
@@ -35,15 +33,12 @@ import time
 from concurrent.futures import Future
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 import json
 
 from .datamodel import JsonRecord, replace
 from .jsonutil import canonical_dumps
-
-if TYPE_CHECKING:
-    import http.client
 
 log = logging.getLogger(__name__)
 

@@ -25,8 +25,6 @@ bytes decoded as strict UTF-8. Every file written here is created with
 mode 0600 (before the umask): run artifacts hold patient conversations.
 """
 
-from __future__ import annotations
-
 import json
 import os
 import tempfile

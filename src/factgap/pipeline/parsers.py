@@ -17,8 +17,6 @@ turns the record's refusal into a ParseError, and owns only line syntax
 and the list rules no record holds, such as contiguous or known fact ids.
 """
 
-from __future__ import annotations
-
 import re
 from typing import Any, Callable, Sequence, TypeVar
 

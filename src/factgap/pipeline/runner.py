@@ -38,8 +38,6 @@ for itself; where the platform lacks it or refuses it, the writer runs
 under the default policy and writes the same bytes.
 """
 
-from __future__ import annotations
-
 import logging
 import os
 import shutil

@@ -18,8 +18,6 @@ makes the payload of each list artifact: facts, omissions and clusters.
 The runner schedules the table; ``STAGE_ORDER`` is its row order.
 """
 
-from __future__ import annotations
-
 import logging
 from typing import Any, Callable, Optional, Sequence
 

@@ -6,8 +6,6 @@ substitution syntax. Rendering is strict in both directions: a missing
 value and an unused value are both errors.
 """
 
-from __future__ import annotations
-
 import string
 from functools import lru_cache
 from importlib import resources

@@ -13,8 +13,6 @@ known facts once each. Scoring trusts them and refuses only a fact that
 has not been categorized yet.
 """
 
-from __future__ import annotations
-
 from enum import Enum
 from typing import Optional, Sequence
 

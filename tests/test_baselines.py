@@ -284,6 +284,13 @@ def test_correlation_table_and_rendering():
     with pytest.raises(ValueError, match="share only"):
         correlation_table(target, [small])
 
+    constant = MetricVector(name="const", values=dict.fromkeys(ids, 1.0))
+    message = "correlation undefined for a constant input"
+    for first, second in ((target, constant), (constant, target)):
+        with pytest.raises(ValueError) as refused:
+            correlation_table(first, [second])
+        assert str(refused.value) == f"metrics {first.name} and {second.name}: {message}"
+
 
 def test_rouge_vectors():
     vectors = rouge_vectors({"e1": ("a b", "a b"), "e2": ("a", "b")})

@@ -456,6 +456,20 @@ def test_compare_external_must_cover_run(finished_run, tmp_path, capsys):
     assert "enc-edward" in captured.err and "enc-stephanie" in captured.err
 
 
+def test_compare_names_both_metrics_of_an_undefined_correlation(finished_run, tmp_path, capsys):
+    constant = tmp_path / "const.csv"
+    constant.write_text(
+        "encounter_id,const\nenc-edward,1.0\nenc-martha,1.0\nenc-stephanie,1.0\n",
+        encoding="utf-8",
+    )
+    code = main(["compare", "--run", str(finished_run), "--external", str(constant)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (
+        "error: metrics omission_count and const: correlation undefined for a constant input\n"
+    )
+
+
 def test_compare_external_extras_warned(finished_run, tmp_path, capsys):
     extended = tmp_path / "extended.csv"
     rows = EXTERNAL_CSV.read_text(encoding="utf-8").rstrip("\n")

@@ -4,7 +4,7 @@ from collections.abc import Mapping
 from dataclasses import field
 from enum import Enum
 from pathlib import Path
-from typing import Optional, get_args, get_origin, get_type_hints
+from typing import ClassVar, Optional, get_args, get_origin, get_type_hints
 
 import pytest
 
@@ -36,8 +36,6 @@ from factgap.datamodel import (
     SubCluster,
     Summary,
     Turn,
-    _field_types,
-    _return_type,
     fact_id_index,
     parse_fact_id,
     replace,
@@ -795,10 +793,11 @@ def test_the_codec_resolves_field_types_as_get_type_hints_does():
     for cls in [*json_records, *named_tuples]:
         names = cls._fields if cls in named_tuples else cls._layout.names
         hints = get_type_hints(cls)
-        assert _field_types(cls, names) == {name: hints[name] for name in names}, cls
+        types = cls.__annotations__ if cls in named_tuples else cls._layout.types
+        assert types == {name: hints[name] for name in names}, cls
         for name in getattr(cls, "derived", ()):
             fget = getattr(cls, name).fget
-            assert _return_type(fget) == get_type_hints(fget)["return"], (cls, name)
+            assert fget.__annotations__["return"] == get_type_hints(fget)["return"], (cls, name)
 
 
 @pytest.mark.parametrize("cls", RECORD_TYPES, ids=lambda cls: cls.__qualname__)
@@ -856,6 +855,42 @@ def test_record_fills_defaults_and_calls_post_init():
     shown = repr(Sample("a", count=3))
     assert shown.endswith("<locals>.Sample(name='a', count=3)")
     assert Sample("a") != Sample("b") and Sample("a") != ("a", 2)
+
+
+def test_a_field_declared_again_keeps_its_place_and_takes_the_new_type():
+    class Base(JsonRecord):
+        versioned = False
+        speaker: str
+        count: float = 1.0
+
+    class Derived(Base):
+        label: str = "x"
+        speaker: Speaker
+
+    assert Base._layout.types == {"speaker": str, "count": float}
+    assert Derived._layout.names == ("speaker", "count", "label")
+    assert Derived._layout.types == {"speaker": Speaker, "count": float, "label": str}
+    assert Derived("doctor").speaker is Speaker.DOCTOR
+    assert Base("doctor").speaker == "doctor"
+    decoded = Derived.from_json_dict({"speaker": "patient", "count": 2.5})
+    assert decoded == Derived(Speaker.PATIENT, 2.5, "x")
+    assert Derived.from_json_dict(decoded.to_json_dict()) == decoded
+    assert Base.from_json_dict({"speaker": "nurse"}).speaker == "nurse"
+    with pytest.raises(ValueError, match="^Derived: 'nurse' is not a valid Speaker$"):
+        Derived.from_json_dict({"speaker": "nurse"})
+
+
+def test_class_vars_are_not_fields():
+    class Sample(Record):
+        limit: ClassVar[int] = 3
+        name: str
+        # A list default would be refused if this were a field.
+        kinds: ClassVar = ["a"]
+
+    assert Sample._layout.names == ("name",)
+    assert Sample._layout.types == {"name": str}
+    assert Sample("a") == Sample(name="a")
+    assert (Sample("a").limit, Sample.kinds) == (3, ["a"])
 
 
 @pytest.mark.parametrize(

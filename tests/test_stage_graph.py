@@ -120,6 +120,48 @@ def test_stage_table_is_in_dependency_order():
     assert STAGE_ORDER == tuple(stage.name for stage in STAGES)
 
 
+def transitive_needs(stage):
+    """The rows ``stage`` needs, directly or through another row."""
+    rows = {row.name: row for row in STAGES}
+    needed, pending = set(), list(stage.needs)
+    while pending:
+        name = pending.pop()
+        if name not in needed:
+            needed.add(name)
+            pending.extend(rows[name].needs)
+    return needed
+
+
+def test_every_stage_row_reads_only_the_rows_it_needs(tmp_path, monkeypatch):
+    # A row that read a stage outside its transitive needs would pass at
+    # one worker, where every earlier row has finished, and race at more.
+    config = load_config(FIXTURES / "replay_config.json")
+    corpus = load_corpus(FIXTURES / "corpus.json")
+    full = {}
+    accept = StageInputs.accept
+
+    def recording_accept(inputs, name, result):
+        accept(inputs, name, result)
+        full.setdefault(inputs.dialogue.encounter_id, {})[name] = inputs[name]
+
+    monkeypatch.setattr(StageInputs, "accept", recording_accept)
+    _, results = run_corpus(
+        config, build_gateway(config), corpus, "corpus.json", tmp_path, workers=1
+    )
+    monkeypatch.undo()
+    assert [r.status for r in results] == ["ok"] * len(corpus.encounters)
+
+    ctx = StageContext(build_gateway(config), config)
+    for encounter in corpus.encounters:
+        values = full[encounter.encounter_id]
+        assert set(values) == set(STAGE_ORDER)
+        for row in STAGES:
+            inputs = StageInputs(ctx, encounter.dialogue)
+            inputs.values.update((name, values[name]) for name in transitive_needs(row))
+            inputs.accept(row.name, row.run(inputs))
+            assert inputs[row.name] == values[row.name], (encounter.encounter_id, row.name)
+
+
 def differentials(source):
     """Differentials of up to four entries with drawn likelihoods, named
     after their source and rank, so each diagnosis is told apart."""
