@@ -1,10 +1,11 @@
 """Reference-based baseline metrics and correlation analysis.
 
-ROUGE here is self-contained: lowercase tokens of ``[a-z0-9]``, cut
-into sentences at line breaks and ``.!?`` by one ``bytes.translate``
-table, optional Porter stemming, and the summary-level union-LCS variant
-with double-count prevention. ``rouge_all`` tokenizes each text once and
-lays the reference sentences side by side in one int, each followed by a
+ROUGE here is self-contained: one tokenizer, ``tokenize``, cuts a text
+into sentences at line breaks and ``.!?`` and each into lowercase tokens
+of ``[a-z0-9]`` by one ``bytes.translate`` table, with optional Porter
+stemming, and ROUGE-Lsum is the summary-level union-LCS variant with
+double-count prevention. ``rouge_all`` tokenizes each text once and lays
+the reference sentences side by side in one int, each followed by a
 zero guard bit; ROUGE-L and ROUGE-Lsum both read that layout. They
 compute the LCS bit-parallel over Python ints (Allison & Dix 1986; Hyyro
 2004), one column of the LCS table per candidate token. ROUGE-L takes
@@ -19,7 +20,9 @@ token before it, up to the first token without a mask or empty AND.
 
 Correlations (Spearman, Pearson) ship with two-sided p-values computed
 from the t distribution through a native regularized incomplete beta,
-so the package has no runtime dependency on a stats library.
+so the package has no runtime dependency on a stats library. A
+correlation that is undefined, such as one with a constant metric, is
+refused; ``factgap compare`` leaves that row out with a warning.
 """
 
 import functools
@@ -210,16 +213,10 @@ def _stemmed(tokens: list[str]) -> list[str]:
     return [porter_stem(t) if len(t) > 3 else t for t in tokens]
 
 
-def tokenize(text: str, use_stemmer: bool = False) -> list[str]:
-    """Lowercase alphanumeric runs; everything else is a separator."""
-    tokens = _separated(text).split()
-    return _stemmed(tokens) if use_stemmer else tokens
-
-
-def sentence_tokens(text: str, use_stemmer: bool = False) -> list[list[str]]:
-    """The tokens of each sentence that has any; sentences end at line
-    breaks and ``.!?``. Joined, they are exactly ``tokenize(text,
-    use_stemmer)``: both split the same separated text."""
+def tokenize(text: str, use_stemmer: bool = False) -> list[list[str]]:
+    """The one ROUGE tokenizer: the tokens of each sentence that has any.
+    A token is a lowercase alphanumeric run, anything else separates, and
+    sentences end at line breaks and ``.!?``."""
     sentences = list(filter(None, map(str.split, _separated(text).split("\n"))))
     return list(map(_stemmed, sentences)) if use_stemmer else sentences
 
@@ -423,8 +420,8 @@ def rouge_all(candidate: str, reference: str, use_stemmer: bool = False) -> dict
     """Every ROUGE variant of one text pair, tokenizing each text once
     and laying out the reference once. The one ROUGE function that takes
     strings."""
-    cand_sentences = sentence_tokens(candidate, use_stemmer)
-    ref_sentences = sentence_tokens(reference, use_stemmer)
+    cand_sentences = tokenize(candidate, use_stemmer)
+    ref_sentences = tokenize(reference, use_stemmer)
     cand = list(chain.from_iterable(cand_sentences))
     layout = side_by_side(ref_sentences, set(cand))
     return {

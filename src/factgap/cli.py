@@ -20,7 +20,7 @@ from .baselines import (
     rouge_vectors,
 )
 from .config import GatewayMode, build_gateway, load_config
-from .datamodel import Summary
+from .datamodel import Summary, replace
 from .dataset import EncounterResult, count_statuses, load_corpus, read_outcome, read_record
 from .gateway import GatewayError
 # Unused here, but perfbench/tracing.py wraps factgap.cli.read_json by name.
@@ -47,7 +47,7 @@ def _warn(text: str) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     if args.mode:
-        config = config.with_mode(GatewayMode(args.mode))
+        config = replace(config, mode=args.mode)
     corpus = load_corpus(args.corpus)
     gateway = build_gateway(config)
     try:
@@ -165,7 +165,8 @@ def cmd_report(args: argparse.Namespace) -> int:
                 ratio = report.margin.ratio
                 line += f", margin {_fmt(ratio)}" if ratio is not None else ", margin undefined"
             _emit(line)
-            for omission, score in report.omissions:
+            for scored in report.omissions:
+                omission, score = scored.omission, scored.score
                 _emit(f"  {omission.fact_id} (Score: {_fmt(score.combined)}): {omission.explanation}")
         elif result.status == "skipped":
             _emit(f"{result.encounter_id}: skipped ({result.reason})")
@@ -257,8 +258,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if len(target.values) < 3:
             reason = f"only {len(target.values)} encounters have a value; need at least 3"
             tables.append((target.name, None, reason))
-        else:
-            tables.append((target.name, correlation_table(target, baselines), None))
+            continue
+        rows = []
+        for baseline in baselines:
+            try:
+                rows += correlation_table(target, [baseline])
+            except ValueError as exc:  # such as a constant metric; the other rows hold
+                _warn(f"{exc}; row left out")
+        reason = None if rows else "no baseline has a defined correlation with it"
+        tables.append((target.name, rows or None, reason))
 
     if args.json:
         payload = {

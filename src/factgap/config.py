@@ -13,7 +13,7 @@ import os
 from pathlib import Path
 from typing import Optional
 
-from .datamodel import MARGIN_EPSILON, JsonRecord, replace
+from .datamodel import MARGIN_EPSILON, JsonRecord
 from .gateway import Aggregation, GatewayMode, HttpBackend, LlmGateway
 from .scoring import PolarityMode
 
@@ -92,9 +92,6 @@ class RunConfig(JsonRecord):
             raise ValueError("max_gen_tokens must be positive")
         if self.mode is not GatewayMode.LIVE and self.cassette is None:
             raise ValueError(f"mode {self.mode.value} requires a cassette path")
-
-    def with_mode(self, mode: GatewayMode | str) -> "RunConfig":
-        return replace(self, mode=mode)
 
 
 def load_config(path: Path | str) -> RunConfig:

@@ -27,9 +27,9 @@ field's type is its most-derived annotation, which ``_layout`` keeps with
 its name. The same codec loads the run configuration (the types
 in ``config``), and every decode refuses keys its type does not know. A
 record carries ``schema_version: "1"`` unless its type sets
-``versioned = False``. Three types here do, all parts of a larger record
-that have never carried a version: ``Turn``, ``Diagnosis`` and
-``SubCluster``; so do ``Provenance``, ``Encounter``, the two outcome
+``versioned = False``. Four types here do, all parts of a larger record
+that have never carried a version: ``Turn``, ``Diagnosis``, ``SubCluster``
+and ``ScoredOmission``; so do ``Provenance``, ``Encounter``, the two outcome
 markers and ``ManifestEntry`` in ``dataset``, ``CorrelationRow`` in
 ``baselines``, the four types in ``config`` and the three request types
 in ``gateway``.
@@ -269,15 +269,15 @@ class JsonRecord(Record):
     """Base of every record that persists as a JSON object.
 
     The codec follows the record's fields: enums encode by value, tuples
-    as lists, paths as strings, nested records and NamedTuples as objects,
-    and every other value passes through. A versioned type also writes
-    ``schema_version`` and checks it on decode. On decode a missing key
-    takes the field's default, an integer field takes only an integer, a
-    float field anything but a bool, a string field only a string and a
-    mapping only values of its value type, and an unknown key, a missing
-    required key or a value of the wrong type is a ValueError that names
-    the type, prefixed by the enclosing record types when it is nested.
-    So is a value the constructor refuses.
+    as lists, paths as strings, nested records as objects, and every other
+    value passes through. A versioned type also writes ``schema_version``
+    and checks it on decode. On decode a missing key takes the field's
+    default, an integer field takes only an integer, a float field
+    anything but a bool, a string field only a string and a mapping only
+    values of its value type, and an unknown key, a missing required key
+    or a value of the wrong type is a ValueError that names the type,
+    prefixed by the enclosing record types when it is nested. So is a
+    value the constructor refuses.
 
     Each name in ``derived`` is a property computed from the fields. The
     codec writes it as a key, typed by the property's return annotation;
@@ -330,24 +330,20 @@ class _Codec(NamedTuple):
 
 
 @functools.cache
-def _codec(cls: type) -> _Codec:
-    if hasattr(cls, "_fields"):  # a NamedTuple
-        types, defaults = cls.__annotations__, cls._field_defaults
-    else:
-        types, defaults = cls._layout.types, cls._layout.defaults
+def _codec(cls: type[JsonRecord]) -> _Codec:
+    types, defaults = cls._layout.types, cls._layout.defaults
     required = {name: name not in defaults for name in types}
     coders = {name: _coders(hint) for name, hint in types.items()}
     derived = {
         name: _coders(getattr(cls, name).fget.__annotations__["return"])
-        for name in getattr(cls, "derived", ())
+        for name in cls.derived
     }
-    versioned = getattr(cls, "versioned", False)
     return _Codec(
-        versioned,
+        cls.versioned,
         encoders=tuple((name, encode) for name, (encode, _, _) in {**coders, **derived}.items()),
         decoders=tuple((name, decode, required[name]) for name, (_, decode, _) in coders.items()),
         derived=tuple((name, decode) for name, (_, decode, _) in derived.items()),
-        allowed=frozenset([*coders, *derived, *(["schema_version"] if versioned else [])]),
+        allowed=frozenset([*coders, *derived, *(["schema_version"] if cls.versioned else [])]),
         coercions=tuple((name, kept) for name, (_, _, kept) in coders.items() if kept),
     )
 
@@ -386,12 +382,6 @@ def _coders(hint: Any) -> tuple[_Coder, _Coder, _Coercion]:
         return attrgetter("value"), hint, (hint,)
     if issubclass(hint, JsonRecord):
         return methodcaller("to_json_dict"), lambda value: hint.from_json_dict(value), None
-    if issubclass(hint, tuple) and hasattr(hint, "_fields"):
-        return (
-            lambda value: _encode(value, _codec(hint)),
-            lambda value: _decode(hint, _codec(hint), value),
-            None,
-        )
     raise TypeError(f"no JSON codec for field type {hint!r}")
 
 
@@ -416,7 +406,7 @@ def _decode_str(value: Any) -> str:
     return value
 
 
-def _encode(obj: Any, codec: _Codec) -> dict[str, Any]:
+def _encode(obj: JsonRecord, codec: _Codec) -> dict[str, Any]:
     out: dict[str, Any] = {"schema_version": SCHEMA_VERSION} if codec.versioned else {}
     for name, encode in codec.encoders:
         value = getattr(obj, name)
@@ -424,7 +414,7 @@ def _encode(obj: Any, codec: _Codec) -> dict[str, Any]:
     return out
 
 
-def _decode(cls: type, codec: _Codec, data: Mapping[str, Any]) -> Any:
+def _decode(cls: type[JsonRecord], codec: _Codec, data: Mapping[str, Any]) -> Any:
     if not isinstance(data, dict):
         raise ValueError(f"{cls.__name__}: expected a JSON object, got {type(data).__name__}")
     if not data.keys() <= codec.allowed:
@@ -609,9 +599,6 @@ class Fact(JsonRecord):
             raise ValueError(f"fact {self.fact_id}: empty text")
         _check_reply_line(f"fact {self.fact_id}: text", self.text)
 
-    def with_importance(self, importance: Importance) -> "Fact":
-        return replace(self, importance=importance)
-
 
 class Diagnosis(JsonRecord):
     versioned = False
@@ -791,9 +778,19 @@ class CompletionMargin(JsonRecord):
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 
-class ScoredOmission(NamedTuple):
+class ScoredOmission(JsonRecord):
+    """An omitted fact with its penalty, both naming the same fact."""
+
+    versioned = False
+
     omission: Omission
     score: FactScore
+
+    def check(self) -> None:
+        if self.omission.fact_id != self.score.fact_id:
+            raise ValueError(
+                f"omission {self.omission.fact_id} paired with score for {self.score.fact_id}"
+            )
 
 
 class OmissionReport(JsonRecord):
@@ -810,22 +807,13 @@ class OmissionReport(JsonRecord):
     @property
     def cumulative_weight(self) -> float:
         # fsum is exactly rounded, so the total is independent of ordering.
-        return math.fsum([score.combined for _, score in self.omissions])
+        return math.fsum([scored.score.combined for scored in self.omissions])
 
     derived = ("omission_count", "cumulative_weight")
 
     def check(self) -> None:
         if not self.encounter_id:
             raise ValueError("encounter_id must be non-empty")
-        object.__setattr__(
-            self, "omissions", tuple(ScoredOmission(*pair) for pair in self.omissions)
-        )
-        for omission, score in self.omissions:
-            if omission.fact_id != score.fact_id:
-                raise ValueError(
-                    f"report {self.encounter_id}: omission {omission.fact_id} paired "
-                    f"with score for {score.fact_id}"
-                )
 
 
 def validate_encounter_bundle(clusters: Sequence[EvidenceClustering]) -> list[str]:

@@ -100,22 +100,7 @@ class Corpus(JsonRecord):
 def parse_tagged_dialogue(encounter_id: str, text: str) -> Dialogue:
     """Parse ``[speaker] utterance`` lines; untagged lines continue the
     previous turn."""
-    turns: list[Turn] = []
-    pending_speaker: Optional[Speaker] = None
-    pending_text: list[str] = []
-
-    def flush() -> None:
-        nonlocal pending_speaker, pending_text
-        if pending_speaker is not None:
-            body = " ".join(part for part in pending_text if part).strip()
-            if not body:
-                raise ValueError(
-                    f"encounter {encounter_id}: turn {len(turns)} has no text"
-                )
-            turns.append(Turn(index=len(turns), speaker=pending_speaker, text=body))
-        pending_speaker = None
-        pending_text = []
-
+    tagged: list[tuple[Speaker, list[str]]] = []  # each tag line's speaker and text lines
     for raw_line in text.splitlines():
         line = raw_line.strip()
         if not line:
@@ -126,21 +111,27 @@ def parse_tagged_dialogue(encounter_id: str, text: str) -> Dialogue:
                 raise ValueError(
                     f"encounter {encounter_id}: unterminated speaker tag in {line!r}"
                 )
-            tag = line[1:end].strip().lower()
-            flush()
-            pending_speaker = _SPEAKER_BY_TAG.get(tag, Speaker.OTHER)
-            pending_text = [line[end + 1 :].strip()]
+            speaker = _SPEAKER_BY_TAG.get(line[1:end].strip().lower(), Speaker.OTHER)
+            tagged.append((speaker, [line[end + 1 :].strip()]))
+        elif tagged:
+            tagged[-1][1].append(line)
         else:
-            if pending_speaker is None:
-                raise ValueError(
-                    f"encounter {encounter_id}: dialogue does not start with a "
-                    f"[speaker] tag: {line!r}"
-                )
-            pending_text.append(line)
-    flush()
-    if not turns:
+            raise ValueError(
+                f"encounter {encounter_id}: dialogue does not start with a "
+                f"[speaker] tag: {line!r}"
+            )
+    if not tagged:
         raise ValueError(f"encounter {encounter_id}: empty dialogue")
-    return Dialogue(encounter_id=encounter_id, turns=tuple(turns))
+    for index, (_, parts) in enumerate(tagged):
+        if not any(parts):
+            raise ValueError(f"encounter {encounter_id}: turn {index} has no text")
+    return Dialogue(
+        encounter_id=encounter_id,
+        turns=tuple(
+            Turn(index, speaker, " ".join(parts).strip())
+            for index, (speaker, parts) in enumerate(tagged)
+        ),
+    )
 
 
 @contextmanager

@@ -37,6 +37,7 @@ from ..datamodel import (
     SubCluster,
     Summary,
     parse_fact_id,
+    replace,
 )
 
 
@@ -274,7 +275,7 @@ def parse_categorization(block: str, facts: Sequence[Fact]) -> list[Fact]:
     missing = sorted(known - set(by_importance))
     if missing:
         raise ParseError(f"facts {missing} are missing from the categorization")
-    return [fact.with_importance(by_importance[fact.fact_id]) for fact in facts]
+    return [replace(fact, importance=by_importance[fact.fact_id]) for fact in facts]
 
 
 _GROUP_HEADERS = (

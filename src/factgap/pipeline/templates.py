@@ -24,18 +24,15 @@ TEMPLATE_NAMES = (
 
 
 @lru_cache(maxsize=None)
-def load_template(name: str) -> string.Template:
+def load_template(name: str) -> tuple[string.Template, frozenset[str]]:
+    """The named template and the names of its placeholders, read once."""
     if name not in TEMPLATE_NAMES:
         raise ValueError(f"unknown template {name!r} (have {TEMPLATE_NAMES})")
-    text = (
+    template = string.Template(
         resources.files("factgap.pipeline")
         .joinpath("prompts", f"{name}.txt")
         .read_text(encoding="utf-8")
     )
-    return string.Template(text)
-
-
-def _identifiers(template: string.Template) -> set[str]:
     names = set()
     for match in template.pattern.finditer(template.template):
         named = match.group("named") or match.group("braced")
@@ -43,12 +40,11 @@ def _identifiers(template: string.Template) -> set[str]:
             names.add(named)
         elif match.group("invalid") is not None:
             raise ValueError(f"template contains an invalid placeholder near {match.group(0)!r}")
-    return names
+    return template, frozenset(names)
 
 
 def render(name: str, **values: str) -> str:
-    template = load_template(name)
-    expected = _identifiers(template)
+    template, expected = load_template(name)
     provided = set(values)
     if expected != provided:
         raise ValueError(

@@ -27,6 +27,7 @@ from .datamodel import (
     OmissionReport,
     Polarity,
     Record,
+    ScoredOmission,
 )
 
 COMPLETION_PHRASE = "The patient most likely has"
@@ -88,7 +89,7 @@ def build_report(
     polarity_mode: PolarityMode | str = PolarityMode.BOTH,
 ) -> OmissionReport:
     scores = score_omissions(facts, omissions, clusters, polarity_mode)
-    return OmissionReport(encounter_id, tuple(zip(omissions, scores)), margin)
+    return OmissionReport(encounter_id, tuple(map(ScoredOmission, omissions, scores)), margin)
 
 
 class MarginPlan(Record):

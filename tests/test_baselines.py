@@ -22,7 +22,6 @@ from factgap.baselines import (
     rouge_lsum,
     rouge_n,
     rouge_vectors,
-    sentence_tokens,
     side_by_side,
     spearman,
     tokenize,
@@ -30,15 +29,15 @@ from factgap.baselines import (
 
 
 def test_tokenize_lowercases_and_splits_on_non_alnum():
-    assert tokenize("The cat, sat-down! x2") == ["the", "cat", "sat", "down", "x2"]
+    assert tokenize("The cat, sat-down! x2") == [["the", "cat", "sat", "down"], ["x2"]]
     assert tokenize("") == []
     assert tokenize("...") == []
 
 
 def test_tokenize_stemmer_flag_only_touches_longer_tokens():
     # Tokens of 3 characters or fewer are never stemmed.
-    assert tokenize("running runs ran", use_stemmer=True) == ["run", "run", "ran"]
-    assert tokenize("ties", use_stemmer=True) == ["ti"]
+    assert tokenize("running runs ran", use_stemmer=True) == [["run", "run", "ran"]]
+    assert tokenize("ties", use_stemmer=True) == [["ti"]]
 
 
 PORTER_VECTORS = [
@@ -71,7 +70,7 @@ def test_porter_stem_known_vectors(word, expected):
 
 
 def test_split_sentences():
-    # The cuts that sentence_tokens must agree with (test_rouge_properties).
+    # The cuts that tokenize must agree with (test_rouge_properties).
     split_sentences = rouge_oracle.split_sentences
     assert split_sentences("One. Two! Three?\nFour") == ["One", "Two", "Three", "Four"]
     assert split_sentences("") == []
@@ -79,7 +78,7 @@ def test_split_sentences():
 
 
 def test_sentence_tokens_drop_sentences_without_tokens():
-    assert sentence_tokens("Running fevers. -- !\nNo rash", use_stemmer=True) == [
+    assert tokenize("Running fevers. -- !\nNo rash", use_stemmer=True) == [
         ["run", "fever"],
         ["no", "rash"],
     ]

@@ -456,18 +456,52 @@ def test_compare_external_must_cover_run(finished_run, tmp_path, capsys):
     assert "enc-edward" in captured.err and "enc-stephanie" in captured.err
 
 
-def test_compare_names_both_metrics_of_an_undefined_correlation(finished_run, tmp_path, capsys):
+def constant_metric(tmp_path):
     constant = tmp_path / "const.csv"
     constant.write_text(
         "encounter_id,const\nenc-edward,1.0\nenc-martha,1.0\nenc-stephanie,1.0\n",
         encoding="utf-8",
     )
+    return constant
+
+
+def test_compare_names_both_metrics_of_an_undefined_correlation(finished_run, tmp_path, capsys):
+    constant = constant_metric(tmp_path)
     code = main(["compare", "--run", str(finished_run), "--external", str(constant)])
     captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err == (
-        "error: metrics omission_count and const: correlation undefined for a constant input\n"
+    assert code == 0
+    assert captured.err == "".join(
+        f"warning: metrics {target} and const: correlation undefined for a constant input; "
+        "row left out\n"
+        for target in ("omission_count", "omission_weight")
     )
+    tables = captured.out.split("\n\n")
+    assert [table.splitlines()[0] for table in tables[:2]] == [
+        "correlations against omission_count",
+        "correlations against omission_weight",
+    ]
+    for table in tables[:2]:
+        metrics = [line.split()[0] for line in table.splitlines()[3:]]
+        assert metrics == ["rouge1", "rouge2", "rougeL", "rougeLsum"]
+
+
+def test_compare_skips_a_target_with_no_defined_correlation(finished_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(finished_run, run)
+    for reference in (run / "encounters").glob("*/reference.txt"):
+        reference.unlink()
+    constant = constant_metric(tmp_path)
+    code = main(["compare", "--run", str(run), "--external", str(constant), "--json"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err.count("correlation undefined for a constant input; row left out") == 2
+    targets = {t["target"]: t for t in json.loads(captured.out)["targets"]}
+    for name in ("omission_count", "omission_weight"):
+        assert targets[name] == {
+            "target": name,
+            "skipped_reason": "no baseline has a defined correlation with it",
+            "rows": None,
+        }
 
 
 def test_compare_external_extras_warned(finished_run, tmp_path, capsys):

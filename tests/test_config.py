@@ -13,6 +13,7 @@ from factgap.config import (
     build_gateway,
     load_config,
 )
+from factgap.datamodel import replace
 from factgap.gateway import (
     ChatMessage,
     GatewayMode,
@@ -162,7 +163,7 @@ def test_required_sections(tmp_path):
     config = load_config(write_config(tmp_path, data))
     for mode in ("live", "record"):
         with pytest.raises(ValueError, match=f"^mode {mode} requires a backend$"):
-            build_gateway(config.with_mode(mode))
+            build_gateway(replace(config, mode=mode))
     with pytest.raises(ValueError, match="unsupported config extension"):
         load_config(write_config(tmp_path, {}, name="config.toml"))
 
@@ -194,10 +195,10 @@ def test_replay_requires_cassette(tmp_path):
         load_config(write_config(tmp_path, data))
 
 
-def test_with_mode_override(tmp_path):
+def test_replace_overrides_the_mode(tmp_path):
     path = write_config(tmp_path, minimal_config_dict())
     config = load_config(path)
-    updated = config.with_mode("record")
+    updated = replace(config, mode="record")
     assert updated.mode is GatewayMode.RECORD
     assert updated.models == config.models
     assert config.mode is GatewayMode.REPLAY
@@ -226,7 +227,7 @@ def test_build_backend_mock_and_http(tmp_path, monkeypatch, loopback):
     # The pool keeps every connection a finished call returns, and the next
     # calls reuse them.
     n = 5
-    gateway = build_gateway(config.with_mode("live"))
+    gateway = build_gateway(replace(config, mode="live"))
     request = GenerationRequest(model_id="m", messages=(ChatMessage(role="user", content="x"),))
     reply = Reply(payload={"choices": [{"message": {"content": "ok"}}]})
     try:
@@ -255,12 +256,12 @@ def test_build_gateway_replay_needs_no_backend(tmp_path):
 def test_live_gateway_reads_no_cassette_the_config_names(tmp_path, loopback):
     data = minimal_config_dict()
     data["backend"] = {"kind": "http", "base_url": loopback.url}
-    config = load_config(write_config(tmp_path, data)).with_mode("live")
+    config = replace(load_config(write_config(tmp_path, data)), mode="live")
     assert config.cassette == (tmp_path / "cassette.jsonl").resolve()
     gateway = build_gateway(config)
     assert gateway.cassette is None
     assert isinstance(gateway.backend, HttpBackend)
-    record = build_gateway(config.with_mode("record"))
+    record = build_gateway(replace(config, mode="record"))
     assert record.cassette.path == config.cassette
     assert record.backend is not None
 

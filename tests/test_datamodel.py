@@ -4,7 +4,7 @@ from collections.abc import Mapping
 from dataclasses import field
 from enum import Enum
 from pathlib import Path
-from typing import ClassVar, Optional, get_args, get_origin, get_type_hints
+from typing import ClassVar, Optional, get_origin, get_type_hints
 
 import pytest
 
@@ -153,7 +153,7 @@ def test_fact_normalizes_and_round_trips():
     f = Fact(fact_id="F03:", text="x", content_category="medical")
     assert f.fact_id == "F3"
     assert f.importance is None
-    f2 = f.with_importance(Importance.CRITICAL)
+    f2 = replace(f, importance=Importance.CRITICAL)
     assert f2.importance is Importance.CRITICAL
     assert Fact.from_json_dict(f2.to_json_dict()) == f2
     with pytest.raises(ValueError):
@@ -303,12 +303,12 @@ def make_report_parts():
 
 def test_omission_report_consistency():
     o, s = make_report_parts()
-    r = OmissionReport(encounter_id="enc-1", omissions=((o, s),))
+    r = OmissionReport(encounter_id="enc-1", omissions=(ScoredOmission(o, s),))
     assert (r.omission_count, r.cumulative_weight) == (1, 1.0)
     assert OmissionReport.from_json_dict(r.to_json_dict()) == r
     s_other = FactScore(fact_id="F2", importance_weight=1.0, uniqueness_weights=())
-    with pytest.raises(ValueError, match="paired"):
-        OmissionReport(encounter_id="enc-1", omissions=((o, s_other),))
+    with pytest.raises(ValueError, match="^omission F1 paired with score for F2$"):
+        ScoredOmission(o, s_other)
 
 
 def test_empty_report_is_zero():
@@ -349,6 +349,7 @@ def sample_records():
     )
     omission = Omission(fact_id="F0", explanation="missing entirely")
     score = FactScore(fact_id="F0", importance_weight=1.0, uniqueness_weights=(1.0,))
+    scored = ScoredOmission(omission=omission, score=score)
     margin = CompletionMargin(l_c0=-1.0, l_c1=-3.0, l_s0=-2.0, l_s1=-3.0, epsilon=1e-6)
     provenance = Provenance(original_encounter_id="enc-0", cut_turn_index=1)
     encounter = Encounter(dialogue=dialogue, reference_note="note", provenance=provenance)
@@ -374,9 +375,8 @@ def sample_records():
         Omission: omission,
         FactScore: score,
         CompletionMargin: margin,
-        OmissionReport: OmissionReport(
-            encounter_id="enc-1", omissions=((omission, score),), margin=margin
-        ),
+        ScoredOmission: scored,
+        OmissionReport: OmissionReport(encounter_id="enc-1", omissions=(scored,), margin=margin),
         Provenance: provenance,
         Encounter: encounter,
         Corpus: Corpus(name="c", encounters=(encounter,)),
@@ -449,6 +449,7 @@ RECORD_KEYS = {
     Omission: {"schema_version", "fact_id", "explanation"},
     FactScore: {"schema_version", "fact_id", "importance_weight", "uniqueness_weights", "combined"},
     CompletionMargin: {"schema_version", "l_c0", "l_c1", "l_s0", "l_s1", "ratio", "epsilon"},
+    ScoredOmission: {"omission", "score"},
     OmissionReport: {
         "schema_version",
         "encounter_id",
@@ -557,9 +558,7 @@ def test_codec_encodes_enums_tuples_and_nested_records_as_json():
         "cut_turn_index": 1,
     }
     decoded = OmissionReport.from_json_dict(report)
-    ((omission, score),) = decoded.omissions
-    assert decoded.omissions[0] == ScoredOmission(omission=omission, score=score)
-    assert (omission, score) == (records[Omission], records[FactScore])
+    assert decoded.omissions == (records[ScoredOmission],)
     empty = Fact(fact_id="F1", text="y", content_category=ContentCategory.NON_MEDICAL)
     assert empty.to_json_dict()["importance"] is None
     assert Fact.from_json_dict(empty.to_json_dict()) == empty
@@ -767,34 +766,15 @@ def test_every_record_type_has_a_sample():
     assert set(every_record()) == set(RECORD_TYPES)
 
 
-def served_named_tuples(hint):
-    """The NamedTuples that the codec of a field of type ``hint`` serves."""
-    if isinstance(hint, type) and issubclass(hint, tuple) and hasattr(hint, "_fields"):
-        yield hint
-        for field_hint in get_type_hints(hint).values():
-            yield from served_named_tuples(field_hint)
-    for arg in get_args(hint):
-        yield from served_named_tuples(arg)
-
-
 def test_the_codec_resolves_field_types_as_get_type_hints_does():
     json_records = [cls for cls in RECORD_TYPES if issubclass(cls, JsonRecord)]
-    named_tuples = {
-        named_tuple
-        for cls in json_records
-        for hint in get_type_hints(cls).values()
-        for named_tuple in served_named_tuples(hint)
-    }
     assert {cls.__module__ for cls in json_records} == {
         "factgap.datamodel", "factgap.dataset", "factgap.config", "factgap.gateway",
         "factgap.baselines",
     }
-    assert ScoredOmission in named_tuples
-    for cls in [*json_records, *named_tuples]:
-        names = cls._fields if cls in named_tuples else cls._layout.names
+    for cls in json_records:
         hints = get_type_hints(cls)
-        types = cls.__annotations__ if cls in named_tuples else cls._layout.types
-        assert types == {name: hints[name] for name in names}, cls
+        assert cls._layout.types == {name: hints[name] for name in cls._layout.names}, cls
         for name in getattr(cls, "derived", ()):
             fget = getattr(cls, name).fget
             assert fget.__annotations__["return"] == get_type_hints(fget)["return"], (cls, name)

@@ -10,11 +10,13 @@ text. The other five draw text from all of Unicode, separators included,
 and keep whatever the record admits: a record must refuse any text that
 its reply line cannot carry back. The differential property also draws
 free ranks and names that repeat in another case, and keeps the
-differentials that ``DifferentialDiagnosis`` admits. The last two draw
+differentials that ``DifferentialDiagnosis`` admits. The next two draw
 replies that are sectioned rather than one line per record: evidence
 clusterings for one to three diagnoses, and the importance of each fact.
+The last draws a truncation cut within a transcript of any length.
 """
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -42,6 +44,7 @@ from response_builders import (
     ddx_response,
     facts_response,
     omissions_response,
+    truncate_response,
 )
 
 # str.splitlines breaks a line at each of these, and at Zl and Zp.
@@ -243,3 +246,12 @@ def test_importance_buckets_round_trip_through_their_reply(importances):
     uncategorized = [replace(fact, importance=None) for fact in facts]
     reply = categorize_response(facts)
     assert parse_reply(reply, parsers.parse_categorization, uncategorized) == facts
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(drawn=st.integers(1, 500).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1))))
+def test_truncation_cut_round_trips_through_its_reply(drawn):
+    n_turns, cut = drawn
+    assert parse_reply(truncate_response(cut), parsers.parse_truncation, n_turns) == cut
+    with pytest.raises(parsers.ParseError, match=f"^turn number {n_turns} is outside the"):
+        parse_reply(truncate_response(n_turns), parsers.parse_truncation, n_turns)

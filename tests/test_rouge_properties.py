@@ -6,6 +6,7 @@ and ties between LCS paths are the common case, not the rare one.
 """
 
 import random
+from itertools import chain
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,6 @@ from factgap.baselines import (
     rouge_l,
     rouge_lsum,
     rouge_n,
-    sentence_tokens,
     side_by_side,
     tokenize,
 )
@@ -40,18 +40,21 @@ def lcs_length(a, b):
 
 
 def rouge_lsum_of_texts(candidate, reference):
-    cand_sentences = sentence_tokens(candidate)
-    layout = side_by_side(sentence_tokens(reference), set(tokenize(candidate)))
+    cand_sentences = tokenize(candidate)
+    layout = side_by_side(tokenize(reference), set(chain.from_iterable(cand_sentences)))
     return rouge_lsum(cand_sentences, layout)
+
+
+def stemmed(tokens, use_stemmer):
+    """The tokens, stemmed as the package stems when use_stemmer is set."""
+    return [porter_stem(t) if use_stemmer and len(t) > 3 else t for t in tokens]
 
 
 def reference_sentence_tokens(text, use_stemmer):
     """Each sentence's tokens, from rouge_oracle's regex sentence split
     and regex tokens, stemmed as the package stems."""
-    sentences = [rouge_oracle.words(s) for s in rouge_oracle.split_sentences(text)]
-    if use_stemmer:
-        sentences = [[porter_stem(t) if len(t) > 3 else t for t in s] for s in sentences]
-    return [s for s in sentences if s]
+    sentences = rouge_oracle.split_sentences(text)
+    return [s for s in (stemmed(rouge_oracle.words(s), use_stemmer) for s in sentences) if s]
 
 
 @st.composite
@@ -106,14 +109,14 @@ _TEXT_ALPHABET = st.one_of(
 def test_sentence_tokens_joined_are_the_text_tokens(text, use_stemmer):
     # rouge_all splits each text once and joins the sentences for
     # ROUGE-N and ROUGE-L, so every cut must fall between tokens.
-    joined = [token for sentence in sentence_tokens(text, use_stemmer) for token in sentence]
-    assert joined == tokenize(text, use_stemmer)
+    joined = [token for sentence in tokenize(text, use_stemmer) for token in sentence]
+    assert joined == stemmed(rouge_oracle.words(text), use_stemmer)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.text(_TEXT_ALPHABET, max_size=80), st.booleans())
 def test_sentence_tokens_cut_where_the_regex_reference_cuts(text, use_stemmer):
-    assert sentence_tokens(text, use_stemmer) == reference_sentence_tokens(text, use_stemmer)
+    assert tokenize(text, use_stemmer) == reference_sentence_tokens(text, use_stemmer)
 
 
 def test_lcs_spanning_many_machine_words():
@@ -184,10 +187,11 @@ def test_rouge_lsum_matches_oracle_on_long_reference_sentences(candidate, refere
     # reach; sparse stops make the long shifts matter. The score caps
     # credit per token, so the hits of each walk are checked as well.
     assert_rouge_lsum_matches_oracle(candidate, reference)
-    ref_sentences = sentence_tokens(reference)
-    masks, starts, full = side_by_side(ref_sentences, set(tokenize(candidate)))
+    ref_sentences = tokenize(reference)
+    cand_sentences = tokenize(candidate)
+    masks, starts, full = side_by_side(ref_sentences, set(chain.from_iterable(cand_sentences)))
     shifts = _smear_shifts(starts, full)
-    for cand_sent in sentence_tokens(candidate):
+    for cand_sent in cand_sentences:
         hits = _lcs_hits(masks, full, shifts, cand_sent)
         assert {i for i in range(starts[-1]) if hits >> i & 1} == {
             start + i
@@ -211,8 +215,8 @@ def test_rouge_lsum_matches_oracle_when_most_sentence_lcs_is_one(candidate, refe
     st.integers(1, 3),
 )
 def test_rouge_n_matches_oracle_on_arbitrary_text(candidate, reference, n):
-    cand = tokenize(candidate)
-    score = rouge_n(cand, side_by_side(sentence_tokens(reference), set(cand)), n)
+    cand = list(chain.from_iterable(tokenize(candidate)))
+    score = rouge_n(cand, side_by_side(tokenize(reference), set(cand)), n)
     assert (score.precision, score.recall, score.f1) == rouge_oracle.ngram_prf(
         candidate, reference, n
     )

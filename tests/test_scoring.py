@@ -167,7 +167,7 @@ def test_build_report_composes():
     report = build_report("enc-edward", facts, omissions, clusters)
     assert report.omission_count == 1
     assert report.cumulative_weight == 1.0
-    assert report.omissions[0][0].fact_id == "F2"
+    assert report.omissions[0].omission.fact_id == "F2"
     assert report.margin is None
 
 

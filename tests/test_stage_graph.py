@@ -20,6 +20,7 @@ from factgap.datamodel import (
     Speaker,
     Summary,
     Turn,
+    replace,
 )
 from factgap.dataset import load_corpus
 from factgap.gateway import Cassette, GatewayError, GatewayMode, LlmGateway
@@ -256,7 +257,7 @@ class FixtureBackend:
 
 
 def live_run(out_dir, backend, workers, corpus=None):
-    config = load_config(FIXTURES / "replay_config.json").with_mode(GatewayMode.LIVE)
+    config = replace(load_config(FIXTURES / "replay_config.json"), mode=GatewayMode.LIVE)
     corpus = corpus or load_corpus(FIXTURES / "corpus.json")
     gateway = LlmGateway(backend=backend)
     return run_corpus(config, gateway, corpus, "corpus.json", out_dir, workers=workers)
