@@ -32,7 +32,7 @@ from itertools import chain, islice
 from pathlib import Path
 from typing import Container, Iterable, Mapping, Optional, Sequence
 
-from .datamodel import JsonRecord, Record, replace
+from .datamodel import JsonRecord, Record
 from .dataset import csv_reader
 
 # Over lowercased ASCII bytes: a token byte stays, ".", "!" and a line
@@ -493,32 +493,26 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
-def _two_sided_p_from_t(t: float, df: float) -> float:
-    if math.isinf(t):
-        return 0.0
-    return regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
-
-
 class CorrelationResult(Record):
-    method: str
     statistic: float
     p_value: float
     n: int
 
     def __post_init__(self) -> None:
-        if self.method not in ("pearson", "spearman"):
-            raise ValueError(f"unknown correlation method {self.method!r}")
         if not -1.0 <= self.statistic <= 1.0:
             raise ValueError(f"correlation {self.statistic} outside [-1, 1]")
         if not 0.0 <= self.p_value <= 1.0:
             raise ValueError(f"p-value {self.p_value} outside [0, 1]")
 
 
+MIN_OBSERVATIONS = 3
+
+
 def _validate_pair(x: Sequence[float], y: Sequence[float]) -> None:
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    if len(x) < 3:
-        raise ValueError(f"need at least 3 paired observations, got {len(x)}")
+    if len(x) < MIN_OBSERVATIONS:
+        raise ValueError(f"need at least {MIN_OBSERVATIONS} paired observations, got {len(x)}")
     for label, values in (("x", x), ("y", y)):
         for v in values:
             if not math.isfinite(v):
@@ -543,9 +537,10 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     if abs(r) == 1.0:
         p = 0.0
     else:
+        # |r| < 1 leaves 1 - r*r at least 2**-52, so t is finite.
         t = r * math.sqrt(df / (1.0 - r * r))
-        p = _two_sided_p_from_t(t, df)
-    return CorrelationResult(method="pearson", statistic=r, p_value=p, n=n)
+        p = regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
+    return CorrelationResult(statistic=r, p_value=p, n=n)
 
 
 def average_ranks(values: Sequence[float]) -> list[float]:
@@ -567,7 +562,7 @@ def average_ranks(values: Sequence[float]) -> list[float]:
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     _validate_pair(x, y)
-    return replace(pearson(average_ranks(x), average_ranks(y)), method="spearman")
+    return pearson(average_ranks(x), average_ranks(y))
 
 
 class MetricVector(Record):
@@ -589,26 +584,21 @@ class MetricVector(Record):
                 )
         object.__setattr__(self, "values", frozen)
 
-    def aligned(self, other: "MetricVector") -> tuple[list[float], list[float], list[str]]:
+    def aligned(self, other: "MetricVector") -> tuple[list[float], list[float]]:
         shared = sorted(set(self.values) & set(other.values))
-        return (
-            [self.values[k] for k in shared],
-            [other.values[k] for k in shared],
-            shared,
-        )
+        return [self.values[k] for k in shared], [other.values[k] for k in shared]
 
 
 def import_external_metric(path: Path | str) -> MetricVector:
     """Load one per-encounter metric from a CSV with an encounter_id
     column and exactly one other column, the metric, named by its header."""
     path = Path(path)
-    with csv_reader(path) as reader:
-        if reader.fieldnames is None:
+    with csv_reader(path) as (header, rows):
+        if header is None:
             raise ValueError(f"{path}: empty CSV")
-        fields = list(reader.fieldnames)
-        if "encounter_id" not in fields:
-            raise ValueError(f"{path}: no encounter_id column (found {fields})")
-        candidates = [f for f in fields if f != "encounter_id"]
+        if "encounter_id" not in header:
+            raise ValueError(f"{path}: no encounter_id column (found {header})")
+        candidates = [f for f in header if f != "encounter_id"]
         if len(candidates) != 1:
             raise ValueError(
                 f"{path}: ambiguous metric column: expected exactly one besides "
@@ -616,14 +606,14 @@ def import_external_metric(path: Path | str) -> MetricVector:
             )
         (metric_name,) = candidates
         values: dict[str, float] = {}
-        for row_no, row in enumerate(reader, start=2):
+        for line, row in rows:
             encounter_id = (row.get("encounter_id") or "").strip()
             if not encounter_id:
-                raise ValueError(f"{path}:{row_no}: blank encounter_id")
+                raise ValueError(f"{path}:{line}: blank encounter_id")
             if encounter_id in values:
-                raise ValueError(f"{path}:{row_no}: duplicate encounter_id {encounter_id}")
+                raise ValueError(f"{path}:{line}: duplicate encounter_id {encounter_id}")
             raw = (row.get(metric_name) or "").strip()
-            where = f"{path}:{row_no}: {metric_name} value {raw!r}"
+            where = f"{path}:{line}: {metric_name} value {raw!r}"
             try:
                 value = float(raw)
             except ValueError as exc:
@@ -649,35 +639,17 @@ class CorrelationRow(JsonRecord):
     pearson_p: float
 
 
-def correlation_table(
-    target: MetricVector, baselines: Iterable[MetricVector]
-) -> list[CorrelationRow]:
-    """Correlate the target metric against each baseline over the
-    encounters they share."""
-    rows = []
-    for baseline in baselines:
-        x, y, shared = target.aligned(baseline)
-        if len(shared) < 3:
-            raise ValueError(
-                f"metrics {target.name} and {baseline.name} share only "
-                f"{len(shared)} encounters; need at least 3"
-            )
-        try:
-            s = spearman(x, y)
-            p = pearson(x, y)
-        except ValueError as exc:
-            raise ValueError(f"metrics {target.name} and {baseline.name}: {exc}") from None
-        rows.append(
-            CorrelationRow(
-                metric_name=baseline.name,
-                n=s.n,
-                spearman_r=s.statistic,
-                spearman_p=s.p_value,
-                pearson_r=p.statistic,
-                pearson_p=p.p_value,
-            )
-        )
-    return rows
+def correlation_table(target: MetricVector, baseline: MetricVector) -> CorrelationRow:
+    """Correlate the target metric against one baseline over the
+    encounters they share; an undefined correlation is refused with
+    both metrics named."""
+    x, y = target.aligned(baseline)
+    try:
+        s = spearman(x, y)
+        p = pearson(x, y)
+    except ValueError as exc:
+        raise ValueError(f"metrics {target.name} and {baseline.name}: {exc}") from None
+    return CorrelationRow(baseline.name, s.n, s.statistic, s.p_value, p.statistic, p.p_value)
 
 
 def render_correlation_table(target_name: str, rows: Sequence[CorrelationRow]) -> str:

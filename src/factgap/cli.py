@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .baselines import (
+    MIN_OBSERVATIONS,
     MetricVector,
     correlation_table,
     import_external_metric,
@@ -255,14 +256,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
     # One (target, rows, skipped reason) per target; rows is None when skipped.
     tables = []
     for target in _target_vectors([result for _, result in ok]):
-        if len(target.values) < 3:
-            reason = f"only {len(target.values)} encounters have a value; need at least 3"
+        count = len(target.values)
+        if count < MIN_OBSERVATIONS:
+            reason = f"only {count} encounters have a value; need at least {MIN_OBSERVATIONS}"
             tables.append((target.name, None, reason))
             continue
         rows = []
         for baseline in baselines:
             try:
-                rows += correlation_table(target, [baseline])
+                rows.append(correlation_table(target, baseline))
             except ValueError as exc:  # such as a constant metric; the other rows hold
                 _warn(f"{exc}; row left out")
         reason = None if rows else "no baseline has a defined correlation with it"

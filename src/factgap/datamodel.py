@@ -27,12 +27,7 @@ field's type is its most-derived annotation, which ``_layout`` keeps with
 its name. The same codec loads the run configuration (the types
 in ``config``), and every decode refuses keys its type does not know. A
 record carries ``schema_version: "1"`` unless its type sets
-``versioned = False``. Four types here do, all parts of a larger record
-that have never carried a version: ``Turn``, ``Diagnosis``, ``SubCluster``
-and ``ScoredOmission``; so do ``Provenance``, ``Encounter``, the two outcome
-markers and ``ManifestEntry`` in ``dataset``, ``CorrelationRow`` in
-``baselines``, the four types in ``config`` and the three request types
-in ``gateway``.
+``versioned = False``.
 
 Construction follows the same field types: an enum field converts its
 argument by value and a ``tuple[...]`` field converts any iterable to a

@@ -135,22 +135,27 @@ def parse_tagged_dialogue(encounter_id: str, text: str) -> Dialogue:
 
 
 @contextmanager
-def csv_reader(path: Path) -> Iterator[csv.DictReader]:
-    """A DictReader over the CSV file at ``path``, its errors naming the file and line."""
+def csv_reader(
+    path: Path,
+) -> Iterator[tuple[Optional[list[str]], Iterator[tuple[int, dict[str, str]]]]]:
+    """The header of the CSV file at ``path`` (None when it is empty) and
+    its rows, each a dict from header names to cells (a short row lacks
+    its last keys) with the line the row starts on. A row with more cells
+    than the header is refused, and every error names the file and line."""
     # utf-8-sig drops the byte-order mark of Excel's "CSV UTF-8" export.
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.DictReader(handle)
+        reader = csv.reader(handle)
         try:
-            yield reader
+            header = next(reader, None)
+            yield header, _csv_rows(path, reader, header or [])
         except csv.Error as exc:
-            # Such as a cell over csv.field_size_limit(). The DictReader's
-            # own line_num lags: it is set only once a row parses.
-            raise ValueError(f"{path}:{reader.reader.line_num}: {exc}") from exc
+            # Such as a cell over csv.field_size_limit().
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
         except UnicodeDecodeError as exc:
             # Raised on the chunk (exc.object) decoded past the reader's last
             # line, so the codec's "position N" is an offset in that chunk,
             # not in the file: name the line and the bytes instead.
-            line = reader.reader.line_num + exc.object.count(b"\n", 0, exc.start) + 1
+            line = reader.line_num + exc.object.count(b"\n", 0, exc.start) + 1
             bad = " ".join(f"0x{byte:02x}" for byte in exc.object[exc.start : exc.end])
             noun = "bytes" if " " in bad else "byte"
             raise ValueError(
@@ -158,20 +163,34 @@ def csv_reader(path: Path) -> Iterator[csv.DictReader]:
             ) from exc
 
 
+def _csv_rows(path: Path, reader: Any, header: list[str]) -> Iterator[tuple[int, dict[str, str]]]:
+    # A quoted cell can span lines, so a row starts one line past where
+    # the row before it ended; a blank line is no row.
+    start = reader.line_num + 1
+    for cells in reader:
+        if len(cells) > len(header):
+            raise ValueError(
+                f"{path}:{start}: {len(cells)} cells, but the header names {len(header)} columns"
+            )
+        if cells:
+            yield start, dict(zip(header, cells))
+        start = reader.line_num + 1
+
+
 def load_csv_corpus(path: Path | str) -> Corpus:
     path = Path(path)
     encounters = []
-    with csv_reader(path) as reader:
+    with csv_reader(path) as (header, rows):
         required = {"encounter_id", "dialogue"}
-        fields = set(reader.fieldnames or ())
+        fields = set(header or ())
         if not required <= fields:
             raise ValueError(
                 f"{path}: CSV must have columns {sorted(required)}, found {sorted(fields)}"
             )
-        for row_no, row in enumerate(reader, start=2):
+        for line, row in rows:
             encounter_id = (row.get("encounter_id") or "").strip()
             if not encounter_id:
-                raise ValueError(f"{path}:{row_no}: blank encounter_id")
+                raise ValueError(f"{path}:{line}: blank encounter_id")
             dialogue = parse_tagged_dialogue(encounter_id, row.get("dialogue") or "")
             note = (row.get("note") or "").strip() or None
             encounters.append(Encounter(dialogue=dialogue, reference_note=note))

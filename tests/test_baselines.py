@@ -196,8 +196,7 @@ def test_correlation_edge_cases():
 def test_metric_vector_alignment():
     a = MetricVector(name="a", values={"e1": 1.0, "e2": 2.0, "e3": 3.0})
     b = MetricVector(name="b", values={"e2": 5.0, "e3": 6.0, "e4": 7.0})
-    x, y, ids = a.aligned(b)
-    assert ids == ["e2", "e3"]
+    x, y = a.aligned(b)
     assert x == [2.0, 3.0]
     assert y == [5.0, 6.0]
     with pytest.raises(ValueError, match="non-finite"):
@@ -258,6 +257,14 @@ def test_import_external_metric(tmp_path):
         import_external_metric(long_cell)
 
 
+def test_import_external_metric_refuses_a_row_with_more_cells_than_its_header(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_text("encounter_id,bertscore\ne1,0.5,0.9\n")
+    with pytest.raises(ValueError) as refused:
+        import_external_metric(path)
+    assert str(refused.value) == f"{path}:2: 3 cells, but the header names 2 columns"
+
+
 @pytest.mark.parametrize("raw", ["nan", "inf", "-Infinity", "1e999"])
 def test_import_external_metric_refuses_a_value_that_is_not_finite_at_its_row(tmp_path, raw):
     path = tmp_path / "scores.csv"
@@ -272,22 +279,24 @@ def test_correlation_table_and_rendering():
     ids = [f"e{i}" for i in range(10)]
     target = MetricVector(name="omissions", values={k: rng.random() for k in ids})
     base = MetricVector(name="rouge1", values={k: rng.random() for k in ids})
-    rows = correlation_table(target, [base])
-    assert len(rows) == 1
-    assert rows[0].n == 10
-    text = render_correlation_table("omissions", rows)
+    row = correlation_table(target, base)
+    assert row.n == 10
+    text = render_correlation_table("omissions", [row])
     assert "rouge1" in text
     assert "spearman" in text
 
     small = MetricVector(name="tiny", values={"e0": 1.0, "e1": 2.0})
-    with pytest.raises(ValueError, match="share only"):
-        correlation_table(target, [small])
+    with pytest.raises(ValueError) as refused:
+        correlation_table(target, small)
+    assert str(refused.value) == (
+        "metrics omissions and tiny: need at least 3 paired observations, got 2"
+    )
 
     constant = MetricVector(name="const", values=dict.fromkeys(ids, 1.0))
     message = "correlation undefined for a constant input"
     for first, second in ((target, constant), (constant, target)):
         with pytest.raises(ValueError) as refused:
-            correlation_table(first, [second])
+            correlation_table(first, second)
         assert str(refused.value) == f"metrics {first.name} and {second.name}: {message}"
 
 

@@ -504,6 +504,31 @@ def test_compare_skips_a_target_with_no_defined_correlation(finished_run, tmp_pa
         }
 
 
+def test_compare_leaves_out_a_row_with_fewer_than_3_shared_encounters(
+    finished_run, tmp_path, capsys
+):
+    run = tmp_path / "run"
+    shutil.copytree(finished_run, run)
+    (run / "encounters" / "enc-edward" / "reference.txt").unlink()
+    code = main(["compare", "--run", str(run), "--external", str(EXTERNAL_CSV)])
+    captured = capsys.readouterr()
+    assert code == 0
+    no_note = "warning: enc-edward has no reference note; excluded from baseline correlation\n"
+    assert captured.err == no_note + "".join(
+        f"warning: metrics {target} and {rouge}: need at least 3 paired observations, got 2; "
+        "row left out\n"
+        for target in ("omission_count", "omission_weight")
+        for rouge in ("rouge1", "rouge2", "rougeL", "rougeLsum")
+    )
+    tables = captured.out.split("\n\n")
+    assert [table.splitlines()[0] for table in tables[:2]] == [
+        "correlations against omission_count",
+        "correlations against omission_weight",
+    ]
+    for table in tables[:2]:
+        assert [line.split()[:2] for line in table.splitlines()[3:]] == [["bertscore", "3"]]
+
+
 def test_compare_external_extras_warned(finished_run, tmp_path, capsys):
     extended = tmp_path / "extended.csv"
     rows = EXTERNAL_CSV.read_text(encoding="utf-8").rstrip("\n")

@@ -749,7 +749,7 @@ def every_record():
             encounter_id="enc-1", status="ok", report=records[OmissionReport]
         ),
         RougeScore: RougeScore(precision=0.5, recall=0.25, f1=1 / 3),
-        CorrelationResult: CorrelationResult(method="pearson", statistic=0.5, p_value=0.2, n=4),
+        CorrelationResult: CorrelationResult(statistic=0.5, p_value=0.2, n=4),
         MetricVector: MetricVector(name="m", values={"enc-1": 1.0, "enc-2": 2.0}),
         MarginPlan: MarginPlan(target="a", chat_alternative="b", summary_alternative="c"),
         StageOutput: StageOutput(

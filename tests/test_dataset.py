@@ -152,6 +152,30 @@ def test_load_csv_corpus_errors(tmp_path):
         load_corpus(tmp_path / "corpus.txt")
 
 
+def test_a_csv_corpus_error_names_the_line_its_row_starts_on(tmp_path):
+    # The first row's dialogue spans lines 2-4, so the second row is on
+    # line 5, though it is the file's third row.
+    path = tmp_path / "corpus.csv"
+    path.write_text(
+        'encounter_id,dialogue\ne1,"[doctor] hi\n[patient] my head\nhurts"\n,"[doctor] hi"\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError) as refused:
+        load_corpus(path)
+    assert str(refused.value) == f"{path}:5: blank encounter_id"
+
+
+def test_a_csv_corpus_row_with_more_cells_than_its_header_is_refused(tmp_path):
+    path = tmp_path / "corpus.csv"
+    path.write_text(
+        'encounter_id,dialogue,note\ne1,"[doctor] hi",Fine.\ne2,"[doctor] hi",Fine.,extra\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError) as refused:
+        load_corpus(path)
+    assert str(refused.value) == f"{path}:3: 4 cells, but the header names 3 columns"
+
+
 @pytest.mark.parametrize(
     "tail, bad",
     [
