@@ -69,6 +69,8 @@ SECTION_TITLES = {
     "history_of_present_illness": "HISTORY OF PRESENT ILLNESS",
     "past_social_history": "PAST SOCIAL HISTORY",
 }
+# Section headers of a summary reply: a header line starts with one once stripped and upper-cased.
+_SECTION_HEADERS = tuple(f"{title}:" for title in SECTION_TITLES.values())
 
 
 class Speaker(str, Enum):
@@ -546,7 +548,8 @@ class Summary(JsonRecord):
     """A subjective note split into its three sections.
 
     Every section key is present, filled with "" when absent. Empty
-    sections are legal, but at least one section must be non-empty.
+    sections are legal, but at least one section must be non-empty, and
+    each must be text that a summary reply carries back unchanged.
     """
 
     encounter_id: str
@@ -565,15 +568,28 @@ class Summary(JsonRecord):
         object.__setattr__(self, "sections", normalized)
         if not any(text.strip() for text in normalized.values()):
             raise ValueError(f"summary {self.encounter_id}: every section is empty")
+        for name in SUMMARY_SECTIONS:
+            # As parse_summary reads the lines under a section's header: up
+            # to a fence or the next header, right-stripped, NONE for "".
+            text = normalized[name]
+            lines = text.splitlines()
+            if (
+                "\n".join(line.rstrip() for line in lines).strip() != text
+                or text.upper() == "NONE"
+                or "```" in text
+                or any(line.strip().upper().startswith(_SECTION_HEADERS) for line in lines)
+            ):
+                raise ValueError(
+                    f"summary {self.encounter_id}: {name} {text!r} cannot be carried in a reply"
+                )
 
     def text(self) -> str:
         """Render with section titles, skipping empty sections."""
-        parts = []
-        for name in SUMMARY_SECTIONS:
-            body = self.sections[name].strip()
-            if body:
-                parts.append(f"{SECTION_TITLES[name]}:\n{body}")
-        return "\n\n".join(parts)
+        return "\n\n".join(
+            f"{SECTION_TITLES[name]}:\n{self.sections[name]}"
+            for name in SUMMARY_SECTIONS
+            if self.sections[name]
+        )
 
 
 class Fact(JsonRecord):

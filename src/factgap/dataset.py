@@ -140,13 +140,17 @@ def csv_reader(
 ) -> Iterator[tuple[Optional[list[str]], Iterator[tuple[int, dict[str, str]]]]]:
     """The header of the CSV file at ``path`` (None when it is empty) and
     its rows, each a dict from header names to cells (a short row lacks
-    its last keys) with the line the row starts on. A row with more cells
-    than the header is refused, and every error names the file and line."""
+    its last keys) with the line the row starts on. A header that names a
+    column twice and a row with more cells than the header are refused,
+    and every error names the file and line."""
     # utf-8-sig drops the byte-order mark of Excel's "CSV UTF-8" export.
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, None)
+            for column in header or ():
+                if header.count(column) > 1:
+                    raise ValueError(f"{path}:1: the header names column {column!r} twice")
             yield header, _csv_rows(path, reader, header or [])
         except csv.Error as exc:
             # Such as a cell over csv.field_size_limit().

@@ -8,14 +8,17 @@ Two encodings are used everywhere:
   on disk and ``--json`` output, so repeated runs are byte-identical and
   diffs stay readable.
 
-The pretty encoding is ``json.dumps(obj, sort_keys=True, indent=2,
-ensure_ascii=False)`` plus a newline, byte for byte, but not through
-``json.dumps``: ``indent`` switches the stdlib to its pure-Python
-encoder, which took about half of the artifact writers' CPU.
-``pretty_dumps`` walks the value itself, collecting the pieces in one
-list, and leaves strings and numbers to json's C string encoder and to
-``int``/``float`` ``__repr__``, as json does; a value json refuses is a
-``TypeError`` here too.
+Neither writes a NaN or infinite float, which RFC 8259 does not allow:
+each is a ``ValueError``. The pretty encoding is strict JSON:
+``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False,
+allow_nan=False)`` plus a newline, byte for byte, on string-keyed values,
+and a dict key that is not a string is a ``TypeError`` rather than
+converted. It is not built through ``json.dumps``: ``indent`` switches
+the stdlib to its pure-Python encoder, which took about half of the
+artifact writers' CPU. ``pretty_dumps`` walks the value itself,
+collecting the pieces in one list, and leaves strings and numbers to
+json's C string encoder and to ``int``/``float`` ``__repr__``, as json
+does; a value json refuses is refused here with the same exception type.
 
 Files are written as bytes: the text is encoded before the file is
 opened, so text that is not valid UTF-8 (a lone surrogate) creates no
@@ -29,44 +32,16 @@ import json
 import os
 import tempfile
 from json.encoder import encode_basestring
+from math import isfinite
 from pathlib import Path
 from typing import Any, Callable
 
 FILE_MODE = 0o600
-_INF = float("inf")
-
 
 # Built once: json.dumps builds a new encoder on every call that passes options.
 canonical_dumps: Callable[[Any], str] = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":"), ensure_ascii=False
+    sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False
 ).encode
-
-
-def _float(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == _INF:
-        return "Infinity"
-    if value == -_INF:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-def _key(key: Any) -> str:
-    """A dict key as json converts it, tested in json's order."""
-    if isinstance(key, str):
-        return encode_basestring(key)
-    if isinstance(key, float):
-        return encode_basestring(_float(key))
-    if key is True:
-        return '"true"'
-    if key is False:
-        return '"false"'
-    if key is None:
-        return '"null"'
-    if isinstance(key, int):
-        return encode_basestring(int.__repr__(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def _emit(value: Any, newline: str, append: Callable[[str], None]) -> None:
@@ -82,10 +57,11 @@ def _emit(value: Any, newline: str, append: Callable[[str], None]) -> None:
         sep, comma = "{" + inner, "," + inner
         # json sorts the items, which orders them by key alone: no two
         # keys of a dict are equal.
+        # A key that is not a string is refused by encode_basestring.
         for key in sorted(value):
             item = value[key]
             append(sep)
-            append(encode_basestring(key) if type(key) is str else _key(key))
+            append(encode_basestring(key))
             append(": ")
             if type(item) is str:
                 append(encode_basestring(item))
@@ -118,7 +94,9 @@ def _emit(value: Any, newline: str, append: Callable[[str], None]) -> None:
     elif isinstance(value, int):
         append(int.__repr__(value))
     elif isinstance(value, float):
-        append(_float(value))
+        if not isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        append(float.__repr__(value))
     else:
         raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 

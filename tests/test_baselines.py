@@ -224,6 +224,15 @@ def test_import_external_metric_refuses_two_metric_columns(tmp_path):
     )
 
 
+def test_import_external_metric_refuses_a_column_named_twice(tmp_path):
+    # The second encounter_id column once replaced the first, importing {e9: 0.5}.
+    path = tmp_path / "twice.csv"
+    path.write_text("encounter_id,encounter_id,score\ne1,e9,0.5\n")
+    with pytest.raises(ValueError) as refused:
+        import_external_metric(path)
+    assert str(refused.value) == f"{path}:1: the header names column 'encounter_id' twice"
+
+
 def test_import_external_metric(tmp_path):
     path = tmp_path / "scores.csv"
     path.write_text("encounter_id,bertscore\ne1,0.85\ne2,0.91\n")

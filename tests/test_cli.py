@@ -761,13 +761,14 @@ def _edit_report(**changes):
 
 
 def _nan_margin_score(enc_dir):
-    # Python's json writes and reads NaN. The ratio stays null, which a NaN
-    # gap once passed for an undefined margin.
+    # json.dumps writes NaN, which the package's strict writer refuses, and
+    # read_json reads it back. The ratio stays null, which a NaN gap once
+    # passed for an undefined margin.
     path = enc_dir / "report.json"
     report = read_json(path)
     assert report["margin"]["ratio"] is None
     report["margin"]["l_s0"] = float("nan")
-    write_json(path, report)
+    path.write_text(json.dumps(report), encoding="utf-8")
 
 
 def _split_explanation(enc_dir):

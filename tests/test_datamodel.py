@@ -140,6 +140,15 @@ def test_summary_fills_missing_sections_and_validates():
         Summary(encounter_id="enc-1", sections={"assessment": "x"})
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["None", "  pad  ", "ok \nline", "ok\r\nline", "ok\nhistory of present illness: x", "a```b"],
+)
+def test_a_summary_refuses_a_section_its_reply_cannot_carry(text):
+    with pytest.raises(ValueError, match="^summary enc-1: past_social_history .* cannot be carried"):
+        Summary("enc-1", {"chief_complaint": "cough", "past_social_history": text})
+
+
 def test_summary_round_trip():
     s = Summary(
         encounter_id="enc-1",

@@ -176,6 +176,18 @@ def test_a_csv_corpus_row_with_more_cells_than_its_header_is_refused(tmp_path):
     assert str(refused.value) == f"{path}:3: 4 cells, but the header names 3 columns"
 
 
+def test_a_csv_corpus_header_that_names_a_column_twice_is_refused(tmp_path):
+    # Each row keeps one cell per name, so one of the two dialogues would vanish.
+    path = tmp_path / "corpus.csv"
+    path.write_text(
+        'encounter_id,dialogue,dialogue\ne1,"[doctor] first","[patient] second"\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError) as refused:
+        load_corpus(path)
+    assert str(refused.value) == f"{path}:1: the header names column 'dialogue' twice"
+
+
 @pytest.mark.parametrize(
     "tail, bad",
     [

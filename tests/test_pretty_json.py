@@ -1,7 +1,10 @@
 """The pretty encoding that every artifact and ``--json`` output uses is
-``json.dumps(sort_keys=True, indent=2, ensure_ascii=False)`` plus a
-newline, byte for byte, on any JSON value, and refuses what json
-refuses with the same exception type."""
+``json.dumps(sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False)``
+plus a newline, byte for byte, on string-keyed values, and refuses what
+json refuses with the same exception type. It is strict JSON: a key that
+is not a string is a ``TypeError`` rather than converted. Neither it nor
+the compact encoding writes a NaN or infinite float: each is a
+``ValueError``."""
 
 import json
 import math
@@ -11,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factgap.jsonutil import pretty_dumps
+from factgap.jsonutil import canonical_dumps, pretty_dumps
+
 
 class Level(IntEnum):
     LOW = 1
@@ -37,30 +41,45 @@ SCALARS = (
     | st.sampled_from([*Level, *Mode])
 )
 
-# Dict keys are any that json converts to strings, but one kind per dict
-# (numbers and bools mix): json sorts the keys before converting them, and
-# str, numbers and None do not compare.
 JSON_VALUES = st.recursive(
     SCALARS,
     lambda children: (
         st.lists(children, max_size=4)
         | st.lists(children, max_size=4).map(tuple)
-        | st.dictionaries(TEXT, children, max_size=4)
-        | st.dictionaries(st.integers() | st.floats() | st.booleans(), children, max_size=4)
-        | st.dictionaries(st.none(), children)
+        | st.dictionaries(TEXT | st.sampled_from(list(Mode)), children, max_size=4)
     ),
     max_leaves=24,
 )
 
 
 def json_pretty(value):
-    return json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
 
 @settings(derandomize=True, max_examples=500, deadline=None)
 @given(JSON_VALUES)
 def test_pretty_dumps_is_json_dumps_byte_for_byte(value):
-    assert pretty_dumps(value) == json_pretty(value)
+    # A NaN or an infinity anywhere in the value is refused by both.
+    try:
+        expected = json_pretty(value)
+    except ValueError:
+        with pytest.raises(ValueError):
+            pretty_dumps(value)
+    else:
+        assert pretty_dumps(value) == expected
+
+
+@pytest.mark.parametrize("key", [1, 1.5, True, None, Level.LOW], ids=repr)
+def test_pretty_dumps_refuses_a_key_that_is_not_a_string(key):
+    with pytest.raises(TypeError):
+        pretty_dumps({"outer": [{key: "value"}]})
+
+
+@pytest.mark.parametrize("dumps", [pretty_dumps, canonical_dumps], ids=["pretty", "canonical"])
+@pytest.mark.parametrize("number", [math.nan, math.inf, -math.inf], ids=repr)
+def test_a_float_that_is_not_finite_is_refused(dumps, number):
+    with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+        dumps({"outer": [number]})
 
 
 @pytest.mark.parametrize(

@@ -10,10 +10,13 @@ text. The other five draw text from all of Unicode, separators included,
 and keep whatever the record admits: a record must refuse any text that
 its reply line cannot carry back. The differential property also draws
 free ranks and names that repeat in another case, and keeps the
-differentials that ``DifferentialDiagnosis`` admits. The next two draw
+differentials that ``DifferentialDiagnosis`` admits. The next three draw
 replies that are sectioned rather than one line per record: evidence
-clusterings for one to three diagnoses, and the importance of each fact.
-The last draws a truncation cut within a transcript of any length.
+clusterings for one to three diagnoses, the importance of each fact, and
+summaries whose sections hold any text, over one or more lines, that
+``Summary`` admits, each section starting below its header or on its
+header line. The last draws a truncation cut within a transcript
+of any length.
 """
 
 import pytest
@@ -22,6 +25,8 @@ from hypothesis import strategies as st
 
 from factgap.datamodel import (
     MAX_DDX_ENTRIES,
+    SECTION_TITLES,
+    SUMMARY_SECTIONS,
     ContentCategory,
     DdxSource,
     Diagnosis,
@@ -33,6 +38,7 @@ from factgap.datamodel import (
     Omission,
     Polarity,
     SubCluster,
+    Summary,
     replace,
 )
 from factgap.pipeline import parsers
@@ -44,6 +50,7 @@ from response_builders import (
     ddx_response,
     facts_response,
     omissions_response,
+    summary_response,
     truncate_response,
 )
 
@@ -99,6 +106,9 @@ def test_omissions_round_trip_through_their_reply(drawn):
 
 
 # Every code point, lone surrogates too, and the separators of every format.
+# The properties that draw from it report only the first failure they
+# find: with SubCluster's label check removed, the clustering property
+# took 317 s and 624 MB to report every distinct failure, 36 s the first.
 ANY_CHARACTER = st.characters(exclude_categories=())
 SEPARATORS = (*LINE_BREAKS, "\r\n", "\u2028", "\u2029", " ", "\t", "```")
 any_text = st.lists(
@@ -124,14 +134,14 @@ def admitted(build, drawn, min_size=0):
     return st.lists(drawn, min_size=4, max_size=8).map(keep).filter(lambda r: len(r) >= min_size)
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(derandomize=True, max_examples=200, deadline=None, report_multiple_bugs=False)
 @given(drawn=admitted(lambda text: Fact("F0", text, "medical"), any_text, min_size=1))
 def test_any_text_a_fact_admits_round_trips_through_its_reply(drawn):
     facts = [replace(fact, fact_id=f"F{i}") for i, fact in enumerate(drawn)]
     assert parse_reply(facts_response(facts), parsers.parse_facts) == facts
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(derandomize=True, max_examples=200, deadline=None, report_multiple_bugs=False)
 @given(drawn=admitted(lambda text: Omission("F0", text), any_text))
 def test_any_text_an_omission_admits_round_trips_through_its_reply(drawn):
     omissions = [replace(omission, fact_id=f"F{i}") for i, omission in enumerate(drawn)]
@@ -140,7 +150,7 @@ def test_any_text_an_omission_admits_round_trips_through_its_reply(drawn):
     assert parse_reply(reply, parsers.parse_omissions, fact_ids) == omissions
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(derandomize=True, max_examples=200, deadline=None, report_multiple_bugs=False)
 @given(
     drawn=admitted(
         lambda entry: Diagnosis(1, *entry),
@@ -192,7 +202,7 @@ def free_differentials(draw):
         return None
 
 
-@settings(derandomize=True, max_examples=100, deadline=None)
+@settings(derandomize=True, max_examples=100, deadline=None, report_multiple_bugs=False)
 @given(ddx=free_differentials())
 def test_any_differential_a_record_admits_round_trips_through_its_reply(ddx):
     assume(ddx is not None)
@@ -226,7 +236,7 @@ def clusterings(draw):
     return [f"F{i}" for i in range(n_facts)], result
 
 
-@settings(derandomize=True, max_examples=100, deadline=None)
+@settings(derandomize=True, max_examples=100, deadline=None, report_multiple_bugs=False)
 @given(drawn=clusterings())
 def test_any_clustering_a_subcluster_admits_round_trips_through_its_reply(drawn):
     fact_ids, clustered = drawn
@@ -246,6 +256,39 @@ def test_importance_buckets_round_trip_through_their_reply(importances):
     uncategorized = [replace(fact, importance=None) for fact in facts]
     reply = categorize_response(facts)
     assert parse_reply(reply, parsers.parse_categorization, uncategorized) == facts
+
+
+# Text that a summary section cannot carry as it is: the empty marker in
+# any case, and every section header.
+SUMMARY_KEYWORDS = ("NONE", "None", *(f"{title}:" for title in SECTION_TITLES.values()))
+
+
+@st.composite
+def summaries(draw):
+    """The summary of three drawn sections, each empty, one piece of any
+    text or lines of pieces; None when Summary refuses them."""
+    piece = st.one_of(st.sampled_from(SUMMARY_KEYWORDS), carried, any_text)
+    section = st.one_of(
+        st.just(""), any_text, st.lists(piece, min_size=1, max_size=3).map("\n".join)
+    )
+    texts = draw(st.tuples(section, section, section))
+    try:
+        return Summary("enc-1", dict(zip(SUMMARY_SECTIONS, texts)))
+    except ValueError:
+        return None
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, report_multiple_bugs=False)
+@given(summary=summaries(), inline=st.booleans())
+def test_any_summary_a_record_admits_round_trips_through_its_reply(summary, inline):
+    assume(summary is not None)
+    reply = summary_response(summary.sections)
+    if inline:
+        # A section may start on its header line. No section holds a line
+        # that starts with a header, so each match is the header itself.
+        for title in SECTION_TITLES.values():
+            reply = reply.replace(f"\n{title}:\n", f"\n{title}: ")
+    assert parse_reply(reply, parsers.parse_summary, "enc-1") == summary
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
