@@ -138,19 +138,22 @@ def parse_tagged_dialogue(encounter_id: str, text: str) -> Dialogue:
 def csv_reader(
     path: Path,
 ) -> Iterator[tuple[Optional[list[str]], Iterator[tuple[int, dict[str, str]]]]]:
-    """The header of the CSV file at ``path`` (None when it is empty) and
-    its rows, each a dict from header names to cells (a short row lacks
-    its last keys) with the line the row starts on. A header that names a
-    column twice and a row with more cells than the header are refused,
-    and every error names the file and line."""
+    """The header of the CSV file at ``path``, its first record that is not
+    a blank line (None when there is none), and its rows, each a dict from
+    header names to cells (a short row lacks its last keys) with the line
+    the row starts on. A header that names a column twice and a row with
+    more cells than the header are refused, and every error names the
+    file and line."""
     # utf-8-sig drops the byte-order mark of Excel's "CSV UTF-8" export.
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader, None)
+            header = next((record for record in reader if record), None)
             for column in header or ():
                 if header.count(column) > 1:
-                    raise ValueError(f"{path}:1: the header names column {column!r} twice")
+                    raise ValueError(
+                        f"{path}:{reader.line_num}: the header names column {column!r} twice"
+                    )
             yield header, _csv_rows(path, reader, header or [])
         except csv.Error as exc:
             # Such as a cell over csv.field_size_limit().

@@ -494,7 +494,13 @@ def run_corpus(
 ) -> tuple[RunManifest, list[EncounterResult]]:
     """Runs the corpus, or the ``only`` encounters of it, and writes a
     manifest of the whole corpus: an encounter this call did not run is
-    listed with the outcome its directory holds, if it has one."""
+    listed with the outcome its directory holds, if it has one.
+
+    One keep rule clears a run: with ``force``, the directory of each
+    corpus encounter this call does not run is kept, and its outcome is
+    read before anything is deleted; every other entry of ``encounters/``
+    is deleted, a symlink unlinked and never followed. So ``encounters/``
+    ends holding exactly the directories the manifest lists."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     selected = corpus.subset(only) if only else corpus
@@ -503,28 +509,24 @@ def run_corpus(
         _check_encounter_id(encounter.encounter_id)
 
     encounters_dir = out_dir / ENCOUNTERS_SUBDIR
-    kept: dict[str, EncounterResult] = {}
-    if encounters_dir.exists() and any(encounters_dir.iterdir()):
-        if not force:
-            raise FileExistsError(
-                f"{encounters_dir} already has artifacts; pass force to overwrite"
-            )
-        if only:
-            # Only the selected encounters rerun; the others' artifacts stay,
-            # and the manifest lists the outcomes they hold.
-            rerun = set(only)
-            kept = {
-                encounter.encounter_id: read_outcome(enc_dir)
-                for encounter in corpus.encounters
-                if encounter.encounter_id not in rerun
-                and (enc_dir := encounters_dir / encounter.encounter_id).is_dir()
-            }
-            for encounter in selected.encounters:
-                target = encounters_dir / encounter.encounter_id
-                if target.exists():
-                    shutil.rmtree(target)
+    entries = list(encounters_dir.iterdir()) if encounters_dir.exists() else []
+    if entries and not force:
+        raise FileExistsError(f"{encounters_dir} already has artifacts; pass force to overwrite")
+    # Every outcome kept is read before anything is deleted.
+    rerun = {encounter.encounter_id for encounter in selected.encounters}
+    kept = {
+        encounter.encounter_id: read_outcome(enc_dir)
+        for encounter in corpus.encounters
+        if encounter.encounter_id not in rerun
+        and (enc_dir := encounters_dir / encounter.encounter_id).is_dir()
+    }
+    for entry in entries:
+        if entry.name in kept:
+            continue
+        if entry.is_symlink() or not entry.is_dir():
+            entry.unlink()
         else:
-            shutil.rmtree(encounters_dir)
+            shutil.rmtree(entry)
     out_dir.mkdir(parents=True, exist_ok=True)
     started_at = utc_now_iso()
 

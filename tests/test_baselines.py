@@ -233,6 +233,18 @@ def test_import_external_metric_refuses_a_column_named_twice(tmp_path):
     assert str(refused.value) == f"{path}:1: the header names column 'encounter_id' twice"
 
 
+def test_import_external_metric_reads_a_header_that_follows_a_blank_line(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_text("\nencounter_id,score\ne1,0.5\ne2,x\n")
+    with pytest.raises(ValueError) as refused:
+        import_external_metric(path)
+    assert str(refused.value) == f"{path}:4: score value 'x' is not a number"
+    path.write_text("\nencounter_id,score\ne1,0.5\n")
+    metric = import_external_metric(path)
+    assert metric.name == "score"
+    assert metric.values == {"e1": 0.5}
+
+
 def test_import_external_metric(tmp_path):
     path = tmp_path / "scores.csv"
     path.write_text("encounter_id,bertscore\ne1,0.85\ne2,0.91\n")

@@ -188,6 +188,20 @@ def test_a_csv_corpus_header_that_names_a_column_twice_is_refused(tmp_path):
     assert str(refused.value) == f"{path}:1: the header names column 'dialogue' twice"
 
 
+def test_a_csv_corpus_whose_header_follows_blank_lines_loads(tmp_path):
+    # The header is the first record, not the first line; errors still name lines.
+    path = tmp_path / "corpus.csv"
+    path.write_text('\nencounter_id,dialogue\ne1,"[doctor] hi"\n', encoding="utf-8")
+    corpus = load_corpus(path)
+    assert [encounter.encounter_id for encounter in corpus.encounters] == ["e1"]
+
+    twice = tmp_path / "twice.csv"
+    twice.write_text("\n\nencounter_id,dialogue,dialogue\ne1,a,b\n", encoding="utf-8")
+    with pytest.raises(ValueError) as refused:
+        load_corpus(twice)
+    assert str(refused.value) == f"{twice}:3: the header names column 'dialogue' twice"
+
+
 @pytest.mark.parametrize(
     "tail, bad",
     [

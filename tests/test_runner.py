@@ -1,9 +1,12 @@
 import json
+import re
+import shutil
 import threading
 from pathlib import Path
 
 import pytest
 
+from factgap.cli import main
 from factgap.config import ModelsConfig, RunConfig, ThresholdsConfig
 from factgap.datamodel import Polarity, replace
 from factgap.dataset import Corpus, Encounter, RunManifest, parse_tagged_dialogue
@@ -395,6 +398,67 @@ def test_run_corpus_only_force_keeps_other_encounters(tmp_path):
     assert subtree_bytes(encounters_dir / "enc-short") == other
     assert not (encounters_dir / "enc-edward" / "stale.json").exists()
     assert (encounters_dir / "enc-edward" / "report.json").exists()
+
+
+@pytest.mark.parametrize("only", [None, ["enc-edward"]], ids=["all", "only"])
+def test_a_forced_run_leaves_exactly_the_encounters_its_manifest_lists(tmp_path, capsys, only):
+    corpus = Corpus(name="mini", encounters=(edward_encounter(), short_encounter()))
+    out_dir = tmp_path / "out"
+    encounters_dir = out_dir / ENCOUNTERS_SUBDIR
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "data.json").write_text("{}", encoding="utf-8")
+    run_corpus(
+        make_config(),
+        live_gateway(edward_generate_responses() + [truncate_response(1)]),
+        corpus,
+        "corpus.json",
+        out_dir,
+    )
+    # Strays that name no corpus encounter: a copied encounter, a file and a symlink.
+    shutil.copytree(encounters_dir / "enc-edward", encounters_dir / "enc-old")
+    (encounters_dir / "notes.txt").write_text("stray", encoding="utf-8")
+    (encounters_dir / "enc-link").symlink_to(outside, target_is_directory=True)
+
+    responses = edward_generate_responses() + ([] if only else [truncate_response(1)])
+    manifest, _ = run_corpus(
+        make_config(), live_gateway(responses), corpus, "corpus.json", out_dir, only=only, force=True
+    )
+    assert sorted(entry.name for entry in encounters_dir.iterdir()) == ["enc-edward", "enc-short"]
+    assert (outside / "data.json").read_text(encoding="utf-8") == "{}"
+    assert main(["report", "--run", str(out_dir), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [e["encounter_id"] for e in payload["encounters"]] == ["enc-edward", "enc-short"]
+    assert {status: payload["aggregate"][status] for status in manifest.counts} == manifest.counts
+
+
+def test_a_kept_marker_that_cannot_be_read_stops_a_forced_run_before_it_deletes(tmp_path):
+    corpus = Corpus(name="mini", encounters=(edward_encounter(), short_encounter()))
+    out_dir = tmp_path / "out"
+    encounters_dir = out_dir / ENCOUNTERS_SUBDIR
+    run_corpus(
+        make_config(),
+        live_gateway(edward_generate_responses() + [truncate_response(1)]),
+        corpus,
+        "corpus.json",
+        out_dir,
+    )
+    corrupt = encounters_dir / "enc-edward" / "report.json"
+    corrupt.write_text("{", encoding="utf-8")
+    (encounters_dir / "notes.txt").write_text("stray", encoding="utf-8")
+    before = subtree_bytes(out_dir)
+
+    with pytest.raises(ValueError, match=re.escape(str(corrupt))):
+        run_corpus(
+            make_config(),
+            live_gateway([truncate_response(1)]),
+            corpus,
+            "corpus.json",
+            out_dir,
+            only=["enc-short"],
+            force=True,
+        )
+    assert subtree_bytes(out_dir) == before
 
 
 @pytest.mark.parametrize("bad_id", ["..", ".", "../../sibling"])
