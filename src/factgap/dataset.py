@@ -5,7 +5,7 @@ this package writes, and CSV exports whose dialogue cells carry
 ``[speaker]``-prefixed lines (one turn per line) alongside a reference
 note column. A JSON corpus decodes through the strict record codec, so a
 misspelled key is an error that names the corpus file, not a silently
-dropped field.
+dropped field; so is an encounter id that cannot name a directory.
 
 A run's bookkeeping is records too: every encounter directory ends in
 one outcome marker (``report.json``, ``skip.json`` or ``failure.json``),
@@ -51,6 +51,17 @@ class Encounter(JsonRecord):
     dialogue: Dialogue
     reference_note: Optional[str] = None
     provenance: Optional[Provenance] = None
+
+    def check(self) -> None:
+        # The id names the directory encounters/<id> that holds every
+        # artifact of the encounter; 255 bytes is a file name's limit.
+        encounter_id = self.encounter_id
+        if (
+            encounter_id in (".", "..")
+            or any(c in encounter_id for c in "/\\\0")
+            or len(encounter_id.encode("utf-8")) > 255
+        ):
+            raise ValueError(f"encounter id {encounter_id!r} is not filesystem-safe")
 
     @property
     def encounter_id(self) -> str:
@@ -120,11 +131,6 @@ def parse_tagged_dialogue(encounter_id: str, text: str) -> Dialogue:
                 f"encounter {encounter_id}: dialogue does not start with a "
                 f"[speaker] tag: {line!r}"
             )
-    if not tagged:
-        raise ValueError(f"encounter {encounter_id}: empty dialogue")
-    for index, (_, parts) in enumerate(tagged):
-        if not any(parts):
-            raise ValueError(f"encounter {encounter_id}: turn {index} has no text")
     return Dialogue(
         encounter_id=encounter_id,
         turns=tuple(
@@ -198,9 +204,12 @@ def load_csv_corpus(path: Path | str) -> Corpus:
             encounter_id = (row.get("encounter_id") or "").strip()
             if not encounter_id:
                 raise ValueError(f"{path}:{line}: blank encounter_id")
-            dialogue = parse_tagged_dialogue(encounter_id, row.get("dialogue") or "")
             note = (row.get("note") or "").strip() or None
-            encounters.append(Encounter(dialogue=dialogue, reference_note=note))
+            try:
+                dialogue = parse_tagged_dialogue(encounter_id, row.get("dialogue") or "")
+                encounters.append(Encounter(dialogue=dialogue, reference_note=note))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line}: {exc}") from exc
     return Corpus(name=path.stem, encounters=tuple(encounters))
 
 

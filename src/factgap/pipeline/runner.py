@@ -289,11 +289,6 @@ class _BatchWriter:
             self._stop()
 
 
-def _check_encounter_id(encounter_id: str) -> None:
-    if encounter_id in (".", "..") or any(c in encounter_id for c in "/\\\0"):
-        raise ValueError(f"encounter id {encounter_id!r} is not filesystem-safe")
-
-
 def _run_now(call: Callable[..., Any], *args: Any) -> Future:
     """``call(*args)`` run on this thread, as a finished future."""
     future: Future = Future()
@@ -460,7 +455,6 @@ def run_encounter(
     ``out_dir``; without a writer they are on disk when this returns."""
     dialogue = encounter.dialogue
     encounter_id = dialogue.encounter_id
-    _check_encounter_id(encounter_id)
     ctx = StageContext(gateway=gateway, config=config)
     job = _Job(ctx, dialogue, out_dir / ENCOUNTERS_SUBDIR / encounter_id)
     try:
@@ -504,9 +498,6 @@ def run_corpus(
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     selected = corpus.subset(only) if only else corpus
-    # Each id names a directory that force may delete or the manifest reads.
-    for encounter in corpus.encounters:
-        _check_encounter_id(encounter.encounter_id)
 
     encounters_dir = out_dir / ENCOUNTERS_SUBDIR
     entries = list(encounters_dir.iterdir()) if encounters_dir.exists() else []

@@ -942,6 +942,33 @@ def test_run_refuses_a_config_number_that_is_not_finite(tmp_path, capsys, name, 
     assert not (out / "encounters").exists()
 
 
+@pytest.mark.parametrize(
+    "encounter_id", [".", "..", "a/b", "x" * 256], ids=["dot", "dotdot", "slash", "256_bytes"]
+)
+@pytest.mark.parametrize("suffix", [".json", ".csv"])
+def test_run_refuses_an_unsafe_encounter_id_when_the_corpus_loads(
+    tmp_path, capsys, suffix, encounter_id
+):
+    corpus = tmp_path / f"corpus{suffix}"
+    if suffix == ".json":
+        data = read_json(CORPUS)
+        first = data["encounters"][0]
+        first["encounter_id"] = first["dialogue"]["encounter_id"] = encounter_id
+        write_json(corpus, data)
+        where = f"{corpus}: "
+    else:
+        corpus.write_text(f'encounter_id,dialogue\n{encounter_id},"[doctor] hi"\n', encoding="utf-8")
+        where = f"{corpus}:2: "
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(REPLAY_CONFIG), "--corpus", str(corpus), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {where}")
+    assert captured.err.endswith(f"encounter id {encounter_id!r} is not filesystem-safe\n")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_run_in_live_mode_without_a_backend_is_refused(tmp_path, capsys):
     # Live mode reads no cassette, so the replay config's cassette is no backend.
     out = tmp_path / "out"

@@ -52,10 +52,33 @@ def test_parse_tagged_dialogue_synonyms_and_errors():
         parse_tagged_dialogue("e1", "untagged opener\n[doctor] hi")
     with pytest.raises(ValueError, match="unterminated"):
         parse_tagged_dialogue("e1", "[doctor hi")
-    with pytest.raises(ValueError, match="empty dialogue"):
+    with pytest.raises(ValueError, match="no turns"):
         parse_tagged_dialogue("e1", "")
-    with pytest.raises(ValueError, match="no text"):
+    with pytest.raises(ValueError, match="empty text"):
         parse_tagged_dialogue("e1", "[doctor]\n[patient] hi")
+
+
+# An id names the directory encounters/<id>: no path separator, no NUL,
+# and at most 255 bytes of UTF-8, a file name's limit.
+@pytest.mark.parametrize(
+    "encounter_id",
+    [".", "..", "a/b", "a\\b", "a\0b", "x" * 256, "\u00e9" * 128],
+    ids=["dot", "dotdot", "slash", "backslash", "nul", "256_ascii", "256_utf8"],
+)
+def test_an_encounter_refuses_an_id_that_cannot_name_a_directory(encounter_id):
+    dialogue = parse_tagged_dialogue(encounter_id, "[doctor] hi")
+    with pytest.raises(ValueError, match="is not filesystem-safe"):
+        Encounter(dialogue=dialogue)
+
+
+@pytest.mark.parametrize(
+    "encounter_id",
+    ["x" * 255, "\u00e9" * 127, "...", "a.b"],
+    ids=["255_ascii", "254_utf8", "three_dots", "inner_dot"],
+)
+def test_an_encounter_takes_an_id_up_to_255_bytes(encounter_id):
+    dialogue = parse_tagged_dialogue(encounter_id, "[doctor] hi")
+    assert Encounter(dialogue=dialogue).encounter_id == encounter_id
 
 
 def make_corpus():
@@ -163,6 +186,26 @@ def test_a_csv_corpus_error_names_the_line_its_row_starts_on(tmp_path):
     with pytest.raises(ValueError) as refused:
         load_corpus(path)
     assert str(refused.value) == f"{path}:5: blank encounter_id"
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ('e2,"hello\n[doctor] hi"', "encounter e2: dialogue does not start with a [speaker] tag"),
+        ('../e2,"[doctor] hi"', "encounter id '../e2' is not filesystem-safe"),
+        ('e2,"[doctor]\n[patient] hi"', "turn 0 has empty text"),
+        ("e2,", "dialogue e2: no turns"),
+    ],
+    ids=["untagged", "unsafe_id", "empty_turn", "no_turns"],
+)
+def test_a_csv_corpus_row_its_records_refuse_names_its_line(tmp_path, cell, message):
+    path = tmp_path / "corpus.csv"
+    path.write_text(
+        f'encounter_id,dialogue\ne1,"[doctor] hi\n[patient] ok"\n{cell}\n', encoding="utf-8"
+    )
+    with pytest.raises(ValueError) as refused:
+        load_corpus(path)
+    assert str(refused.value).startswith(f"{path}:4: {message}")
 
 
 def test_a_csv_corpus_row_with_more_cells_than_its_header_is_refused(tmp_path):

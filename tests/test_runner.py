@@ -11,7 +11,7 @@ from factgap.config import ModelsConfig, RunConfig, ThresholdsConfig
 from factgap.datamodel import Polarity, replace
 from factgap.dataset import Corpus, Encounter, RunManifest, parse_tagged_dialogue
 from factgap.gateway import GatewayMode, LlmGateway
-from factgap.jsonutil import read_json
+from factgap.jsonutil import read_json, write_json
 from factgap.pipeline import runner
 from factgap.pipeline.runner import ENCOUNTERS_SUBDIR, MANIFEST_NAME, run_corpus, run_encounter
 
@@ -35,8 +35,10 @@ from response_builders import (
 )
 from scoring_fixtures import EDWARD_CLUSTERS, EDWARD_FACTS, EDWARD_OMISSIONS
 from scripted_backend import ScriptedBackend
+from test_stage_graph import subtree_bytes
 
 
+REPLAY_CONFIG = Path(__file__).parent / "fixtures" / "replay_config.json"
 EDWARD_DDX_NAMES = [name for name, _, _ in EDWARD_DDX_CHAT]
 
 
@@ -310,9 +312,9 @@ def test_one_worker_stops_at_a_row_whose_artifact_cannot_be_encoded(tmp_path, mo
     assert backend.calls == 4
 
 
-def short_encounter(encounter_id="enc-short"):
+def short_encounter():
     dialogue = parse_tagged_dialogue(
-        encounter_id, "[doctor] hi\n[patient] hello\n[doctor] bye\n[patient] bye"
+        "enc-short", "[doctor] hi\n[patient] hello\n[doctor] bye\n[patient] bye"
     )
     return Encounter(dialogue=dialogue)
 
@@ -461,9 +463,16 @@ def test_a_kept_marker_that_cannot_be_read_stops_a_forced_run_before_it_deletes(
     assert subtree_bytes(out_dir) == before
 
 
-@pytest.mark.parametrize("bad_id", ["..", ".", "../../sibling"])
-def test_run_corpus_only_force_rejects_unsafe_ids_before_deleting(tmp_path, bad_id):
-    corpus = Corpus(name="mini", encounters=(edward_encounter(), short_encounter(bad_id)))
+@pytest.mark.parametrize(
+    "bad_id", ["..", ".", "../../sibling", pytest.param("x" * 256, id="256_bytes")]
+)
+def test_run_corpus_only_force_rejects_unsafe_ids_before_deleting(tmp_path, capsys, bad_id):
+    # No Encounter takes such an id, so only a corpus file can hold one.
+    data = Corpus(name="mini", encounters=(edward_encounter(), short_encounter())).to_json_dict()
+    short = data["encounters"][1]
+    short["encounter_id"] = short["dialogue"]["encounter_id"] = bad_id
+    corpus = tmp_path / "corpus.json"
+    write_json(corpus, data)
     out_dir = tmp_path / "out"
     kept = out_dir / ENCOUNTERS_SUBDIR / "enc-edward" / "report.json"
     kept.parent.mkdir(parents=True)
@@ -472,26 +481,14 @@ def test_run_corpus_only_force_rejects_unsafe_ids_before_deleting(tmp_path, bad_
     sibling.parent.mkdir()
     sibling.write_text("{}", encoding="utf-8")
 
-    with pytest.raises(ValueError, match="not filesystem-safe"):
-        run_corpus(
-            make_config(),
-            live_gateway([]),
-            corpus,
-            "corpus.json",
-            out_dir,
-            only=[bad_id],
-            force=True,
-        )
+    argv = ["run", "--config", str(REPLAY_CONFIG), "--corpus", str(corpus), "--out", str(out_dir)]
+    code = main([*argv, "--only", bad_id, "--force"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {corpus}: ")
+    assert "not filesystem-safe" in captured.err
     assert kept.read_text(encoding="utf-8") == "{}"
     assert sibling.read_text(encoding="utf-8") == "{}"
-
-
-def subtree_bytes(root: Path) -> dict[str, bytes]:
-    return {
-        str(path.relative_to(root)): path.read_bytes()
-        for path in sorted(root.rglob("*"))
-        if path.is_file()
-    }
 
 
 def test_record_then_replay_is_deterministic(tmp_path):
